@@ -10,7 +10,7 @@
 //  * parallel_for splits [0, n) into one contiguous chunk per thread using
 //    only (n, thread_count) — no atomic work-stealing, so which thread runs
 //    which index never depends on scheduling. Each index runs exactly once.
-//  * parallel_reduce materializes map(i) per index and folds the results in
+//  * parallel_reduce materializes map(lane, i) per index and folds them in
 //    index order on the calling thread, so floating-point reductions are
 //    bit-identical to a sequential std::accumulate at any thread count.
 //  * Exceptions: chunks run to completion independently; afterwards the
@@ -92,12 +92,14 @@ class ThreadPool {
             &fn);
   }
 
-  /// Ordered reduction: parallel map, sequential index-order fold.
-  /// T must be default-constructible (the map buffer is pre-sized).
+  /// Ordered reduction: parallel lane-aware map(lane, i) (lanes as in
+  /// parallel_for_lane), sequential index-order fold. T must be
+  /// default-constructible (the map buffer is pre-sized).
   template <class T, class Map, class Combine>
   T parallel_reduce(std::size_t n, T init, Map&& map, Combine&& combine) {
     std::vector<T> mapped(n);
-    parallel_for(n, [&](std::size_t i) { mapped[i] = map(i); });
+    parallel_for_lane(
+        n, [&](unsigned lane, std::size_t i) { mapped[i] = map(lane, i); });
     T acc = std::move(init);
     for (std::size_t i = 0; i < n; ++i) {
       acc = combine(std::move(acc), std::move(mapped[i]));

@@ -11,20 +11,6 @@
 
 namespace jwins::sim {
 
-namespace {
-
-/// Times one engine phase, accumulating real seconds into `slot` (the same
-/// bookkeeping the synchronous loop keeps, so wall timings stay comparable).
-template <class Fn>
-void timed_phase(double& slot, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  slot += std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-}
-
-}  // namespace
-
 const char* event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kTrainDone: return "train-done";
@@ -111,11 +97,6 @@ EventEngine::EventEngine(Experiment& experiment)
 
 EventEngine::~EventEngine() { exp_.network_.set_delivery_sink(nullptr); }
 
-bool EventEngine::node_alive(std::uint32_t i, std::size_t round) const {
-  const net::TimeModel& tm = exp_.network_.time_model();
-  return !tm.has_crashes() || tm.node_alive(i, round);
-}
-
 void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
   // Called from inside Network::send while some node's share() runs: the
   // message survived failure injection, so schedule its arrival at the
@@ -155,10 +136,7 @@ ExperimentResult EventEngine::run() {
   stats_.edge_records_high_water =
       exp_.network_.time_model().edge_records_high_water();
   result.event_engine = stats_;
-  exp_.wall_.total_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-          .count();
-  result.wall = exp_.wall_;
+  exp_.finish_run(run_start, result);
   return result;
 }
 
@@ -184,7 +162,7 @@ ExperimentResult EventEngine::run_barrier() {
     // simulated compute time its multiplier implies, then its messages
     // arrive per-edge. All of round t's events drain before the barrier.
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (!node_alive(i, t)) continue;
+      if (!tm.node_alive(i, t)) continue;
       queue_.push(round_start +
                       cfg.compute_seconds_per_round * tm.compute_multiplier(i),
                   i, EventKind::kTrainDone, static_cast<std::uint32_t>(t));
@@ -194,12 +172,12 @@ ExperimentResult EventEngine::run_barrier() {
       ++stats_.events_processed;
       if (event.kind == EventKind::kTrainDone) {
         const std::uint32_t i = event.node;
-        timed_phase(exp_.wall_.train_seconds, [&] {
+        Experiment::timed_phase(exp_.wall_.train_seconds, [&] {
           train_losses[i] = exp_.nodes_[i]->local_train();
         });
         uplink_.reset(i);
         share_time_ = event.time;
-        timed_phase(exp_.wall_.share_seconds, [&] {
+        Experiment::timed_phase(exp_.wall_.share_seconds, [&] {
           exp_.nodes_[i]->share(network, g, weights, event.round,
                                 exp_.scratch_[0]);
         });
@@ -220,7 +198,7 @@ ExperimentResult EventEngine::run_barrier() {
     const double barrier =
         std::max(network.simulated_seconds(), queue_.last_pop_time());
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (!node_alive(i, t)) continue;
+      if (!tm.node_alive(i, t)) continue;
       queue_.push(barrier, i, EventKind::kLocalStep,
                   static_cast<std::uint32_t>(t));
     }
@@ -228,67 +206,16 @@ ExperimentResult EventEngine::run_barrier() {
       const Event event = queue_.pop();
       ++stats_.events_processed;
       const std::uint32_t i = event.node;
-      timed_phase(exp_.wall_.aggregate_seconds, [&] {
+      Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
         exp_.nodes_[i]->aggregate(network, g, weights, event.round,
                                   exp_.scratch_[0]);
       });
       ++stats_.local_steps[i];
     }
-    result.rounds_run = t + 1;
-
-    // Round-boundary bookkeeping, operation for operation the synchronous
-    // loop's: learning-rate decay over ALL nodes, JWINS alpha over alive
-    // nodes in rank order, then the evaluation/stop block.
-    if (cfg.lr_decay_every > 0 && (t + 1) % cfg.lr_decay_every == 0) {
-      for (auto& node : exp_.nodes_) {
-        node->set_learning_rate(
-            static_cast<float>(node->learning_rate() * cfg.lr_decay_factor));
-      }
-    }
-    if (cfg.algorithm == Algorithm::kJwins) {
-      if (exp_.eval_sample_active()) {
-        for (const std::uint32_t i : exp_.eval_subset(t + 1)) {
-          if (!node_alive(i, t)) continue;
-          exp_.alpha_sum_ +=
-              static_cast<algo::JwinsNode&>(*exp_.nodes_[i]).last_alpha();
-          ++exp_.alpha_samples_;
-        }
-      } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (!node_alive(i, t)) continue;
-          exp_.alpha_sum_ +=
-              static_cast<algo::JwinsNode&>(*exp_.nodes_[i]).last_alpha();
-          ++exp_.alpha_samples_;
-        }
-      }
-    }
-
-    const bool budget_hit =
-        cfg.stop_at_sim_time > 0.0 &&
-        network.simulated_seconds() >= cfg.stop_at_sim_time;
-    const bool last_round = (t + 1 == cfg.rounds) || budget_hit;
-    if (t % cfg.eval_every == 0 || last_round) {
-      // Same sampled-population rule as the sync loop: under eval_sample the
-      // mean divides by the subset size, not n.
-      const double mean_train_loss = Experiment::mean_loss_over(
-          train_losses,
-          exp_.eval_sample_active()
-              ? std::span<const std::uint32_t>(exp_.eval_subset(t + 1))
-              : std::span<const std::uint32_t>{},
-          [&](std::size_t i) {
-            return node_alive(static_cast<std::uint32_t>(i), t);
-          });
-      const MetricPoint point = exp_.evaluate(t + 1, mean_train_loss);
-      result.series.push_back(point);
-      if (cfg.target_accuracy > 0.0 &&
-          point.test_accuracy >= cfg.target_accuracy) {
-        result.reached_target = true;
-        break;
-      }
-    }
-    if (budget_hit) break;
+    // The round tail (lr decay, alpha, budget, eval, target stop) is the
+    // synchronous loop's own.
+    if (exp_.end_round(t, train_losses, result)) break;
   }
-  exp_.collect_summary(result);
   return result;
 }
 
@@ -326,8 +253,8 @@ void EventEngine::start_round(std::uint32_t i, double now) {
   // idles one compute-duration per local round (a documented refinement of
   // the sync engine's round-granularity crash semantics) so its local clock
   // still advances toward its rejoin round.
-  const EventKind kind = node_alive(i, round_[i]) ? EventKind::kTrainDone
-                                                  : EventKind::kLocalStep;
+  const EventKind kind = tm.node_alive(i, round_[i]) ? EventKind::kTrainDone
+                                                     : EventKind::kLocalStep;
   // Phase attribution: node i trains from now until its TrainDone pops
   // (idle crash rounds are not compute — nothing runs on the node).
   if (kind == EventKind::kTrainDone) ++training_count_;
@@ -338,10 +265,11 @@ bool EventEngine::may_yet_hear(std::uint32_t neighbor,
                                std::int64_t min_tag) const {
   // Will `neighbor` ever share a round >= min_tag? It shares every alive
   // local round below the cap, and its local round only moves forward.
+  const net::TimeModel& tm = exp_.network_.time_model();
   const std::int64_t cap = static_cast<std::int64_t>(exp_.config_.rounds);
   std::int64_t q = std::max<std::int64_t>(min_tag, round_[neighbor]);
   for (; q < cap; ++q) {
-    if (node_alive(neighbor, static_cast<std::size_t>(q))) return true;
+    if (tm.node_alive(neighbor, static_cast<std::size_t>(q))) return true;
   }
   return false;
 }
@@ -379,14 +307,14 @@ void EventEngine::unblock_ready(double now) {
 
 void EventEngine::process_train_done(const Event& event) {
   const std::uint32_t i = event.node;
-  timed_phase(exp_.wall_.train_seconds, [&] {
+  Experiment::timed_phase(exp_.wall_.train_seconds, [&] {
     train_losses_[i] = exp_.nodes_[i]->local_train();
   });
   trained_[i] = true;
   const RoundTopo& tp = topo(round_[i]);
   uplink_.reset(i);
   share_time_ = event.time;
-  timed_phase(exp_.wall_.share_seconds, [&] {
+  Experiment::timed_phase(exp_.wall_.share_seconds, [&] {
     exp_.nodes_[i]->share(exp_.network_, tp.graph, tp.weights, round_[i],
                           exp_.scratch_[0]);
   });
@@ -428,7 +356,7 @@ void EventEngine::process_local_step(const Event& event,
   const std::uint32_t i = event.node;
   const std::uint32_t r = round_[i];
   const ExperimentConfig& cfg = exp_.config_;
-  if (node_alive(i, r)) {
+  if (exp_.network_.time_model().node_alive(i, r)) {
     std::vector<net::Message>& box = inbox_[i];
     if (mode_ == AsyncMode::kBarrier) {
       // Stage the eligible inbox into the Network mailbox: messages tagged
@@ -477,7 +405,7 @@ void EventEngine::process_local_step(const Event& event,
       ++stats_.effective_neighbors[applied];
     }
     const RoundTopo& tp = topo(r);
-    timed_phase(exp_.wall_.aggregate_seconds, [&] {
+    Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
       exp_.nodes_[i]->aggregate(exp_.network_, tp.graph, tp.weights, r,
                                 exp_.scratch_[0]);
     });
@@ -517,10 +445,7 @@ bool EventEngine::maybe_evaluate(ExperimentResult& result) {
     if (min_completed < next_eval_round_ + 1) return false;
     const double mean_train_loss = Experiment::mean_loss_over(
         train_losses_,
-        exp_.eval_sample_active()
-            ? std::span<const std::uint32_t>(
-                  exp_.eval_subset(next_eval_round_ + 1))
-            : std::span<const std::uint32_t>{},
+        exp_.metric_population(next_eval_round_ + 1),
         [&](std::size_t i) { return static_cast<bool>(trained_[i]); });
     // evaluate() reads the Network clock, which the event loop advances at
     // event granularity (advance_time): sim_seconds is the time of the
@@ -632,10 +557,7 @@ ExperimentResult EventEngine::run_event_loop() {
       result.series.back().round < result.rounds_run) {
     const double mean_train_loss = Experiment::mean_loss_over(
         train_losses_,
-        exp_.eval_sample_active()
-            ? std::span<const std::uint32_t>(
-                  exp_.eval_subset(result.rounds_run))
-            : std::span<const std::uint32_t>{},
+        exp_.metric_population(result.rounds_run),
         [&](std::size_t i) { return static_cast<bool>(trained_[i]); });
     // The Network clock stands at the last processed event (advance_time),
     // so the final point's sim_seconds and its compute/comm split need no
@@ -643,7 +565,6 @@ ExperimentResult EventEngine::run_event_loop() {
     const MetricPoint point = exp_.evaluate(result.rounds_run, mean_train_loss);
     result.series.push_back(point);
   }
-  exp_.collect_summary(result);
   return result;
 }
 

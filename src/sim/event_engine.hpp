@@ -170,8 +170,6 @@ class EventEngine : private net::DeliverySink {
   /// target-accuracy stop. Returns true when the run should terminate.
   bool maybe_evaluate(ExperimentResult& result);
 
-  bool node_alive(std::uint32_t i, std::size_t round) const;
-
   Experiment& exp_;
   EventQueue queue_;
   UplinkSerializer uplink_;

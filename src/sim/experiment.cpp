@@ -70,15 +70,6 @@ constexpr std::uint64_t kEvalSampleStream = 0xE7A1;
 /// min(kBatchCap, shard size) in both layouts).
 constexpr std::size_t kBatchCap = 16;
 
-/// Times one engine phase, accumulating real seconds into `slot`.
-template <class Fn>
-void timed_phase(double& slot, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  slot += std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-}
-
 }  // namespace
 
 std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
@@ -401,8 +392,9 @@ double Experiment::mean_loss_over(
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-const std::vector<std::uint32_t>& Experiment::eval_subset(
+std::span<const std::uint32_t> Experiment::metric_population(
     std::size_t metric_round) {
+  if (!eval_sample_active()) return {};
   if (subset_cache_round_ != metric_round) {
     subset_cache_ = eval_sample_indices(config_.seed, metric_round, n_,
                                         config_.eval_sample);
@@ -439,45 +431,30 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
   // The metric population: the seeded per-round subset under eval_sample,
   // the first-N prefix under eval_node_limit, every node otherwise (the two
   // subset rules are mutually exclusive by validation).
-  const std::vector<std::uint32_t>* subset =
-      eval_sample_active() ? &eval_subset(round) : nullptr;
+  const std::span<const std::uint32_t> subset = metric_population(round);
   const std::size_t count =
-      subset ? subset->size()
-             : (config_.eval_node_limit == 0
-                    ? n_
-                    : std::min(config_.eval_node_limit, n_));
+      !subset.empty() ? subset.size()
+                      : (config_.eval_node_limit == 0
+                             ? n_
+                             : std::min(config_.eval_node_limit, n_));
   // Ordered reduction: per-node metrics are computed in parallel but summed
   // in rank order, so the reported means are thread-count independent.
   nn::EvalMetrics sums;
   timed_phase(wall_.evaluate_seconds, [&] {
-    if (compact()) {
-      // Lane workers need a lane id, which parallel_reduce's map does not
-      // carry: materialize per-index metrics, then fold sequentially in
-      // index order — the exact summation order of the reduce below.
-      eval_buf_.assign(count, nn::EvalMetrics{});
-      pool_.parallel_for_lane(count, [&](unsigned lane, std::size_t j) {
-        const std::size_t node = subset ? (*subset)[j] : j;
-        algo::DlNode& w = *workers_[lane];
-        w.set_flat_params(store_->view(node));
-        eval_buf_[j] = w.model().evaluate(eval_batch_);
-      });
-      for (const nn::EvalMetrics& m : eval_buf_) {
-        sums.accuracy += m.accuracy;
-        sums.loss += m.loss;
-      }
-    } else {
-      sums = pool_.parallel_reduce(
-          count, nn::EvalMetrics{},
-          [&](std::size_t j) {
-            const std::size_t node = subset ? (*subset)[j] : j;
-            return nodes_[node]->model().evaluate(eval_batch_);
-          },
-          [](nn::EvalMetrics a, const nn::EvalMetrics& b) {
-            a.accuracy += b.accuracy;
-            a.loss += b.loss;
-            return a;
-          });
-    }
+    sums = pool_.parallel_reduce(
+        count, nn::EvalMetrics{},
+        [&](unsigned lane, std::size_t j) {
+          const std::size_t node = subset.empty() ? j : subset[j];
+          if (!compact()) return nodes_[node]->model().evaluate(eval_batch_);
+          algo::DlNode& w = *workers_[lane];
+          w.set_flat_params(store_->view(node));
+          return w.model().evaluate(eval_batch_);
+        },
+        [](nn::EvalMetrics a, const nn::EvalMetrics& b) {
+          a.accuracy += b.accuracy;
+          a.loss += b.loss;
+          return a;
+        });
   });
   point.test_accuracy = sums.accuracy / static_cast<double>(count);
   point.test_loss = sums.loss / static_cast<double>(count);
@@ -488,208 +465,153 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
   return point;
 }
 
+template <class Fn>
+void Experiment::for_each_alive(std::size_t t, Fn&& fn) {
+  // Crash/rejoin fault injection: a node inside its crash window neither
+  // trains nor communicates (its model freezes until rejoin). The check is
+  // a pure function of (node, round), so skipping preserves the bit-exact
+  // determinism contract; with no crash schedule every node is alive.
+  const net::TimeModel& time_model = network_.time_model();
+  pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
+    if (!time_model.node_alive(static_cast<std::uint32_t>(i), t)) return;
+    if (!compact()) {
+      fn(*nodes_[i], lane, i);
+      return;
+    }
+    algo::DlNode& w = *workers_[lane];
+    bind_worker(w, i);
+    fn(w, lane, i);
+    w.flat_params_into(store_->slot(i));
+  });
+}
+
 ExperimentResult Experiment::run() {
   if (config_.engine == EngineKind::kAsync) {
     return run_async();  // the discrete-event driver (event_engine.cpp)
   }
-  if (compact()) {
-    return run_compact();  // lane workers over the COW state store
-  }
   const auto run_start = std::chrono::steady_clock::now();
   ExperimentResult result;
-  const std::size_t n = nodes_.size();
-  std::vector<float> train_losses(n, 0.0f);
-  // Crash/rejoin fault injection: a node inside its crash window neither
-  // trains nor communicates (its model freezes until rejoin). The check is
-  // a pure function of (node, round), so skipping preserves the bit-exact
-  // determinism contract; with no crash schedule `alive` is always true and
-  // the loop is byte-identical to the fault-free engine.
-  const net::TimeModel& time_model = network_.time_model();
-  const bool crashes = time_model.has_crashes();
-  const auto alive = [&](std::size_t i, std::size_t t) {
-    return !crashes || time_model.node_alive(static_cast<std::uint32_t>(i), t);
-  };
+  std::vector<float> train_losses(n_, 0.0f);
   for (std::size_t t = 0; t < config_.rounds; ++t) {
     const graph::Graph& g = topology_->round_graph(t);
-    if (g.size() != n) {
+    if (g.size() != n_) {
       throw std::logic_error("Experiment: topology size != node count");
     }
     const graph::MixingWeights& weights = mixing_weights(g, t);
+    const auto round = static_cast<std::uint32_t>(t);
 
-    timed_phase(wall_.train_seconds, [&] {
-      pool_.parallel_for(n, [&](std::size_t i) {
-        if (!alive(i, t)) return;
-        train_losses[i] = nodes_[i]->local_train();
+    if (compact()) {
+      // Fused train+share pass: one worker bind covers both. share() reads
+      // only the sharing node's own state and every mailbox drain sorts
+      // canonically by (round, sender), so fusing the two passes changes no
+      // bytes — it halves the bind/writeback traffic, the dominant
+      // per-round cost at 100k+ nodes.
+      timed_phase(wall_.train_seconds, [&] {
+        for_each_alive(t, [&](algo::DlNode& node, unsigned lane,
+                              std::size_t i) {
+          train_losses[i] = node.local_train();
+          node.share(network_, g, weights, round, scratch_[lane]);
+          // The sampler-stream position advances only when the node
+          // trained: a crashed node resumes its stream where it froze, like
+          // the full layout's stateful per-node sampler.
+          steps_done_[i] += config_.local_steps;
+        });
       });
-    });
-    timed_phase(wall_.share_seconds, [&] {
-      pool_.parallel_for_lane(n, [&](unsigned lane, std::size_t i) {
-        if (!alive(i, t)) return;
-        nodes_[i]->share(network_, g, weights, static_cast<std::uint32_t>(t),
-                         scratch_[lane]);
+    } else {
+      timed_phase(wall_.train_seconds, [&] {
+        for_each_alive(t, [&](algo::DlNode& node, unsigned, std::size_t i) {
+          train_losses[i] = node.local_train();
+        });
       });
-    });
+      timed_phase(wall_.share_seconds, [&] {
+        for_each_alive(t, [&](algo::DlNode& node, unsigned lane,
+                              std::size_t) {
+          node.share(network_, g, weights, round, scratch_[lane]);
+        });
+      });
+    }
     timed_phase(wall_.aggregate_seconds, [&] {
-      pool_.parallel_for_lane(n, [&](unsigned lane, std::size_t i) {
-        if (!alive(i, t)) return;
-        nodes_[i]->aggregate(network_, g, weights,
-                             static_cast<std::uint32_t>(t), scratch_[lane]);
+      for_each_alive(t, [&](algo::DlNode& node, unsigned lane, std::size_t) {
+        node.aggregate(network_, g, weights, round, scratch_[lane]);
       });
     });
     network_.finish_round(config_.compute_seconds_per_round);
-    result.rounds_run = t + 1;
-
-    if (config_.lr_decay_every > 0 && (t + 1) % config_.lr_decay_every == 0) {
-      for (auto& node : nodes_) {
-        node->set_learning_rate(static_cast<float>(
-            node->learning_rate() * config_.lr_decay_factor));
-      }
-    }
-
-    if (config_.algorithm == Algorithm::kJwins) {
-      if (eval_sample_active()) {
-        // Sampled-population alpha accounting: the same seeded per-round
-        // subset the evaluation reduces over — mean_alpha stays an average
-        // over exactly the sampled nodes, not a k-node sum spread over n.
-        for (const std::uint32_t i : eval_subset(t + 1)) {
-          if (!alive(i, t)) continue;
-          alpha_sum_ += static_cast<algo::JwinsNode&>(*nodes_[i]).last_alpha();
-          ++alpha_samples_;
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!alive(i, t)) continue;  // crashed nodes drew no cut-off
-          alpha_sum_ += static_cast<algo::JwinsNode&>(*nodes_[i]).last_alpha();
-          ++alpha_samples_;
-        }
-      }
-    }
-
-    // Simulated-time budget: once the clock passes the budget the round
-    // that crossed it is the last one (it still gets its evaluation below).
-    // Default 0 = off, leaving the loop byte-identical to the budget-free
-    // engine.
-    const bool budget_hit = config_.stop_at_sim_time > 0.0 &&
-                            network_.simulated_seconds() >=
-                                config_.stop_at_sim_time;
-    const bool last_round = (t + 1 == config_.rounds) || budget_hit;
-    if (t % config_.eval_every == 0 || last_round) {
-      // Mean over the metric population that actually trained this round: a
-      // crashed node's slot holds a stale (or never-written) loss, not a
-      // loss of this round; under eval_sample the population is the seeded
-      // per-round subset and the divisor is ITS size (the off-by-population
-      // rule mean_loss_over pins). With neither, the plain mean over n.
-      const double mean_train_loss = mean_loss_over(
-          train_losses,
-          eval_sample_active() ? std::span<const std::uint32_t>(
-                                     eval_subset(t + 1))
-                               : std::span<const std::uint32_t>{},
-          [&](std::size_t i) { return alive(i, t); });
-      const MetricPoint point = evaluate(t + 1, mean_train_loss);
-      result.series.push_back(point);
-      if (config_.target_accuracy > 0.0 &&
-          point.test_accuracy >= config_.target_accuracy) {
-        result.reached_target = true;
-        break;
-      }
-    }
-    if (budget_hit) break;
+    if (end_round(t, train_losses, result)) break;
   }
-  collect_summary(result);
-  wall_.total_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-          .count();
-  result.wall = wall_;
+  finish_run(run_start, result);
   return result;
 }
 
-ExperimentResult Experiment::run_compact() {
-  const auto run_start = std::chrono::steady_clock::now();
-  ExperimentResult result;
-  const std::size_t n = n_;
-  std::vector<float> train_losses(n, 0.0f);
+bool Experiment::end_round(std::size_t t, std::span<const float> train_losses,
+                           ExperimentResult& result) {
+  result.rounds_run = t + 1;
   const net::TimeModel& time_model = network_.time_model();
-  const bool crashes = time_model.has_crashes();
-  const auto alive = [&](std::size_t i, std::size_t t) {
-    return !crashes || time_model.node_alive(static_cast<std::uint32_t>(i), t);
+  const auto alive = [&](std::size_t i) {
+    return time_model.node_alive(static_cast<std::uint32_t>(i), t);
   };
-  for (std::size_t t = 0; t < config_.rounds; ++t) {
-    const graph::Graph& g = topology_->round_graph(t);
-    if (g.size() != n) {
-      throw std::logic_error("Experiment: topology size != node count");
-    }
-    const graph::MixingWeights& weights = mixing_weights(g, t);
 
-    // Fused train+share pass: one worker rebind covers both. share() reads
-    // only the sharing node's own state and every mailbox drain sorts
-    // canonically by (round, sender), so fusing the full engine's two
-    // barriers changes no bytes — it halves the rebind/copy traffic, which
-    // is the dominant per-round cost at 100k+ nodes. The whole fused pass
-    // books under train_seconds (share_seconds stays 0 on this engine).
-    timed_phase(wall_.train_seconds, [&] {
-      pool_.parallel_for_lane(n, [&](unsigned lane, std::size_t i) {
-        if (!alive(i, t)) return;  // frozen: no train, no send, no steps
-        algo::DlNode& w = *workers_[lane];
-        bind_worker(w, i);
-        train_losses[i] = w.local_train();
-        w.share(network_, g, weights, static_cast<std::uint32_t>(t),
-                scratch_[lane]);
-        w.flat_params_into(store_->slot(i));
-        // Advance the sampler-stream position only when the node actually
-        // trained: a crashed node resumes its stream where it froze, exactly
-        // like the full engine's stateful per-node sampler.
-        steps_done_[i] += config_.local_steps;
-      });
-    });
-    timed_phase(wall_.aggregate_seconds, [&] {
-      pool_.parallel_for_lane(n, [&](unsigned lane, std::size_t i) {
-        if (!alive(i, t)) return;
-        algo::DlNode& w = *workers_[lane];
-        bind_worker(w, i);
-        w.aggregate(network_, g, weights, static_cast<std::uint32_t>(t),
-                    scratch_[lane]);
-        w.flat_params_into(store_->slot(i));
-      });
-    });
-    network_.finish_round(config_.compute_seconds_per_round);
-    result.rounds_run = t + 1;
-
-    if (config_.lr_decay_every > 0 && (t + 1) % config_.lr_decay_every == 0) {
-      // Every simulated node follows the same schedule, so decay lives in
-      // the lane workers (the only optimizer state the compact engine has).
-      for (auto& worker : workers_) {
-        worker->set_learning_rate(static_cast<float>(
-            worker->learning_rate() * config_.lr_decay_factor));
+  if (config_.lr_decay_every > 0 && (t + 1) % config_.lr_decay_every == 0) {
+    // Every node follows the same schedule. One of the two is empty: the
+    // lane workers hold the only optimizer state under compact state.
+    for (auto* group : {&nodes_, &workers_}) {
+      for (auto& node : *group) {
+        node->set_learning_rate(static_cast<float>(node->learning_rate() *
+                                                   config_.lr_decay_factor));
       }
     }
-
-    const bool budget_hit = config_.stop_at_sim_time > 0.0 &&
-                            network_.simulated_seconds() >=
-                                config_.stop_at_sim_time;
-    const bool last_round = (t + 1 == config_.rounds) || budget_hit;
-    if (t % config_.eval_every == 0 || last_round) {
-      const double mean_train_loss = mean_loss_over(
-          train_losses,
-          eval_sample_active() ? std::span<const std::uint32_t>(
-                                     eval_subset(t + 1))
-                               : std::span<const std::uint32_t>{},
-          [&](std::size_t i) { return alive(i, t); });
-      const MetricPoint point = evaluate(t + 1, mean_train_loss);
-      result.series.push_back(point);
-      if (config_.target_accuracy > 0.0 &&
-          point.test_accuracy >= config_.target_accuracy) {
-        result.reached_target = true;
-        break;
-      }
-    }
-    if (budget_hit) break;
   }
+
+  if (config_.algorithm == Algorithm::kJwins) {
+    // Alpha over the alive nodes of the metric population, in rank order
+    // (crashed nodes drew no cut-off). Under eval_sample that is the seeded
+    // per-round subset the evaluation reduces over, so mean_alpha stays an
+    // average over exactly the sampled nodes.
+    const auto account = [&](std::size_t i) {
+      if (!alive(i)) return;
+      alpha_sum_ += static_cast<algo::JwinsNode&>(*nodes_[i]).last_alpha();
+      ++alpha_samples_;
+    };
+    const std::span<const std::uint32_t> population = metric_population(t + 1);
+    if (population.empty()) {
+      for (std::size_t i = 0; i < n_; ++i) account(i);
+    } else {
+      for (const std::uint32_t i : population) account(i);
+    }
+  }
+
+  // Simulated-time budget: once the clock passes the budget the round that
+  // crossed it is the last one (it still gets its evaluation below).
+  // Default 0 = off, leaving the loop byte-identical to the budget-free
+  // engine.
+  const bool budget_hit = config_.stop_at_sim_time > 0.0 &&
+                          network_.simulated_seconds() >=
+                              config_.stop_at_sim_time;
+  const bool last_round = (t + 1 == config_.rounds) || budget_hit;
+  if (t % config_.eval_every == 0 || last_round) {
+    // Mean over the metric population that actually trained this round: a
+    // crashed node's slot holds a stale (or never-written) loss, not a loss
+    // of this round; under eval_sample the divisor is the subset's size
+    // (the off-by-population rule mean_loss_over pins).
+    const double mean_train_loss =
+        mean_loss_over(train_losses, metric_population(t + 1), alive);
+    const MetricPoint point = evaluate(t + 1, mean_train_loss);
+    result.series.push_back(point);
+    if (config_.target_accuracy > 0.0 &&
+        point.test_accuracy >= config_.target_accuracy) {
+      result.reached_target = true;
+      return true;
+    }
+  }
+  return budget_hit;
+}
+
+void Experiment::finish_run(std::chrono::steady_clock::time_point run_start,
+                            ExperimentResult& result) {
   collect_summary(result);
   wall_.total_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
           .count();
   result.wall = wall_;
-  return result;
 }
 
 void Experiment::collect_summary(ExperimentResult& result) {

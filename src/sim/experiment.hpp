@@ -18,6 +18,7 @@
 // examples/quickstart.cpp.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -259,6 +260,9 @@ struct MetricPoint {
 /// determinism contract.
 struct PhaseTimings {
   double train_seconds = 0.0;
+  /// Under NodeState::kCompact the share pass is fused into the train pass
+  /// (one worker bind per node covers both), so share time is booked under
+  /// train_seconds and share_seconds stays 0.
   double share_seconds = 0.0;
   double aggregate_seconds = 0.0;
   double evaluate_seconds = 0.0;
@@ -413,13 +417,35 @@ class Experiment {
   /// network, and evaluation machinery this class owns.
   friend class EventEngine;
 
+  /// Times one engine phase, accumulating host seconds into `slot`.
+  template <class Fn>
+  static void timed_phase(double& slot, Fn&& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    slot += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+  }
+
   MetricPoint evaluate(std::size_t round, double train_loss);
   /// Asynchronous-engine entry point (implemented in event_engine.cpp).
   ExperimentResult run_async();
-  /// Compact node-state round loop (NodeState::kCompact).
-  ExperimentResult run_compact();
-  /// Shared end-of-run bookkeeping: final metrics, traffic totals, and the
-  /// sim_time summary (identical operations under both engines).
+  /// Runs fn(node, lane, i) for every node i alive in round t, across the
+  /// pool's lanes. Under kFull `node` is i's own DlNode; under kCompact it
+  /// is the lane's worker, bound to i before fn and written back after.
+  template <class Fn>
+  void for_each_alive(std::size_t t, Fn&& fn);
+  /// Round-boundary bookkeeping of the lockstep engines (the sync loop and
+  /// the event engine's barrier mode): rounds_run, learning-rate decay,
+  /// JWINS alpha accounting, the sim-time budget, the eval cadence and the
+  /// target stop. Returns true when the run stops after round t.
+  bool end_round(std::size_t t, std::span<const float> train_losses,
+                 ExperimentResult& result);
+  /// Shared end of run under every engine: collect_summary(), then the
+  /// host total since `run_start` and the phase timings into `result`.
+  void finish_run(std::chrono::steady_clock::time_point run_start,
+                  ExperimentResult& result);
+  /// Final metrics, traffic totals, and the sim_time summary.
   void collect_summary(ExperimentResult& result);
 
   bool compact() const noexcept {
@@ -428,8 +454,9 @@ class Experiment {
   bool eval_sample_active() const noexcept {
     return config_.eval_sample > 0 && config_.eval_sample < n_;
   }
-  /// The (cached) subset for one metric round; only called when active.
-  const std::vector<std::uint32_t>& eval_subset(std::size_t metric_round);
+  /// The metric population of `metric_round`: the seeded eval_sample subset
+  /// (cached per round) when active, empty (= every node) otherwise.
+  std::span<const std::uint32_t> metric_population(std::size_t metric_round);
   /// Metropolis-Hastings weights of round t, cached per topology epoch so
   /// static/slow-churn topologies stop recomputing O(n) weights every round.
   const graph::MixingWeights& mixing_weights(const graph::Graph& g,
@@ -458,7 +485,6 @@ class Experiment {
   std::vector<std::unique_ptr<algo::DlNode>> workers_;
   data::Partition partition_;
   std::vector<std::uint64_t> steps_done_;
-  std::vector<nn::EvalMetrics> eval_buf_;  ///< compact eval scratch
   graph::MixingWeights mh_cache_;
   std::size_t mh_epoch_ = 0;
   bool mh_valid_ = false;

@@ -136,7 +136,7 @@ TEST(ThreadPool, OrderedReduceMatchesAccumulateBitForBit) {
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
     const double got = pool.parallel_reduce(
-        n, 0.0, [&](std::size_t i) { return values[i]; },
+        n, 0.0, [&](unsigned, std::size_t i) { return values[i]; },
         [](double a, double b) { return a + b; });
     EXPECT_EQ(got, expected) << "threads=" << threads;
   }
@@ -145,7 +145,7 @@ TEST(ThreadPool, OrderedReduceMatchesAccumulateBitForBit) {
 TEST(ThreadPool, ReduceEmptyRangeReturnsInit) {
   ThreadPool pool(4);
   const double got = pool.parallel_reduce(
-      0, 42.0, [](std::size_t) { return 1.0; },
+      0, 42.0, [](unsigned, std::size_t) { return 1.0; },
       [](double a, double b) { return a + b; });
   EXPECT_EQ(got, 42.0);
 }
@@ -154,7 +154,7 @@ TEST(ThreadPool, ExceptionInReduceMapPropagates) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_reduce(
                    32, 0.0,
-                   [](std::size_t i) -> double {
+                   [](unsigned, std::size_t i) -> double {
                      if (i == 5) throw std::logic_error("map");
                      return 1.0;
                    },

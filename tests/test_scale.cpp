@@ -359,13 +359,15 @@ TEST(CounterSampler, StreamIsSeekableAndRebindable) {
   EXPECT_THROW(shuffled.rebind(shard_b, 1, 0), std::logic_error);
 }
 
-sim::ExperimentResult run_scale_workload(sim::NodeState node_state,
-                                         unsigned threads,
-                                         std::size_t nodes = 32) {
+constexpr std::size_t kScaleRounds = 4;
+
+sim::ExperimentResult run_scale_workload(
+    sim::NodeState node_state, unsigned threads, std::size_t nodes = 32,
+    void (*tweak)(sim::ExperimentConfig&) = nullptr) {
   const sim::Workload w = sim::make_scale_like(nodes, 7);
   sim::ExperimentConfig cfg;
   cfg.algorithm = sim::Algorithm::kRandomSampling;
-  cfg.rounds = 4;
+  cfg.rounds = kScaleRounds;
   cfg.local_steps = 1;
   cfg.eval_every = 2;
   cfg.eval_sample_limit = 32;
@@ -374,20 +376,67 @@ sim::ExperimentResult run_scale_workload(sim::NodeState node_state,
   cfg.batch_sampler = sim::BatchSampler::kCounter;
   cfg.threads = threads;
   cfg.seed = 7;
+  if (tweak != nullptr) tweak(cfg);
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
                           graph::ring(nodes)));
   return exp.run();
 }
 
+/// One row of the compact-vs-full table: the knobs it sets on top of
+/// run_scale_workload's base config, each aimed at one part of the shared
+/// round loop (node passes, lr decay, crash gate, budget, target stop).
+struct CompactCase {
+  const char* name;
+  void (*tweak)(sim::ExperimentConfig&);
+  bool stops_early;  ///< the budget or the target ends the run before rounds
+};
+
+const CompactCase kCompactCases[] = {
+    {"random-sampling", nullptr, false},
+    {"full-sharing",
+     [](sim::ExperimentConfig& c) {
+       c.algorithm = sim::Algorithm::kFullSharing;
+     },
+     false},
+    {"lr-decay",
+     [](sim::ExperimentConfig& c) {
+       c.lr_decay_every = 2;
+       c.lr_decay_factor = 0.5;
+     },
+     false},
+    {"crash-rejoin",
+     [](sim::ExperimentConfig& c) {
+       c.time.crash_nodes = 2;
+       c.time.crash_at = 1;
+       c.time.rejoin_at = 3;
+     },
+     false},
+    // Round 2 ends at ~0.104 simulated seconds: the budget cuts it.
+    {"sim-time-budget",
+     [](sim::ExperimentConfig& c) { c.stop_at_sim_time = 0.1; },
+     true},
+    // First met at the round-3 evaluation (accuracy ~0.445).
+    {"target-accuracy",
+     [](sim::ExperimentConfig& c) { c.target_accuracy = 0.44; },
+     true},
+};
+
 TEST(CompactState, ByteIdenticalToFullEngineAtAnyThreadCount) {
-  const std::string reference =
-      json_of(run_scale_workload(sim::NodeState::kFull, 1));
-  EXPECT_EQ(reference, json_of(run_scale_workload(sim::NodeState::kFull, 4)));
-  EXPECT_EQ(reference,
-            json_of(run_scale_workload(sim::NodeState::kCompact, 1)));
-  EXPECT_EQ(reference,
-            json_of(run_scale_workload(sim::NodeState::kCompact, 4)));
+  for (const CompactCase& c : kCompactCases) {
+    SCOPED_TRACE(c.name);
+    const sim::ExperimentResult full =
+        run_scale_workload(sim::NodeState::kFull, 1, 32, c.tweak);
+    EXPECT_EQ(full.rounds_run < kScaleRounds, c.stops_early);
+    const std::string reference = json_of(full);
+    EXPECT_EQ(reference, json_of(run_scale_workload(sim::NodeState::kFull, 4,
+                                                    32, c.tweak)));
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(reference, json_of(run_scale_workload(sim::NodeState::kCompact,
+                                                      threads, 32, c.tweak)))
+          << "compact, threads=" << threads;
+    }
+  }
 }
 
 TEST(CompactState, ValidateEnforcesRestrictions) {
