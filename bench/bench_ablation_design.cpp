@@ -26,13 +26,17 @@ using namespace jwins;
 double reconstruction_mse_for(const std::string& wavelet, std::size_t levels,
                               const std::vector<float>& model, double budget) {
   const dwt::DwtPlan plan(dwt::wavelet_by_name(wavelet), model.size(), levels);
-  const auto coeffs = plan.forward(model);
+  dwt::DwtWorkspace ws;
+  std::vector<float> coeffs(plan.coeff_length());
+  plan.forward_into(model, coeffs, ws);
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(budget * double(coeffs.size())));
-  const auto keep = compress::topk_indices(coeffs, k);
+  std::vector<std::uint32_t> keep;
+  compress::topk_indices_into(coeffs, k, keep);
   std::vector<float> sparse(coeffs.size(), 0.0f);
   for (auto idx : keep) sparse[idx] = coeffs[idx];
-  const auto back = plan.inverse(sparse);
+  std::vector<float> back(model.size());
+  plan.inverse_into(sparse, back, ws);
   double err = 0.0;
   for (std::size_t i = 0; i < model.size(); ++i) {
     err += (back[i] - model[i]) * (back[i] - model[i]);

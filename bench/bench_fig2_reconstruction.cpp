@@ -35,16 +35,23 @@ double reconstruction_mse(const std::vector<float>& a,
 
 std::vector<float> dwt_sparsify(const dwt::DwtPlan& plan,
                                 const std::vector<float>& x, std::size_t k) {
-  const auto coeffs = plan.forward(x);
-  const auto keep = compress::topk_indices(coeffs, k);
+  dwt::DwtWorkspace ws;
+  std::vector<float> coeffs(plan.coeff_length());
+  plan.forward_into(x, coeffs, ws);
+  std::vector<std::uint32_t> keep;
+  compress::topk_indices_into(coeffs, k, keep);
   std::vector<float> sparse(coeffs.size(), 0.0f);
   for (auto idx : keep) sparse[idx] = coeffs[idx];
-  return plan.inverse(sparse);
+  std::vector<float> back(x.size());
+  plan.inverse_into(sparse, back, ws);
+  return back;
 }
 
 std::vector<float> random_sparsify(const std::vector<float>& x, std::size_t k,
                                    std::uint64_t seed) {
-  const auto keep = compress::random_indices(x.size(), k, seed);
+  core::Arena arena;
+  std::vector<std::uint32_t> keep;
+  compress::random_indices_into(x.size(), k, seed, keep, arena);
   std::vector<float> sparse(x.size(), 0.0f);
   for (auto idx : keep) sparse[idx] = x[idx];
   return sparse;

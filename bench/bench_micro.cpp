@@ -3,10 +3,12 @@
 // averaging, QSGD quantization, message fan-out, and one CNN/LSTM training
 // step.
 //
-// Every hot-path kernel comes in two variants so the perf trajectory can
-// separate algorithmic speed from allocator traffic:
-//   * <name>/fresh   — the allocating convenience API (pre-arena behavior)
-//   * <name>/scratch — the arena / reused-buffer API the engine runs
+// Every hot-path kernel has one API, writing into caller-owned buffers,
+// arenas or workspaces; its row, <name>/scratch, measures it with that
+// scratch kept across iterations, as the engine runs it. The /fresh rows
+// that timed the deleted allocating twins are retired (the names stay in
+// BENCH_baseline.json and BENCH_1.json); the kernels without scratch state
+// (fft_real, the train steps) keep their /fresh names.
 //
 // Two frontends share the kernel registry:
 //   * `--json=PATH` (and any run without Google Benchmark installed) uses a
@@ -29,7 +31,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -175,21 +176,14 @@ std::vector<Kernel> build_kernels() {
     auto plan = std::make_shared<dwt::DwtPlan>(dwt::sym2(), n, 4);
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 1));
     auto coeffs = std::make_shared<std::vector<float>>(plan->coeff_length());
-    add_tiered("dwt_forward/16384/fresh", "fig5", [=] {
-      const std::vector<float> out = plan->forward(*x);
-      consume(out.data());
-    });
     auto ws = std::make_shared<dwt::DwtWorkspace>();
     add_tiered("dwt_forward/16384/scratch", "fig5", [=] {
       plan->forward_into(*x, *coeffs, *ws);
       consume(coeffs->data());
     });
-    auto fwd = std::make_shared<std::vector<float>>(plan->forward(*x));
+    auto fwd = std::make_shared<std::vector<float>>(plan->coeff_length());
+    plan->forward_into(*x, *fwd, *ws);
     auto out = std::make_shared<std::vector<float>>(n);
-    add_tiered("dwt_inverse/16384/fresh", "fig5", [=] {
-      const std::vector<float> back = plan->inverse(*fwd);
-      consume(back.data());
-    });
     auto ws2 = std::make_shared<dwt::DwtWorkspace>();
     add_tiered("dwt_inverse/16384/scratch", "fig5", [=] {
       plan->inverse_into(*fwd, *out, *ws2);
@@ -201,10 +195,6 @@ std::vector<Kernel> build_kernels() {
   {
     const std::size_t n = 1 << 16;
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 4));
-    add_tiered("topk/65536/fresh", "fig5", [=] {
-      const auto idx = compress::topk_indices(*x, n / 10);
-      consume(idx.data());
-    });
     auto idx = std::make_shared<std::vector<std::uint32_t>>();
     add_tiered("topk/65536/scratch", "fig5", [=] {
       compress::topk_indices_into(*x, n / 10, *idx);
@@ -216,24 +206,18 @@ std::vector<Kernel> build_kernels() {
   {
     const std::size_t n = 1 << 16;
     const auto values = random_floats(n, 5);
-    auto indices = std::make_shared<std::vector<std::uint32_t>>(
-        compress::topk_indices(values, n / 10));
-    add("elias_encode/6554/fresh", "fig5", [=] {
-      const auto bytes = compress::encode_index_gaps(*indices);
-      consume(bytes.data());
-    });
+    auto indices = std::make_shared<std::vector<std::uint32_t>>();
+    compress::topk_indices_into(values, n / 10, *indices);
     auto bits = std::make_shared<compress::BitWriter>();
     add("elias_encode/6554/scratch", "fig5", [=] {
       bits->clear();
       compress::encode_index_gaps(*indices, *bits);
       consume(bits->bytes().data());
     });
+    compress::BitWriter encoder;
+    compress::encode_index_gaps(*indices, encoder);
     auto encoded = std::make_shared<std::vector<std::uint8_t>>(
-        compress::encode_index_gaps(*indices));
-    add("elias_decode/6554/fresh", "fig5", [=] {
-      const auto back = compress::decode_index_gaps(*encoded, indices->size());
-      consume(back.data());
-    });
+        std::move(encoder).finish());
     auto decoded = std::make_shared<std::vector<std::uint32_t>>();
     add("elias_decode/6554/scratch", "fig5", [=] {
       compress::decode_index_gaps_into(*encoded, indices->size(), *decoded);
@@ -245,22 +229,16 @@ std::vector<Kernel> build_kernels() {
   {
     const std::size_t n = 1 << 14;
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 7));
-    add_tiered("xor_compress/16384/fresh", "fig5", [=] {
-      const auto bytes = compress::compress_floats(*x);
-      consume(bytes.data());
-    });
     auto bits = std::make_shared<compress::BitWriter>();
     add_tiered("xor_compress/16384/scratch", "fig5", [=] {
       bits->clear();
       compress::compress_floats(*x, *bits);
       consume(bits->bytes().data());
     });
+    compress::BitWriter encoder;
+    compress::compress_floats(*x, encoder);
     auto encoded = std::make_shared<std::vector<std::uint8_t>>(
-        compress::compress_floats(*x));
-    add_tiered("xor_decompress/16384/fresh", "fig5", [=] {
-      const auto back = compress::decompress_floats(*encoded, n);
-      consume(back.data());
-    });
+        std::move(encoder).finish());
     auto decoded = std::make_shared<std::vector<float>>();
     add_tiered("xor_decompress/16384/scratch", "fig5", [=] {
       compress::decompress_floats_into(*encoded, n, *decoded);
@@ -274,12 +252,8 @@ std::vector<Kernel> build_kernels() {
     auto payload = std::make_shared<core::SparsePayload>();
     payload->vector_length = static_cast<std::uint32_t>(n);
     const auto values = random_floats(n, 9);
-    payload->indices = compress::topk_indices(values, n / 10);
-    payload->values = compress::gather(values, payload->indices);
-    add("payload_encode/16384/fresh", "fig5", [=] {
-      const auto encoded = core::encode_payload(*payload, {});
-      consume(encoded.body.data());
-    });
+    compress::topk_indices_into(values, n / 10, payload->indices);
+    compress::gather_into(values, payload->indices, payload->values);
     auto writer = std::make_shared<net::ByteWriter>();
     auto bits = std::make_shared<compress::BitWriter>();
     add("payload_encode/16384/scratch", "fig5", [=] {
@@ -287,12 +261,8 @@ std::vector<Kernel> build_kernels() {
       core::encode_payload_into(*payload, {}, *writer, *bits);
       consume(writer->buffer().data());
     });
-    auto body = std::make_shared<std::vector<std::uint8_t>>(
-        core::encode_payload(*payload, {}).body);
-    add("payload_decode/16384/fresh", "fig5", [=] {
-      const core::SparsePayload back = core::decode_payload(*body);
-      consume(back.values.data());
-    });
+    core::encode_payload_into(*payload, {}, *writer, *bits);
+    auto body = std::make_shared<std::vector<std::uint8_t>>(writer->buffer());
     auto out = std::make_shared<core::SparsePayload>();
     auto arena = std::make_shared<core::Arena>();
     add("payload_decode/16384/scratch", "fig5", [=] {
@@ -308,9 +278,11 @@ std::vector<Kernel> build_kernels() {
     auto own = std::make_shared<std::vector<float>>(random_floats(n, 10));
     auto payloads = std::make_shared<std::vector<core::SparsePayload>>(4);
     auto contribs = std::make_shared<std::vector<core::WeightedContribution>>();
+    auto arena = std::make_shared<core::Arena>();
     for (std::size_t j = 0; j < 4; ++j) {
       (*payloads)[j].vector_length = static_cast<std::uint32_t>(n);
-      (*payloads)[j].indices = compress::random_indices(n, n / 3, j + 1);
+      compress::random_indices_into(n, n / 3, j + 1, (*payloads)[j].indices,
+                                    *arena);
       (*payloads)[j].values =
           random_floats(n / 3, 11 + static_cast<unsigned>(j));
       contribs->push_back({0.2, &(*payloads)[j]});
@@ -318,12 +290,6 @@ std::vector<Kernel> build_kernels() {
     auto x = std::make_shared<std::vector<float>>(n);
     // `payloads` must be captured explicitly: contribs holds raw pointers
     // into it, and [=] would only copy the shared_ptrs the body names.
-    add("partial_average/16384/fresh", "fig5", [x, own, contribs, payloads] {
-      *x = *own;
-      core::partial_average(*x, 0.2, *contribs);
-      consume(x->data());
-    });
-    auto arena = std::make_shared<core::Arena>();
     add("partial_average/16384/scratch", "fig5",
         [x, own, contribs, payloads, arena] {
           arena->reset();
@@ -339,26 +305,9 @@ std::vector<Kernel> build_kernels() {
     auto payload = std::make_shared<core::SparsePayload>();
     payload->vector_length = static_cast<std::uint32_t>(n);
     const auto values = random_floats(n, 12);
-    payload->indices = compress::topk_indices(values, n / 10);
-    payload->values = compress::gather(values, payload->indices);
+    compress::topk_indices_into(values, n / 10, payload->indices);
+    compress::gather_into(values, payload->indices, payload->values);
     auto sink = std::make_shared<std::vector<net::Message>>();
-    add("message_fanout4/16384/fresh", "fig5", [=] {
-      // Pre-arena behavior: encode into a fresh buffer, then one full body
-      // copy per neighbor (Message::body used to be a plain byte vector, so
-      // every mailbox got its own heap copy).
-      sink->clear();
-      const core::EncodedPayload encoded = core::encode_payload(*payload, {});
-      for (int j = 0; j < 4; ++j) {
-        // Plain copy-assign (not an iterator-range ctor: GCC 12's
-        // -Wfree-nonheap-object false-positives on that form at -O2).
-        std::vector<std::uint8_t> body_copy = encoded.body;
-        net::Message msg;
-        msg.body = net::SharedBytes(std::move(body_copy));
-        msg.metadata_bytes = encoded.metadata_bytes;
-        sink->push_back(std::move(msg));
-      }
-      consume(sink->data());
-    });
     auto pool = std::make_shared<net::BufferPool>();
     auto bits = std::make_shared<compress::BitWriter>();
     add("message_fanout4/16384/scratch", "fig5", [=] {
@@ -376,10 +325,6 @@ std::vector<Kernel> build_kernels() {
     const std::size_t n = 1 << 14;
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 13));
     auto rng = std::make_shared<std::mt19937_64>(17);
-    add_tiered("qsgd_quantize/16384/fresh", "choco", [=] {
-      const auto q = compress::qsgd_quantize(*x, 15, *rng);
-      consume(q.packed.data());
-    });
     auto q = std::make_shared<compress::QuantizedVector>();
     add_tiered("qsgd_quantize/16384/scratch", "choco", [=] {
       compress::qsgd_quantize_into(*x, 15, *rng, *q);
@@ -497,35 +442,15 @@ KernelResult measure(const Kernel& kernel, double min_time_ms) {
   return r;
 }
 
-// Kernel name with any trailing dispatch-tier suffix removed, so aggregates
-// and cross-run comparisons see "topk/65536/scratch" whichever tier ran.
-std::string strip_tier(const std::string& name) {
-  for (const char* suffix : {"/fast", "/scalar"}) {
-    if (name.ends_with(suffix)) {
-      return name.substr(0, name.size() - std::strlen(suffix));
-    }
-  }
-  return name;
-}
-
 void write_json(std::ostream& os, const std::vector<KernelResult>& results,
                 const std::string& filter) {
   // Hand-rolled like sim/report.cpp: stable key order, no dependencies.
-  double fig5_fresh = 0.0, fig5_scratch = 0.0;
-  double fig5_fresh_bytes = 0.0, fig5_scratch_bytes = 0.0;
+  double fig5_scratch = 0.0, fig5_scratch_bytes = 0.0;
   for (const KernelResult& r : results) {
     if (r.group != "fig5") continue;
-    const std::string base = strip_tier(r.name);
-    if (base.ends_with("/fresh")) {
-      fig5_fresh += r.allocs_per_op;
-      fig5_fresh_bytes += r.alloc_bytes_per_op;
-    } else if (base.ends_with("/scratch")) {
-      fig5_scratch += r.allocs_per_op;
-      fig5_scratch_bytes += r.alloc_bytes_per_op;
-    }
+    fig5_scratch += r.allocs_per_op;
+    fig5_scratch_bytes += r.alloc_bytes_per_op;
   }
-  const double reduction =
-      fig5_fresh > 0.0 ? 1.0 - fig5_scratch / fig5_fresh : 0.0;
   char buf[64];
   auto num = [&](double v) {
     std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -563,13 +488,9 @@ void write_json(std::ostream& os, const std::vector<KernelResult>& results,
   }
   os << ",\n";
   os << "  \"summary\": {\n";
-  os << "    \"fig5_fresh_allocs_per_op\": " << num(fig5_fresh) << ",\n";
   os << "    \"fig5_scratch_allocs_per_op\": " << num(fig5_scratch) << ",\n";
-  os << "    \"fig5_fresh_alloc_bytes_per_op\": " << num(fig5_fresh_bytes)
-     << ",\n";
   os << "    \"fig5_scratch_alloc_bytes_per_op\": " << num(fig5_scratch_bytes)
-     << ",\n";
-  os << "    \"fig5_alloc_reduction\": " << num(reduction) << "\n";
+     << "\n";
   os << "  }\n";
   os << "}\n";
 }

@@ -48,13 +48,6 @@ std::uint64_t elias_delta_decode(BitReader& reader) {
   return value;
 }
 
-std::vector<std::uint8_t> encode_index_gaps(
-    std::span<const std::uint32_t> sorted_indices) {
-  BitWriter writer;
-  encode_index_gaps(sorted_indices, writer);
-  return std::move(writer).finish();
-}
-
 void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
                        BitWriter& writer) {
   std::uint32_t prev = 0;
@@ -76,16 +69,12 @@ void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
   }
 }
 
-std::vector<std::uint32_t> decode_index_gaps(std::span<const std::uint8_t> bytes,
-                                             std::size_t count) {
-  std::vector<std::uint32_t> indices;
-  decode_index_gaps_into(bytes, count, indices);
-  return indices;
-}
-
 void decode_index_gaps_into(std::span<const std::uint8_t> bytes,
                             std::size_t count,
                             std::vector<std::uint32_t>& out) {
+  if (count > 8 * bytes.size()) {
+    throw std::runtime_error("decode_index_gaps: count exceeds the stream");
+  }
   BitReader reader(bytes);
   out.clear();
   out.reserve(count);

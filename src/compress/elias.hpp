@@ -23,21 +23,16 @@ std::uint64_t elias_gamma_decode(BitReader& reader);
 void elias_delta_encode(BitWriter& writer, std::uint64_t value);
 std::uint64_t elias_delta_decode(BitReader& reader);
 
-/// Encodes a strictly-increasing index array as Elias-gamma coded gaps.
-/// The first element is encoded as index+1, subsequent as (diff) which is
-/// >= 1 by strict monotonicity. Returns the compressed bytes.
-std::vector<std::uint8_t> encode_index_gaps(std::span<const std::uint32_t> sorted_indices);
-
-/// Scratch variant: appends the gap code to `writer` (not cleared), so a
-/// reused BitWriter makes the encode allocation-free in steady state.
+/// Encodes a strictly-increasing index array as Elias-gamma coded gaps,
+/// appended to `writer` (not cleared), so a reused BitWriter makes the
+/// encode allocation-free in steady state. The first element is encoded as
+/// index+1, subsequent as (diff) which is >= 1 by strict monotonicity.
 void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
                        BitWriter& writer);
 
-/// Inverse of encode_index_gaps. `count` is the number of indices encoded.
-std::vector<std::uint32_t> decode_index_gaps(std::span<const std::uint8_t> bytes,
-                                             std::size_t count);
-
-/// Scratch variant: decodes into `out` (cleared first, capacity kept).
+/// Inverse of encode_index_gaps: decodes `count` indices into `out`
+/// (cleared first, capacity kept). Every code is at least one bit, so a
+/// `count` above 8 * bytes.size() is rejected before anything is reserved.
 void decode_index_gaps_into(std::span<const std::uint8_t> bytes,
                             std::size_t count,
                             std::vector<std::uint32_t>& out);

@@ -185,13 +185,15 @@ void decode_stream_fast(std::span<const std::uint8_t> bytes, std::size_t count,
   }
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> compress_floats(std::span<const float> values) {
-  BitWriter writer;
-  compress_floats(values, writer);
-  return std::move(writer).finish();
+// Both decoder tiers bound the wire-supplied count by the stream length
+// before reserving: each value after the first costs at least one bit.
+void check_count(std::span<const std::uint8_t> bytes, std::size_t count) {
+  if (count > 8 * bytes.size()) {
+    throw std::runtime_error("float codec: count exceeds the stream");
+  }
 }
+
+}  // namespace
 
 void compress_floats(std::span<const float> values, BitWriter& writer) {
   if (core::KernelDispatch::fast()) {
@@ -213,13 +215,6 @@ std::size_t compressed_floats_size(std::span<const float> values) {
   return (encode_stream(values, nullptr) + 7) / 8;
 }
 
-std::vector<float> decompress_floats(std::span<const std::uint8_t> bytes,
-                                     std::size_t count) {
-  std::vector<float> out;
-  decompress_floats_into(bytes, count, out);
-  return out;
-}
-
 void decompress_floats_into(std::span<const std::uint8_t> bytes,
                             std::size_t count, std::vector<float>& out) {
   if (core::KernelDispatch::fast()) {
@@ -233,6 +228,7 @@ void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
                                  std::size_t count, std::vector<float>& out) {
   out.clear();
   if (count == 0) return;
+  check_count(bytes, count);
   out.reserve(count);
   decode_stream_fast(bytes, count, out);
 }
@@ -241,6 +237,7 @@ void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
                                    std::size_t count, std::vector<float>& out) {
   out.clear();
   if (count == 0) return;
+  check_count(bytes, count);
   out.reserve(count);
   BitReader reader(bytes);
   std::uint32_t prev = static_cast<std::uint32_t>(reader.read_bits(32));

@@ -18,14 +18,11 @@
 
 namespace jwins::compress {
 
-/// Compresses a float stream losslessly. Output layout: the raw first value
-/// then XOR-coded residuals.
-std::vector<std::uint8_t> compress_floats(std::span<const float> values);
-
-/// Scratch variant: appends the code to `writer` (not cleared), so a reused
-/// BitWriter makes the compression allocation-free in steady state.
-/// Dispatches between the scalar reference and the block encoder per
-/// core::KernelDispatch; both tiers emit identical bytes.
+/// Compresses a float stream losslessly, appending the code to `writer`
+/// (not cleared), so a reused BitWriter makes the compression
+/// allocation-free in steady state. Output layout: the raw first value then
+/// XOR-coded residuals. Dispatches between the scalar reference and the
+/// block encoder per core::KernelDispatch; both tiers emit identical bytes.
 void compress_floats(std::span<const float> values, BitWriter& writer);
 
 /// Pinned golden reference encoder (per-value branchy loop).
@@ -35,11 +32,9 @@ void compress_floats_scalar(std::span<const float> values, BitWriter& writer);
 /// emission. Byte-identical to the reference.
 void compress_floats_fast(std::span<const float> values, BitWriter& writer);
 
-/// Exact inverse of compress_floats. `count` is the number of floats encoded.
-std::vector<float> decompress_floats(std::span<const std::uint8_t> bytes,
-                                     std::size_t count);
-
-/// Scratch variant: decodes into `out` (cleared first, capacity kept).
+/// Exact inverse of compress_floats: decodes `count` floats into `out`
+/// (cleared first, capacity kept). Every value costs at least one bit, so a
+/// `count` above 8 * bytes.size() is rejected before anything is reserved.
 /// Dispatches per core::KernelDispatch.
 void decompress_floats_into(std::span<const std::uint8_t> bytes,
                             std::size_t count, std::vector<float>& out);

@@ -146,20 +146,6 @@ template void qsgd_quantize_into_fast<core::CounterRng>(std::span<const float>,
                                                         core::CounterRng&,
                                                         QuantizedVector&);
 
-template <class Urbg>
-QuantizedVector qsgd_quantize(std::span<const float> values,
-                              std::uint32_t levels, Urbg& rng) {
-  QuantizedVector q;
-  qsgd_quantize_into(values, levels, rng, q);
-  return q;
-}
-
-template QuantizedVector qsgd_quantize<std::mt19937_64>(std::span<const float>,
-                                                        std::uint32_t,
-                                                        std::mt19937_64&);
-template QuantizedVector qsgd_quantize<core::CounterRng>(std::span<const float>,
-                                                         std::uint32_t,
-                                                         core::CounterRng&);
 template void qsgd_quantize_into<std::mt19937_64>(std::span<const float>,
                                                   std::uint32_t,
                                                   std::mt19937_64&,
@@ -168,12 +154,6 @@ template void qsgd_quantize_into<core::CounterRng>(std::span<const float>,
                                                    std::uint32_t,
                                                    core::CounterRng&,
                                                    QuantizedVector&);
-
-std::vector<float> qsgd_dequantize(const QuantizedVector& q) {
-  std::vector<float> out;
-  qsgd_dequantize_into(q, out);
-  return out;
-}
 
 namespace {
 
@@ -218,23 +198,11 @@ std::size_t qsgd_wire_size(const QuantizedVector& q) noexcept {
   return sizeof(float) + 3 * sizeof(std::uint32_t) + q.packed.size();
 }
 
-std::vector<std::uint8_t> qsgd_serialize(const QuantizedVector& q) {
-  net::ByteWriter writer;
-  qsgd_serialize_into(q, writer);
-  return std::move(writer).take();
-}
-
 void qsgd_serialize_into(const QuantizedVector& q, net::ByteWriter& writer) {
   writer.write_f32(q.norm);
   writer.write_u32(q.levels);
   writer.write_u32(q.count);
   writer.write_bytes(q.packed);
-}
-
-QuantizedVector qsgd_deserialize(std::span<const std::uint8_t> bytes) {
-  QuantizedVector q;
-  qsgd_deserialize_into(bytes, q);
-  return q;
 }
 
 void qsgd_deserialize_into(std::span<const std::uint8_t> bytes,

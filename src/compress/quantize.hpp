@@ -31,20 +31,10 @@ struct QuantizedVector {
   std::vector<std::uint8_t> packed;  ///< sign+level bitstream
 };
 
-/// Quantizes `values` to s levels with unbiased stochastic rounding. One
-/// uniform draw per element; instantiated for std::mt19937_64 (tests,
-/// benches) and the engine's counter-based core::CounterRng streams.
-template <class Urbg>
-QuantizedVector qsgd_quantize(std::span<const float> values,
-                              std::uint32_t levels, Urbg& rng);
-
-extern template QuantizedVector qsgd_quantize<std::mt19937_64>(
-    std::span<const float>, std::uint32_t, std::mt19937_64&);
-extern template QuantizedVector qsgd_quantize<core::CounterRng>(
-    std::span<const float>, std::uint32_t, core::CounterRng&);
-
-/// Scratch variant: quantizes into `out`, reusing out.packed's capacity.
-/// Bit-identical to qsgd_quantize(). Dispatches between the scalar
+/// Quantizes `values` to s levels with unbiased stochastic rounding into
+/// `out`, reusing out.packed's capacity. One uniform draw per element;
+/// instantiated for std::mt19937_64 (tests, benches) and the engine's
+/// counter-based core::CounterRng streams. Dispatches between the scalar
 /// reference and the blocked fast path per core::KernelDispatch (identical
 /// RNG draw sequence and packed bytes on both tiers).
 template <class Urbg>
@@ -91,10 +81,8 @@ struct QuantizedView {
 /// The view is valid as long as `bytes` is.
 QuantizedView qsgd_view(std::span<const std::uint8_t> bytes);
 
-/// Reconstructs the (lossy) vector: sign * norm * level / s per element.
-std::vector<float> qsgd_dequantize(const QuantizedVector& q);
-
-/// Scratch variants: reconstruct into `out` (resized to count).
+/// Reconstructs the (lossy) vector into `out` (resized to count):
+/// sign * norm * level / s per element.
 void qsgd_dequantize_into(const QuantizedVector& q, std::vector<float>& out);
 void qsgd_dequantize_into(const QuantizedView& q, std::vector<float>& out);
 
@@ -102,12 +90,8 @@ void qsgd_dequantize_into(const QuantizedView& q, std::vector<float>& out);
 std::size_t qsgd_wire_size(const QuantizedVector& q) noexcept;
 
 /// Serialization to/from a byte buffer (format: norm f32, levels u32,
-/// count u32, packed bytes).
-std::vector<std::uint8_t> qsgd_serialize(const QuantizedVector& q);
-QuantizedVector qsgd_deserialize(std::span<const std::uint8_t> bytes);
-
-/// Scratch variants: serialize appends to a caller-owned writer, deserialize
-/// reuses `out`'s packed buffer.
+/// count u32, packed bytes). Serialize appends to a caller-owned writer,
+/// deserialize reuses `out`'s packed buffer.
 void qsgd_serialize_into(const QuantizedVector& q, net::ByteWriter& writer);
 void qsgd_deserialize_into(std::span<const std::uint8_t> bytes,
                            QuantizedVector& out);

@@ -40,13 +40,6 @@ constexpr std::size_t kBucketSelectMinN = 4096;
 
 }  // namespace
 
-std::vector<std::uint32_t> topk_indices(std::span<const float> values,
-                                        std::size_t k) {
-  std::vector<std::uint32_t> order;
-  topk_indices_into(values, k, order);
-  return order;
-}
-
 void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
                               std::vector<std::uint32_t>& out) {
   const std::size_t n = values.size();
@@ -131,11 +124,10 @@ void topk_indices_into(std::span<const float> values, std::size_t k,
   }
 }
 
-namespace {
-
-template <class Flags>
-void floyd_sample(std::size_t n, std::size_t k, std::uint64_t seed,
-                  std::vector<std::uint32_t>& out, Flags&& in_set) {
+void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
+                         std::vector<std::uint32_t>& out, core::Arena& arena) {
+  const std::span<std::uint8_t> in_set = arena.alloc<std::uint8_t>(n);
+  std::fill(in_set.begin(), in_set.end(), std::uint8_t{0});
   if (k > n) k = n;
   std::mt19937_64 rng(seed);
   // Floyd's algorithm gives k distinct samples in O(k) draws.
@@ -149,30 +141,6 @@ void floyd_sample(std::size_t n, std::size_t k, std::uint64_t seed,
     out.push_back(static_cast<std::uint32_t>(t));
   }
   std::sort(out.begin(), out.end());
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> random_indices(std::size_t n, std::size_t k,
-                                          std::uint64_t seed) {
-  std::vector<std::uint32_t> picked;
-  std::vector<bool> in_set(n, false);
-  floyd_sample(n, k, seed, picked, in_set);
-  return picked;
-}
-
-void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
-                         std::vector<std::uint32_t>& out, core::Arena& arena) {
-  const std::span<std::uint8_t> in_set = arena.alloc<std::uint8_t>(n);
-  std::fill(in_set.begin(), in_set.end(), std::uint8_t{0});
-  floyd_sample(n, k, seed, out, in_set);
-}
-
-std::vector<float> gather(std::span<const float> values,
-                          std::span<const std::uint32_t> indices) {
-  std::vector<float> out;
-  gather_into(values, indices, out);
-  return out;
 }
 
 void gather_into(std::span<const float> values,

@@ -13,17 +13,13 @@
 namespace jwins::compress {
 
 /// Indices of the `k` largest-magnitude elements of `values`, sorted
-/// ascending (the order required by the gap-based metadata coder). Ties in
-/// magnitude break toward the lower index, making the selected set unique.
-/// If k >= values.size(), all indices are returned. Values must be NaN-free.
-std::vector<std::uint32_t> topk_indices(std::span<const float> values,
-                                        std::size_t k);
-
-/// Scratch variant: selects into `out` (overwritten), which doubles as the
-/// selection workspace — once warmed to values.size() capacity the call is
-/// allocation-free. Bit-identical to topk_indices(). Dispatches between the
-/// scalar reference and the bucket-select fast path per
-/// core::KernelDispatch.
+/// ascending (the order required by the gap-based metadata coder), written
+/// to `out` (overwritten). Ties in magnitude break toward the lower index,
+/// making the selected set unique. If k >= values.size(), all indices are
+/// returned. Values must be NaN-free. `out` doubles as the selection
+/// workspace — once warmed to values.size() capacity the call is
+/// allocation-free. Dispatches between the scalar reference and the
+/// bucket-select fast path per core::KernelDispatch.
 void topk_indices_into(std::span<const float> values, std::size_t k,
                        std::vector<std::uint32_t>& out);
 
@@ -41,26 +37,19 @@ void topk_indices_into_fast(std::span<const float> values, std::size_t k,
 /// `k` distinct indices drawn uniformly from [0, n) using `seed` — the
 /// random-sampling baseline. Sharing the seed reproduces the exact subset on
 /// the receiver, so the metadata cost is just the 8-byte seed (paper §II-B2).
-/// Returned sorted ascending.
-std::vector<std::uint32_t> random_indices(std::size_t n, std::size_t k,
-                                          std::uint64_t seed);
-
-/// Scratch variant: draws into `out` (cleared first) using `arena` for the
-/// O(n) membership flags. Bit-identical to random_indices().
+/// Draws into `out` (cleared first, sorted ascending) using `arena` for the
+/// O(n) membership flags.
 void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
                          std::vector<std::uint32_t>& out, core::Arena& arena);
 
-/// Gathers `values[idx]` for each idx.
-std::vector<float> gather(std::span<const float> values,
-                          std::span<const std::uint32_t> indices);
-
-/// Scratch variant: gathers into `out` (resized to indices.size()).
+/// Gathers `values[idx]` for each idx into `out` (resized to
+/// indices.size()).
 void gather_into(std::span<const float> values,
                  std::span<const std::uint32_t> indices,
                  std::vector<float>& out);
 
-/// Scratch variant gathering into a caller-provided span (same length as
-/// `indices`), e.g. arena storage.
+/// Gathers into a caller-provided span (same length as `indices`), e.g.
+/// arena storage.
 void gather_into(std::span<const float> values,
                  std::span<const std::uint32_t> indices, std::span<float> out);
 

@@ -63,29 +63,12 @@ void partial_average_impl(std::span<float> own, double self_weight,
 }  // namespace
 
 void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions) {
-  std::vector<double> numerator(own.size());
-  std::vector<double> denominator(own.size());
-  partial_average_impl(own, self_weight, contributions, {}, numerator,
-                       denominator);
-}
-
-void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      Arena& arena) {
   const std::span<double> numerator = arena.alloc<double>(own.size());
   const std::span<double> denominator = arena.alloc<double>(own.size());
   partial_average_impl(own, self_weight, contributions, {}, numerator,
                        denominator);
-}
-
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     std::span<const double> contribution_scales) {
-  std::vector<double> numerator(own.size());
-  std::vector<double> denominator(own.size());
-  partial_average_impl(own, self_weight, contributions, contribution_scales,
-                       numerator, denominator);
 }
 
 void partial_average(std::span<float> own, double self_weight,
@@ -266,14 +249,9 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
   }
   switch (config.kind) {
     case RobustAggKind::kNone:
-      // The exact legacy path — same overload selection the algorithms used
-      // before the robust layer existed.
-      if (contribution_scales.empty()) {
-        partial_average(own, self_weight, contributions, arena);
-      } else {
-        partial_average(own, self_weight, contributions, contribution_scales,
-                        arena);
-      }
+      // The plain path: empty scales reduce to the unscaled average.
+      partial_average(own, self_weight, contributions, contribution_scales,
+                      arena);
       return;
     case RobustAggKind::kNormClip: {
       const std::span<const double> factors =
@@ -358,16 +336,6 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
       return;
     }
   }
-}
-
-void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
-                            double self_weight,
-                            std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
-                            RobustAggCounters* counters) {
-  Arena arena;
-  robust_partial_average(config, own, self_weight, contributions,
-                         contribution_scales, arena, counters);
 }
 
 void robust_accumulate_diffs(const RobustAggConfig& config,

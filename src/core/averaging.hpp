@@ -25,8 +25,8 @@ struct WeightedContribution {
 
 /// Robust-aggregation rule applied where Algorithm 1 would plainly average
 /// (the byzantine countermeasure layer; docs/SIMULATION.md "Adversarial
-/// behavior"). kNone routes through partial_average() unchanged — the exact
-/// legacy path, pinned byte-identical by tests/test_byzantine.cpp.
+/// behavior"). kNone routes through partial_average() unchanged — the plain
+/// path, pinned byte-identical by tests/test_byzantine.cpp.
 enum class RobustAggKind {
   kNone,         ///< plain partial averaging (the default)
   kTrimmedMean,  ///< coordinate-wise: drop the t lowest/highest, average rest
@@ -55,13 +55,9 @@ struct RobustAggCounters {
   std::uint64_t clipped_contributions = 0;  ///< payloads shrunk onto the sphere
 };
 
-/// Averages `own` (dense) with sparse neighbor contributions in place.
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions);
-
-/// Scratch variant: the two O(n) double accumulators come from `arena`
-/// instead of the heap (valid only within this call). Bit-identical to the
-/// allocating overload.
+/// Averages `own` (dense) with sparse neighbor contributions in place. The
+/// two O(n) double accumulators come from `arena` (valid only within this
+/// call).
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      Arena& arena);
@@ -71,13 +67,9 @@ void partial_average(std::span<float> own, double self_weight,
 /// weight contributions[i].weight * contribution_scales[i] in BOTH the
 /// numerator and the denominator, so the result remains a convex
 /// combination — the weights still renormalize to 1 per coefficient, decay
-/// merely shifts mass from stale contributors toward the rest. Requires
-/// contribution_scales.size() == contributions.size(); throws otherwise.
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     std::span<const double> contribution_scales);
-
-/// Scratch variant of the scaled overload (same arena contract as above).
+/// merely shifts mass from stale contributors toward the rest. Empty
+/// contribution_scales is the unscaled average; otherwise it must have
+/// contributions.size() entries (throws otherwise). Same arena contract.
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      std::span<const double> contribution_scales,
@@ -86,8 +78,8 @@ void partial_average(std::span<float> own, double self_weight,
 /// Robust variant of partial_average: merges `own` with the contributions
 /// under the configured rule.
 ///
-///  * kNone — forwards to partial_average() (the exact legacy path: same
-///    doubles, same operation order).
+///  * kNone — forwards to partial_average() (the plain path: same doubles,
+///    same operation order).
 ///  * kTrimmedMean — per coordinate, the supplier list is (own, then each
 ///    contribution that sent the coordinate, in order); after trimming
 ///    t = min(floor(f * m), (m - 1) / 2) entries from each end of the
@@ -109,14 +101,6 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             std::span<const WeightedContribution> contributions,
                             std::span<const double> contribution_scales,
                             Arena& arena,
-                            RobustAggCounters* counters = nullptr);
-
-/// Allocating convenience overload (tests, one-off callers): same result,
-/// temporaries from an internal arena.
-void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
-                            double self_weight,
-                            std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             RobustAggCounters* counters = nullptr);
 
 /// CHOCO-style robust accumulation over *difference* payloads: every

@@ -35,13 +35,6 @@ std::size_t WaveletRanker::band_of(std::size_t coeff_index) const {
   return plan_->band_of(coeff_index);
 }
 
-std::vector<float> WaveletRanker::transform(std::span<const float> model) const {
-  std::vector<float> coeffs(coeff_length());
-  dwt::DwtWorkspace ws;
-  transform_into(model, coeffs, ws);
-  return coeffs;
-}
-
 void WaveletRanker::transform_into(std::span<const float> model,
                                    std::span<float> coeffs,
                                    dwt::DwtWorkspace& ws) const {
@@ -56,13 +49,6 @@ void WaveletRanker::transform_into(std::span<const float> model,
   } else {
     std::copy(model.begin(), model.end(), coeffs.begin());
   }
-}
-
-std::vector<float> WaveletRanker::inverse(std::span<const float> coeffs) const {
-  std::vector<float> model(model_size_);
-  dwt::DwtWorkspace ws;
-  inverse_into(coeffs, model, ws);
-  return model;
 }
 
 void WaveletRanker::inverse_into(std::span<const float> coeffs,
@@ -84,7 +70,7 @@ void WaveletRanker::inverse_into(std::span<const float> coeffs,
 namespace {
 
 /// Shared eq. (3)/(4) core: scores += T(after - before), with `delta` and
-/// `coeffs` provided by the caller (heap or arena — same arithmetic).
+/// `coeffs` provided by the caller's arena.
 void accumulate_delta(const WaveletRanker& ranker, std::vector<float>& scores,
                       std::span<const float> before,
                       std::span<const float> after, std::span<float> delta,
@@ -95,13 +81,6 @@ void accumulate_delta(const WaveletRanker& ranker, std::vector<float>& scores,
 }
 
 }  // namespace
-
-std::span<const float> WaveletRanker::accumulate_round_change(
-    std::span<const float> before, std::span<const float> after) {
-  Arena arena;
-  dwt::DwtWorkspace ws;
-  return accumulate_round_change(before, after, arena, ws);
-}
 
 std::span<const float> WaveletRanker::accumulate_round_change(
     std::span<const float> before, std::span<const float> after, Arena& arena,
@@ -115,14 +94,6 @@ std::span<const float> WaveletRanker::accumulate_round_change(
   accumulate_delta(*this, scores_, before, after, arena.alloc<float>(model_size_),
                    arena.alloc<float>(coeff_length()), ws);
   return scores_;
-}
-
-void WaveletRanker::finish_round(std::span<const float> pre_average,
-                                 std::span<const float> post_average,
-                                 std::span<const std::uint32_t> sent_indices) {
-  Arena arena;
-  dwt::DwtWorkspace ws;
-  finish_round(pre_average, post_average, sent_indices, arena, ws);
 }
 
 void WaveletRanker::finish_round(std::span<const float> pre_average,

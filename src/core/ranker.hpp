@@ -33,29 +33,19 @@ class WaveletRanker {
   /// Length of the transform-domain vector (== model_size for identity).
   std::size_t coeff_length() const noexcept;
 
-  /// Transforms a model vector into the ranking domain.
-  std::vector<float> transform(std::span<const float> model) const;
-
-  /// Scratch variant: writes into `coeffs` (size coeff_length()), all
-  /// temporaries in `ws`. Bit-identical to transform().
+  /// Transforms a model vector into the ranking domain: writes into
+  /// `coeffs` (size coeff_length()), all temporaries in `ws`.
   void transform_into(std::span<const float> model, std::span<float> coeffs,
                       dwt::DwtWorkspace& ws) const;
 
-  /// Inverse transform back to the parameter domain.
-  std::vector<float> inverse(std::span<const float> coeffs) const;
-
-  /// Scratch variant: writes into `model` (size model_size), all
-  /// temporaries in `ws`. Bit-identical to inverse().
+  /// Inverse transform back to the parameter domain: writes into `model`
+  /// (size model_size), all temporaries in `ws`.
   void inverse_into(std::span<const float> coeffs, std::span<float> model,
                     dwt::DwtWorkspace& ws) const;
 
-  /// Eq. (3): V' = V + T(x_after - x_before). Returns a view of the updated
+  /// Eq. (3): V' = V + T(x_after - x_before). The delta and coefficient
+  /// temporaries come from `arena`/`ws`. Returns a view of the updated
   /// scores (valid until the next call).
-  std::span<const float> accumulate_round_change(std::span<const float> before,
-                                                 std::span<const float> after);
-
-  /// Scratch variant: the delta and coefficient temporaries come from
-  /// `arena`/`ws`. Bit-identical to the allocating overload.
   std::span<const float> accumulate_round_change(std::span<const float> before,
                                                  std::span<const float> after,
                                                  Arena& arena,
@@ -63,11 +53,7 @@ class WaveletRanker {
 
   /// Post-averaging bookkeeping, eq. (4): folds the model change caused by
   /// averaging into V, then resets the entries that were sent this round.
-  void finish_round(std::span<const float> pre_average,
-                    std::span<const float> post_average,
-                    std::span<const std::uint32_t> sent_indices);
-
-  /// Scratch variant of finish_round (see accumulate_round_change).
+  /// Temporaries as accumulate_round_change.
   void finish_round(std::span<const float> pre_average,
                     std::span<const float> post_average,
                     std::span<const std::uint32_t> sent_indices, Arena& arena,

@@ -42,7 +42,12 @@ std::size_t encode_payload_into(const PayloadView& payload,
       writer.write_u32_array(payload.indices);
       break;
     case IndexEncoding::kSeed:
-      // Receiver re-derives the indices; sanity-check they match here.
+      // The receiver re-derives the indices from the seed; when the caller
+      // passes the drawn set along, it must align with the values.
+      if (!payload.indices.empty() &&
+          payload.indices.size() != payload.values.size()) {
+        throw std::invalid_argument("encode_payload: index/value mismatch");
+      }
       writer.write_u64(options.seed);
       break;
   }
@@ -61,17 +66,6 @@ std::size_t encode_payload_into(const PayloadView& payload,
   return metadata_bytes;
 }
 
-EncodedPayload encode_payload(const SparsePayload& payload,
-                              const PayloadOptions& options) {
-  net::ByteWriter writer;
-  compress::BitWriter bit_scratch;
-  EncodedPayload out;
-  out.metadata_bytes =
-      encode_payload_into(payload, options, writer, bit_scratch);
-  out.body = std::move(writer).take();
-  return out;
-}
-
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena) {
   net::ByteReader reader(body);
@@ -81,6 +75,9 @@ void decode_payload_into(std::span<const std::uint8_t> body,
   const std::uint32_t count = reader.read_u32();
   out.indices.clear();
   out.values.clear();
+  if (index_mode != IndexEncoding::kDense && count > out.vector_length) {
+    throw std::runtime_error("decode_payload: sparse count exceeds length");
+  }
 
   switch (index_mode) {
     case IndexEncoding::kDense:
@@ -121,25 +118,6 @@ void decode_payload_into(std::span<const std::uint8_t> body,
   if (out.values.size() != count) {
     throw std::runtime_error("decode_payload: value count mismatch");
   }
-}
-
-SparsePayload decode_payload(std::span<const std::uint8_t> body) {
-  SparsePayload payload;
-  Arena arena;
-  decode_payload_into(body, payload, arena);
-  return payload;
-}
-
-net::Message make_message(std::uint32_t sender, std::uint32_t round,
-                          const SparsePayload& payload,
-                          const PayloadOptions& options) {
-  EncodedPayload encoded = encode_payload(payload, options);
-  net::Message msg;
-  msg.sender = sender;
-  msg.round = round;
-  msg.body = std::move(encoded.body);
-  msg.metadata_bytes = encoded.metadata_bytes;
-  return msg;
 }
 
 net::Message make_message(std::uint32_t sender, std::uint32_t round,

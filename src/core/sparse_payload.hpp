@@ -4,10 +4,10 @@
 //
 // In the JWINS pipeline this is the step between selection and transport:
 // the ranker (core/ranker.hpp) and randomized cut-off (core/cutoff.hpp)
-// choose which wavelet coefficients to share, encode_payload() turns that
-// (indices, values) pair into bytes — Elias-gamma gap-coded indices
+// choose which wavelet coefficients to share, encode_payload_into() turns
+// that (indices, values) pair into bytes — Elias-gamma gap-coded indices
 // (compress/elias.hpp) plus XOR-codec values (compress/float_codec.hpp) —
-// and the receiver's decode_payload() feeds partial averaging
+// and the receiver's decode_payload_into() feeds partial averaging
 // (core/averaging.hpp). All algorithms in the reproduction (JWINS, CHOCO,
 // random sampling, full-sharing and the ablations) serialize their model
 // payloads through this one codec so byte accounting is uniform, exactly as
@@ -79,45 +79,31 @@ struct PayloadOptions {
   std::uint64_t seed = 0;  ///< required for IndexEncoding::kSeed
 };
 
-struct EncodedPayload {
-  std::vector<std::uint8_t> body;
-  std::size_t metadata_bytes = 0;
-};
-
-/// Serializes a payload. For kDense, `payload.indices` must be empty and
-/// values.size() == vector_length. For kSeed, the receiver regenerates the
-/// index set from (seed, count, vector_length).
-EncodedPayload encode_payload(const SparsePayload& payload,
-                              const PayloadOptions& options);
-
-/// Zero-copy encode: serializes `payload` by appending to `writer` (point
-/// the writer at a pooled send buffer for an allocation-free hot path).
-/// `bit_scratch` is cleared and reused for the Elias/XOR sections. Returns
-/// the metadata byte count (bytes written before the value section).
-/// Byte-identical to encode_payload().
+/// Serializes `payload` by appending to `writer` (point the writer at a
+/// pooled send buffer for an allocation-free hot path). For kDense,
+/// `payload.indices` must be empty and values.size() == vector_length; the
+/// other modes require indices.size() == values.size() (kSeed accepts empty
+/// indices, as the receiver regenerates the index set from (seed, count,
+/// vector_length)). `bit_scratch` is cleared and reused for the Elias/XOR
+/// sections. Returns the metadata byte count (bytes written before the
+/// value section).
 std::size_t encode_payload_into(const PayloadView& payload,
                                 const PayloadOptions& options,
                                 net::ByteWriter& writer,
                                 compress::BitWriter& bit_scratch);
 
-/// Parses a payload produced by encode_payload. For kSeed the index set is
-/// regenerated, so the result always carries explicit indices unless dense.
-SparsePayload decode_payload(std::span<const std::uint8_t> body);
-
-/// Zero-copy decode: compressed sections are read as views into `body` (no
-/// blob copies) and results land in `out`'s reused buffers; `arena` backs
-/// the kSeed membership flags. Identical results to decode_payload().
+/// Parses a payload produced by encode_payload_into. Compressed sections
+/// are read as views into `body` (no blob copies) and results land in
+/// `out`'s reused buffers; `arena` backs the kSeed membership flags. For
+/// kSeed the index set is regenerated, so the result always carries
+/// explicit indices unless dense. A sparse count above the header's
+/// vector_length is rejected before either section is decoded.
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena);
 
-/// Convenience: wraps an encoded payload into a network message.
-net::Message make_message(std::uint32_t sender, std::uint32_t round,
-                          const SparsePayload& payload,
-                          const PayloadOptions& options);
-
-/// Hot-path variant: encodes into a buffer from `pool`, so the message body
-/// storage is recycled round over round and fan-out to d neighbors shares
-/// one refcounted buffer instead of d copies.
+/// Encodes `payload` into a network message whose body is a buffer from
+/// `pool`, so its storage is recycled round over round and fan-out to d
+/// neighbors shares one refcounted buffer instead of d copies.
 net::Message make_message(std::uint32_t sender, std::uint32_t round,
                           const PayloadView& payload,
                           const PayloadOptions& options, net::BufferPool& pool,

@@ -251,12 +251,6 @@ DwtPlan::DwtPlan(Wavelet wavelet, std::size_t input_length, std::size_t levels)
 }
 
 void DwtPlan::forward_into(std::span<const float> input,
-                           std::span<float> coeffs) const {
-  DwtWorkspace ws;
-  forward_into(input, coeffs, ws);
-}
-
-void DwtPlan::forward_into(std::span<const float> input,
                            std::span<float> coeffs, DwtWorkspace& ws) const {
   if (input.size() != input_length_) {
     throw std::invalid_argument("DwtPlan::forward: input length mismatch");
@@ -291,18 +285,6 @@ void DwtPlan::forward_into(std::span<const float> input,
   }
   const std::size_t approx_len = band_offsets_[1];
   for (std::size_t i = 0; i < approx_len; ++i) coeffs[i] = cur[i];
-}
-
-std::vector<float> DwtPlan::forward(std::span<const float> input) const {
-  std::vector<float> coeffs(coeff_length_, 0.0f);
-  forward_into(input, coeffs);
-  return coeffs;
-}
-
-void DwtPlan::inverse_into(std::span<const float> coeffs,
-                           std::span<float> output) const {
-  DwtWorkspace ws;
-  inverse_into(coeffs, output, ws);
 }
 
 void DwtPlan::inverse_into(std::span<const float> coeffs,
@@ -340,12 +322,6 @@ void DwtPlan::inverse_into(std::span<const float> coeffs,
   for (std::size_t i = 0; i < input_length_; ++i) output[i] = cur[i];
 }
 
-std::vector<float> DwtPlan::inverse(std::span<const float> coeffs) const {
-  std::vector<float> out(input_length_, 0.0f);
-  inverse_into(coeffs, out);
-  return out;
-}
-
 std::size_t DwtPlan::band_of(std::size_t coeff_index) const {
   if (coeff_index >= coeff_length_) {
     throw std::out_of_range("band_of: coefficient index out of range");
@@ -371,16 +347,6 @@ std::size_t DwtPlan::band_length(std::size_t band) const {
     throw std::out_of_range("band_length: band out of range");
   }
   return band_offsets_[band + 1] - band_offsets_[band];
-}
-
-std::vector<float> wavedec(const Wavelet& w, std::span<const float> input,
-                           std::size_t levels) {
-  return DwtPlan(w, input.size(), levels).forward(input);
-}
-
-std::vector<float> waverec(const Wavelet& w, std::span<const float> coeffs,
-                           std::size_t input_length, std::size_t levels) {
-  return DwtPlan(w, input_length, levels).inverse(coeffs);
 }
 
 }  // namespace jwins::dwt

@@ -77,33 +77,19 @@ class DwtPlan {
   std::size_t input_length() const noexcept { return input_length_; }
   std::size_t levels() const noexcept { return level_in_.size(); }
 
-  /// Total number of coefficients produced by forward().
+  /// Total number of coefficients produced by forward_into().
   std::size_t coeff_length() const noexcept { return coeff_length_; }
 
   const Wavelet& wavelet() const noexcept { return wavelet_; }
 
-  /// Forward transform. `input.size()` must equal input_length().
-  std::vector<float> forward(std::span<const float> input) const;
-
-  /// In-place-style forward into a caller-provided buffer of coeff_length().
-  /// Allocates a transient workspace; see the DwtWorkspace overload for the
-  /// allocation-free hot path.
-  void forward_into(std::span<const float> input,
-                    std::span<float> coeffs) const;
-
-  /// Scratch variant: all per-level temporaries live in `ws` (grown on first
-  /// use, reused afterwards). Bit-identical to forward_into(input, coeffs).
+  /// Forward transform into a caller-provided buffer of coeff_length();
+  /// `input.size()` must equal input_length(). All per-level temporaries
+  /// live in `ws` (grown on first use, reused afterwards).
   void forward_into(std::span<const float> input, std::span<float> coeffs,
                     DwtWorkspace& ws) const;
 
-  /// Inverse transform. `coeffs.size()` must equal coeff_length().
-  std::vector<float> inverse(std::span<const float> coeffs) const;
-
-  /// Inverse into a caller-provided buffer of input_length().
-  void inverse_into(std::span<const float> coeffs,
-                    std::span<float> output) const;
-
-  /// Scratch variant of inverse_into (see forward_into).
+  /// Inverse transform into a caller-provided buffer of input_length();
+  /// `coeffs.size()` must equal coeff_length(). Temporaries as forward_into.
   void inverse_into(std::span<const float> coeffs, std::span<float> output,
                     DwtWorkspace& ws) const;
 
@@ -126,13 +112,5 @@ class DwtPlan {
   // band_offsets_[b] = start of band b in the flat vector, b in [0, levels()].
   std::vector<std::size_t> band_offsets_;
 };
-
-/// Convenience one-shot forward transform (builds a plan internally).
-std::vector<float> wavedec(const Wavelet& w, std::span<const float> input,
-                           std::size_t levels);
-
-/// Convenience one-shot inverse (must use the same wavelet/levels/length).
-std::vector<float> waverec(const Wavelet& w, std::span<const float> coeffs,
-                           std::size_t input_length, std::size_t levels);
 
 }  // namespace jwins::dwt

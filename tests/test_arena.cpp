@@ -1,12 +1,13 @@
 // Round-scratch memory facility: core::Arena invariants (alignment, growth,
 // reset/reuse, consolidation), net::BufferPool / SharedBytes recycling,
 // PayloadPool slot reuse, no-aliasing across concurrently used arenas, and
-// the central refactor guard — every scratch-backed API must be
-// bit-identical to its allocating legacy counterpart, and arena-backed
+// the reuse guard — every kernel API must give the same bits on scratch
+// warmed by an earlier, larger call as on fresh scratch, and arena-backed
 // engine runs must stay byte-identical across thread counts (the same
 // contract test_determinism.cpp pins on the metric level).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "compress/topk.hpp"
 #include "core/arena.hpp"
 #include "core/averaging.hpp"
+#include "core/ranker.hpp"
 #include "core/scratch.hpp"
 #include "core/sparse_payload.hpp"
 #include "dwt/dwt.hpp"
@@ -233,180 +235,249 @@ TEST(PayloadPool, ReusesSlotCapacityAcrossResets) {
   EXPECT_EQ(again.indices.data(), index_storage);  // ...but capacity kept
 }
 
-// --- Scratch APIs are bit-identical to the allocating legacy APIs ----------
+// --- Dirty reuse: warmed scratch gives the same bits as fresh scratch ------
+//
+// Each kernel has one API, writing into caller-owned buffers, arenas or
+// workspaces that the engine reuses round over round. Every case first warms
+// the scratch on a larger, different input (or soils the arena), then checks
+// the result is bit-identical to a call on fresh scratch. Fast-vs-scalar
+// agreement is test_kernel_equivalence.cpp's job.
+
+// Fills the arena's single block with a garbage pattern, so every later
+// alloc() hands out dirty bytes.
+void soil(core::Arena& arena) {
+  arena.reset();
+  arena.reserve(std::size_t{1} << 20);
+  const auto bytes = arena.alloc<std::uint8_t>(arena.capacity());
+  std::fill(bytes.begin(), bytes.end(), std::uint8_t{0xA5});
+  arena.reset();
+}
 
 TEST(ScratchEquivalence, TopKGatherAndRandomIndices) {
+  const auto warm = random_floats(8192, 11);
   const auto values = random_floats(4096, 1);
-  core::Arena arena;
-  for (const std::size_t k : {std::size_t{1}, std::size_t{409}, std::size_t{4096},
-                              std::size_t{9999}}) {
-    const auto legacy = compress::topk_indices(values, k);
-    std::vector<std::uint32_t> scratch;
-    compress::topk_indices_into(values, k, scratch);
-    EXPECT_EQ(legacy, scratch) << "k=" << k;
-
-    const auto gathered = compress::gather(values, legacy);
-    std::vector<float> gathered_scratch;
-    compress::gather_into(values, legacy, gathered_scratch);
-    EXPECT_EQ(gathered, gathered_scratch);
+  std::vector<std::uint32_t> dirty;
+  std::vector<float> gathered_dirty;
+  for (const std::size_t k : {1u, 409u, 4096u, 9999u}) {
+    std::vector<std::uint32_t> fresh;
+    std::vector<float> gathered_fresh;
+    compress::topk_indices_into(values, k, fresh);
+    compress::gather_into(values, fresh, gathered_fresh);
+    compress::topk_indices_into(warm, 5000, dirty);
+    compress::gather_into(warm, dirty, gathered_dirty);
+    compress::topk_indices_into(values, k, dirty);
+    compress::gather_into(values, dirty, gathered_dirty);
+    EXPECT_EQ(fresh, dirty) << "k=" << k;
+    EXPECT_EQ(gathered_fresh, gathered_dirty) << "k=" << k;
   }
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto legacy = compress::random_indices(4096, 1365, seed);
-    std::vector<std::uint32_t> scratch;
-    arena.reset();
-    compress::random_indices_into(4096, 1365, seed, scratch, arena);
-    EXPECT_EQ(legacy, scratch) << "seed=" << seed;
+    // Stale membership flags must not leak into the draw.
+    core::Arena fresh_arena, dirty_arena;
+    std::vector<std::uint32_t> fresh;
+    compress::random_indices_into(4096, 1365, seed, fresh, fresh_arena);
+    soil(dirty_arena);
+    compress::random_indices_into(4096, 1365, seed, dirty, dirty_arena);
+    EXPECT_EQ(fresh, dirty) << "seed=" << seed;
   }
 }
 
 TEST(ScratchEquivalence, EliasAndFloatCodec) {
+  const auto warm = random_floats(16384, 12);
   const auto values = random_floats(8192, 2);
-  const auto indices = compress::topk_indices(values, 800);
+  std::vector<std::uint32_t> warm_indices, indices, fresh_idx, dirty_idx;
+  compress::topk_indices_into(warm, 3000, warm_indices);
+  compress::topk_indices_into(values, 800, indices);
+  compress::BitWriter fresh, dirty;
+  compress::encode_index_gaps(indices, fresh);
+  compress::decode_index_gaps_into(fresh.bytes(), 800, fresh_idx);
+  compress::encode_index_gaps(warm_indices, dirty);
+  compress::decode_index_gaps_into(dirty.bytes(), 3000, dirty_idx);
+  dirty.clear();
+  compress::encode_index_gaps(indices, dirty);
+  compress::decode_index_gaps_into(dirty.bytes(), 800, dirty_idx);
+  EXPECT_EQ(fresh.bytes(), dirty.bytes());
+  EXPECT_EQ(fresh_idx, dirty_idx);
 
-  const auto legacy_bytes = compress::encode_index_gaps(indices);
-  compress::BitWriter bits;
-  for (int round = 0; round < 3; ++round) {  // reuse across rounds
-    bits.clear();
-    compress::encode_index_gaps(indices, bits);
-    EXPECT_EQ(legacy_bytes, bits.bytes());
-  }
-  const auto legacy_decoded = compress::decode_index_gaps(legacy_bytes, 800);
-  std::vector<std::uint32_t> decoded;
-  compress::decode_index_gaps_into(legacy_bytes, 800, decoded);
-  EXPECT_EQ(legacy_decoded, decoded);
-
-  const auto legacy_comp = compress::compress_floats(values);
-  bits.clear();
-  compress::compress_floats(values, bits);
-  EXPECT_EQ(legacy_comp, bits.bytes());
-  const auto legacy_back = compress::decompress_floats(legacy_comp, 8192);
-  std::vector<float> back;
-  compress::decompress_floats_into(legacy_comp, 8192, back);
-  EXPECT_EQ(legacy_back, back);
+  compress::BitWriter fresh_floats;
+  std::vector<float> fresh_back, dirty_back;
+  compress::compress_floats(values, fresh_floats);
+  compress::decompress_floats_into(fresh_floats.bytes(), 8192, fresh_back);
+  dirty.clear();
+  compress::compress_floats(warm, dirty);
+  compress::decompress_floats_into(dirty.bytes(), 16384, dirty_back);
+  dirty.clear();
+  compress::compress_floats(values, dirty);
+  compress::decompress_floats_into(dirty.bytes(), 8192, dirty_back);
+  EXPECT_EQ(fresh_floats.bytes(), dirty.bytes());
+  EXPECT_EQ(fresh_back, dirty_back);
 }
 
 TEST(ScratchEquivalence, QsgdQuantizer) {
+  const auto warm = random_floats(4096, 13);
   const auto values = random_floats(2048, 3);
-  std::mt19937_64 rng_a(9), rng_b(9);
-  const auto legacy = compress::qsgd_quantize(values, 15, rng_a);
-  compress::QuantizedVector scratch;
-  scratch.packed.reserve(64);  // nonempty initial state must not leak in
-  compress::qsgd_quantize_into(values, 15, rng_b, scratch);
-  EXPECT_EQ(legacy.norm, scratch.norm);
-  EXPECT_EQ(legacy.packed, scratch.packed);
-
-  const auto legacy_deq = compress::qsgd_dequantize(legacy);
-  std::vector<float> deq;
-  compress::qsgd_dequantize_into(scratch, deq);
-  EXPECT_EQ(legacy_deq, deq);
-
-  const auto legacy_ser = compress::qsgd_serialize(legacy);
-  net::ByteWriter writer;
-  compress::qsgd_serialize_into(scratch, writer);
-  EXPECT_EQ(legacy_ser, writer.buffer());
-  compress::QuantizedVector round_trip;
-  compress::qsgd_deserialize_into(legacy_ser, round_trip);
-  EXPECT_EQ(round_trip.packed, legacy.packed);
-  EXPECT_EQ(round_trip.count, legacy.count);
+  std::mt19937_64 rng_fresh(9), rng_warm(4), rng_dirty(9);
+  compress::QuantizedVector fresh, dirty, parsed;
+  std::vector<float> fresh_deq, dirty_deq;
+  compress::qsgd_quantize_into(values, 15, rng_fresh, fresh);
+  compress::qsgd_dequantize_into(fresh, fresh_deq);
+  compress::qsgd_quantize_into(warm, 63, rng_warm, dirty);
+  compress::qsgd_dequantize_into(dirty, dirty_deq);
+  net::ByteWriter warm_wire, wire;
+  compress::qsgd_serialize_into(dirty, warm_wire);
+  compress::qsgd_deserialize_into(warm_wire.buffer(), parsed);
+  compress::qsgd_quantize_into(values, 15, rng_dirty, dirty);
+  compress::qsgd_dequantize_into(dirty, dirty_deq);
+  compress::qsgd_serialize_into(dirty, wire);
+  compress::qsgd_deserialize_into(wire.buffer(), parsed);
+  for (const compress::QuantizedVector* q : {&dirty, &parsed}) {
+    EXPECT_EQ(q->norm, fresh.norm);
+    EXPECT_EQ(q->levels, fresh.levels);
+    EXPECT_EQ(q->count, fresh.count);
+    EXPECT_EQ(q->packed, fresh.packed);
+  }
+  EXPECT_EQ(fresh_deq, dirty_deq);
 }
 
 TEST(ScratchEquivalence, DwtWorkspaceTransforms) {
-  for (const std::size_t n : {std::size_t{63}, std::size_t{1024},
-                              std::size_t{1000}, std::size_t{4097}}) {
+  // One workspace warmed by a longer plan on another wavelet serves every
+  // shorter plan: the zero padding must be rewritten, not inherited.
+  dwt::DwtWorkspace dirty;
+  const dwt::DwtPlan warm_plan(dwt::db4(), 9001, 5);
+  std::vector<float> warm_coeffs(warm_plan.coeff_length()), warm_out(9001);
+  warm_plan.forward_into(random_floats(9001, 14), warm_coeffs, dirty);
+  warm_plan.inverse_into(warm_coeffs, warm_out, dirty);
+  for (const std::size_t n : {63u, 1024u, 1000u, 4097u}) {
     const dwt::DwtPlan plan(dwt::sym2(), n, 4);
     const auto x = random_floats(n, static_cast<unsigned>(n));
-    const auto legacy = plan.forward(x);
-    dwt::DwtWorkspace ws;
-    std::vector<float> coeffs(plan.coeff_length());
-    for (int round = 0; round < 2; ++round) {  // workspace reuse
-      plan.forward_into(x, coeffs, ws);
-      EXPECT_EQ(legacy, coeffs) << "n=" << n;
-    }
-    const auto legacy_inv = plan.inverse(legacy);
-    std::vector<float> out(n);
-    plan.inverse_into(coeffs, out, ws);
-    EXPECT_EQ(legacy_inv, out) << "n=" << n;
+    dwt::DwtWorkspace fresh_fwd, fresh_inv;
+    std::vector<float> fresh(plan.coeff_length()), coeffs(fresh.size());
+    std::vector<float> fresh_back(n), back(n);
+    plan.forward_into(x, fresh, fresh_fwd);
+    plan.inverse_into(fresh, fresh_back, fresh_inv);
+    plan.forward_into(x, coeffs, dirty);
+    plan.inverse_into(coeffs, back, dirty);
+    EXPECT_EQ(fresh, coeffs) << "n=" << n;
+    EXPECT_EQ(fresh_back, back) << "n=" << n;
   }
+}
+
+TEST(ScratchEquivalence, WaveletRankerArenaAndWorkspace) {
+  const std::size_t n = 1000;
+  const auto before = random_floats(n, 15);
+  const auto after = random_floats(n, 16);
+  const auto averaged = random_floats(n, 17);
+  auto scores = [&](core::Arena& arena, dwt::DwtWorkspace& ws) {
+    core::WaveletRanker ranker(n, {});
+    ranker.accumulate_round_change(before, after, arena, ws);
+    ranker.finish_round(after, averaged, std::vector<std::uint32_t>{0, 5},
+                        arena, ws);
+    return std::vector<float>(ranker.scores().begin(), ranker.scores().end());
+  };
+  core::Arena fresh_arena, dirty_arena;
+  dwt::DwtWorkspace fresh_ws, dirty_ws;
+  const dwt::DwtPlan warm_plan(dwt::sym2(), 4097, 4);
+  std::vector<float> warm_coeffs(warm_plan.coeff_length());
+  warm_plan.forward_into(random_floats(4097, 18), warm_coeffs, dirty_ws);
+  soil(dirty_arena);
+  EXPECT_EQ(scores(fresh_arena, fresh_ws), scores(dirty_arena, dirty_ws));
 }
 
 TEST(ScratchEquivalence, PartialAverageWithArena) {
   const std::size_t n = 2048;
   std::vector<core::SparsePayload> payloads(3);
   std::vector<core::WeightedContribution> contribs;
+  core::Arena draw_arena;
   for (std::size_t j = 0; j < payloads.size(); ++j) {
     payloads[j].vector_length = static_cast<std::uint32_t>(n);
-    payloads[j].indices = compress::random_indices(n, n / 4, j + 1);
+    compress::random_indices_into(n, n / 4, j + 1, payloads[j].indices,
+                                  draw_arena);
     payloads[j].values = random_floats(n / 4, static_cast<unsigned>(j) + 10);
     contribs.push_back({0.25, &payloads[j]});
   }
-  auto legacy = random_floats(n, 77);
-  auto scratch_backed = legacy;
-  core::partial_average(legacy, 0.25, contribs);
-  core::Arena arena;
-  core::partial_average(scratch_backed, 0.25, contribs, arena);
-  EXPECT_EQ(legacy, scratch_backed);
+  const std::vector<double> scales{1.0, 0.5, 0.25};
+  const auto own = random_floats(n, 77);
+  // Runs one averaging entry point on a fresh arena and on a soiled one.
+  auto check = [&](auto&& average) {
+    core::Arena fresh_arena, dirty_arena;
+    soil(dirty_arena);
+    auto fresh = own, dirty = own;
+    average(fresh, fresh_arena);
+    average(dirty, dirty_arena);
+    EXPECT_EQ(fresh, dirty);
+  };
+  check([&](std::vector<float>& x, core::Arena& arena) {
+    core::partial_average(x, 0.25, contribs, arena);
+  });
+  check([&](std::vector<float>& x, core::Arena& arena) {
+    core::partial_average(x, 0.25, contribs, scales, arena);
+  });
+  for (const auto kind :
+       {core::RobustAggKind::kTrimmedMean, core::RobustAggKind::kMedian,
+        core::RobustAggKind::kNormClip}) {
+    SCOPED_TRACE(core::robust_agg_name(kind));
+    const core::RobustAggConfig cfg{kind, 0.25, 2.0};
+    check([&](std::vector<float>& x, core::Arena& arena) {
+      core::robust_partial_average(cfg, x, 0.25, contribs, scales, arena);
+    });
+  }
 }
 
 TEST(ScratchEquivalence, PayloadCodecRoundTrip) {
   const std::size_t n = 4096;
   const auto values = random_floats(n, 5);
-  core::SparsePayload payload;
+  const auto warm_values = random_floats(2 * n, 6);
+  core::SparsePayload payload, warm;
   payload.vector_length = static_cast<std::uint32_t>(n);
-  payload.indices = compress::topk_indices(values, n / 8);
-  payload.values = compress::gather(values, payload.indices);
+  compress::topk_indices_into(values, n / 8, payload.indices);
+  compress::gather_into(values, payload.indices, payload.values);
+  warm.vector_length = static_cast<std::uint32_t>(2 * n);
+  compress::topk_indices_into(warm_values, n, warm.indices);
+  compress::gather_into(warm_values, warm.indices, warm.values);
 
-  core::Arena arena;
-  for (const auto index_encoding :
-       {core::IndexEncoding::kEliasGamma, core::IndexEncoding::kRaw}) {
-    for (const auto value_encoding :
+  std::vector<core::PayloadOptions> modes{
+      {core::IndexEncoding::kSeed, core::ValueEncoding::kXorCodec, 0xFEEDu}};
+  for (const auto index : {core::IndexEncoding::kEliasGamma,
+                           core::IndexEncoding::kRaw}) {
+    for (const auto value :
          {core::ValueEncoding::kXorCodec, core::ValueEncoding::kRaw}) {
-      core::PayloadOptions options{index_encoding, value_encoding, 0};
-      const core::EncodedPayload legacy = core::encode_payload(payload, options);
-
-      net::ByteWriter writer;
-      compress::BitWriter bits;
-      const std::size_t metadata =
-          core::encode_payload_into(payload, options, writer, bits);
-      EXPECT_EQ(legacy.body, writer.buffer());
-      EXPECT_EQ(legacy.metadata_bytes, metadata);
-
-      const core::SparsePayload legacy_decoded = core::decode_payload(legacy.body);
-      core::SparsePayload decoded;
-      arena.reset();
-      core::decode_payload_into(legacy.body, decoded, arena);
-      EXPECT_EQ(legacy_decoded.vector_length, decoded.vector_length);
-      EXPECT_EQ(legacy_decoded.indices, decoded.indices);
-      EXPECT_EQ(legacy_decoded.values, decoded.values);
+      modes.push_back({index, value, 0});
     }
   }
+  for (const core::PayloadOptions& options : modes) {
+    SCOPED_TRACE(static_cast<int>(options.index_encoding) * 10 +
+                 static_cast<int>(options.value_encoding));
+    net::ByteWriter fresh_body, warm_body;
+    compress::BitWriter fresh_bits, dirty_bits;
+    core::Arena fresh_arena, dirty_arena;
+    core::SparsePayload fresh, dirty;
+    const std::size_t fresh_meta =
+        core::encode_payload_into(payload, options, fresh_body, fresh_bits);
+    core::decode_payload_into(fresh_body.buffer(), fresh, fresh_arena);
+    // Warm the bit scratch, the body buffer (recycled, as make_message's
+    // pooled writer is) and the decoded vectors on the larger payload.
+    core::encode_payload_into(warm, options, warm_body, dirty_bits);
+    core::decode_payload_into(warm_body.buffer(), dirty, dirty_arena);
+    soil(dirty_arena);
+    net::ByteWriter dirty_body(std::move(warm_body).take());
+    EXPECT_EQ(fresh_meta, core::encode_payload_into(payload, options,
+                                                    dirty_body, dirty_bits));
+    EXPECT_EQ(fresh_body.buffer(), dirty_body.buffer());
+    core::decode_payload_into(dirty_body.buffer(), dirty, dirty_arena);
+    EXPECT_EQ(fresh.vector_length, dirty.vector_length);
+    EXPECT_EQ(fresh.indices, dirty.indices);
+    EXPECT_EQ(fresh.values, dirty.values);
+  }
 
-  // Seed-coded payloads regenerate indices through the arena path.
-  core::PayloadOptions seed_options;
-  seed_options.index_encoding = core::IndexEncoding::kSeed;
-  seed_options.seed = 0xFEEDu;
-  core::SparsePayload seeded;
-  seeded.vector_length = static_cast<std::uint32_t>(n);
-  seeded.indices = compress::random_indices(n, n / 8, 0xFEEDu);
-  seeded.values = compress::gather(values, seeded.indices);
-  const auto legacy = core::encode_payload(seeded, seed_options);
-  const auto legacy_decoded = core::decode_payload(legacy.body);
-  core::SparsePayload decoded;
-  arena.reset();
-  core::decode_payload_into(legacy.body, decoded, arena);
-  EXPECT_EQ(legacy_decoded.indices, decoded.indices);
-  EXPECT_EQ(legacy_decoded.values, decoded.values);
-
-  // Pooled make_message produces the same bytes as the legacy one.
-  net::BufferPool pool;
-  compress::BitWriter bits;
-  const net::Message legacy_msg = core::make_message(3, 7, payload, {});
-  const net::Message pooled_msg =
-      core::make_message(3, 7, payload, {}, pool, bits);
-  EXPECT_EQ(legacy_msg.metadata_bytes, pooled_msg.metadata_bytes);
-  ASSERT_EQ(legacy_msg.body.size(), pooled_msg.body.size());
-  const auto a = legacy_msg.body.span();
-  const auto b = pooled_msg.body.span();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  // Pooled make_message on a pool holding a larger recycled body.
+  net::BufferPool fresh_pool, dirty_pool;
+  compress::BitWriter fresh_bits, dirty_bits;
+  const net::Message fresh =
+      core::make_message(3, 7, payload, {}, fresh_pool, fresh_bits);
+  (void)core::make_message(0, 0, warm, {}, dirty_pool, dirty_bits);
+  const net::Message dirty =
+      core::make_message(3, 7, payload, {}, dirty_pool, dirty_bits);
+  EXPECT_EQ(fresh.metadata_bytes, dirty.metadata_bytes);
+  EXPECT_TRUE(std::ranges::equal(fresh.body.span(), dirty.body.span()));
 }
 
 // --- Arena-backed engine runs stay byte-identical --------------------------

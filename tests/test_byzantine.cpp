@@ -56,44 +56,51 @@ std::vector<core::WeightedContribution> contribs(
   return out;
 }
 
+// Unit cases share one scratch arena; the rules allocate their temporaries
+// from it.
+class RobustAggUnit : public ::testing::Test {
+ protected:
+  core::Arena arena;
+};
+
 // --- (c) unit properties: exact kNone reduction ---------------------------
 
-TEST(RobustAggUnit, NoneMatchesPartialAverageBitForBit) {
+TEST_F(RobustAggUnit, NoneMatchesPartialAverageBitForBit) {
   const auto p1 = dense_payload({1.0f, 2.0f, 3.0f, 4.0f});
   const auto p2 = sparse_payload(4, {1, 3}, {10.0f, -2.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   std::vector<float> legacy = {0.5f, -0.5f, 1.5f, 2.5f};
   std::vector<float> robust = legacy;
-  core::partial_average(legacy, 0.5, c);
+  core::partial_average(legacy, 0.5, c, arena);
   core::RobustAggConfig none;  // kind = kNone
-  core::robust_partial_average(none, robust, 0.5, c, {});
+  core::robust_partial_average(none, robust, 0.5, c, {}, arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
 }
 
-TEST(RobustAggUnit, NoneMatchesScaledPartialAverageBitForBit) {
+TEST_F(RobustAggUnit, NoneMatchesScaledPartialAverageBitForBit) {
   const auto p1 = dense_payload({1.0f, 2.0f, 3.0f, 4.0f});
   const auto p2 = dense_payload({-1.0f, 0.0f, 1.0f, 2.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   const std::vector<double> scales = {1.0, 0.5};
   std::vector<float> legacy = {0.5f, -0.5f, 1.5f, 2.5f};
   std::vector<float> robust = legacy;
-  core::partial_average(legacy, 0.5, c, std::span<const double>(scales));
+  core::partial_average(legacy, 0.5, c, std::span<const double>(scales),
+                        arena);
   core::RobustAggConfig none;
   core::robust_partial_average(none, robust, 0.5, c,
-                               std::span<const double>(scales));
+                               std::span<const double>(scales), arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
 }
 
-TEST(RobustAggUnit, NoneAccumulateMatchesManualWeightedSum) {
+TEST_F(RobustAggUnit, NoneAccumulateMatchesManualWeightedSum) {
   const auto p1 = dense_payload({1.0f, -2.0f, 3.0f});
   const auto p2 = sparse_payload(3, {0, 2}, {4.0f, -8.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   std::vector<float> acc = {10.0f, 20.0f, 30.0f};
-  core::Arena arena;
   core::RobustAggConfig none;
   core::robust_accumulate_diffs(none, acc, c, arena);
   EXPECT_FLOAT_EQ(acc[0], 10.0f + 0.25f * 1.0f + 0.25f * 4.0f);
@@ -103,7 +110,7 @@ TEST(RobustAggUnit, NoneAccumulateMatchesManualWeightedSum) {
 
 // --- (c) unit properties: median ------------------------------------------
 
-TEST(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
+TEST_F(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
   // Suppliers per coordinate: own, p1, p2 (odd count) — the median must be
   // the middle *value*, regardless of how lopsided the weights are.
   const auto p1 = dense_payload({100.0f, -100.0f});
@@ -112,22 +119,22 @@ TEST(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
   std::vector<float> own = {1.0f, 5.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 2.0f);   // median of {1, 100, 2}
   EXPECT_FLOAT_EQ(own[1], 3.0f);   // median of {5, -100, 3}
 }
 
-TEST(RobustAggUnit, MedianEvenCountAveragesMiddleTwo) {
+TEST_F(RobustAggUnit, MedianEvenCountAveragesMiddleTwo) {
   const auto p1 = dense_payload({8.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &p1}};
   std::vector<float> own = {2.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 5.0f);  // mean of {2, 8}
 }
 
-TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
+TEST_F(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
   // A sparse contribution covers only index 1; index 0's supplier list is
   // just `own` (m == 1), which the robust rules leave bit-identical.
   const auto p1 = sparse_payload(2, {1}, {9.0f});
@@ -135,14 +142,14 @@ TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
   std::vector<float> own = {3.25f, 1.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_EQ(own[0], 3.25f);
   EXPECT_FLOAT_EQ(own[1], 5.0f);
 }
 
 // --- (c) unit properties: trimmed mean ------------------------------------
 
-TEST(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
+TEST_F(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
   // Suppliers: own=0 (w 0.4), and four contributions 1..4 (w 0.15 each).
   // f = 0.2, m = 5 -> t = 1: drop the min (own, 0) and max (4); survivors
   // {1, 2, 3} weighted-average with renormalized weights (all equal 0.15,
@@ -157,12 +164,12 @@ TEST(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.2;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.4, c, {}, &counters);
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena, &counters);
   EXPECT_FLOAT_EQ(own[0], 2.0f);
   EXPECT_EQ(counters.trimmed_entries, 2u);  // one per end, one coordinate
 }
 
-TEST(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
+TEST_F(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
   // Survivors with unequal weights: own=2 (w 0.6) and p2=4 (w 0.2) survive
   // after trimming min/max; weighted mean = (0.6*2 + 0.2*4) / 0.8 = 2.5.
   const auto p1 = dense_payload({-100.0f});
@@ -173,11 +180,11 @@ TEST(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1
-  core::robust_partial_average(cfg, own, 0.6, c, {});
+  core::robust_partial_average(cfg, own, 0.6, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 2.5f);
 }
 
-TEST(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
+TEST_F(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
   // f = 0.49 with m = 5 gives floor(2.45) = 2 = (5-1)/2: exactly one
   // survivor (the median entry) remains.
   const auto p1 = dense_payload({10.0f});
@@ -189,11 +196,11 @@ TEST(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.49;
-  core::robust_partial_average(cfg, own, 0.2, c, {});
+  core::robust_partial_average(cfg, own, 0.2, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 25.0f);  // the median survivor is own itself
 }
 
-TEST(RobustAggUnit, TrimFractionMonotonicity) {
+TEST_F(RobustAggUnit, TrimFractionMonotonicity) {
   // One gross outlier among 9 suppliers: as the trim fraction grows the
   // estimate moves monotonically toward the honest mean, and the trimmed-
   // entry counter grows monotonically too.
@@ -213,7 +220,7 @@ TEST(RobustAggUnit, TrimFractionMonotonicity) {
     cfg.kind = core::RobustAggKind::kTrimmedMean;
     cfg.trim_fraction = f;
     core::RobustAggCounters counters;
-    core::robust_partial_average(cfg, own, 0.2, c, {}, &counters);
+    core::robust_partial_average(cfg, own, 0.2, c, {}, arena, &counters);
     const double error = std::abs(own[0] - honest_mean);
     EXPECT_LE(error, previous_error) << "f=" << f;
     EXPECT_GE(counters.trimmed_entries, previous_trimmed) << "f=" << f;
@@ -225,7 +232,7 @@ TEST(RobustAggUnit, TrimFractionMonotonicity) {
 
 // --- (c) unit properties: bounded output under a single outlier -----------
 
-TEST(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
+TEST_F(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
   const auto honest1 = dense_payload({1.0f, -1.0f});
   const auto honest2 = dense_payload({2.0f, -2.0f});
   const auto outlier = dense_payload({1e6f, -1e6f});
@@ -233,11 +240,11 @@ TEST(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
   std::vector<float> own = {0.5f, -0.5f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.4, c, {});
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
-TEST(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
+TEST_F(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
   const auto honest1 = dense_payload({1.0f, -1.0f});
   const auto honest2 = dense_payload({2.0f, -2.0f});
   const auto outlier = dense_payload({-1e6f, 1e6f});
@@ -246,11 +253,11 @@ TEST(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1: the outlier is trimmed
-  core::robust_partial_average(cfg, own, 0.4, c, {});
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
-TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
+TEST_F(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
   const auto outlier = dense_payload({100.0f, 0.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &outlier}};
   std::vector<float> own = {0.0f, 0.0f};
@@ -258,7 +265,7 @@ TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 2.0;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, &counters);
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
   // Clipped contribution: own + 2/100 * (z - own) = (2, 0); the 50/50
   // average with own (0, 0) gives (1, 0).
   EXPECT_FLOAT_EQ(own[0], 1.0f);
@@ -266,7 +273,7 @@ TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
   EXPECT_EQ(counters.clipped_contributions, 1u);
 }
 
-TEST(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
+TEST_F(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
   const auto p1 = dense_payload({0.25f, -0.125f});
   const auto p2 = sparse_payload(2, {0}, {0.5f});
   const auto c = contribs({&p1, &p2}, 0.25);
@@ -276,8 +283,8 @@ TEST(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 10.0;  // nothing deviates this far
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, clipped, 0.5, c, {}, &counters);
-  core::partial_average(legacy, 0.5, c);
+  core::robust_partial_average(cfg, clipped, 0.5, c, {}, arena, &counters);
+  core::partial_average(legacy, 0.5, c, arena);
   EXPECT_EQ(counters.clipped_contributions, 0u);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], clipped[i]) << i;
@@ -292,6 +299,7 @@ class RobustPermutation
 TEST_P(RobustPermutation, ContributionOrderDoesNotChangeTheResult) {
   // Distinct values per coordinate so the value-sort is canonical; the
   // order the contributions arrive in must not matter.
+  core::Arena arena;
   const auto p1 = dense_payload({1.0f, 7.0f, -3.0f});
   const auto p2 = dense_payload({4.0f, -2.0f, 5.0f});
   const auto p3 = dense_payload({-6.0f, 3.0f, 1.0f});
@@ -306,8 +314,8 @@ TEST_P(RobustPermutation, ContributionOrderDoesNotChangeTheResult) {
   cfg.clip_norm = 3.0;
   std::vector<float> a = {0.5f, 0.25f, -0.75f};
   std::vector<float> b = a;
-  core::robust_partial_average(cfg, a, 0.3, forward, {});
-  core::robust_partial_average(cfg, b, 0.3, reversed, {});
+  core::robust_partial_average(cfg, a, 0.3, forward, {}, arena);
+  core::robust_partial_average(cfg, b, 0.3, reversed, {}, arena);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-6) << i;
   }
@@ -346,7 +354,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- (c) unit properties: diff-space rules (the CHOCO path) ---------------
 
-TEST(RobustAggUnit, DiffMedianScalesBySummedSupplierWeight) {
+TEST_F(RobustAggUnit, DiffMedianScalesBySummedSupplierWeight) {
   // Median of {1, 5, 9} is 5; W = 0.2 + 0.3 + 0.1 = 0.6 -> acc += 3.
   const auto p1 = dense_payload({1.0f});
   const auto p2 = dense_payload({5.0f});
@@ -354,14 +362,13 @@ TEST(RobustAggUnit, DiffMedianScalesBySummedSupplierWeight) {
   std::vector<core::WeightedContribution> c = {
       {0.2, &p1}, {0.3, &p2}, {0.1, &p3}};
   std::vector<float> acc = {10.0f};
-  core::Arena arena;
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
   core::robust_accumulate_diffs(cfg, acc, c, arena);
   EXPECT_FLOAT_EQ(acc[0], 13.0f);
 }
 
-TEST(RobustAggUnit, DiffTrimmedMeanSuppressesOutlierDiff) {
+TEST_F(RobustAggUnit, DiffTrimmedMeanSuppressesOutlierDiff) {
   // Four equal-weight diffs, one huge: f = 0.25 -> t = 1 trims the min and
   // the max; survivors {2, 3} average to 2.5, W = 0.4 -> acc += 1.
   const auto p1 = dense_payload({2.0f});
@@ -370,7 +377,6 @@ TEST(RobustAggUnit, DiffTrimmedMeanSuppressesOutlierDiff) {
   const auto p4 = dense_payload({1e6f});
   const auto c = contribs({&p1, &p2, &p3, &p4}, 0.1);
   std::vector<float> acc = {0.0f};
-  core::Arena arena;
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;
@@ -380,12 +386,11 @@ TEST(RobustAggUnit, DiffTrimmedMeanSuppressesOutlierDiff) {
   EXPECT_EQ(counters.trimmed_entries, 2u);
 }
 
-TEST(RobustAggUnit, DiffNormClipShrinksLargeDiffs) {
+TEST_F(RobustAggUnit, DiffNormClipShrinksLargeDiffs) {
   // ||(3, 4)|| = 5 > 1 -> shrunk by 1/5 to (0.6, 0.8), weight 0.5.
   const auto big = dense_payload({3.0f, 4.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &big}};
   std::vector<float> acc = {0.0f, 0.0f};
-  core::Arena arena;
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 1.0;
@@ -396,7 +401,7 @@ TEST(RobustAggUnit, DiffNormClipShrinksLargeDiffs) {
   EXPECT_EQ(counters.clipped_contributions, 1u);
 }
 
-TEST(RobustAggUnit, CountersAccumulateAcrossCalls) {
+TEST_F(RobustAggUnit, CountersAccumulateAcrossCalls) {
   const auto outlier = dense_payload({100.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &outlier}};
   core::RobustAggConfig cfg;
@@ -405,29 +410,28 @@ TEST(RobustAggUnit, CountersAccumulateAcrossCalls) {
   core::RobustAggCounters counters;
   for (int i = 0; i < 3; ++i) {
     std::vector<float> own = {0.0f};
-    core::robust_partial_average(cfg, own, 0.5, c, {}, &counters);
+    core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
   }
   EXPECT_EQ(counters.clipped_contributions, 3u);
 }
 
-TEST(RobustAggUnit, MalformedContributionsThrow) {
+TEST_F(RobustAggUnit, MalformedContributionsThrow) {
   const auto wrong_length = dense_payload({1.0f, 2.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &wrong_length}};
   std::vector<float> own = {0.0f, 0.0f, 0.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, {}),
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, {}, arena),
                std::invalid_argument);
   auto bad_index = sparse_payload(3, {7}, {1.0f});
   std::vector<core::WeightedContribution> c2 = {{0.5, &bad_index}};
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, {}),
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, {}, arena),
                std::out_of_range);
-  core::Arena arena;
   EXPECT_THROW(core::robust_accumulate_diffs(cfg, own, c, arena),
                std::invalid_argument);
 }
 
-TEST(RobustAggUnit, RuleNamesAreStable) {
+TEST_F(RobustAggUnit, RuleNamesAreStable) {
   EXPECT_STREQ(core::robust_agg_name(core::RobustAggKind::kNone), "none");
   EXPECT_STREQ(core::robust_agg_name(core::RobustAggKind::kTrimmedMean),
                "trimmed_mean");

@@ -112,26 +112,33 @@ TEST(EliasGamma, RandomStreamRoundTrip) {
 
 TEST(IndexGaps, RoundTripIncludingZeroFirstIndex) {
   const std::vector<std::uint32_t> indices{0, 1, 5, 6, 100, 101, 4096};
-  const auto bytes = encode_index_gaps(indices);
-  const auto back = decode_index_gaps(bytes, indices.size());
+  BitWriter w;
+  encode_index_gaps(indices, w);
+  std::vector<std::uint32_t> back;
+  decode_index_gaps_into(w.bytes(), indices.size(), back);
   EXPECT_EQ(back, indices);
 }
 
 TEST(IndexGaps, EmptyArray) {
-  const auto bytes = encode_index_gaps({});
-  EXPECT_TRUE(bytes.empty());
-  EXPECT_TRUE(decode_index_gaps(bytes, 0).empty());
+  BitWriter w;
+  encode_index_gaps({}, w);
+  EXPECT_TRUE(w.bytes().empty());
+  std::vector<std::uint32_t> back{7};
+  decode_index_gaps_into(w.bytes(), 0, back);
+  EXPECT_TRUE(back.empty());
 }
 
 TEST(IndexGaps, NonMonotonicThrows) {
+  BitWriter w;
   const std::vector<std::uint32_t> bad{3, 3};
-  EXPECT_THROW(encode_index_gaps(bad), std::invalid_argument);
+  EXPECT_THROW(encode_index_gaps(bad, w), std::invalid_argument);
   const std::vector<std::uint32_t> bad2{5, 2};
-  EXPECT_THROW(encode_index_gaps(bad2), std::invalid_argument);
+  EXPECT_THROW(encode_index_gaps(bad2, w), std::invalid_argument);
 }
 
 TEST(IndexGaps, SizeEstimatorMatchesActual) {
   std::mt19937 rng(7);
+  BitWriter w;
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<std::uint32_t> indices;
     std::uint32_t cur = rng() % 5;
@@ -139,8 +146,9 @@ TEST(IndexGaps, SizeEstimatorMatchesActual) {
       indices.push_back(cur);
       cur += 1 + rng() % 50;
     }
-    EXPECT_EQ(index_gaps_encoded_size(indices),
-              encode_index_gaps(indices).size());
+    w.clear();
+    encode_index_gaps(indices, w);
+    EXPECT_EQ(index_gaps_encoded_size(indices), w.bytes().size());
   }
 }
 
@@ -154,17 +162,36 @@ TEST(IndexGaps, DenseIndicesCompressWell) {
     cur += 1 + rng() % 3;
     indices.push_back(cur);
   }
-  const auto bytes = encode_index_gaps(indices);
-  EXPECT_LT(bytes.size() * 4, indices.size() * 4);  // > 4x better than raw
+  BitWriter w;
+  encode_index_gaps(indices, w);
+  EXPECT_LT(w.bytes().size() * 4, indices.size() * 4);  // > 4x better than raw
+}
+
+TEST(IndexGaps, WireCountBoundedByStreamBeforeReserve) {
+  // Every gap code is at least one bit, so a count above the stream's bit
+  // length cannot be honest; it must throw before `out` reserves anything.
+  const std::vector<std::uint8_t> bytes(10, 0xFF);
+  std::vector<std::uint32_t> out;
+  EXPECT_THROW(decode_index_gaps_into(bytes, 0xFFFFFFFFu, out),
+               std::runtime_error);
+  EXPECT_LE(out.capacity(), bytes.size());
+  EXPECT_THROW(decode_index_gaps_into(bytes, 8 * bytes.size() + 1, out),
+               std::runtime_error);
+  EXPECT_LE(out.capacity(), bytes.size());
 }
 
 class IndexGapsSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(IndexGapsSweep, RandomSubsetsRoundTrip) {
   const std::size_t k = GetParam();
-  const auto indices = random_indices(100000, k, /*seed=*/k * 977 + 1);
-  const auto bytes = encode_index_gaps(indices);
-  EXPECT_EQ(decode_index_gaps(bytes, indices.size()), indices);
+  core::Arena arena;
+  std::vector<std::uint32_t> indices;
+  random_indices_into(100000, k, /*seed=*/k * 977 + 1, indices, arena);
+  BitWriter w;
+  encode_index_gaps(indices, w);
+  std::vector<std::uint32_t> back;
+  decode_index_gaps_into(w.bytes(), indices.size(), back);
+  EXPECT_EQ(back, indices);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IndexGapsSweep,
@@ -172,24 +199,33 @@ INSTANTIATE_TEST_SUITE_P(Sizes, IndexGapsSweep,
 
 // -------------------------------------------------------------- float codec
 
+// Encodes `vals` with the dispatching encoder and decodes them back.
+std::vector<float> round_trip(std::span<const float> vals, BitWriter& w) {
+  w.clear();
+  compress_floats(vals, w);
+  std::vector<float> back;
+  decompress_floats_into(w.bytes(), vals.size(), back);
+  return back;
+}
+
 TEST(FloatCodec, EmptyStream) {
-  EXPECT_TRUE(compress_floats({}).empty());
-  EXPECT_TRUE(decompress_floats({}, 0).empty());
+  BitWriter w;
+  EXPECT_TRUE(round_trip({}, w).empty());
+  EXPECT_TRUE(w.bytes().empty());
 }
 
 TEST(FloatCodec, SingleValue) {
   const std::vector<float> vals{3.14159f};
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, 1);
-  EXPECT_EQ(back, vals);
+  BitWriter w;
+  EXPECT_EQ(round_trip(vals, w), vals);
 }
 
 TEST(FloatCodec, ConstantRunIsTiny) {
   const std::vector<float> vals(1000, 1.5f);
-  const auto bytes = compress_floats(vals);
+  BitWriter w;
+  EXPECT_EQ(round_trip(vals, w), vals);
   // First value: 32 bits; every repeat: 1 bit -> ~129 bytes total.
-  EXPECT_LT(bytes.size(), 160u);
-  EXPECT_EQ(decompress_floats(bytes, vals.size()), vals);
+  EXPECT_LT(w.bytes().size(), 160u);
 }
 
 TEST(FloatCodec, SpecialValuesAreLossless) {
@@ -199,8 +235,8 @@ TEST(FloatCodec, SpecialValuesAreLossless) {
       std::numeric_limits<float>::denorm_min(),
       std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
       1e-38f, -1e38f};
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, vals.size());
+  BitWriter w;
+  const auto back = round_trip(vals, w);
   ASSERT_EQ(back.size(), vals.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     // Bit-exact comparison (covers -0.0 vs 0.0).
@@ -212,9 +248,24 @@ TEST(FloatCodec, SpecialValuesAreLossless) {
 TEST(FloatCodec, NanPreservedBitExact) {
   const float nan1 = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> vals{1.0f, nan1, 2.0f};
-  const auto back = decompress_floats(compress_floats(vals), vals.size());
+  BitWriter w;
+  const auto back = round_trip(vals, w);
   EXPECT_EQ(std::bit_cast<std::uint32_t>(back[1]),
             std::bit_cast<std::uint32_t>(nan1));
+}
+
+TEST(FloatCodec, WireCountBoundedByStreamBeforeReserve) {
+  // Both decoder tiers: a count the stream cannot hold (every value costs
+  // at least one bit) throws before `out` reserves anything.
+  const std::vector<std::uint8_t> bytes(10, 0xFF);
+  for (auto* decode : {&decompress_floats_into_scalar,
+                       &decompress_floats_into_fast}) {
+    std::vector<float> out;
+    EXPECT_THROW(decode(bytes, 0xFFFFFFFFu, out), std::runtime_error);
+    EXPECT_LE(out.capacity(), bytes.size());
+    EXPECT_THROW(decode(bytes, 8 * bytes.size() + 1, out), std::runtime_error);
+    EXPECT_LE(out.capacity(), bytes.size());
+  }
 }
 
 class FloatCodecSweep : public ::testing::TestWithParam<unsigned> {};
@@ -224,8 +275,8 @@ TEST_P(FloatCodecSweep, RandomStreamsRoundTripLosslessly) {
   std::normal_distribution<float> dist(0.0f, 2.0f);
   std::vector<float> vals(1537);
   for (float& v : vals) v = dist(rng);
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, vals.size());
+  BitWriter w;
+  const auto back = round_trip(vals, w);
   ASSERT_EQ(back.size(), vals.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
@@ -242,9 +293,9 @@ TEST(FloatCodec, CorrelatedStreamCompresses) {
   for (std::size_t i = 0; i < vals.size(); ++i) {
     vals[i] = 0.5f + 1e-4f * static_cast<float>(i % 97);
   }
-  const auto bytes = compress_floats(vals);
-  EXPECT_LT(bytes.size(), vals.size() * 4 * 8 / 10);  // >= 20% saving
-  EXPECT_EQ(decompress_floats(bytes, vals.size()), vals);
+  BitWriter w;
+  EXPECT_EQ(round_trip(vals, w), vals);
+  EXPECT_LT(w.bytes().size(), vals.size() * 4 * 8 / 10);  // >= 20% saving
 }
 
 TEST(FloatCodec, SizeEstimatorMatches) {
@@ -252,14 +303,17 @@ TEST(FloatCodec, SizeEstimatorMatches) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> vals(777);
   for (float& v : vals) v = dist(rng);
-  EXPECT_EQ(compressed_floats_size(vals), compress_floats(vals).size());
+  BitWriter w;
+  compress_floats(vals, w);
+  EXPECT_EQ(compressed_floats_size(vals), w.bytes().size());
 }
 
 // --------------------------------------------------------------------- topk
 
 TEST(TopK, SelectsLargestMagnitudes) {
   const std::vector<float> v{0.1f, -5.0f, 3.0f, -0.2f, 4.0f};
-  const auto idx = topk_indices(v, 2);
+  std::vector<std::uint32_t> idx;
+  topk_indices_into(v, 2, idx);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{1, 4}));
 }
 
@@ -268,7 +322,8 @@ TEST(TopK, SortedAscendingOutput) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> v(500);
   for (float& x : v) x = dist(rng);
-  const auto idx = topk_indices(v, 50);
+  std::vector<std::uint32_t> idx;
+  topk_indices_into(v, 50, idx);
   EXPECT_TRUE(std::is_sorted(idx.begin(), idx.end()));
   EXPECT_EQ(idx.size(), 50u);
 }
@@ -279,7 +334,8 @@ TEST(TopK, ThresholdProperty) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> v(200);
   for (float& x : v) x = dist(rng);
-  const auto idx = topk_indices(v, 40);
+  std::vector<std::uint32_t> idx;
+  topk_indices_into(v, 40, idx);
   std::vector<bool> selected(v.size(), false);
   float min_selected = std::numeric_limits<float>::infinity();
   for (auto i : idx) {
@@ -295,18 +351,23 @@ TEST(TopK, ThresholdProperty) {
 
 TEST(TopK, KLargerThanNReturnsAll) {
   const std::vector<float> v{1.0f, 2.0f};
-  const auto idx = topk_indices(v, 10);
+  std::vector<std::uint32_t> idx;
+  topk_indices_into(v, 10, idx);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(TopK, ZeroKReturnsEmpty) {
   const std::vector<float> v{1.0f, 2.0f};
-  EXPECT_TRUE(topk_indices(v, 0).empty());
+  std::vector<std::uint32_t> idx{9};
+  topk_indices_into(v, 0, idx);
+  EXPECT_TRUE(idx.empty());
 }
 
 TEST(RandomIndices, DistinctSortedDeterministic) {
-  const auto a = random_indices(1000, 100, 42);
-  const auto b = random_indices(1000, 100, 42);
+  core::Arena arena;
+  std::vector<std::uint32_t> a, b;
+  random_indices_into(1000, 100, 42, a, arena);
+  random_indices_into(1000, 100, 42, b, arena);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 100u);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
@@ -315,13 +376,17 @@ TEST(RandomIndices, DistinctSortedDeterministic) {
 }
 
 TEST(RandomIndices, DifferentSeedsDiffer) {
-  const auto a = random_indices(1000, 100, 1);
-  const auto b = random_indices(1000, 100, 2);
+  core::Arena arena;
+  std::vector<std::uint32_t> a, b;
+  random_indices_into(1000, 100, 1, a, arena);
+  random_indices_into(1000, 100, 2, b, arena);
   EXPECT_NE(a, b);
 }
 
 TEST(RandomIndices, FullSelection) {
-  const auto a = random_indices(10, 10, 3);
+  core::Arena arena;
+  std::vector<std::uint32_t> a;
+  random_indices_into(10, 10, 3, a, arena);
   EXPECT_EQ(a.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(a[i], i);
 }
@@ -330,8 +395,12 @@ TEST(RandomIndices, RoughlyUniformCoverage) {
   // Across many seeds, each position should be picked ~k/n of the time.
   const std::size_t n = 50, k = 10, trials = 2000;
   std::vector<std::size_t> hits(n, 0);
+  core::Arena arena;
+  std::vector<std::uint32_t> picked;
   for (std::size_t s = 0; s < trials; ++s) {
-    for (auto i : random_indices(n, k, s)) ++hits[i];
+    arena.reset();
+    random_indices_into(n, k, s, picked, arena);
+    for (auto i : picked) ++hits[i];
   }
   const double expected = static_cast<double>(trials) * k / n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -343,7 +412,8 @@ TEST(RandomIndices, RoughlyUniformCoverage) {
 TEST(GatherScatter, RoundTrip) {
   const std::vector<float> dense{0, 10, 20, 30, 40};
   const std::vector<std::uint32_t> idx{1, 3};
-  const auto vals = gather(dense, idx);
+  std::vector<float> vals;
+  gather_into(dense, idx, vals);
   EXPECT_EQ(vals, (std::vector<float>{10, 30}));
   std::vector<float> out(5, -1.0f);
   scatter(out, idx, vals);
@@ -353,8 +423,8 @@ TEST(GatherScatter, RoundTrip) {
 TEST(GatherScatter, BoundsChecked) {
   const std::vector<float> dense{1.0f};
   const std::vector<std::uint32_t> bad{5};
-  EXPECT_THROW(gather(dense, bad), std::out_of_range);
   std::vector<float> out(1);
+  EXPECT_THROW(gather_into(dense, bad, out), std::out_of_range);
   const std::vector<float> vals{1.0f};
   EXPECT_THROW(scatter(out, bad, vals), std::out_of_range);
   const std::vector<std::uint32_t> idx{0};

@@ -8,6 +8,7 @@
 #include "core/ranker.hpp"
 #include "core/sparse_payload.hpp"
 #include "compress/topk.hpp"
+#include "net/serializer.hpp"
 
 namespace jwins::core {
 namespace {
@@ -65,15 +66,17 @@ WaveletRanker::Options identity_options() {
 
 TEST(WaveletRanker, IdentityTransformAccumulates) {
   WaveletRanker ranker(4, identity_options());
+  Arena arena;
+  dwt::DwtWorkspace ws;
   const std::vector<float> x0{0, 0, 0, 0};
   const std::vector<float> x1{1, -2, 0, 3};
-  auto scores = ranker.accumulate_round_change(x0, x1);
+  auto scores = ranker.accumulate_round_change(x0, x1, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 1.0f);
   EXPECT_FLOAT_EQ(scores[1], -2.0f);
   EXPECT_FLOAT_EQ(scores[3], 3.0f);
   // Second round accumulates on top (eq. 3).
   const std::vector<float> x2{2, -2, 0, 3};
-  scores = ranker.accumulate_round_change(x1, x2);
+  scores = ranker.accumulate_round_change(x1, x2, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 2.0f);
   EXPECT_FLOAT_EQ(scores[1], -2.0f);
 }
@@ -82,18 +85,26 @@ TEST(WaveletRanker, NoAccumulationClearsEachRound) {
   auto opt = identity_options();
   opt.use_accumulation = false;
   WaveletRanker ranker(3, opt);
-  ranker.accumulate_round_change(std::vector<float>{0, 0, 0}, std::vector<float>{5, 5, 5});
-  const auto scores = ranker.accumulate_round_change(std::vector<float>{5, 5, 5}, std::vector<float>{6, 5, 5});
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  ranker.accumulate_round_change(std::vector<float>{0, 0, 0},
+                                 std::vector<float>{5, 5, 5}, arena, ws);
+  const auto scores = ranker.accumulate_round_change(
+      std::vector<float>{5, 5, 5}, std::vector<float>{6, 5, 5}, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 1.0f);  // only this round's change
   EXPECT_FLOAT_EQ(scores[1], 0.0f);
 }
 
 TEST(WaveletRanker, FinishRoundResetsSentEntries) {
   WaveletRanker ranker(4, identity_options());
-  ranker.accumulate_round_change(std::vector<float>{0, 0, 0, 0}, std::vector<float>{1, 2, 3, 4});
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  ranker.accumulate_round_change(std::vector<float>{0, 0, 0, 0},
+                                 std::vector<float>{1, 2, 3, 4}, arena, ws);
   // Suppose averaging leaves the model unchanged; entries 1 and 3 were sent.
   const std::vector<std::uint32_t> sent{1, 3};
-  ranker.finish_round(std::vector<float>{1, 2, 3, 4}, std::vector<float>{1, 2, 3, 4}, sent);
+  ranker.finish_round(std::vector<float>{1, 2, 3, 4},
+                      std::vector<float>{1, 2, 3, 4}, sent, arena, ws);
   const auto scores = ranker.scores();
   EXPECT_FLOAT_EQ(scores[0], 1.0f);
   EXPECT_FLOAT_EQ(scores[1], 0.0f);  // reset
@@ -105,8 +116,13 @@ TEST(WaveletRanker, FinishRoundFoldsAveragingChange) {
   // Eq. (4): V_{t+1} = V_t + T(x^{t+1,0} - x^{t,0}) (then resets). With the
   // identity transform this is directly checkable.
   WaveletRanker ranker(2, identity_options());
-  ranker.accumulate_round_change(std::vector<float>{0, 0}, std::vector<float>{1, 1});  // V' = (1, 1)
-  ranker.finish_round(std::vector<float>{1, 1}, std::vector<float>{1.5, 0.5}, {});  // + (0.5, -0.5)
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  ranker.accumulate_round_change(std::vector<float>{0, 0},
+                                 std::vector<float>{1, 1}, arena,
+                                 ws);  // V' = (1, 1)
+  ranker.finish_round(std::vector<float>{1, 1}, std::vector<float>{1.5, 0.5},
+                      {}, arena, ws);  // + (0.5, -0.5)
   const auto scores = ranker.scores();
   EXPECT_FLOAT_EQ(scores[0], 1.5f);
   EXPECT_FLOAT_EQ(scores[1], 0.5f);
@@ -116,8 +132,10 @@ TEST(WaveletRanker, WaveletModeUsesTransformDomain) {
   WaveletRanker::Options opt;  // defaults: sym2, 4 levels, wavelet on
   WaveletRanker ranker(64, opt);
   EXPECT_EQ(ranker.coeff_length(), 64u);
+  Arena arena;
+  dwt::DwtWorkspace ws;
   std::vector<float> x0(64, 0.0f), x1(64, 1.0f);
-  const auto scores = ranker.accumulate_round_change(x0, x1);
+  const auto scores = ranker.accumulate_round_change(x0, x1, arena, ws);
   // Constant change -> only approximation-band coefficients are non-zero.
   double head = 0.0, tail = 0.0;
   for (std::size_t i = 0; i < 4; ++i) head += std::abs(scores[i]);
@@ -133,18 +151,25 @@ TEST(WaveletRanker, TransformInverseRoundTrip) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> x(100);
   for (float& v : x) v = dist(rng);
-  const auto coeffs = ranker.transform(x);
-  const auto back = ranker.inverse(coeffs);
+  dwt::DwtWorkspace ws;
+  std::vector<float> coeffs(ranker.coeff_length()), back(x.size());
+  ranker.transform_into(x, coeffs, ws);
+  ranker.inverse_into(coeffs, back, ws);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(back[i], x[i], 1e-4f);
 }
 
 TEST(WaveletRanker, SizeMismatchThrows) {
   WaveletRanker ranker(8, identity_options());
+  Arena arena;
+  dwt::DwtWorkspace ws;
   const std::vector<float> wrong(5, 0.0f);
   const std::vector<float> right(8, 0.0f);
-  EXPECT_THROW(ranker.accumulate_round_change(wrong, right), std::invalid_argument);
-  EXPECT_THROW(ranker.transform(wrong), std::invalid_argument);
-  EXPECT_THROW(ranker.finish_round(wrong, right, {}), std::invalid_argument);
+  std::vector<float> coeffs(ranker.coeff_length());
+  EXPECT_THROW(ranker.accumulate_round_change(wrong, right, arena, ws),
+               std::invalid_argument);
+  EXPECT_THROW(ranker.transform_into(wrong, coeffs, ws), std::invalid_argument);
+  EXPECT_THROW(ranker.finish_round(wrong, right, {}, arena, ws),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- payload
@@ -165,24 +190,27 @@ TEST_P(PayloadParam, EncodeDecodeRoundTrip) {
   options.value_encoding = value_mode;
   std::mt19937 rng(9);
   std::normal_distribution<float> dist(0.0f, 1.0f);
+  Arena arena;
   if (index_mode == IndexEncoding::kDense) {
     payload.values.resize(1000);
     for (float& v : payload.values) v = dist(rng);
-  } else if (index_mode == IndexEncoding::kSeed) {
-    options.seed = 424242;
-    payload.indices = compress::random_indices(1000, 100, options.seed);
-    payload.values = std::vector<float>(100);
-    for (float& v : payload.values) v = dist(rng);
   } else {
-    payload.indices = compress::random_indices(1000, 100, 7);
+    if (index_mode == IndexEncoding::kSeed) options.seed = 424242;
+    compress::random_indices_into(
+        1000, 100, index_mode == IndexEncoding::kSeed ? options.seed : 7,
+        payload.indices, arena);
     payload.values = std::vector<float>(100);
     for (float& v : payload.values) v = dist(rng);
   }
 
-  const EncodedPayload encoded = encode_payload(payload, options);
-  EXPECT_GT(encoded.metadata_bytes, 0u);
-  EXPECT_LT(encoded.metadata_bytes, encoded.body.size());
-  const SparsePayload back = decode_payload(encoded.body);
+  net::ByteWriter body;
+  compress::BitWriter bits;
+  const std::size_t metadata =
+      encode_payload_into(payload, options, body, bits);
+  EXPECT_GT(metadata, 0u);
+  EXPECT_LT(metadata, body.size());
+  SparsePayload back;
+  decode_payload_into(body.buffer(), back, arena);
   EXPECT_EQ(back.vector_length, payload.vector_length);
   EXPECT_EQ(back.values, payload.values);
   if (index_mode == IndexEncoding::kDense) {
@@ -203,62 +231,127 @@ INSTANTIATE_TEST_SUITE_P(
                       PayloadCase{IndexEncoding::kSeed, ValueEncoding::kRaw},
                       PayloadCase{IndexEncoding::kSeed, ValueEncoding::kXorCodec}));
 
-TEST(Payload, EliasMetadataMuchSmallerThanRaw) {
+// Encode/decode scratch shared by the payload cases.
+class Payload : public ::testing::Test {
+ protected:
+  net::ByteWriter body;
+  compress::BitWriter bits;
+  Arena arena;
+};
+
+TEST_F(Payload, EliasMetadataMuchSmallerThanRaw) {
   SparsePayload payload;
   payload.vector_length = 100000;
-  payload.indices = compress::random_indices(100000, 30000, 3);
+  compress::random_indices_into(100000, 30000, 3, payload.indices, arena);
   payload.values.assign(30000, 1.0f);
   PayloadOptions elias;
   elias.index_encoding = IndexEncoding::kEliasGamma;
   elias.value_encoding = ValueEncoding::kRaw;
   PayloadOptions raw = elias;
   raw.index_encoding = IndexEncoding::kRaw;
-  const auto e = encode_payload(payload, elias);
-  const auto r = encode_payload(payload, raw);
+  net::ByteWriter e_body, r_body;
+  const std::size_t e = encode_payload_into(payload, elias, e_body, bits);
+  const std::size_t r = encode_payload_into(payload, raw, r_body, bits);
   // Figure 9: Elias gamma shrinks the metadata by roughly an order of
   // magnitude relative to 4-byte raw indices for dense-ish selections.
-  EXPECT_LT(e.metadata_bytes * 5, r.metadata_bytes);
+  EXPECT_LT(e * 5, r);
 }
 
-TEST(Payload, SeedMetadataIsConstantSize) {
+TEST_F(Payload, SeedMetadataIsConstantSize) {
   SparsePayload payload;
   payload.vector_length = 50000;
   PayloadOptions options;
   options.index_encoding = IndexEncoding::kSeed;
   options.seed = 99;
   options.value_encoding = ValueEncoding::kRaw;
-  payload.indices = compress::random_indices(50000, 10000, 99);
+  compress::random_indices_into(50000, 10000, 99, payload.indices, arena);
   payload.values.assign(10000, 0.5f);
-  const auto encoded = encode_payload(payload, options);
   // header (2 + 4 + 4) + seed (8) = 18 bytes of metadata regardless of k.
-  EXPECT_EQ(encoded.metadata_bytes, 18u);
+  EXPECT_EQ(encode_payload_into(payload, options, body, bits), 18u);
 }
 
-TEST(Payload, MalformedDenseThrows) {
+TEST_F(Payload, MalformedDenseThrows) {
   SparsePayload payload;
   payload.vector_length = 10;
   payload.values.assign(5, 1.0f);  // wrong size for dense
   PayloadOptions options;
   options.index_encoding = IndexEncoding::kDense;
-  EXPECT_THROW(encode_payload(payload, options), std::invalid_argument);
+  EXPECT_THROW(encode_payload_into(payload, options, body, bits),
+               std::invalid_argument);
 }
 
-TEST(Payload, TruncatedBodyThrows) {
+TEST_F(Payload, SeedIndexValueMismatchThrows) {
+  // The seed regenerates the indices on the receiver, but a drawn index set
+  // passed along with the values must still align with them.
+  SparsePayload payload;
+  payload.vector_length = 10;
+  payload.indices = {1, 5, 7};
+  payload.values = {1.0f, 2.0f};
+  PayloadOptions options;
+  options.index_encoding = IndexEncoding::kSeed;
+  options.seed = 5;
+  EXPECT_THROW(encode_payload_into(payload, options, body, bits),
+               std::invalid_argument);
+  payload.indices.clear();  // values only: the seed alone carries the set
+  EXPECT_NO_THROW(encode_payload_into(payload, options, body, bits));
+}
+
+TEST_F(Payload, TruncatedBodyThrows) {
   SparsePayload payload;
   payload.vector_length = 10;
   payload.indices = {1, 5};
   payload.values = {1.0f, 2.0f};
-  const auto encoded = encode_payload(payload, {});
-  std::vector<std::uint8_t> cut(encoded.body.begin(), encoded.body.end() - 3);
-  EXPECT_THROW(decode_payload(cut), std::exception);
+  encode_payload_into(payload, {}, body, bits);
+  std::vector<std::uint8_t> cut(body.buffer().begin(), body.buffer().end() - 3);
+  SparsePayload back;
+  EXPECT_THROW(decode_payload_into(cut, back, arena), std::exception);
 }
 
-TEST(Payload, MakeMessageWiresAccounting) {
+TEST_F(Payload, WireCountBoundedBeforeDecode) {
+  // A hostile header claims 0xFFFFFFFF entries over a tiny body. Each index
+  // mode must reject it before any output buffer grows past the body size.
+  struct Row {
+    IndexEncoding mode;
+    std::uint32_t vector_length;
+  };
+  const Row rows[] = {
+      {IndexEncoding::kDense, 0xFFFFFFFFu},       // XOR value decoder bound
+      {IndexEncoding::kEliasGamma, 0xFFFFFFFFu},  // Elias index decoder bound
+      {IndexEncoding::kRaw, 0xFFFFFFFFu},         // raw array length check
+      {IndexEncoding::kSeed, 64},                 // count > vector_length
+  };
+  const std::vector<std::uint8_t> blob(8, 0xFF);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(static_cast<int>(row.mode));
+    body.clear();
+    body.write_u8(static_cast<std::uint8_t>(row.mode));
+    body.write_u8(static_cast<std::uint8_t>(ValueEncoding::kXorCodec));
+    body.write_u32(row.vector_length);
+    body.write_u32(0xFFFFFFFFu);
+    switch (row.mode) {
+      case IndexEncoding::kDense: break;
+      case IndexEncoding::kEliasGamma: body.write_bytes(blob); break;
+      case IndexEncoding::kRaw:
+        body.write_u32_array(std::vector<std::uint32_t>{1, 2});
+        break;
+      case IndexEncoding::kSeed: body.write_u64(7); break;
+    }
+    body.write_bytes(blob);
+    SparsePayload out;
+    EXPECT_THROW(decode_payload_into(body.buffer(), out, arena),
+                 std::runtime_error);
+    EXPECT_LE(out.indices.capacity(), body.size());
+    EXPECT_LE(out.values.capacity(), body.size());
+  }
+}
+
+TEST_F(Payload, MakeMessageWiresAccounting) {
   SparsePayload payload;
   payload.vector_length = 100;
-  payload.indices = compress::random_indices(100, 10, 1);
+  compress::random_indices_into(100, 10, 1, payload.indices, arena);
   payload.values.assign(10, 2.0f);
-  const net::Message msg = make_message(3, 7, payload, {});
+  net::BufferPool pool;
+  const net::Message msg = make_message(3, 7, payload, {}, pool, bits);
   EXPECT_EQ(msg.sender, 3u);
   EXPECT_EQ(msg.round, 7u);
   EXPECT_GT(msg.metadata_bytes, 0u);
@@ -268,7 +361,14 @@ TEST(Payload, MakeMessageWiresAccounting) {
 
 // --------------------------------------------------------------- averaging
 
-TEST(PartialAverage, DenseReducesToWeightedMean) {
+// The averaging accumulators come from this arena.
+class PartialAverage : public ::testing::Test {
+ protected:
+  Arena arena;
+};
+using PartialAverageScaled = PartialAverage;
+
+TEST_F(PartialAverage, DenseReducesToWeightedMean) {
   std::vector<float> own{1.0f, 1.0f};
   SparsePayload p1;
   p1.vector_length = 2;
@@ -277,25 +377,25 @@ TEST(PartialAverage, DenseReducesToWeightedMean) {
   p2.vector_length = 2;
   p2.values = {7.0f, 9.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   EXPECT_FLOAT_EQ(own[0], 0.5f * 1 + 0.25f * 3 + 0.25f * 7);
   EXPECT_FLOAT_EQ(own[1], 0.5f * 1 + 0.25f * 5 + 0.25f * 9);
 }
 
-TEST(PartialAverage, MissingCoordinatesKeepOwnValue) {
+TEST_F(PartialAverage, MissingCoordinatesKeepOwnValue) {
   std::vector<float> own{1.0f, 2.0f, 3.0f};
   SparsePayload p;
   p.vector_length = 3;
   p.indices = {1};
   p.values = {10.0f};
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   EXPECT_FLOAT_EQ(own[0], 1.0f);  // nobody contributed -> unchanged
   EXPECT_FLOAT_EQ(own[1], 6.0f);  // (0.5*2 + 0.5*10) / 1.0
   EXPECT_FLOAT_EQ(own[2], 3.0f);
 }
 
-TEST(PartialAverage, RenormalizesOverContributors) {
+TEST_F(PartialAverage, RenormalizesOverContributors) {
   // Two sparse neighbors overlap on index 0 only.
   std::vector<float> own{0.0f, 0.0f};
   SparsePayload p1;
@@ -307,14 +407,14 @@ TEST(PartialAverage, RenormalizesOverContributors) {
   p2.indices = {0, 1};
   p2.values = {12.0f, 4.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   // idx0: (0.5*0 + 0.25*6 + 0.25*12) / 1.0 = 4.5
   EXPECT_FLOAT_EQ(own[0], 4.5f);
   // idx1: (0.5*0 + 0.25*4) / 0.75 = 4/3
   EXPECT_NEAR(own[1], 4.0f / 3.0f, 1e-5f);
 }
 
-TEST(PartialAverage, ConvexityBound) {
+TEST_F(PartialAverage, ConvexityBound) {
   // The averaged value never escapes [min, max] of the contributions.
   std::mt19937 rng(12);
   std::normal_distribution<float> dist(0.0f, 1.0f);
@@ -322,12 +422,12 @@ TEST(PartialAverage, ConvexityBound) {
   for (float& v : own) v = dist(rng);
   SparsePayload p;
   p.vector_length = 50;
-  p.indices = compress::random_indices(50, 20, 5);
+  compress::random_indices_into(50, 20, 5, p.indices, arena);
   p.values.resize(20);
   for (float& v : p.values) v = dist(rng);
   std::vector<float> before = own;
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   for (std::size_t i = 0; i < p.indices.size(); ++i) {
     const std::size_t idx = p.indices[i];
     const float lo = std::min(before[idx], p.values[i]);
@@ -337,24 +437,24 @@ TEST(PartialAverage, ConvexityBound) {
   }
 }
 
-TEST(PartialAverage, ValidatesInputs) {
+TEST_F(PartialAverage, ValidatesInputs) {
   std::vector<float> own{1.0f};
   SparsePayload wrong_len;
   wrong_len.vector_length = 7;
   wrong_len.values = {1, 2, 3, 4, 5, 6, 7};
   const std::vector<WeightedContribution> c1{{0.5, &wrong_len}};
-  EXPECT_THROW(partial_average(own, 0.5, c1), std::invalid_argument);
+  EXPECT_THROW(partial_average(own, 0.5, c1, arena), std::invalid_argument);
   const std::vector<WeightedContribution> c2{{0.5, nullptr}};
-  EXPECT_THROW(partial_average(own, 0.5, c2), std::invalid_argument);
+  EXPECT_THROW(partial_average(own, 0.5, c2, arena), std::invalid_argument);
   SparsePayload bad_idx;
   bad_idx.vector_length = 1;
   bad_idx.indices = {9};
   bad_idx.values = {1.0f};
   const std::vector<WeightedContribution> c3{{0.5, &bad_idx}};
-  EXPECT_THROW(partial_average(own, 0.5, c3), std::out_of_range);
+  EXPECT_THROW(partial_average(own, 0.5, c3, arena), std::out_of_range);
 }
 
-TEST(PartialAverageScaled, ScaleEqualsReweighting) {
+TEST_F(PartialAverageScaled, ScaleEqualsReweighting) {
   // Scaling a contribution by s is exactly the same convex combination as
   // shrinking its mixing weight to s * w (numerator AND denominator).
   std::vector<float> scaled_own{1.0f, 2.0f};
@@ -365,13 +465,13 @@ TEST(PartialAverageScaled, ScaleEqualsReweighting) {
   const std::vector<WeightedContribution> contribs{{0.4, &p}};
   const std::vector<double> scales{0.5};
   partial_average(scaled_own, 0.6, contribs,
-                  std::span<const double>(scales));
+                  std::span<const double>(scales), arena);
   const std::vector<WeightedContribution> shrunk{{0.4 * 0.5, &p}};
-  partial_average(reweighted_own, 0.6, shrunk);
+  partial_average(reweighted_own, 0.6, shrunk, arena);
   EXPECT_EQ(scaled_own, reweighted_own);
 }
 
-TEST(PartialAverageScaled, StaysConvexAndRenormalized) {
+TEST_F(PartialAverageScaled, StaysConvexAndRenormalized) {
   // With scales < 1 the effective weights no longer sum to 1, but the
   // per-coordinate denominator renormalizes: the result is still a convex
   // combination of own value and contributions.
@@ -384,17 +484,18 @@ TEST(PartialAverageScaled, StaysConvexAndRenormalized) {
   p2.values = {20.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
   const std::vector<double> scales{0.5, 0.25};
-  partial_average(own, 0.5, contribs, std::span<const double>(scales));
+  partial_average(own, 0.5, contribs, std::span<const double>(scales),
+                  arena);
   // (0.5*0 + 0.125*10 + 0.0625*20) / (0.5 + 0.125 + 0.0625) = 2.5/0.6875
   EXPECT_NEAR(own[0], 2.5f / 0.6875f, 1e-5f);
   EXPECT_GE(own[0], 0.0f);
   EXPECT_LE(own[0], 20.0f);
 }
 
-TEST(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
+TEST_F(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
   // scale == 1.0 multiplies by exactly 1.0 in IEEE arithmetic, so the
   // scaled overload with unit scales must produce the same bytes as the
-  // legacy overload — the guarantee the weighted async mode's lambda = 1
+  // unscaled overload — the guarantee the weighted async mode's lambda = 1
   // reduction rests on.
   std::mt19937 rng(77);
   std::normal_distribution<float> dist(0.0f, 1.0f);
@@ -403,26 +504,26 @@ TEST(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
   b = a;
   SparsePayload p;
   p.vector_length = 64;
-  p.indices = compress::random_indices(64, 32, 9);
+  compress::random_indices_into(64, 32, 9, p.indices, arena);
   p.values.resize(32);
   for (float& v : p.values) v = dist(rng);
   const std::vector<WeightedContribution> contribs{{0.37, &p}};
   const std::vector<double> ones{1.0};
-  partial_average(a, 0.63, contribs, std::span<const double>(ones));
-  partial_average(b, 0.63, contribs);
+  partial_average(a, 0.63, contribs, std::span<const double>(ones), arena);
+  partial_average(b, 0.63, contribs, arena);
   EXPECT_EQ(a, b);
 }
 
-TEST(PartialAverageScaled, ScaleCountMismatchThrows) {
+TEST_F(PartialAverageScaled, ScaleCountMismatchThrows) {
   std::vector<float> own{1.0f};
   SparsePayload p;
   p.vector_length = 1;
   p.values = {2.0f};
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
   const std::vector<double> scales{0.5, 0.5};  // two scales, one contribution
-  EXPECT_THROW(
-      partial_average(own, 0.5, contribs, std::span<const double>(scales)),
-      std::invalid_argument);
+  EXPECT_THROW(partial_average(own, 0.5, contribs,
+                               std::span<const double>(scales), arena),
+               std::invalid_argument);
 }
 
 }  // namespace

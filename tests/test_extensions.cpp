@@ -12,6 +12,7 @@
 #include "compress/quantize.hpp"
 #include "graph/graph.hpp"
 #include "net/network.hpp"
+#include "net/serializer.hpp"
 #include "sim/experiment.hpp"
 #include "sim/workloads.hpp"
 #include "test_util.hpp"
@@ -27,10 +28,13 @@ TEST(Qsgd, RoundTripSerialization) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::mt19937 vrng(2);
   for (float& v : values) v = dist(vrng);
-  const auto q = compress::qsgd_quantize(values, 15, rng);
-  const auto bytes = compress::qsgd_serialize(q);
-  EXPECT_EQ(bytes.size(), compress::qsgd_wire_size(q));
-  const auto back = compress::qsgd_deserialize(bytes);
+  compress::QuantizedVector q;
+  compress::qsgd_quantize_into(values, 15, rng, q);
+  net::ByteWriter writer;
+  compress::qsgd_serialize_into(q, writer);
+  EXPECT_EQ(writer.size(), compress::qsgd_wire_size(q));
+  compress::QuantizedVector back;
+  compress::qsgd_deserialize_into(writer.buffer(), back);
   EXPECT_EQ(back.norm, q.norm);
   EXPECT_EQ(back.levels, q.levels);
   EXPECT_EQ(back.count, q.count);
@@ -40,8 +44,10 @@ TEST(Qsgd, RoundTripSerialization) {
 TEST(Qsgd, DequantizedValuesBoundedByNorm) {
   std::mt19937_64 rng(3);
   std::vector<float> values{1.0f, -2.0f, 0.5f, 0.0f};
-  const auto q = compress::qsgd_quantize(values, 4, rng);
-  const auto back = compress::qsgd_dequantize(q);
+  compress::QuantizedVector q;
+  compress::qsgd_quantize_into(values, 4, rng, q);
+  std::vector<float> back;
+  compress::qsgd_dequantize_into(q, back);
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_LE(std::fabs(back[i]), q.norm + 1e-5f);
@@ -61,9 +67,11 @@ TEST(Qsgd, UnbiasedInExpectation) {
   std::vector<double> mean(values.size(), 0.0);
   const int trials = 4000;
   std::mt19937_64 rng(7);
+  compress::QuantizedVector q;
+  std::vector<float> back;
   for (int t = 0; t < trials; ++t) {
-    const auto back =
-        compress::qsgd_dequantize(compress::qsgd_quantize(values, 4, rng));
+    compress::qsgd_quantize_into(values, 4, rng, q);
+    compress::qsgd_dequantize_into(q, back);
     for (std::size_t i = 0; i < values.size(); ++i) mean[i] += back[i];
   }
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -78,8 +86,10 @@ TEST(Qsgd, MoreLevelsLessError) {
   for (float& v : values) v = dist(vrng);
   auto error = [&](std::uint32_t levels) {
     std::mt19937_64 rng(9);
-    const auto back =
-        compress::qsgd_dequantize(compress::qsgd_quantize(values, levels, rng));
+    compress::QuantizedVector q;
+    compress::qsgd_quantize_into(values, levels, rng, q);
+    std::vector<float> back;
+    compress::qsgd_dequantize_into(q, back);
     double err = 0.0;
     for (std::size_t i = 0; i < values.size(); ++i) {
       err += (back[i] - values[i]) * (back[i] - values[i]);
@@ -94,8 +104,9 @@ TEST(Qsgd, WireSizeScalesWithLevels) {
   std::vector<float> values(1000, 0.5f);
   std::mt19937_64 rng(11);
   // 1 level: 1 sign + 1 level bit = 2 bits/elem; 15 levels: 1 + 4 bits.
-  const auto q1 = compress::qsgd_quantize(values, 1, rng);
-  const auto q15 = compress::qsgd_quantize(values, 15, rng);
+  compress::QuantizedVector q1, q15;
+  compress::qsgd_quantize_into(values, 1, rng, q1);
+  compress::qsgd_quantize_into(values, 15, rng, q15);
   EXPECT_NEAR(static_cast<double>(q1.packed.size()), 2.0 * 1000 / 8, 2.0);
   EXPECT_NEAR(static_cast<double>(q15.packed.size()), 5.0 * 1000 / 8, 2.0);
   // Both are far below the 4000-byte float payload.
@@ -105,7 +116,9 @@ TEST(Qsgd, WireSizeScalesWithLevels) {
 TEST(Qsgd, ZeroLevelsThrows) {
   std::mt19937_64 rng(1);
   std::vector<float> values{1.0f};
-  EXPECT_THROW(compress::qsgd_quantize(values, 0, rng), std::invalid_argument);
+  compress::QuantizedVector q;
+  EXPECT_THROW(compress::qsgd_quantize_into(values, 0, rng, q),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- choco with quantizer

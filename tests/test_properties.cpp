@@ -93,7 +93,8 @@ TEST(AveragingEquivalence, DensePartialAverageEqualsMixingMatrix) {
       }
     }
     std::vector<float> result = models[i];
-    core::partial_average(result, w.self_weight[i], contribs);
+    core::Arena arena;
+    core::partial_average(result, w.self_weight[i], contribs, arena);
     for (std::size_t d = 0; d < dim; ++d) {
       EXPECT_NEAR(result[d], reference[d], 1e-5f) << "node " << i << " dim " << d;
     }
@@ -110,11 +111,14 @@ TEST(AveragingEquivalence, WaveletDomainEqualsParameterDomainWhenDense) {
   for (float& v : a) v = dist(rng);
   for (float& v : b) v = dist(rng);
   const dwt::DwtPlan plan(dwt::sym2(), dim, 4);
-  const auto wa = plan.forward(a);
-  const auto wb = plan.forward(b);
+  dwt::DwtWorkspace ws;
+  std::vector<float> wa(plan.coeff_length()), wb(plan.coeff_length());
+  plan.forward_into(a, wa, ws);
+  plan.forward_into(b, wb, ws);
   std::vector<float> wavg(wa.size());
   for (std::size_t i = 0; i < wa.size(); ++i) wavg[i] = 0.5f * (wa[i] + wb[i]);
-  const auto from_wavelet = plan.inverse(wavg);
+  std::vector<float> from_wavelet(dim);
+  plan.inverse_into(wavg, from_wavelet, ws);
   for (std::size_t i = 0; i < dim; ++i) {
     EXPECT_NEAR(from_wavelet[i], 0.5f * (a[i] + b[i]), 1e-4f);
   }
@@ -149,8 +153,10 @@ TEST_P(FloatCodecDistributions, LosslessAcrossValueDistributions) {
       break;
     }
   }
-  const auto bytes = compress::compress_floats(values);
-  const auto back = compress::decompress_floats(bytes, values.size());
+  compress::BitWriter bits;
+  compress::compress_floats(values, bits);
+  std::vector<float> back;
+  compress::decompress_floats_into(bits.bytes(), values.size(), back);
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
@@ -174,7 +180,10 @@ TEST_P(DwtRandomLengths, ReconstructionForArbitraryLengths) {
     std::vector<float> x(n);
     for (float& v : x) v = dist(rng);
     const dwt::DwtPlan plan(dwt::sym2(), n, 4);
-    const auto back = plan.inverse(plan.forward(x));
+    dwt::DwtWorkspace ws;
+    std::vector<float> coeffs(plan.coeff_length()), back(n);
+    plan.forward_into(x, coeffs, ws);
+    plan.inverse_into(coeffs, back, ws);
     float worst = 0.0f;
     for (std::size_t i = 0; i < n; ++i) {
       worst = std::max(worst, std::fabs(back[i] - x[i]));
@@ -466,7 +475,8 @@ TEST(PayloadProperty, RandomSparsitiesRoundTripAllEncodings) {
     const std::size_t k = 1 + rng() % n;
     core::SparsePayload payload;
     payload.vector_length = static_cast<std::uint32_t>(n);
-    payload.indices = compress::random_indices(n, k, rng());
+    core::Arena arena;
+    compress::random_indices_into(n, k, rng(), payload.indices, arena);
     payload.values.resize(payload.indices.size());
     for (float& v : payload.values) v = dist(vrng);
     for (const auto index_mode :
@@ -476,8 +486,11 @@ TEST(PayloadProperty, RandomSparsitiesRoundTripAllEncodings) {
         core::PayloadOptions options;
         options.index_encoding = index_mode;
         options.value_encoding = value_mode;
-        const auto encoded = core::encode_payload(payload, options);
-        const auto back = core::decode_payload(encoded.body);
+        net::ByteWriter body;
+        compress::BitWriter bits;
+        core::encode_payload_into(payload, options, body, bits);
+        core::SparsePayload back;
+        core::decode_payload_into(body.buffer(), back, arena);
         EXPECT_EQ(back.indices, payload.indices);
         EXPECT_EQ(back.values, payload.values);
       }
