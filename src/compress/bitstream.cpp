@@ -39,35 +39,4 @@ void BitWriter::write_bit(bool bit) {
 
 std::vector<std::uint8_t> BitWriter::finish() && { return std::move(bytes_); }
 
-std::uint64_t BitReader::read_bits(unsigned count) {
-  if (count > 64) throw std::invalid_argument("read_bits: count > 64");
-  std::uint64_t value = 0;
-  unsigned remaining = count;
-  while (remaining > 0) {
-    if (pos_ >= capacity()) {
-      throw std::out_of_range("BitReader: read past end of stream");
-    }
-    const std::size_t byte_index = pos_ / 8;
-    const unsigned off = static_cast<unsigned>(pos_ % 8);
-    const unsigned avail = 8 - off;
-    const unsigned take = remaining < avail ? remaining : avail;
-    const auto chunk = static_cast<std::uint8_t>(
-        (bytes_[byte_index] >> (avail - take)) & ((1u << take) - 1u));
-    value = (value << take) | chunk;
-    pos_ += take;
-    remaining -= take;
-  }
-  return value;
-}
-
-bool BitReader::read_bit() {
-  if (pos_ >= capacity()) {
-    throw std::out_of_range("BitReader: read past end of stream");
-  }
-  const std::size_t byte_index = pos_ / 8;
-  const unsigned bit_index = 7 - static_cast<unsigned>(pos_ % 8);
-  ++pos_;
-  return (bytes_[byte_index] >> bit_index) & 1u;
-}
-
 }  // namespace jwins::compress

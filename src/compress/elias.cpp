@@ -16,12 +16,26 @@ unsigned bit_width_u64(std::uint64_t v) noexcept {
 void elias_gamma_encode(BitWriter& writer, std::uint64_t value) {
   if (value == 0) throw std::invalid_argument("elias gamma cannot encode 0");
   const unsigned n = bit_width_u64(value);  // value in [2^(n-1), 2^n)
-  // n-1 zero bits, then the n bits of the value (leading 1 included).
-  for (unsigned i = 0; i + 1 < n; ++i) writer.write_bit(false);
-  writer.write_bits(value, n);
+  // n-1 zero bits, then the n bits of the value (leading 1 included): the
+  // 2n-1 bit codeword read as an integer is the value itself.
+  if (n <= 32) {
+    writer.write_bits(value, 2 * n - 1);
+  } else {
+    writer.write_bits(0, n - 1);
+    writer.write_bits(value, n);
+  }
 }
 
 std::uint64_t elias_gamma_decode(BitReader& reader) {
+  // Fast path: the whole codeword lies in one window, so count its zeros
+  // there and read it as one integer. The window reads zeros past the
+  // stream end, so a codeword cut off by the end makes read_bits throw the
+  // same out_of_range the bit loop would.
+  const auto zeros_in_window =
+      static_cast<unsigned>(std::countl_zero(reader.peek()));
+  const unsigned len = 2 * zeros_in_window + 1;
+  if (len <= 57) return reader.read_bits(len);
+  // Codewords longer than a window: bit at a time.
   unsigned zeros = 0;
   while (!reader.read_bit()) {
     if (++zeros > 63) throw std::runtime_error("elias gamma: malformed codeword");

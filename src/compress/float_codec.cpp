@@ -120,76 +120,53 @@ void encode_stream_fast(std::span<const float> values, BitWriter& writer) {
   }
 }
 
-// Cursor over the compressed bytes with the same MSB-first semantics and
-// end-of-stream behaviour as BitReader, minus the per-call state overhead.
-struct FastBitCursor {
-  const std::uint8_t* data;
-  std::size_t nbits;
-  std::size_t pos = 0;
-
-  std::uint64_t read(unsigned count) {
-    std::uint64_t value = 0;
-    unsigned remaining = count;
-    while (remaining > 0) {
-      if (pos >= nbits) {
-        throw std::out_of_range("BitReader: read past end of stream");
-      }
-      const std::size_t byte_index = pos / 8;
-      const unsigned off = static_cast<unsigned>(pos % 8);
-      const unsigned avail = 8 - off;
-      const unsigned take = remaining < avail ? remaining : avail;
-      const auto chunk = static_cast<std::uint8_t>(
-          (data[byte_index] >> (avail - take)) & ((1u << take) - 1u));
-      value = (value << take) | chunk;
-      pos += take;
-      remaining -= take;
-    }
-    return value;
+// One decode loop for both tiers over the shared word-level BitReader. The
+// pinned scalar reference reads a block header as two 5-bit fields, the
+// fast tier as one 10-bit read; the results and errors are identical.
+template <bool kWholeHeader>
+void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
+                   std::vector<float>& out) {
+  out.clear();
+  if (count == 0) return;
+  // Bound the wire-supplied count by the stream length before reserving:
+  // each value after the first costs at least one bit.
+  if (count > 8 * bytes.size()) {
+    throw std::runtime_error("float codec: count exceeds the stream");
   }
-
-  bool read_bit() {
-    if (pos >= nbits) {
-      throw std::out_of_range("BitReader: read past end of stream");
-    }
-    const bool b = (data[pos / 8] >> (7 - pos % 8)) & 1u;
-    ++pos;
-    return b;
-  }
-};
-
-void decode_stream_fast(std::span<const std::uint8_t> bytes, std::size_t count,
-                        std::vector<float>& out) {
-  FastBitCursor cur{bytes.data(), bytes.size() * 8};
-  std::uint32_t prev = static_cast<std::uint32_t>(cur.read(32));
+  out.reserve(count);
+  BitReader reader(bytes);
+  std::uint32_t prev = static_cast<std::uint32_t>(reader.read_bits(32));
   out.push_back(bits_float(prev));
   unsigned block_lead = 0;
   unsigned block_len = 0;
   bool have_block = false;
   for (std::size_t i = 1; i < count; ++i) {
-    if (!cur.read_bit()) {  // identical to previous
+    if (!reader.read_bit()) {  // identical to previous
       out.push_back(bits_float(prev));
       continue;
     }
-    if (cur.read_bit()) {  // new block header: lead(5) ++ len-1(5)
-      const auto header = static_cast<std::uint32_t>(cur.read(10));
-      block_lead = header >> 5;
-      block_len = (header & 0x1Fu) + 1;
+    if (reader.read_bit()) {  // new block header: lead(5) ++ len-1(5)
+      if constexpr (kWholeHeader) {
+        const auto header = static_cast<unsigned>(reader.read_bits(10));
+        block_lead = header >> 5;
+        block_len = (header & 0x1Fu) + 1;
+      } else {
+        block_lead = static_cast<unsigned>(reader.read_bits(5));
+        block_len = static_cast<unsigned>(reader.read_bits(5)) + 1;
+      }
+      // The encoder never emits lead + len > 32; a header that does would
+      // make the shift below undefined.
+      if (block_lead + block_len > 32) {
+        throw std::runtime_error("float codec: malformed block header");
+      }
       have_block = true;
     } else if (!have_block) {
       throw std::runtime_error("float codec: reuse of block before definition");
     }
-    const auto meaningful = static_cast<std::uint32_t>(cur.read(block_len));
+    const auto meaningful = static_cast<std::uint32_t>(reader.read_bits(block_len));
     const unsigned shift = 32 - block_lead - block_len;
     prev ^= meaningful << shift;
     out.push_back(bits_float(prev));
-  }
-}
-
-// Both decoder tiers bound the wire-supplied count by the stream length
-// before reserving: each value after the first costs at least one bit.
-void check_count(std::span<const std::uint8_t> bytes, std::size_t count) {
-  if (count > 8 * bytes.size()) {
-    throw std::runtime_error("float codec: count exceeds the stream");
   }
 }
 
@@ -226,42 +203,12 @@ void decompress_floats_into(std::span<const std::uint8_t> bytes,
 
 void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
                                  std::size_t count, std::vector<float>& out) {
-  out.clear();
-  if (count == 0) return;
-  check_count(bytes, count);
-  out.reserve(count);
-  decode_stream_fast(bytes, count, out);
+  decode_stream<true>(bytes, count, out);
 }
 
 void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
                                    std::size_t count, std::vector<float>& out) {
-  out.clear();
-  if (count == 0) return;
-  check_count(bytes, count);
-  out.reserve(count);
-  BitReader reader(bytes);
-  std::uint32_t prev = static_cast<std::uint32_t>(reader.read_bits(32));
-  out.push_back(bits_float(prev));
-  unsigned block_lead = 0;
-  unsigned block_len = 0;
-  bool have_block = false;
-  for (std::size_t i = 1; i < count; ++i) {
-    if (!reader.read_bit()) {  // identical to previous
-      out.push_back(bits_float(prev));
-      continue;
-    }
-    if (reader.read_bit()) {  // new block header
-      block_lead = static_cast<unsigned>(reader.read_bits(5));
-      block_len = static_cast<unsigned>(reader.read_bits(5)) + 1;
-      have_block = true;
-    } else if (!have_block) {
-      throw std::runtime_error("float codec: reuse of block before definition");
-    }
-    const auto meaningful = static_cast<std::uint32_t>(reader.read_bits(block_len));
-    const unsigned shift = 32 - block_lead - block_len;
-    prev ^= meaningful << shift;
-    out.push_back(bits_float(prev));
-  }
+  decode_stream<false>(bytes, count, out);
 }
 
 }  // namespace jwins::compress

@@ -39,12 +39,14 @@ void compress_floats_fast(std::span<const float> values, BitWriter& writer);
 void decompress_floats_into(std::span<const std::uint8_t> bytes,
                             std::size_t count, std::vector<float>& out);
 
-/// Pinned golden reference decoder (BitReader per-bit loop).
+/// Pinned golden reference decoder: the per-value loop over the word-level
+/// BitReader, reading a block header as two 5-bit fields.
 void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
                                    std::size_t count, std::vector<float>& out);
 
-/// Fast path: local bit cursor with chunked reads. Identical floats and
-/// identical failure behaviour on malformed streams.
+/// Fast tier: the same loop over the same BitReader, reading a block header
+/// with one 10-bit read. Identical floats and identical failure behaviour
+/// on malformed streams.
 void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
                                  std::size_t count, std::vector<float>& out);
 

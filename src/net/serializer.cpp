@@ -54,7 +54,10 @@ void ByteReader::read_f32_array_into(std::vector<float>& out) {
     throw std::out_of_range("ByteReader: truncated float array");
   }
   out.resize(n);
-  std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(float));
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (n != 0) {
+    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(float));
+  }
   pos_ += n * sizeof(float);
 }
 
@@ -64,7 +67,10 @@ void ByteReader::read_u32_array_into(std::vector<std::uint32_t>& out) {
     throw std::out_of_range("ByteReader: truncated u32 array");
   }
   out.resize(n);
-  std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(std::uint32_t));
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (n != 0) {
+    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(std::uint32_t));
+  }
   pos_ += n * sizeof(std::uint32_t);
 }
 

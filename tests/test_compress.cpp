@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 
+#include "bit_reference.hpp"
 #include "compress/bitstream.hpp"
 #include "compress/elias.hpp"
 #include "compress/float_codec.hpp"
@@ -108,6 +112,255 @@ TEST(EliasGamma, RandomStreamRoundTrip) {
   const auto bytes = std::move(w).finish();
   BitReader r(bytes);
   for (std::uint64_t v : values) EXPECT_EQ(elias_gamma_decode(r), v);
+}
+
+// ------------------------------ word-level decoders vs bit-at-a-time reference
+
+using testref::Failure;
+using testref::RefBitReader;
+
+// Outcome of decoding up to `count` gamma codewords: the values and end
+// positions decoded before the first error, and that error's type.
+struct GammaOutcome {
+  std::vector<std::uint64_t> values;
+  std::vector<std::size_t> ends;
+  Failure failure = Failure::kNone;
+};
+
+template <class Reader, class Decode>
+GammaOutcome decode_gammas(std::span<const std::uint8_t> bytes,
+                           std::size_t count, Decode decode) {
+  GammaOutcome out;
+  Reader reader(bytes);
+  out.failure = testref::failure_of([&] {
+    for (std::size_t i = 0; i < count; ++i) {
+      out.values.push_back(decode(reader));
+      out.ends.push_back(reader.position());
+    }
+  });
+  return out;
+}
+
+// The library decoder agrees with the reference codeword by codeword: the
+// same values ending at the same bits, or the same exception type at the
+// same codeword.
+void expect_gamma_matches_reference(std::span<const std::uint8_t> bytes,
+                                    std::size_t count,
+                                    const std::string& what) {
+  const GammaOutcome got = decode_gammas<BitReader>(
+      bytes, count, [](BitReader& r) { return elias_gamma_decode(r); });
+  const GammaOutcome want = decode_gammas<RefBitReader>(
+      bytes, count, [](RefBitReader& r) { return testref::ref_gamma_decode(r); });
+  EXPECT_EQ(got.values, want.values) << what;
+  EXPECT_EQ(got.ends, want.ends) << what;
+  EXPECT_EQ(static_cast<int>(got.failure), static_cast<int>(want.failure))
+      << what;
+}
+
+std::vector<std::uint32_t> ref_decode_index_gaps(
+    std::span<const std::uint8_t> bytes, std::size_t count) {
+  if (count > 8 * bytes.size()) throw std::runtime_error("count too large");
+  RefBitReader reader(bytes);
+  std::vector<std::uint32_t> out;
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t gap = testref::ref_gamma_decode(reader);
+    const std::uint64_t idx = (i == 0) ? gap - 1 : prev + gap;
+    if (idx > 0xFFFFFFFFull) throw std::runtime_error("index overflows u32");
+    out.push_back(static_cast<std::uint32_t>(idx));
+    prev = idx;
+  }
+  return out;
+}
+
+// decode_index_gaps_into agrees with the reference: identical indices or
+// the same exception type.
+void expect_indices_match_reference(std::span<const std::uint8_t> bytes,
+                                    std::size_t count,
+                                    const std::string& what) {
+  std::vector<std::uint32_t> got, want;
+  const Failure got_failure =
+      testref::failure_of([&] { decode_index_gaps_into(bytes, count, got); });
+  const Failure want_failure =
+      testref::failure_of([&] { want = ref_decode_index_gaps(bytes, count); });
+  ASSERT_EQ(static_cast<int>(got_failure), static_cast<int>(want_failure))
+      << what;
+  if (got_failure == Failure::kNone) {
+    EXPECT_EQ(got, want) << what;
+  }
+}
+
+// A gap of random bit width: mostly the short codes real index streams
+// have, a quarter of any width up to 64 bits (gaps of 2^29 and up have
+// codewords over 57 bits and take the decoder's bit-loop fallback).
+std::uint64_t random_gap(std::mt19937_64& rng) {
+  const unsigned width = (rng() % 4 == 0) ? 1 + rng() % 64 : 1 + rng() % 8;
+  const std::uint64_t top = std::uint64_t{1} << (width - 1);
+  return top | (rng() & (top - 1));
+}
+
+// Gamma-codes `count` random gaps.
+std::vector<std::uint8_t> random_gamma_stream(std::uint64_t seed,
+                                              std::size_t count) {
+  std::mt19937_64 rng(seed);
+  BitWriter w;
+  for (std::size_t i = 0; i < count; ++i) elias_gamma_encode(w, random_gap(rng));
+  return std::move(w).finish();
+}
+
+// Sorted u32 indices with random gaps up to 2^31, gap-coded.
+std::pair<std::vector<std::uint8_t>, std::size_t> random_index_stream(
+    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint32_t> indices;
+  std::uint64_t idx = rng() % 16;
+  while (idx <= 0xFFFFFFFFull && indices.size() < 300) {
+    indices.push_back(static_cast<std::uint32_t>(idx));
+    const unsigned width = (rng() % 8 == 0) ? 1 + rng() % 31 : 1 + rng() % 6;
+    idx += (std::uint64_t{1} << (width - 1)) | (rng() % (1u << (width - 1)));
+  }
+  BitWriter w;
+  encode_index_gaps(indices, w);
+  return {std::move(w).finish(), indices.size()};
+}
+
+TEST(EliasGamma, RandomGapStreamsMatchReference) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const auto bytes = random_gamma_stream(seed, 200);
+    const std::string what = "seed " + std::to_string(seed);
+    // Two codewords past the last: they run into the zero padding and off
+    // the end of the stream.
+    expect_gamma_matches_reference(bytes, 202, what);
+    const auto [index_bytes, count] = random_index_stream(seed);
+    expect_indices_match_reference(index_bytes, count, what);
+    expect_indices_match_reference(index_bytes, count + 1, what);
+  }
+}
+
+TEST(EliasGamma, CodewordsAtEveryWindowOffsetMatchReference) {
+  // `pad` one-bit codewords put the codeword of each width at every bit
+  // offset across the first 8-byte window edge; where pad + length is a
+  // multiple of 8 it ends exactly on the stream's last bit.
+  for (unsigned width = 1; width <= 64; ++width) {
+    const std::uint64_t top = std::uint64_t{1} << (width - 1);
+    const std::uint64_t value = top | (0x5555555555555555ull & (top - 1));
+    for (unsigned pad = 0; pad < 72; ++pad) {
+      BitWriter w;
+      for (unsigned i = 0; i < pad; ++i) elias_gamma_encode(w, 1);
+      elias_gamma_encode(w, value);
+      const std::size_t bits = w.bit_count();
+      const auto bytes = std::move(w).finish();
+      if (bits % 8 == 0) {
+        ASSERT_EQ(bits, 8 * bytes.size());
+      }
+      const std::string what =
+          "width " + std::to_string(width) + " pad " + std::to_string(pad);
+      expect_gamma_matches_reference(bytes, pad + 2, what);
+      const GammaOutcome got = decode_gammas<BitReader>(
+          bytes, pad + 1, [](BitReader& r) { return elias_gamma_decode(r); });
+      ASSERT_EQ(got.values.size(), pad + 1) << what;
+      EXPECT_EQ(got.values.back(), value) << what;
+      EXPECT_EQ(got.ends.back(), bits) << what;
+    }
+  }
+}
+
+TEST(EliasGamma, EveryTruncationMatchesReference) {
+  for (std::uint64_t seed = 100; seed < 104; ++seed) {
+    const auto bytes = random_gamma_stream(seed, 120);
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      expect_gamma_matches_reference(
+          std::span(bytes).first(len), 120,
+          "seed " + std::to_string(seed) + " len " + std::to_string(len));
+    }
+    const auto [index_bytes, count] = random_index_stream(seed);
+    for (std::size_t len = 0; len <= index_bytes.size(); ++len) {
+      expect_indices_match_reference(
+          std::span(index_bytes).first(len), count,
+          "seed " + std::to_string(seed) + " len " + std::to_string(len));
+    }
+  }
+}
+
+TEST(EliasGamma, SingleBitFlipsMatchReference) {
+  std::mt19937_64 rng(7);
+  for (std::uint64_t seed = 200; seed < 216; ++seed) {
+    const auto bytes = random_gamma_stream(seed, 100);
+    const auto [index_bytes, count] = random_index_stream(seed);
+    for (int flip = 0; flip < 64; ++flip) {
+      auto flipped = bytes;
+      const std::size_t bit = rng() % (8 * flipped.size());
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+      const std::string what =
+          "seed " + std::to_string(seed) + " bit " + std::to_string(bit);
+      expect_gamma_matches_reference(flipped, 100, what);
+      auto flipped_index = index_bytes;
+      const std::size_t index_bit = rng() % (8 * flipped_index.size());
+      flipped_index[index_bit / 8] ^=
+          static_cast<std::uint8_t>(0x80u >> (index_bit % 8));
+      expect_indices_match_reference(flipped_index, count, what);
+    }
+  }
+}
+
+TEST(EliasGamma, ExplicitMalformedCodewords) {
+  // 64 zero bits: more zeros than any codeword has.
+  const std::vector<std::uint8_t> zeros(9, 0);
+  BitReader all_zero(zeros);
+  EXPECT_THROW(elias_gamma_decode(all_zero), std::runtime_error);
+  expect_gamma_matches_reference(zeros, 1, "64 zeros");
+  const std::vector<std::uint8_t> eight_zeros(8, 0);
+  BitReader exactly_64(eight_zeros);
+  EXPECT_THROW(elias_gamma_decode(exactly_64), std::runtime_error);
+  // 63 zeros, then the stream ends.
+  BitReader short_zero(eight_zeros);
+  short_zero.read_bit();
+  EXPECT_THROW(elias_gamma_decode(short_zero), std::out_of_range);
+  // 63 zeros and the terminating 1, but no value bits after it.
+  const std::vector<std::uint8_t> no_value{0, 0, 0, 0, 0, 0, 0, 1};
+  BitReader truncated(no_value);
+  EXPECT_THROW(elias_gamma_decode(truncated), std::out_of_range);
+  expect_gamma_matches_reference(no_value, 1, "63 zeros then end");
+}
+
+TEST(BitStream, WideReadsAcrossWindowEdgeMatchReference) {
+  // Exactly-sized buffers, so a read past the span shows under ASan, and
+  // every start offset, so reads straddle the 8-byte window edge.
+  std::mt19937_64 rng(5);
+  for (std::size_t size = 0; size <= 17; ++size) {
+    std::vector<std::uint8_t> bytes(size);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    for (std::size_t offset = 0; offset <= 8 * size; ++offset) {
+      for (unsigned count : {0u, 1u, 7u, 32u, 57u, 58u, 63u, 64u, 65u}) {
+        BitReader got(bytes);
+        RefBitReader want(bytes);
+        for (std::size_t left = offset; left > 0;) {
+          const auto step = static_cast<unsigned>(std::min<std::size_t>(left, 50));
+          got.read_bits(step);
+          want.read_bits(step);
+          left -= step;
+        }
+        std::uint64_t got_value = 0, want_value = 0;
+        const Failure got_failure =
+            testref::failure_of([&] { got_value = got.read_bits(count); });
+        const Failure want_failure =
+            testref::failure_of([&] { want_value = want.read_bits(count); });
+        const std::string what = "size " + std::to_string(size) + " offset " +
+                                 std::to_string(offset) + " count " +
+                                 std::to_string(count);
+        ASSERT_EQ(static_cast<int>(got_failure), static_cast<int>(want_failure))
+            << what;
+        EXPECT_EQ(got_value, want_value) << what;
+        EXPECT_EQ(got.position(), want.position()) << what;
+      }
+    }
+  }
+  // The window reads as zero past the end of the stream.
+  const std::vector<std::uint8_t> one{0xA5};
+  BitReader r(one);
+  EXPECT_EQ(r.peek(), 0xA5ull << 56);
+  r.read_bits(4);
+  EXPECT_EQ(r.peek(), 0x5ull << 60);
 }
 
 TEST(IndexGaps, RoundTripIncludingZeroFirstIndex) {

@@ -11,10 +11,12 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bit_reference.hpp"
 #include "compress/bitstream.hpp"
 #include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
@@ -180,6 +182,50 @@ TEST(KernelEquivalence, XorCodecBitIdentical) {
       compress::decompress_floats_into_fast(bytes_s, n, dec_f);
       expect_bytes_equal(dec_s, dec_f, "decode n=" + std::to_string(n));
       expect_bytes_equal(dec_s, values, "roundtrip n=" + std::to_string(n));
+    }
+  }
+}
+
+// Truncated and bit-flipped streams: both decoder tiers and the
+// bit-at-a-time reference give identical floats or the same exception type.
+TEST(KernelEquivalence, XorDecodeMalformedStreamsIdentical) {
+  using testref::Failure;
+  auto expect_same = [](std::span<const std::uint8_t> bytes, std::size_t n,
+                        const std::string& what) {
+    std::vector<float> dec_s, dec_f, dec_r;
+    const Failure fail_s = testref::failure_of(
+        [&] { compress::decompress_floats_into_scalar(bytes, n, dec_s); });
+    const Failure fail_f = testref::failure_of(
+        [&] { compress::decompress_floats_into_fast(bytes, n, dec_f); });
+    const Failure fail_r = testref::failure_of(
+        [&] { testref::ref_decompress_floats(bytes, n, dec_r); });
+    ASSERT_EQ(static_cast<int>(fail_s), static_cast<int>(fail_r)) << what;
+    ASSERT_EQ(static_cast<int>(fail_f), static_cast<int>(fail_r)) << what;
+    if (fail_r != Failure::kNone) return;
+    expect_bytes_equal(dec_s, dec_r, "scalar " + what);
+    expect_bytes_equal(dec_f, dec_r, "fast " + what);
+  };
+  std::mt19937_64 rng(41);
+  for (std::size_t n : {1, 2, 3, 17, 255, 1024}) {
+    for (const auto& values : adversarial_inputs(n, 37)) {
+      compress::BitWriter w;
+      compress::compress_floats_scalar(values, w);
+      const auto bytes = std::move(w).finish();
+      const std::string size = "n=" + std::to_string(n);
+      expect_same(bytes, n + 1, size + " one value too many");
+      for (std::size_t len = 0; len <= bytes.size(); ++len) {
+        expect_same(std::span(bytes).first(len), n,
+                    size + " len=" + std::to_string(len));
+      }
+      // Every bit of short streams, 256 seeded bits of long ones.
+      const std::size_t bits = 8 * bytes.size();
+      const std::size_t flips = bits <= 256 ? bits : 256;
+      for (std::size_t f = 0; f < flips; ++f) {
+        const std::size_t bit = bits <= 256 ? f : rng() % bits;
+        auto flipped = bytes;
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+        expect_same(flipped, n, size + " flip=" + std::to_string(bit));
+      }
     }
   }
 }
