@@ -3,11 +3,16 @@
 // as good as tuned CHOCO in their experiments. Hence, we only compare
 // against CHOCO." (§IV-B c)
 //
-// This bench runs tuned CHOCO, PowerGossip and JWINS on the CIFAR-10
-// stand-in for the same number of rounds and reports accuracy and bytes, so
-// the "PowerGossip ~= tuned CHOCO" premise — and JWINS' advantage over both —
-// can be inspected directly.
+// Tuned CHOCO, PowerGossip and JWINS on the CIFAR-10 stand-in, reporting
+// accuracy and bytes, so the "PowerGossip ~= tuned CHOCO" premise — and
+// JWINS' advantage over both — can be inspected directly.
+//
+// Experiment wiring comes from scenarios/baselines_powergossip.scenario
+// (override with --scenario=PATH); only the equal-bytes protocol — the
+// PowerGossip round count — lives here.
 
+#include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <iostream>
 
@@ -16,49 +21,44 @@
 int main(int argc, char** argv) {
   using namespace jwins;
   const bench::Flags flags(argc, argv);
-  const std::size_t nodes = flags.get("nodes", std::size_t{16});
-  const std::size_t rounds = flags.get("rounds", std::size_t{120});
-  const std::size_t seed = flags.get("seed", std::size_t{1});
-  const unsigned threads = bench::thread_flag(flags);
+
+  config::RawScenario raw =
+      bench::load_preset(flags, "baselines_powergossip.scenario");
+  bench::override_if(flags, raw, "nodes", "nodes");
+  bench::override_if(flags, raw, "rounds", "rounds");
+  bench::override_if(flags, raw, "seed", "seed");
+  bench::override_if(flags, raw, "threads", "threads");
+
+  const std::vector<config::ScenarioRun> runs = bench::expand_preset(raw);
+  auto find_run = [&](sim::Algorithm algorithm) {
+    for (const config::ScenarioRun& r : runs) {
+      if (r.config.algorithm == algorithm) return r;
+    }
+    std::cerr << "error: algorithm: the scenario grid has no "
+              << sim::algorithm_name(algorithm)
+              << " cell (this bench needs choco, power-gossip and jwins)\n";
+    std::exit(2);
+  };
+  auto run_for = [&](sim::Algorithm algorithm, std::size_t rounds) {
+    config::ScenarioRun run = find_run(algorithm);
+    run.config.rounds = rounds;
+    return config::execute(run);
+  };
 
   std::cout << "=== Baselines: tuned CHOCO vs PowerGossip vs JWINS ===\n\n";
-  const sim::Workload w =
-      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
-
-  auto run = [&](sim::Algorithm algorithm, std::size_t algo_rounds) {
-    sim::ExperimentConfig cfg;
-    cfg.algorithm = algorithm;
-    cfg.rounds = algo_rounds;
-    cfg.local_steps = 2;
-    cfg.sgd.learning_rate = w.suggested_lr;
-    cfg.eval_every = 10;
-    cfg.eval_sample_limit = 192;
-    cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
-    cfg.threads = threads;
-    cfg.seed = seed;
-    cfg.choco.gamma = 0.6;      // the paper's tuned 20%-budget value
-    cfg.choco.fraction = 0.2;
-    cfg.power_gossip.gamma = 1.0;
-    cfg.jwins.cutoff = core::RandomizedCutoff::two_point(0.10, 0.10);  // 20%
-    sim::Experiment experiment(
-        cfg, w.model_factory, *w.train, w.partition, *w.test,
-        bench::static_regular(nodes, bench::degree_for_nodes(nodes),
-                              static_cast<unsigned>(seed)));
-    return experiment.run();
-  };
 
   // Equal-BYTE comparison (the paper's budget framing): PowerGossip ships
   // O(sqrt(d)) floats per round, so it gets proportionally more rounds to
   // spend the same byte budget as tuned CHOCO.
-  const auto choco = run(sim::Algorithm::kChoco, rounds);
-  const auto pg_probe = run(sim::Algorithm::kPowerGossip, 10);
+  const auto choco = config::execute(find_run(sim::Algorithm::kChoco));
+  const auto pg_probe = run_for(sim::Algorithm::kPowerGossip, 10);
   const double pg_bytes_per_round =
       pg_probe.series.back().avg_bytes_per_node / 10.0;
   const double choco_bytes = choco.series.back().avg_bytes_per_node;
   const std::size_t pg_rounds = std::max<std::size_t>(
-      rounds, static_cast<std::size_t>(choco_bytes / pg_bytes_per_round));
-  const auto pg = run(sim::Algorithm::kPowerGossip, pg_rounds);
-  const auto jw = run(sim::Algorithm::kJwins, rounds);
+      choco.rounds_run, static_cast<std::size_t>(choco_bytes / pg_bytes_per_round));
+  const auto pg = run_for(sim::Algorithm::kPowerGossip, pg_rounds);
+  const auto jw = config::execute(find_run(sim::Algorithm::kJwins));
 
   auto print = [&](const char* label, const sim::ExperimentResult& r) {
     std::cout << "  " << std::left << std::setw(26) << label

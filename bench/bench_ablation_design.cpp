@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     cfg.jwins.ranker.use_wavelet = use_wavelet;
     sim::Experiment experiment(
         cfg, w.model_factory, *w.train, w.partition, *w.test,
-        bench::static_regular(nodes, bench::degree_for_nodes(nodes),
+        bench::static_regular(nodes, config::auto_degree(nodes),
                               static_cast<unsigned>(seed)));
     return experiment.run();
   };
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     cfg.choco.qsgd_levels = 31;
     sim::Experiment experiment(
         cfg, w.model_factory, *w.train, w.partition, *w.test,
-        bench::static_regular(nodes, bench::degree_for_nodes(nodes),
+        bench::static_regular(nodes, config::auto_degree(nodes),
                               static_cast<unsigned>(seed)));
     const auto r = experiment.run();
     std::cout << "  " << std::left << std::setw(18)
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     sim::Experiment experiment(
         cfg, w.model_factory, *w.train, w.partition, *w.test,
-        bench::static_regular(nodes, bench::degree_for_nodes(nodes),
+        bench::static_regular(nodes, config::auto_degree(nodes),
                               static_cast<unsigned>(seed)));
     experiment.run();
     const auto& counts =

@@ -27,13 +27,7 @@ int main(int argc, char** argv) {
   bench::override_if(flags, raw, "threads", "threads");
   bench::override_if(flags, raw, "dataset", "workload");
 
-  std::vector<config::ScenarioRun> runs;
-  try {
-    runs = config::expand_grid(raw);
-  } catch (const config::ScenarioError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const std::vector<config::ScenarioRun> runs = bench::expand_preset(raw);
   auto find_run = [&](const std::string& workload, sim::Algorithm algorithm) {
     for (const config::ScenarioRun& r : runs) {
       if (r.workload == workload && r.config.algorithm == algorithm) return r;

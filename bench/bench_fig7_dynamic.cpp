@@ -24,13 +24,7 @@ int main(int argc, char** argv) {
   bench::override_if(flags, raw, "seed", "seed");
   bench::override_if(flags, raw, "threads", "threads");
 
-  std::vector<config::ScenarioRun> runs;
-  try {
-    runs = config::expand_grid(raw);
-  } catch (const config::ScenarioError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const std::vector<config::ScenarioRun> runs = bench::expand_preset(raw);
   auto run = [&](sim::Algorithm algorithm, bool dynamic) {
     for (const config::ScenarioRun& r : runs) {
       if (r.config.algorithm == algorithm && (r.churn_every > 0) == dynamic) {

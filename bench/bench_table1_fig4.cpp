@@ -35,13 +35,7 @@ int main(int argc, char** argv) {
   bench::override_if(flags, raw, "nodes", "nodes");
   bench::override_if(flags, raw, "seed", "seed");
   bench::override_if(flags, raw, "threads", "threads");
-  std::size_t nodes = 0;
-  try {
-    nodes = config::expand_grid(raw).front().nodes;
-  } catch (const config::ScenarioError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const std::size_t nodes = bench::expand_preset(raw).front().nodes;
 
   // Rounds tuned per task difficulty, mirroring the paper's per-dataset
   // epoch counts (Table I).
@@ -67,13 +61,7 @@ int main(int argc, char** argv) {
         raw, "eval_every",
         std::to_string(std::max<std::size_t>(1, rounds / 10)));
 
-    std::vector<config::ScenarioRun> runs;
-    try {
-      runs = config::expand_grid(raw);
-    } catch (const config::ScenarioError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
+    const std::vector<config::ScenarioRun> runs = bench::expand_preset(raw);
     auto run = [&](sim::Algorithm algorithm) {
       for (const config::ScenarioRun& r : runs) {
         if (r.config.algorithm == algorithm) return config::execute(r);

@@ -4,7 +4,8 @@
 // The paper cites PowerGossip as the other state-of-the-art
 // communication-efficient DL algorithm and skips the comparison because "it
 // performs as good as tuned CHOCO"; implementing it here lets the
-// reproduction check that claim directly (see bench_ablation_baselines).
+// reproduction check that claim directly (scenarios/baselines_powergossip,
+// run at equal bytes by bench_ablation_baselines).
 //
 // Faithful to the original, compression is per *layer*: every parameter
 // tensor is viewed as a rows x cols matrix M_b (matrices by their leading

@@ -1,16 +1,19 @@
 // Scenario engine tests: parser round-trips, every diagnostic path, sweep
-// expansion count/order, runner wiring, the golden-file check that a
-// paper-figure scenario reproduces the hand-wired bench it replaced bit for
-// bit, and the docs contract (every key the parser accepts is documented in
-// docs/EXPERIMENTS.md).
+// expansion count/order, runner wiring, the golden-file check that every
+// paper-figure preset reproduces the hand-wired bench it replaced bit for
+// bit, and the docs contracts (every key the parser accepts, and every
+// checked-in preset, is documented in docs/EXPERIMENTS.md).
 #include "config/runner.hpp"
 #include "config/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "graph/graph.hpp"
@@ -366,16 +369,48 @@ TEST(ScenarioKeys, AllCheckedInScenarioPresetsExpand) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(JWINS_SOURCE_DIR) / "scenarios";
   ASSERT_TRUE(fs::exists(dir));
-  std::size_t presets = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() != ".scenario") continue;
-    ++presets;
     EXPECT_NO_THROW({
       const auto runs = expand_grid(load_scenario_file(entry.path().string()));
       EXPECT_GE(runs.size(), 1u) << entry.path();
     }) << entry.path();
   }
-  EXPECT_GE(presets, 8u);  // one per refactored bench/example + smoke
+}
+
+// Every checked-in preset has a row in docs/EXPERIMENTS.md's figure map, and
+// every preset the map names exists.
+TEST(ScenarioKeys, FigureMapListsExactlyTheCheckedInPresets) {
+  namespace fs = std::filesystem;
+  const fs::path root(JWINS_SOURCE_DIR);
+  std::ifstream in(root / "docs" / "EXPERIMENTS.md");
+  ASSERT_TRUE(in.is_open());
+  std::set<std::string> mapped;
+  bool in_map = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) {
+      in_map = line == "## Figure ↔ scenario map";
+      continue;
+    }
+    if (!in_map || line.rfind("| `scenarios/", 0) != 0) continue;
+    const std::size_t begin = 3;  // past "| `"
+    mapped.insert(line.substr(begin, line.find('`', begin) - begin));
+  }
+  ASSERT_FALSE(mapped.empty()) << "no figure map rows found";
+
+  std::set<std::string> presets;
+  for (const auto& entry : fs::directory_iterator(root / "scenarios")) {
+    if (entry.path().extension() != ".scenario") continue;
+    presets.insert("scenarios/" + entry.path().filename().string());
+  }
+  for (const std::string& preset : presets) {
+    EXPECT_EQ(mapped.count(preset), 1u)
+        << preset << " has no row in docs/EXPERIMENTS.md's figure map";
+  }
+  for (const std::string& path : mapped) {
+    EXPECT_TRUE(fs::exists(root / path))
+        << "docs/EXPERIMENTS.md's figure map names missing preset " << path;
+  }
 }
 
 // --- runner wiring --------------------------------------------------------
@@ -486,35 +521,32 @@ TEST(ExperimentConfigValidate, ExperimentConstructorRejectsInvalidConfig) {
 
 // --- the golden-file check ------------------------------------------------
 
-// scenarios/fig5_convergence.scenario, scaled down, must reproduce the
-// EXACT series the pre-refactor bench_fig5_convergence wiring produced:
-// same workload seed, same topology construction, same config. This is the
-// contract that lets the benches delete their hand wiring.
-TEST(ScenarioGolden, Fig5ScenarioMatchesHandWiredBench) {
-  const std::size_t nodes = 8;
-  const std::size_t rounds = 6;
+// Each checked-in paper-figure preset, scaled down, must reproduce the EXACT
+// result of the hand-wired bench it replaced: same workload seed, same
+// topology construction, same config. This is the contract that let the
+// benches delete their hand wiring. Every hand-wired function below is the
+// deleted bench's config code, verbatim apart from the scaled-down sizes.
+
+constexpr std::size_t kGoldenNodes = 8;
+constexpr std::size_t kGoldenRounds = 6;
+
+/// The benches' static_regular(nodes, degree_for_nodes(nodes), seed).
+sim::ExperimentResult run_hand_wired(const sim::ExperimentConfig& cfg,
+                                     const sim::Workload& w, std::size_t nodes,
+                                     std::size_t seed) {
+  std::mt19937 rng(static_cast<unsigned>(seed));
+  sim::Experiment experiment(
+      cfg, w.model_factory, *w.train, w.partition, *w.test,
+      std::make_unique<graph::StaticTopology>(
+          graph::random_regular(nodes, auto_degree(nodes), rng)));
+  return experiment.run();
+}
+
+// bench_fig5_convergence (pre-preset), the random-sampling stage on celeba.
+sim::ExperimentResult fig5_bench() {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
   const std::size_t seed = 1;
-
-  // Scenario path: the checked-in preset, scaled down via overrides (what
-  // `jwins_run scenarios/fig5_convergence.scenario --set ...` does).
-  RawScenario raw = load_scenario_file(std::string(JWINS_SOURCE_DIR) +
-                                       "/scenarios/fig5_convergence.scenario");
-  set_value(raw, "nodes", std::to_string(nodes));
-  set_value(raw, "rounds", std::to_string(rounds));
-  set_value(raw, "workload", "celeba");
-  set_value(raw, "eval_every", "2");
-  set_value(raw, "eval_sample_limit", "64");
-  set_value(raw, "eval_node_limit", "4");
-  set_value(raw, "threads", "1");
-  const auto runs = expand_grid(raw);
-  const ScenarioRun* cell = nullptr;
-  for (const ScenarioRun& r : runs) {
-    if (r.config.algorithm == sim::Algorithm::kRandomSampling) cell = &r;
-  }
-  ASSERT_NE(cell, nullptr);
-  const sim::ExperimentResult from_scenario = execute(*cell);
-
-  // Hand-wired path: the pre-refactor bench code, verbatim.
   const sim::Workload w =
       sim::make_workload("celeba", nodes, static_cast<std::uint32_t>(seed));
   sim::ExperimentConfig cfg;
@@ -528,34 +560,259 @@ TEST(ScenarioGolden, Fig5ScenarioMatchesHandWiredBench) {
   cfg.threads = 1;
   cfg.seed = seed;
   cfg.random_sampling_fraction = 0.37;
-  std::mt19937 rng(static_cast<unsigned>(seed));
-  sim::Experiment hand_wired(
-      cfg, w.model_factory, *w.train, w.partition, *w.test,
-      std::make_unique<graph::StaticTopology>(
-          graph::random_regular(nodes, auto_degree(nodes), rng)));
-  const sim::ExperimentResult golden = hand_wired.run();
+  return run_hand_wired(cfg, w, nodes, seed);
+}
 
-  ASSERT_EQ(from_scenario.series.size(), golden.series.size());
-  for (std::size_t i = 0; i < golden.series.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(from_scenario.series[i].round, golden.series[i].round);
-    EXPECT_EQ(from_scenario.series[i].sim_seconds, golden.series[i].sim_seconds);
-    EXPECT_EQ(from_scenario.series[i].test_accuracy,
-              golden.series[i].test_accuracy);
-    EXPECT_EQ(from_scenario.series[i].test_loss, golden.series[i].test_loss);
-    EXPECT_EQ(from_scenario.series[i].train_loss, golden.series[i].train_loss);
-    EXPECT_EQ(from_scenario.series[i].avg_bytes_per_node,
-              golden.series[i].avg_bytes_per_node);
-    EXPECT_EQ(from_scenario.series[i].avg_metadata_bytes_per_node,
-              golden.series[i].avg_metadata_bytes_per_node);
+// bench_fig6_choco: one budget's JWINS or CHoCo run.
+struct Fig6Budget {
+  double alpha_low, p_full;  // JWINS two-point distribution
+  double choco_fraction, choco_gamma;
+};
+constexpr Fig6Budget kFig6Budget20{0.10, 0.10, 0.20, 0.6};
+constexpr Fig6Budget kFig6Budget10{0.05, 0.05, 0.10, 0.1};
+
+sim::ExperimentResult fig6_bench(sim::Algorithm algorithm,
+                                 const Fig6Budget& b) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = algorithm;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = 0.05f;
+  cfg.eval_every = 5;
+  cfg.eval_sample_limit = 192;
+  cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
+  cfg.threads = threads;
+  cfg.seed = seed;
+  if (algorithm == sim::Algorithm::kJwins) {
+    cfg.jwins.cutoff =
+        core::RandomizedCutoff::two_point(b.alpha_low, b.p_full);
+  } else {
+    cfg.choco.fraction = b.choco_fraction;
+    cfg.choco.gamma = b.choco_gamma;
   }
-  EXPECT_EQ(from_scenario.total_traffic.bytes_sent,
-            golden.total_traffic.bytes_sent);
-  EXPECT_EQ(from_scenario.total_traffic.metadata_bytes_sent,
-            golden.total_traffic.metadata_bytes_sent);
-  EXPECT_EQ(from_scenario.final_accuracy, golden.final_accuracy);
-  EXPECT_EQ(from_scenario.final_loss, golden.final_loss);
-  EXPECT_EQ(from_scenario.sim_seconds, golden.sim_seconds);
+  return run_hand_wired(cfg, w, nodes, seed);
+}
+
+// bench_fig8_ablation: one variant at one budget and seed.
+struct Fig8Variant {
+  bool wavelet, accumulation, random_cutoff;
+};
+
+sim::ExperimentResult fig8_bench(const Fig8Variant& v, bool budgeted,
+                                 std::size_t run_seed) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const unsigned threads = 1;
+  const double alpha_low = 0.10, p_full = 0.10;  // the 20% budget
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(run_seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kJwins;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = w.suggested_lr;
+  cfg.eval_every = 10;
+  cfg.eval_sample_limit = 192;
+  cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
+  cfg.threads = threads;
+  cfg.seed = run_seed;
+  cfg.jwins.ranker.use_wavelet = v.wavelet;
+  cfg.jwins.ranker.use_accumulation = v.accumulation;
+  core::RandomizedCutoff base =
+      budgeted ? core::RandomizedCutoff::two_point(alpha_low, p_full)
+               : core::RandomizedCutoff::paper_default();
+  cfg.jwins.cutoff = v.random_cutoff
+                         ? base
+                         : core::RandomizedCutoff::fixed(base.expected_alpha());
+  return run_hand_wired(cfg, w, nodes, run_seed);
+}
+
+// bench_fig9_metadata: one index encoding.
+sim::ExperimentResult fig9_bench(core::IndexEncoding encoding) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kJwins;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = 0.05f;
+  cfg.eval_every = rounds;
+  cfg.eval_sample_limit = 64;
+  cfg.eval_node_limit = 2;
+  cfg.threads = threads;
+  cfg.seed = seed;
+  cfg.jwins.index_encoding = encoding;
+  cfg.jwins.value_encoding = core::ValueEncoding::kRaw;
+  return run_hand_wired(cfg, w, nodes, seed);
+}
+
+// bench_ablation_baselines (pre-preset): its run(algorithm, rounds) lambda.
+sim::ExperimentResult baselines_bench(sim::Algorithm algorithm) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t algo_rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = algorithm;
+  cfg.rounds = algo_rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = w.suggested_lr;
+  cfg.eval_every = 10;
+  cfg.eval_sample_limit = 192;
+  cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
+  cfg.threads = threads;
+  cfg.seed = seed;
+  cfg.choco.gamma = 0.6;
+  cfg.choco.fraction = 0.2;
+  cfg.power_gossip.gamma = 1.0;
+  cfg.jwins.cutoff = core::RandomizedCutoff::two_point(0.10, 0.10);
+  return run_hand_wired(cfg, w, nodes, seed);
+}
+
+struct GoldenRow {
+  const char* name;
+  const char* preset;  ///< scenarios/<preset>.scenario
+  std::vector<std::pair<const char*, const char*>> overrides;  ///< --set
+  const char* label;   ///< the grid cell to run (ScenarioRun::label)
+  std::function<sim::ExperimentResult()> hand_wired;
+};
+
+// gtest prints the row name for `# GetParam() =` instead of raw bytes.
+void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
+
+void expect_bit_identical(const sim::ExperimentResult& got,
+                          const sim::ExperimentResult& want) {
+  ASSERT_EQ(got.series.size(), want.series.size());
+  for (std::size_t i = 0; i < want.series.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.series[i].round, want.series[i].round);
+    EXPECT_EQ(got.series[i].sim_seconds, want.series[i].sim_seconds);
+    EXPECT_EQ(got.series[i].test_accuracy, want.series[i].test_accuracy);
+    EXPECT_EQ(got.series[i].test_loss, want.series[i].test_loss);
+    EXPECT_EQ(got.series[i].train_loss, want.series[i].train_loss);
+    EXPECT_EQ(got.series[i].avg_bytes_per_node,
+              want.series[i].avg_bytes_per_node);
+    EXPECT_EQ(got.series[i].avg_metadata_bytes_per_node,
+              want.series[i].avg_metadata_bytes_per_node);
+  }
+  EXPECT_EQ(got.total_traffic.messages_sent, want.total_traffic.messages_sent);
+  EXPECT_EQ(got.total_traffic.bytes_sent, want.total_traffic.bytes_sent);
+  EXPECT_EQ(got.total_traffic.payload_bytes_sent,
+            want.total_traffic.payload_bytes_sent);
+  EXPECT_EQ(got.total_traffic.metadata_bytes_sent,
+            want.total_traffic.metadata_bytes_sent);
+  EXPECT_EQ(got.rounds_run, want.rounds_run);
+  EXPECT_EQ(got.final_accuracy, want.final_accuracy);
+  EXPECT_EQ(got.final_loss, want.final_loss);
+  EXPECT_EQ(got.mean_alpha, want.mean_alpha);
+  EXPECT_EQ(got.sim_seconds, want.sim_seconds);
+}
+
+RawScenario load_preset(const std::string& preset) {
+  return load_scenario_file(std::string(JWINS_SOURCE_DIR) + "/scenarios/" +
+                            preset + ".scenario");
+}
+
+class ScenarioGolden : public ::testing::TestWithParam<GoldenRow> {};
+
+TEST_P(ScenarioGolden, PresetMatchesBench) {
+  const GoldenRow& row = GetParam();
+  // Scenario path: the checked-in preset, scaled down via overrides (what
+  // `jwins_run scenarios/<preset>.scenario --set ...` does).
+  RawScenario raw = load_preset(row.preset);
+  set_value(raw, "nodes", std::to_string(kGoldenNodes));
+  set_value(raw, "rounds", std::to_string(kGoldenRounds));
+  set_value(raw, "threads", "1");
+  for (const auto& [key, value] : row.overrides) set_value(raw, key, value);
+  const auto runs = expand_grid(raw);
+  const auto cell =
+      std::find_if(runs.begin(), runs.end(),
+                   [&](const ScenarioRun& r) { return r.label == row.label; });
+  ASSERT_NE(cell, runs.end()) << row.preset << " has no cell " << row.label;
+  expect_bit_identical(execute(*cell), row.hand_wired());
+}
+
+const Fig8Variant kNoWavelet{false, true, true};
+const Fig8Variant kNoAccumulation{true, false, true};
+const Fig8Variant kNoRandomCutoff{true, true, false};
+
+INSTANTIATE_TEST_SUITE_P(
+    Figures, ScenarioGolden,
+    ::testing::Values(
+        GoldenRow{"fig5_random_sampling",
+                  "fig5_convergence",
+                  {{"workload", "celeba"},
+                   {"eval_every", "2"},
+                   {"eval_sample_limit", "64"},
+                   {"eval_node_limit", "4"}},
+                  "algorithm=random-sampling",
+                  fig5_bench},
+        GoldenRow{"fig6_20_jwins", "fig6_choco_20", {}, "algorithm=jwins",
+                  [] { return fig6_bench(sim::Algorithm::kJwins, kFig6Budget20); }},
+        GoldenRow{"fig6_20_choco", "fig6_choco_20", {}, "algorithm=choco",
+                  [] { return fig6_bench(sim::Algorithm::kChoco, kFig6Budget20); }},
+        GoldenRow{"fig6_10_jwins", "fig6_choco_10", {}, "algorithm=jwins",
+                  [] { return fig6_bench(sim::Algorithm::kJwins, kFig6Budget10); }},
+        GoldenRow{"fig6_10_choco", "fig6_choco_10", {}, "algorithm=choco",
+                  [] { return fig6_bench(sim::Algorithm::kChoco, kFig6Budget10); }},
+        GoldenRow{"fig8_no_wavelet", "fig8_ablation", {},
+                  "jwins_cutoff=paper,jwins_use_wavelet=false,"
+                  "jwins_use_accumulation=true,seed=2",
+                  [] { return fig8_bench(kNoWavelet, false, 2); }},
+        GoldenRow{"fig8_no_accumulation", "fig8_ablation", {},
+                  "jwins_cutoff=two-point:0.10:0.10,jwins_use_wavelet=true,"
+                  "jwins_use_accumulation=false,seed=3",
+                  [] { return fig8_bench(kNoAccumulation, true, 3); }},
+        GoldenRow{"fig8_fixed_paper", "fig8_ablation", {},
+                  "jwins_cutoff=fixed:0.34285714285714286,"
+                  "jwins_use_wavelet=true,jwins_use_accumulation=true,seed=1",
+                  [] { return fig8_bench(kNoRandomCutoff, false, 1); }},
+        GoldenRow{"fig8_fixed_20", "fig8_ablation", {},
+                  "jwins_cutoff=fixed:0.19,jwins_use_wavelet=true,"
+                  "jwins_use_accumulation=true,seed=1",
+                  [] { return fig8_bench(kNoRandomCutoff, true, 1); }},
+        GoldenRow{"fig9_raw", "fig9_metadata", {}, "index_encoding=raw",
+                  [] { return fig9_bench(core::IndexEncoding::kRaw); }},
+        GoldenRow{"fig9_elias_gamma", "fig9_metadata", {},
+                  "index_encoding=elias-gamma",
+                  [] { return fig9_bench(core::IndexEncoding::kEliasGamma); }},
+        GoldenRow{"baselines_power_gossip", "baselines_powergossip", {},
+                  "algorithm=power-gossip",
+                  [] { return baselines_bench(sim::Algorithm::kPowerGossip); }}),
+    [](const ::testing::TestParamInfo<GoldenRow>& info) {
+      return std::string(info.param.name);
+    });
+
+// The "without random cut-off" arms pin alpha to the base distribution's
+// expected value; the preset spells it as a decimal literal, which must
+// parse to exactly what the bench computed.
+TEST(ScenarioPresets, Fig8FixedCutoffsAreTheExactExpectedAlphas) {
+  std::vector<double> fixed_alphas;
+  for (const ScenarioRun& run : expand_grid(load_preset("fig8_ablation"))) {
+    const auto& alphas = run.config.jwins.cutoff.alphas();
+    if (alphas.size() == 1 &&
+        std::find(fixed_alphas.begin(), fixed_alphas.end(), alphas[0]) ==
+            fixed_alphas.end()) {
+      fixed_alphas.push_back(alphas[0]);
+    }
+  }
+  ASSERT_EQ(fixed_alphas.size(), 2u);
+  EXPECT_EQ(fixed_alphas[0],
+            core::RandomizedCutoff::paper_default().expected_alpha());
+  EXPECT_EQ(fixed_alphas[1],
+            core::RandomizedCutoff::two_point(0.10, 0.10).expected_alpha());
 }
 
 }  // namespace
