@@ -85,18 +85,13 @@ void ChocoNode::share(net::Network& network, const graph::Graph& g,
     msg = core::make_message(rank(), round, payload, msg_options,
                              network.pool(), scratch.bits);
   }
-  if (is_byzantine()) note_corrupted_sends(g.neighbors(rank()).size());
-  for (std::size_t j : g.neighbors(rank())) {
-    network.send(static_cast<std::uint32_t>(j), msg);
-  }
+  broadcast(network, g, msg);
 }
 
 void ChocoNode::aggregate(net::Network& network, const graph::Graph& g,
                           const graph::MixingWeights& weights,
                           std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  network.drain_into(rank(), scratch.inbox);
-  const std::vector<net::Message>& inbox = scratch.inbox;
   const double w_self = weights.self_weight[rank()];
   // x̂_i += q_i and s += w_ii * q_i (own contribution).
   if (own_indices_.empty() && !own_values_.empty()) {  // dense (qsgd)
@@ -111,62 +106,31 @@ void ChocoNode::aggregate(net::Network& network, const graph::Graph& g,
       s_[idx] += static_cast<float>(w_self * own_values_[i]);
     }
   }
-  // s += Σ_j w_ij q_j (neighbor contributions; under weighted async mode
-  // the mixing weight additionally carries the λ^staleness age decay —
-  // exactly weight_of() outside it).
-  if (robust_agg().kind == core::RobustAggKind::kNone) {
-    for (const net::Message& msg : inbox) {
-      const double w = contribution_weight(g, weights, msg, round);
-      if (options_.compressor == Compressor::kQsgd) {
-        // Zero-copy: the packed bitstream is read in place from the
-        // refcounted body, never materialized into scratch.
-        const compress::QuantizedView q = compress::qsgd_view(msg.body);
-        compress::qsgd_dequantize_into(q, scratch.floats);
-        if (scratch.floats.size() != s_.size()) {
-          throw std::out_of_range("ChocoNode: quantized vector length mismatch");
-        }
-        for (std::size_t i = 0; i < scratch.floats.size(); ++i) {
-          s_[i] += static_cast<float>(w * scratch.floats[i]);
-        }
-      } else {
-        core::SparsePayload& payload = scratch.payloads.next();
-        core::decode_payload_into(msg.body, payload, scratch.arena);
-        for (std::size_t i = 0; i < payload.indices.size(); ++i) {
-          const std::uint32_t idx = payload.indices[i];
-          if (idx >= s_.size()) {
-            throw std::out_of_range("ChocoNode: received index out of range");
-          }
-          s_[idx] += static_cast<float>(w * payload.values[i]);
-        }
-      }
-    }
-  } else {
-    // Robust path: materialize every neighbor diff first (the order-
-    // statistic rules need them simultaneously; pool references are stable
-    // only once all payloads are decoded), then merge through the
-    // configured rule. qsgd payloads dequantize into pool slots here
-    // instead of the streaming scratch buffer.
-    for (const net::Message& msg : inbox) {
+  // s += Σ_j w_ij q_j over every neighbour diff, through the configured
+  // robust rule; without one this is the literal in-order weighted scatter.
+  // Under weighted async mode the mixing weight carries the λ^staleness
+  // decay.
+  if (options_.compressor == Compressor::kQsgd) {
+    // Dense diffs: the packed bitstream is read in place from the
+    // refcounted body and dequantized into a pool slot.
+    network.drain_into(rank(), scratch.inbox);
+    for (const net::Message& msg : scratch.inbox) {
       core::SparsePayload& payload = scratch.payloads.next();
-      if (options_.compressor == Compressor::kQsgd) {
-        const compress::QuantizedView q = compress::qsgd_view(msg.body);
-        compress::qsgd_dequantize_into(q, payload.values);
-        if (payload.values.size() != s_.size()) {
-          throw std::out_of_range("ChocoNode: quantized vector length mismatch");
-        }
-        payload.vector_length = static_cast<std::uint32_t>(s_.size());
-      } else {
-        core::decode_payload_into(msg.body, payload, scratch.arena);
-      }
+      compress::qsgd_dequantize_into(compress::qsgd_view(msg.body),
+                                     payload.values);
+      payload.vector_length = static_cast<std::uint32_t>(payload.values.size());
     }
-    for (std::size_t i = 0; i < inbox.size(); ++i) {
+    // Pool references are stable once every payload is decoded.
+    for (std::size_t i = 0; i < scratch.inbox.size(); ++i) {
       scratch.contributions.push_back(
-          {contribution_weight(g, weights, inbox[i], round),
+          {contribution_weight(g, weights, scratch.inbox[i], round),
            &scratch.payloads[i]});
     }
-    core::robust_accumulate_diffs(robust_agg(), s_, scratch.contributions,
-                                  scratch.arena, &robust_counters_mutable());
+  } else {
+    receive(network, g, weights, round, s_.size(), scratch);
   }
+  core::robust_accumulate_diffs(robust_agg(), s_, scratch.contributions,
+                                scratch.arena, &robust_counters_mutable());
   // Consensus step: x += γ (s - x̂) where s - x̂ = Σ_j w_ij (x̂_j - x̂_i).
   const std::span<float> x = scratch.arena.alloc<float>(param_count());
   flat_params_into(x);

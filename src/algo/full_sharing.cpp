@@ -1,7 +1,5 @@
 #include "algo/full_sharing.hpp"
 
-#include "core/averaging.hpp"
-
 namespace jwins::algo {
 
 FullSharingNode::FullSharingNode(std::uint32_t rank,
@@ -19,10 +17,7 @@ void FullSharingNode::share(net::Network& network, const graph::Graph& g,
   flat_params_into(x);
   // Wire-only corruption: x is the arena staging copy, never written back,
   // so a byzantine node poisons its broadcast while training honestly.
-  if (is_byzantine()) {
-    corrupt_wire_values(x, round);
-    note_corrupted_sends(g.neighbors(rank()).size());
-  }
+  if (is_byzantine()) corrupt_wire_values(x, round);
   core::PayloadView payload;
   payload.vector_length = static_cast<std::uint32_t>(x.size());
   payload.values = x;
@@ -31,37 +26,7 @@ void FullSharingNode::share(net::Network& network, const graph::Graph& g,
   options.value_encoding = value_encoding_;
   const net::Message msg = core::make_message(
       rank(), round, payload, options, network.pool(), scratch.bits);
-  for (std::size_t j : g.neighbors(rank())) {
-    network.send(static_cast<std::uint32_t>(j), msg);
-  }
-}
-
-void FullSharingNode::aggregate(net::Network& network, const graph::Graph& g,
-                                const graph::MixingWeights& weights,
-                                std::uint32_t round,
-                                core::RoundScratch& scratch) {
-  scratch.reset();
-  network.drain_into(rank(), scratch.inbox);
-  const std::vector<net::Message>& inbox = scratch.inbox;
-  for (const net::Message& msg : inbox) {
-    core::decode_payload_into(msg.body, scratch.payloads.next(), scratch.arena);
-  }
-  // Pool references are stable once all payloads are decoded. Staleness
-  // scales are all exactly 1.0 outside weighted async mode, in which case
-  // the unscaled (bit-identical legacy) overload runs.
-  bool scaled = false;
-  for (std::size_t i = 0; i < inbox.size(); ++i) {
-    scratch.contributions.push_back(
-        {weight_of(g, weights, rank(), inbox[i].sender), &scratch.payloads[i]});
-    const double scale = staleness_scale(inbox[i].round, round);
-    scratch.contribution_scales.push_back(scale);
-    scaled = scaled || scale != 1.0;
-  }
-  const std::span<float> x = scratch.arena.alloc<float>(param_count());
-  flat_params_into(x);
-  robust_average(x, weights.self_weight[rank()], scratch.contributions,
-                 scratch.contribution_scales, scaled, scratch.arena);
-  set_flat_params(x);
+  broadcast(network, g, msg);
 }
 
 }  // namespace jwins::algo

@@ -17,9 +17,6 @@ class FullSharingNode final : public DlNode {
   void share(net::Network& network, const graph::Graph& g,
              const graph::MixingWeights& weights, std::uint32_t round,
              core::RoundScratch& scratch) override;
-  void aggregate(net::Network& network, const graph::Graph& g,
-                 const graph::MixingWeights& weights, std::uint32_t round,
-                 core::RoundScratch& scratch) override;
 
  private:
   core::ValueEncoding value_encoding_;

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "compress/topk.hpp"
-#include "core/averaging.hpp"
 
 namespace jwins::algo {
 
@@ -72,40 +71,21 @@ void JwinsNode::share(net::Network& network, const graph::Graph& g,
     payload.values = values;
     msg_options.index_encoding = options_.index_encoding;
   }
-  if (is_byzantine()) note_corrupted_sends(g.neighbors(rank()).size());
   // One refcounted, pool-recycled body shared by every neighbor.
-  const net::Message msg = core::make_message(
-      rank(), round, payload, msg_options, network.pool(), scratch.bits);
-  for (std::size_t j : g.neighbors(rank())) {
-    network.send(static_cast<std::uint32_t>(j), msg);
-  }
+  broadcast(network, g,
+            core::make_message(rank(), round, payload, msg_options,
+                               network.pool(), scratch.bits));
 }
 
 void JwinsNode::aggregate(net::Network& network, const graph::Graph& g,
                           const graph::MixingWeights& weights,
                           std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  network.drain_into(rank(), scratch.inbox);
-  const std::vector<net::Message>& inbox = scratch.inbox;
-  for (const net::Message& msg : inbox) {
-    core::decode_payload_into(msg.body, scratch.payloads.next(), scratch.arena);
-  }
-  // Pool references are stable once all payloads are decoded. Staleness
-  // scales are all exactly 1.0 outside weighted async mode, in which case
-  // the unscaled (bit-identical legacy) overload runs.
-  bool scaled = false;
-  for (std::size_t i = 0; i < inbox.size(); ++i) {
-    scratch.contributions.push_back(
-        {weight_of(g, weights, rank(), inbox[i].sender), &scratch.payloads[i]});
-    const double scale = staleness_scale(inbox[i].round, round);
-    scratch.contribution_scales.push_back(scale);
-    scaled = scaled || scale != 1.0;
-  }
+  receive(network, g, weights, round, ranker_.coeff_length(), scratch);
   // Algorithm 1, line 10: average received wavelet coefficients with our
   // own (through the robust rule when one is configured).
   robust_average(own_coeffs_, weights.self_weight[rank()],
-                 scratch.contributions, scratch.contribution_scales, scaled,
-                 scratch.arena);
+                 scratch.contributions, scratch.arena);
   // Line 11: invert back to the parameter domain.
   const std::span<float> x_next = scratch.arena.alloc<float>(param_count());
   ranker_.inverse_into(own_coeffs_, x_next, scratch.dwt);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "nn/flat.hpp"
@@ -97,25 +98,60 @@ double DlNode::weight_of(const graph::Graph& g,
   return 0.0;
 }
 
-double DlNode::staleness_scale(std::uint32_t msg_round,
-                               std::uint32_t round) const noexcept {
-  // Messages from the current round or ahead of it (possible under free
-  // aggregation) carry no staleness; decay applies only to genuinely old
-  // tags. The >= 1.0 short-circuit keeps the default path branch-only.
-  if (staleness_decay_ >= 1.0 || msg_round >= round) return 1.0;
-  return std::pow(staleness_decay_,
-                  static_cast<double>(round - msg_round));
-}
-
 double DlNode::contribution_weight(const graph::Graph& g,
                                    const graph::MixingWeights& weights,
                                    const net::Message& msg,
                                    std::uint32_t round) const {
-  const double base = weight_of(g, weights, rank_, msg.sender);
-  const double scale = staleness_scale(msg.round, round);
-  // scale == 1.0 exactly on the undecayed path: return the unmultiplied
-  // double so sync/barrier aggregation stays bit-identical.
-  return scale == 1.0 ? base : base * scale;
+  // Messages from the current round or ahead of it (possible under free
+  // aggregation) carry no staleness; decay applies only to genuinely old
+  // tags. Otherwise the scale is exactly 1.0 and base * 1.0 == base.
+  const double scale =
+      staleness_decay_ >= 1.0 || msg.round >= round
+          ? 1.0
+          : std::pow(staleness_decay_, static_cast<double>(round - msg.round));
+  return weight_of(g, weights, rank_, msg.sender) * scale;
+}
+
+void DlNode::broadcast(net::Network& network, const graph::Graph& g,
+                       const net::Message& msg) {
+  const auto& neighbors = g.neighbors(rank_);
+  for (std::size_t j : neighbors) {
+    network.send(static_cast<std::uint32_t>(j), msg);
+  }
+  if (byzantine_) note_corrupted_sends(neighbors.size());
+}
+
+void DlNode::receive(net::Network& network, const graph::Graph& g,
+                     const graph::MixingWeights& weights, std::uint32_t round,
+                     std::size_t expected_length,
+                     core::RoundScratch& scratch) {
+  network.drain_into(rank_, scratch.inbox);
+  for (const net::Message& msg : scratch.inbox) {
+    core::SparsePayload& payload = scratch.payloads.next();
+    core::decode_payload_into(msg.body, payload, scratch.arena);
+    if (payload.vector_length != expected_length) {
+      throw std::invalid_argument("DlNode::receive: vector length mismatch");
+    }
+  }
+  // Pool references are stable once every payload is decoded.
+  for (std::size_t i = 0; i < scratch.inbox.size(); ++i) {
+    scratch.contributions.push_back(
+        {contribution_weight(g, weights, scratch.inbox[i], round),
+         &scratch.payloads[i]});
+  }
+}
+
+void DlNode::aggregate(net::Network& network, const graph::Graph& g,
+                       const graph::MixingWeights& weights,
+                       std::uint32_t round, core::RoundScratch& scratch) {
+  scratch.reset();
+  const std::size_t n = param_count();
+  receive(network, g, weights, round, n, scratch);
+  const std::span<float> x = scratch.arena.alloc<float>(n);
+  flat_params_into(x);
+  robust_average(x, weights.self_weight[rank_], scratch.contributions,
+                 scratch.arena);
+  set_flat_params(x);
 }
 
 void DlNode::corrupt_wire_values(std::span<float> values, std::uint32_t round,
@@ -145,23 +181,9 @@ void DlNode::corrupt_wire_values(std::span<float> values, std::uint32_t round,
 void DlNode::robust_average(
     std::span<float> own, double self_weight,
     std::span<const core::WeightedContribution> contributions,
-    std::span<const double> contribution_scales, bool scaled,
     core::Arena& arena) {
-  if (robust_.kind == core::RobustAggKind::kNone) {
-    // Exactly the overload selection the algorithms performed before the
-    // robust layer existed — golden runs stay byte-identical.
-    if (scaled) {
-      core::partial_average(own, self_weight, contributions,
-                            contribution_scales, arena);
-    } else {
-      core::partial_average(own, self_weight, contributions, arena);
-    }
-    return;
-  }
-  core::robust_partial_average(
-      robust_, own, self_weight, contributions,
-      scaled ? contribution_scales : std::span<const double>{}, arena,
-      &robust_counters_);
+  core::robust_partial_average(robust_, own, self_weight, contributions,
+                               arena, &robust_counters_);
 }
 
 }  // namespace jwins::algo

@@ -13,6 +13,15 @@
 // it is independent of the rest of the DL stack: DlNode gives every
 // algorithm the identical model/optimizer/data substrate so byte and
 // accuracy comparisons isolate the communication policy.
+//
+// The shared communication steps live here too. broadcast() sends one
+// message to every neighbour and books corrupted sends. receive() is the
+// input side of Algorithm 1, line 10 for every payload algorithm: it drains
+// the inbox, decodes each sparse payload once, checks its length against
+// the receiver's vector, and weighs it (mixing weight times the staleness
+// decay). The default aggregate() averages those contributions into the
+// model in the parameter domain; JWINS averages them in the wavelet domain
+// and CHOCO accumulates them as diffs.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +108,12 @@ class DlNode {
                      core::RoundScratch& scratch) = 0;
 
   /// Drains the mailbox and merges neighbor contributions into the model.
-  /// Same scratch contract as share().
+  /// Same scratch contract as share(). The default is partial averaging of
+  /// received payloads in the parameter domain (full sharing, random
+  /// sampling), through the configured robust rule.
   virtual void aggregate(net::Network& network, const graph::Graph& g,
                          const graph::MixingWeights& weights,
-                         std::uint32_t round,
-                         core::RoundScratch& scratch) = 0;
+                         std::uint32_t round, core::RoundScratch& scratch);
 
   nn::SupervisedModel& model() noexcept { return *model_; }
 
@@ -122,9 +132,9 @@ class DlNode {
 
   /// Staleness-weighted mixing (sim::AsyncMode::kWeighted): a contribution
   /// tagged s rounds before the aggregating round mixes with weight
-  /// w_ij * lambda^s. The default lambda of 1.0 makes every scaling helper
-  /// an exact no-op (multiplying by 1.0 is exact in IEEE arithmetic), so
-  /// the synchronous and barrier paths stay bit-identical.
+  /// w_ij * lambda^s (contribution_weight()). The default lambda of 1.0
+  /// scales by exactly 1.0, a no-op in IEEE arithmetic, so the synchronous
+  /// and barrier paths stay bit-identical.
   void set_staleness_decay(double lambda) noexcept { staleness_decay_ = lambda; }
   double staleness_decay() const noexcept { return staleness_decay_; }
 
@@ -162,18 +172,29 @@ class DlNode {
                           const graph::MixingWeights& weights,
                           std::uint32_t receiver, std::uint32_t sender);
 
-  /// lambda^(round - msg_round) under the configured decay; exactly 1.0
-  /// when no decay is set or the message is current/future-tagged.
-  double staleness_scale(std::uint32_t msg_round,
-                         std::uint32_t round) const noexcept;
-
-  /// The mixing weight of `msg` at aggregation time: weight_of() scaled by
-  /// staleness_scale(). With the default decay this IS weight_of() — same
-  /// double, no extra arithmetic.
+  /// The mixing weight of `msg` at aggregation time: weight_of() times
+  /// lambda^(round - msg.round). The scale is exactly 1.0 when no decay is
+  /// set or the message is current/future-tagged, so the result is then
+  /// weight_of() bit for bit.
   double contribution_weight(const graph::Graph& g,
                              const graph::MixingWeights& weights,
                              const net::Message& msg,
                              std::uint32_t round) const;
+
+  /// Sends `msg` to every neighbour in `g`, and books the sends as corrupted
+  /// on a byzantine node.
+  void broadcast(net::Network& network, const graph::Graph& g,
+                 const net::Message& msg);
+
+  /// Drains this node's inbox into scratch.inbox, decodes every message
+  /// into a scratch.payloads slot, and pushes one
+  /// {contribution_weight(), &payload} per message into
+  /// scratch.contributions, in inbox order. Throws when a payload's
+  /// vector_length is not `expected_length` (param_count(), or the
+  /// coefficient length for JWINS). The caller resets `scratch` first.
+  void receive(net::Network& network, const graph::Graph& g,
+               const graph::MixingWeights& weights, std::uint32_t round,
+               std::size_t expected_length, core::RoundScratch& scratch);
 
   /// Fresh counter-based random stream for this node's draws in `round`.
   /// A pure function of (experiment seed, rank, round, salt): the k-th draw
@@ -195,19 +216,16 @@ class DlNode {
   void corrupt_wire_values(std::span<float> values, std::uint32_t round,
                            std::uint64_t salt = 0);
 
-  /// Books `messages` corrupted sends (called by share() next to the actual
-  /// network.send fan-out).
+  /// Books `messages` corrupted sends (broadcast() does this itself; for
+  /// per-edge sends that bypass it).
   void note_corrupted_sends(std::size_t messages) noexcept {
     corrupted_messages_ += static_cast<std::uint64_t>(messages);
   }
 
   /// Routes Algorithm 1's partial averaging through the configured robust
-  /// rule. kNone picks the exact overload the pre-adversarial code called
-  /// (scaled only when a scale differs from 1.0), so golden runs stay
-  /// byte-identical.
+  /// rule; kNone is core::partial_average itself.
   void robust_average(std::span<float> own, double self_weight,
                       std::span<const core::WeightedContribution> contributions,
-                      std::span<const double> contribution_scales, bool scaled,
                       core::Arena& arena);
 
   const core::RobustAggConfig& robust_agg() const noexcept { return robust_; }

@@ -21,9 +21,6 @@ class RandomSamplingNode final : public DlNode {
   void share(net::Network& network, const graph::Graph& g,
              const graph::MixingWeights& weights, std::uint32_t round,
              core::RoundScratch& scratch) override;
-  void aggregate(net::Network& network, const graph::Graph& g,
-                 const graph::MixingWeights& weights, std::uint32_t round,
-                 core::RoundScratch& scratch) override;
 
  private:
   double fraction_;

@@ -5,34 +5,21 @@
 
 namespace jwins::core {
 
-namespace {
-
-void partial_average_impl(std::span<float> own, double self_weight,
-                          std::span<const WeightedContribution> contributions,
-                          std::span<const double> contribution_scales,
-                          std::span<double> numerator,
-                          std::span<double> denominator) {
+void partial_average(std::span<float> own, double self_weight,
+                     std::span<const WeightedContribution> contributions,
+                     Arena& arena) {
   const std::size_t n = own.size();
-  if (!contribution_scales.empty() &&
-      contribution_scales.size() != contributions.size()) {
-    throw std::invalid_argument(
-        "partial_average: contribution_scales size mismatch");
-  }
+  const std::span<double> numerator = arena.alloc<double>(n);
+  const std::span<double> denominator = arena.alloc<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
     numerator[i] = self_weight * own[i];
     denominator[i] = self_weight;
   }
-  for (std::size_t k = 0; k < contributions.size(); ++k) {
-    const WeightedContribution& c = contributions[k];
+  for (const WeightedContribution& c : contributions) {
     if (c.payload == nullptr) {
       throw std::invalid_argument("partial_average: null contribution");
     }
-    // Effective weight: the scale multiplies numerator AND denominator, so
-    // per-coefficient renormalization still sums to 1 — decay redistributes
-    // mass, it never leaks it. Empty scales = the exact legacy path.
-    const double w = contribution_scales.empty()
-                         ? c.weight
-                         : c.weight * contribution_scales[k];
+    const double w = c.weight;
     const SparsePayload& p = *c.payload;
     if (p.vector_length != n) {
       throw std::invalid_argument("partial_average: vector length mismatch");
@@ -58,27 +45,6 @@ void partial_average_impl(std::span<float> own, double self_weight,
                  ? static_cast<float>(numerator[i] / denominator[i])
                  : own[i];
   }
-}
-
-}  // namespace
-
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     Arena& arena) {
-  const std::span<double> numerator = arena.alloc<double>(own.size());
-  const std::span<double> denominator = arena.alloc<double>(own.size());
-  partial_average_impl(own, self_weight, contributions, {}, numerator,
-                       denominator);
-}
-
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     std::span<const double> contribution_scales,
-                     Arena& arena) {
-  const std::span<double> numerator = arena.alloc<double>(own.size());
-  const std::span<double> denominator = arena.alloc<double>(own.size());
-  partial_average_impl(own, self_weight, contributions, contribution_scales,
-                       numerator, denominator);
 }
 
 namespace {
@@ -122,11 +88,6 @@ void check_contribution(const WeightedContribution& c, std::size_t n,
   }
 }
 
-double effective_weight(const WeightedContribution& c,
-                        std::span<const double> scales, std::size_t k) {
-  return scales.empty() ? c.weight : c.weight * scales[k];
-}
-
 /// Groups every (coordinate, supplier) entry by coordinate: counting sort
 /// over the payload index lists. `with_own` seeds each coordinate with
 /// (own[i], self_weight) as its first entry. Returns the entries span;
@@ -134,9 +95,8 @@ double effective_weight(const WeightedContribution& c,
 /// insertion order (own first, then contribution order).
 std::span<RobustEntry> group_by_coordinate(
     std::span<const float> own, double self_weight, bool with_own,
-    std::span<const WeightedContribution> contributions,
-    std::span<const double> scales, Arena& arena, const char* who,
-    std::span<std::size_t>& offsets) {
+    std::span<const WeightedContribution> contributions, Arena& arena,
+    const char* who, std::span<std::size_t>& offsets) {
   const std::size_t n = own.size();
   offsets = arena.alloc<std::size_t>(n + 1);
   const std::span<std::size_t> cursor = arena.alloc<std::size_t>(n);
@@ -161,17 +121,15 @@ std::span<RobustEntry> group_by_coordinate(
     cursor[i] = offsets[i];
     if (with_own) entries[cursor[i]++] = {own[i], self_weight};
   }
-  for (std::size_t k = 0; k < contributions.size(); ++k) {
-    const WeightedContribution& c = contributions[k];
-    const double w = effective_weight(c, scales, k);
+  for (const WeightedContribution& c : contributions) {
     const SparsePayload& p = *c.payload;
     if (p.dense()) {
       for (std::size_t i = 0; i < n; ++i) {
-        entries[cursor[i]++] = {p.values[i], w};
+        entries[cursor[i]++] = {p.values[i], c.weight};
       }
     } else {
       for (std::size_t i = 0; i < p.indices.size(); ++i) {
-        entries[cursor[p.indices[i]]++] = {p.values[i], w};
+        entries[cursor[p.indices[i]]++] = {p.values[i], c.weight};
       }
     }
   }
@@ -239,19 +197,11 @@ const char* robust_agg_name(RobustAggKind kind) {
 void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             double self_weight,
                             std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             Arena& arena, RobustAggCounters* counters) {
   const std::size_t n = own.size();
-  if (!contribution_scales.empty() &&
-      contribution_scales.size() != contributions.size()) {
-    throw std::invalid_argument(
-        "robust_partial_average: contribution_scales size mismatch");
-  }
   switch (config.kind) {
     case RobustAggKind::kNone:
-      // The plain path: empty scales reduce to the unscaled average.
-      partial_average(own, self_weight, contributions, contribution_scales,
-                      arena);
+      partial_average(own, self_weight, contributions, arena);
       return;
     case RobustAggKind::kNormClip: {
       const std::span<const double> factors =
@@ -265,7 +215,7 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
       }
       for (std::size_t k = 0; k < contributions.size(); ++k) {
         const WeightedContribution& c = contributions[k];
-        const double w = effective_weight(c, contribution_scales, k);
+        const double w = c.weight;
         const double f = factors[k];
         const SparsePayload& p = *c.payload;
         // f == 1.0 passes the received value through bit-identically, so a
@@ -299,8 +249,8 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
     case RobustAggKind::kMedian: {
       std::span<std::size_t> offsets;
       const std::span<RobustEntry> entries = group_by_coordinate(
-          own, self_weight, /*with_own=*/true, contributions,
-          contribution_scales, arena, "robust_partial_average", offsets);
+          own, self_weight, /*with_own=*/true, contributions, arena,
+          "robust_partial_average", offsets);
       for (std::size_t i = 0; i < n; ++i) {
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];
@@ -385,8 +335,8 @@ void robust_accumulate_diffs(const RobustAggConfig& config,
     case RobustAggKind::kMedian: {
       std::span<std::size_t> offsets;
       const std::span<RobustEntry> entries = group_by_coordinate(
-          acc, /*self_weight=*/0.0, /*with_own=*/false, contributions, {},
-          arena, "robust_accumulate_diffs", offsets);
+          acc, /*self_weight=*/0.0, /*with_own=*/false, contributions, arena,
+          "robust_accumulate_diffs", offsets);
       for (std::size_t i = 0; i < n; ++i) {
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];

@@ -55,24 +55,14 @@ struct RobustAggCounters {
   std::uint64_t clipped_contributions = 0;  ///< payloads shrunk onto the sphere
 };
 
-/// Averages `own` (dense) with sparse neighbor contributions in place. The
-/// two O(n) double accumulators come from `arena` (valid only within this
-/// call).
+/// Averages `own` (dense) with sparse neighbor contributions in place. Each
+/// weight enters both the numerator and the denominator, so the result is a
+/// convex combination whatever the weights are — a staleness-decayed weight
+/// (sim::AsyncMode::kWeighted) shifts mass from stale contributors toward
+/// the rest and never leaks it. The two O(n) double accumulators come from
+/// `arena` (valid only within this call).
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
-                     Arena& arena);
-
-/// Per-contribution scaled variant (staleness-weighted asynchronous mixing,
-/// sim::AsyncMode::kWeighted): contribution i participates with effective
-/// weight contributions[i].weight * contribution_scales[i] in BOTH the
-/// numerator and the denominator, so the result remains a convex
-/// combination — the weights still renormalize to 1 per coefficient, decay
-/// merely shifts mass from stale contributors toward the rest. Empty
-/// contribution_scales is the unscaled average; otherwise it must have
-/// contributions.size() entries (throws otherwise). Same arena contract.
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     std::span<const double> contribution_scales,
                      Arena& arena);
 
 /// Robust variant of partial_average: merges `own` with the contributions
@@ -93,13 +83,11 @@ void partial_average(std::span<float> own, double self_weight,
 ///    then flow through the ordinary partial average. Contributions inside
 ///    the sphere pass through untouched (bit-identical values).
 ///
-/// `contribution_scales` follows the partial_average contract (empty = no
-/// staleness decay). Temporaries come from `arena`; `counters` (optional)
-/// accumulates what the rule discarded or shrank.
+/// Temporaries come from `arena`; `counters` (optional) accumulates what
+/// the rule discarded or shrank.
 void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             double self_weight,
                             std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             Arena& arena,
                             RobustAggCounters* counters = nullptr);
 

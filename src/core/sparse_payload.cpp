@@ -89,12 +89,25 @@ void decode_payload_into(std::span<const std::uint8_t> body,
       // View, not copy: the blob stays in the (refcounted) message body.
       const std::span<const std::uint8_t> blob = reader.view_bytes();
       compress::decode_index_gaps_into(blob, count, out.indices);
+      // Gaps are >= 1, so the set is strictly ascending and the last index
+      // is the largest.
+      if (!out.indices.empty() && out.indices.back() >= out.vector_length) {
+        throw std::runtime_error("decode_payload: index out of range");
+      }
       break;
     }
     case IndexEncoding::kRaw:
       reader.read_u32_array_into(out.indices);
       if (out.indices.size() != count) {
         throw std::runtime_error("decode_payload: raw index count mismatch");
+      }
+      for (std::size_t i = 0; i < out.indices.size(); ++i) {
+        if (i > 0 && out.indices[i] <= out.indices[i - 1]) {
+          throw std::runtime_error("decode_payload: raw indices not ascending");
+        }
+        if (out.indices[i] >= out.vector_length) {
+          throw std::runtime_error("decode_payload: index out of range");
+        }
       }
       break;
     case IndexEncoding::kSeed: {

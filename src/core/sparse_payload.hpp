@@ -97,7 +97,8 @@ std::size_t encode_payload_into(const PayloadView& payload,
 /// `out`'s reused buffers; `arena` backs the kSeed membership flags. For
 /// kSeed the index set is regenerated, so the result always carries
 /// explicit indices unless dense. A sparse count above the header's
-/// vector_length is rejected before either section is decoded.
+/// vector_length is rejected before either section is decoded, and so is
+/// an index set that is not strictly ascending or reaches vector_length.
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena);
 

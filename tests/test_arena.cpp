@@ -394,7 +394,10 @@ TEST(ScratchEquivalence, PartialAverageWithArena) {
     payloads[j].values = random_floats(n / 4, static_cast<unsigned>(j) + 10);
     contribs.push_back({0.25, &payloads[j]});
   }
+  // The same contributions under staleness decay: weights pre-multiplied.
   const std::vector<double> scales{1.0, 0.5, 0.25};
+  std::vector<core::WeightedContribution> decayed = contribs;
+  for (std::size_t j = 0; j < decayed.size(); ++j) decayed[j].weight *= scales[j];
   const auto own = random_floats(n, 77);
   // Runs one averaging entry point on a fresh arena and on a soiled one.
   auto check = [&](auto&& average) {
@@ -409,7 +412,7 @@ TEST(ScratchEquivalence, PartialAverageWithArena) {
     core::partial_average(x, 0.25, contribs, arena);
   });
   check([&](std::vector<float>& x, core::Arena& arena) {
-    core::partial_average(x, 0.25, contribs, scales, arena);
+    core::partial_average(x, 0.25, decayed, arena);
   });
   for (const auto kind :
        {core::RobustAggKind::kTrimmedMean, core::RobustAggKind::kMedian,
@@ -417,7 +420,7 @@ TEST(ScratchEquivalence, PartialAverageWithArena) {
     SCOPED_TRACE(core::robust_agg_name(kind));
     const core::RobustAggConfig cfg{kind, 0.25, 2.0};
     check([&](std::vector<float>& x, core::Arena& arena) {
-      core::robust_partial_average(cfg, x, 0.25, contribs, scales, arena);
+      core::robust_partial_average(cfg, x, 0.25, decayed, arena);
     });
   }
 }

@@ -12,6 +12,8 @@
 #include "compress/elias.hpp"
 #include "compress/float_codec.hpp"
 #include "compress/topk.hpp"
+#include "core/sparse_payload.hpp"
+#include "net/serializer.hpp"
 
 namespace jwins::compress {
 namespace {
@@ -683,6 +685,83 @@ TEST(GatherScatter, BoundsChecked) {
   const std::vector<std::uint32_t> idx{0};
   const std::vector<float> too_many{1.0f, 2.0f};
   EXPECT_THROW(scatter(out, idx, too_many), std::invalid_argument);
+}
+
+// ------------------------------------------- payload decoder index contract
+
+/// A hand-built payload message: raw values, and either raw indices or an
+/// Elias-gamma gap stream over `indices` — whatever the header claims, with
+/// no encoder-side validation in the way.
+std::vector<std::uint8_t> crafted_payload(core::IndexEncoding mode,
+                                          std::uint32_t vector_length,
+                                          const std::vector<std::uint32_t>& indices) {
+  net::ByteWriter body;
+  body.write_u8(static_cast<std::uint8_t>(mode));
+  body.write_u8(static_cast<std::uint8_t>(core::ValueEncoding::kRaw));
+  body.write_u32(vector_length);
+  body.write_u32(static_cast<std::uint32_t>(indices.size()));
+  if (mode == core::IndexEncoding::kRaw) {
+    body.write_u32_array(indices);
+  } else {
+    BitWriter gaps;
+    encode_index_gaps(indices, gaps);
+    body.write_bytes(gaps.bytes());
+  }
+  body.write_f32_array(std::vector<float>(indices.size(), 1.0f));
+  return std::move(body).take();
+}
+
+TEST(PayloadDecode, AcceptsAscendingInRangeIndices) {
+  core::Arena arena;
+  core::SparsePayload out;
+  for (const auto mode : {core::IndexEncoding::kRaw,
+                          core::IndexEncoding::kEliasGamma}) {
+    const std::vector<std::uint32_t> indices{0, 4, 9};
+    core::decode_payload_into(crafted_payload(mode, 10, indices), out, arena);
+    EXPECT_EQ(out.indices, indices);
+    EXPECT_EQ(out.vector_length, 10u);
+  }
+}
+
+TEST(PayloadDecode, RejectsEliasIndexPastVectorLength) {
+  core::Arena arena;
+  core::SparsePayload out;
+  EXPECT_THROW(core::decode_payload_into(
+                   crafted_payload(core::IndexEncoding::kEliasGamma, 10,
+                                   {2, 10}),
+                   out, arena),
+               std::runtime_error);
+  EXPECT_THROW(core::decode_payload_into(
+                   crafted_payload(core::IndexEncoding::kEliasGamma, 10,
+                                   {4000000000u}),
+                   out, arena),
+               std::runtime_error);
+}
+
+TEST(PayloadDecode, RejectsRawIndicesThatAreNotStrictlyAscending) {
+  core::Arena arena;
+  core::SparsePayload out;
+  for (const std::vector<std::uint32_t>& bad :
+       {std::vector<std::uint32_t>{5, 1, 7}, std::vector<std::uint32_t>{1, 5, 5},
+        std::vector<std::uint32_t>{3, 3}}) {
+    EXPECT_THROW(core::decode_payload_into(
+                     crafted_payload(core::IndexEncoding::kRaw, 10, bad), out,
+                     arena),
+                 std::runtime_error);
+  }
+}
+
+TEST(PayloadDecode, RejectsRawIndexPastVectorLength) {
+  core::Arena arena;
+  core::SparsePayload out;
+  EXPECT_THROW(core::decode_payload_into(
+                   crafted_payload(core::IndexEncoding::kRaw, 10, {1, 5, 10}),
+                   out, arena),
+               std::runtime_error);
+  EXPECT_THROW(core::decode_payload_into(
+                   crafted_payload(core::IndexEncoding::kRaw, 10, {0xFFFFFFFFu}),
+                   out, arena),
+               std::runtime_error);
 }
 
 }  // namespace

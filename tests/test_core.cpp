@@ -455,24 +455,21 @@ TEST_F(PartialAverage, ValidatesInputs) {
 }
 
 TEST_F(PartialAverageScaled, ScaleEqualsReweighting) {
-  // Scaling a contribution by s is exactly the same convex combination as
-  // shrinking its mixing weight to s * w (numerator AND denominator).
-  std::vector<float> scaled_own{1.0f, 2.0f};
-  std::vector<float> reweighted_own = scaled_own;
+  // A staleness-decayed weight s * w enters the numerator AND the
+  // denominator: the result is the convex combination with w shrunk to s * w.
+  std::vector<float> own{1.0f, 2.0f};
   SparsePayload p;
   p.vector_length = 2;
   p.values = {9.0f, 5.0f};
-  const std::vector<WeightedContribution> contribs{{0.4, &p}};
-  const std::vector<double> scales{0.5};
-  partial_average(scaled_own, 0.6, contribs,
-                  std::span<const double>(scales), arena);
-  const std::vector<WeightedContribution> shrunk{{0.4 * 0.5, &p}};
-  partial_average(reweighted_own, 0.6, shrunk, arena);
-  EXPECT_EQ(scaled_own, reweighted_own);
+  const std::vector<WeightedContribution> decayed{{0.4 * 0.5, &p}};
+  partial_average(own, 0.6, decayed, arena);
+  const double w = 0.4 * 0.5;
+  EXPECT_EQ(own[0], static_cast<float>((0.6 * 1.0 + w * 9.0) / (0.6 + w)));
+  EXPECT_EQ(own[1], static_cast<float>((0.6 * 2.0 + w * 5.0) / (0.6 + w)));
 }
 
 TEST_F(PartialAverageScaled, StaysConvexAndRenormalized) {
-  // With scales < 1 the effective weights no longer sum to 1, but the
+  // With decayed weights the weights no longer sum to 1, but the
   // per-coordinate denominator renormalizes: the result is still a convex
   // combination of own value and contributions.
   std::vector<float> own{0.0f};
@@ -482,48 +479,13 @@ TEST_F(PartialAverageScaled, StaysConvexAndRenormalized) {
   SparsePayload p2;
   p2.vector_length = 1;
   p2.values = {20.0f};
-  const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
-  const std::vector<double> scales{0.5, 0.25};
-  partial_average(own, 0.5, contribs, std::span<const double>(scales),
-                  arena);
+  const std::vector<WeightedContribution> contribs{{0.25 * 0.5, &p1},
+                                                   {0.25 * 0.25, &p2}};
+  partial_average(own, 0.5, contribs, arena);
   // (0.5*0 + 0.125*10 + 0.0625*20) / (0.5 + 0.125 + 0.0625) = 2.5/0.6875
   EXPECT_NEAR(own[0], 2.5f / 0.6875f, 1e-5f);
   EXPECT_GE(own[0], 0.0f);
   EXPECT_LE(own[0], 20.0f);
-}
-
-TEST_F(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
-  // scale == 1.0 multiplies by exactly 1.0 in IEEE arithmetic, so the
-  // scaled overload with unit scales must produce the same bytes as the
-  // unscaled overload — the guarantee the weighted async mode's lambda = 1
-  // reduction rests on.
-  std::mt19937 rng(77);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  std::vector<float> a(64), b;
-  for (float& v : a) v = dist(rng);
-  b = a;
-  SparsePayload p;
-  p.vector_length = 64;
-  compress::random_indices_into(64, 32, 9, p.indices, arena);
-  p.values.resize(32);
-  for (float& v : p.values) v = dist(rng);
-  const std::vector<WeightedContribution> contribs{{0.37, &p}};
-  const std::vector<double> ones{1.0};
-  partial_average(a, 0.63, contribs, std::span<const double>(ones), arena);
-  partial_average(b, 0.63, contribs, arena);
-  EXPECT_EQ(a, b);
-}
-
-TEST_F(PartialAverageScaled, ScaleCountMismatchThrows) {
-  std::vector<float> own{1.0f};
-  SparsePayload p;
-  p.vector_length = 1;
-  p.values = {2.0f};
-  const std::vector<WeightedContribution> contribs{{0.5, &p}};
-  const std::vector<double> scales{0.5, 0.5};  // two scales, one contribution
-  EXPECT_THROW(partial_average(own, 0.5, contribs,
-                               std::span<const double>(scales), arena),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
@@ -875,6 +876,68 @@ TEST(AsyncWeighted, ReplayIsBitIdentical) {
   EXPECT_EQ(json_of(ra), json_of(rb));
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(a->node(i).flat_params(), b->node(i).flat_params());
+  }
+}
+
+/// FNV-1a over the bytes of every node's final model, in rank order.
+std::uint64_t model_digest(Experiment& exp, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<float> params = exp.node(i).flat_params();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(params.data());
+    for (std::size_t b = 0; b < params.size() * sizeof(float); ++b) {
+      h = (h ^ bytes[b]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(AsyncWeighted, DecayedRunsArePinned) {
+  // lambda = 0.5 under aged contributions, pinned to literal constants:
+  // final_loss bits and a digest of every node's final model bytes. Any
+  // change to how decay enters the aggregation weights shows up here.
+  struct Cell {
+    const char* name;
+    Algorithm algorithm;
+    algo::ChocoNode::Compressor compressor;
+    core::RobustAggKind robust;
+    std::uint64_t loss_bits;
+    std::uint64_t digest;
+  };
+  using Kind = core::RobustAggKind;
+  using Comp = algo::ChocoNode::Compressor;
+  const Cell cells[] = {
+      {"jwins", Algorithm::kJwins, Comp::kTopK, Kind::kNone,
+       0x40246766d5555555ull, 0x39875bd90ec8aa8full},
+      {"full_sharing", Algorithm::kFullSharing, Comp::kTopK, Kind::kNone,
+       0x40266bfa75555555ull, 0x2ac78bf99f1e0575ull},
+      {"random_sampling", Algorithm::kRandomSampling, Comp::kTopK, Kind::kNone,
+       0x4023a574baaaaaabull, 0xb10a3e2a175667adull},
+      {"choco_topk", Algorithm::kChoco, Comp::kTopK, Kind::kNone,
+       0x402e22a04aaaaaabull, 0x6ec0c453901f13dbull},
+      {"choco_qsgd", Algorithm::kChoco, Comp::kQsgd, Kind::kNone,
+       0x402df7a665555555ull, 0x86593a9223ee3622ull},
+      {"full_sharing_trimmed_mean", Algorithm::kFullSharing, Comp::kTopK,
+       Kind::kTrimmedMean, 0x4027b1f480000000ull, 0x8cb2eaf068b46166ull},
+  };
+  for (const Cell& cell : cells) {
+    ExperimentConfig cfg = mode_config(12, AsyncMode::kWeighted);
+    add_heterogeneity(cfg);
+    cfg.compute_seconds_per_round = 0.005;  // links several rounds long
+    cfg.staleness_decay = 0.5;
+    cfg.algorithm = cell.algorithm;
+    cfg.choco.compressor = cell.compressor;
+    cfg.robust_agg.kind = cell.robust;
+    cfg.robust_agg.trim_fraction = 0.25;
+    auto exp = make_mini(cfg, 6, 4);
+    const ExperimentResult r = exp->run();
+    ASSERT_GT(r.event_engine.contribution_age_sum, 0u) << cell.name;
+    std::uint64_t loss_bits = 0;
+    std::memcpy(&loss_bits, &r.final_loss, sizeof(loss_bits));
+    EXPECT_EQ(loss_bits, cell.loss_bits)
+        << cell.name << ": 0x" << std::hex << loss_bits;
+    const std::uint64_t digest = model_digest(*exp, 6);
+    EXPECT_EQ(digest, cell.digest) << cell.name << ": 0x" << std::hex << digest;
   }
 }
 
