@@ -1,6 +1,7 @@
 // Micro-benchmarks for the primitives on JWINS' hot path: DWT/IDWT, TopK,
 // Elias index coding, the XOR float codec, payload serialization, partial
-// averaging, QSGD quantization, message fan-out, and one CNN/LSTM training
+// averaging, QSGD quantization, message fan-out, the Conv2d forward and
+// backward passes at the cifar model's two shapes, and one CNN/LSTM training
 // step.
 //
 // Every hot-path kernel has one API, writing into caller-owned buffers,
@@ -8,7 +9,7 @@
 // scratch kept across iterations, as the engine runs it. The /fresh rows
 // that timed the deleted allocating twins are retired (the names stay in
 // BENCH_baseline.json and BENCH_1.json); the kernels without scratch state
-// (fft_real, the train steps) keep their /fresh names.
+// (fft_real, the Conv2d passes, the train steps) keep their /fresh names.
 //
 // Two frontends share the kernel registry:
 //   * `--json=PATH` (and any run without Google Benchmark installed) uses a
@@ -38,6 +39,7 @@
 #include <new>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "compress/elias.hpp"
@@ -339,6 +341,29 @@ std::vector<Kernel> build_kernels() {
     add("fft_real/16384/fresh", "dwt", [=] {
       auto spectrum = dwt::fft_real(*x);
       consume(spectrum.data());
+    });
+  }
+
+  // --- Conv2d at the cifar model's two shapes (batch 16) -----------------
+  for (const auto& [tag, in_ch, out_ch, side] :
+       {std::tuple{"b16_3to8_8x8", 3, 8, 8}, std::tuple{"b16_8to16_4x4", 8, 16, 4}}) {
+    std::mt19937 rng(14);
+    auto conv = std::make_shared<nn::Conv2d>(in_ch, out_ch, 3, 1, 1, rng);
+    const tensor::Tensor x = tensor::Tensor::normal(
+        {16, static_cast<std::size_t>(in_ch), static_cast<std::size_t>(side),
+         static_cast<std::size_t>(side)},
+        0.0f, 1.0f, rng);
+    // Backward reads the input cached by this first forward.
+    auto gy = std::make_shared<tensor::Tensor>(
+        tensor::Tensor::normal(conv->forward(x).shape(), 0.0f, 1.0f, rng));
+    add(std::string("conv_forward/") + tag + "/fresh", "train", [conv, x] {
+      const tensor::Tensor y = conv->forward(x);
+      consume(y.raw());
+    });
+    add(std::string("conv_backward/") + tag + "/fresh", "train", [conv, gy] {
+      conv->zero_grad();
+      const tensor::Tensor gx = conv->backward(*gy);
+      consume(gx.raw());
     });
   }
 

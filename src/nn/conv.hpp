@@ -10,7 +10,11 @@
 
 namespace jwins::nn {
 
-/// 2-D convolution over [B, C, H, W] with square kernels.
+/// 2-D convolution over [B, C, H, W] with square kernels. Every output and
+/// gradient element adds its terms in the order and precision of the direct
+/// loops (forward: double, bias then (ic, kr, kc); weight and bias gradients:
+/// float over (b, r, c); input gradient: float over (oc, r, c)), skipping
+/// padded taps and zero gradients, so results are bit-identical to them.
 class Conv2d final : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,

@@ -27,8 +27,10 @@ Tensor Linear::forward(const Tensor& input) {
   cached_input_ = input;
   Tensor out = tensor::matmul_nt(input, weight_);  // [B, out]
   const std::size_t batch = input.dim(0);
+  float* y = out.raw();
+  const float* bias = bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_; ++o) out[b * out_ + o] += bias_[o];
+    for (std::size_t o = 0; o < out_; ++o) y[b * out_ + o] += bias[o];
   }
   return out;
 }
@@ -41,31 +43,35 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
   // dW += dYᵀ · X ; db += column sums of dY ; dX = dY · W.
   grad_weight_ += tensor::matmul_tn(grad_output, cached_input_);
+  const float* gy = grad_output.raw();
+  float* gb = grad_bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_; ++o) {
-      grad_bias_[o] += grad_output[b * out_ + o];
-    }
+    for (std::size_t o = 0; o < out_; ++o) gb[o] += gy[b * out_ + o];
   }
   return tensor::matmul(grad_output, weight_);
 }
 
 Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
+  cached_shape_ = input.shape();
+  passes_.resize(input.size());
+  const float* __restrict x = input.raw();
+  std::uint8_t* __restrict pass = passes_.data();
+  for (std::size_t i = 0; i < input.size(); ++i) pass[i] = !(x[i] <= 0.0f);
   Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  }
+  float* y = out.raw();
+  for (std::size_t i = 0; i < out.size(); ++i) y[i] = y[i] < 0.0f ? 0.0f : y[i];
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  if (!grad_output.same_shape(cached_input_)) {
+  if (grad_output.shape() != cached_shape_ ||
+      grad_output.size() != passes_.size()) {
     throw std::invalid_argument("ReLU::backward: grad shape mismatch");
   }
   Tensor gin = grad_output;
-  for (std::size_t i = 0; i < gin.size(); ++i) {
-    if (cached_input_[i] <= 0.0f) gin[i] = 0.0f;
-  }
+  const std::uint8_t* __restrict pass = passes_.data();
+  float* __restrict g = gin.raw();
+  for (std::size_t i = 0; i < gin.size(); ++i) g[i] = pass[i] ? g[i] : 0.0f;
   return gin;
 }
 

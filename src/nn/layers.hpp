@@ -1,7 +1,9 @@
 // Dense and elementwise layers: Linear, ReLU, Tanh, Sigmoid, Flatten.
 #pragma once
 
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "nn/module.hpp"
 
@@ -36,7 +38,8 @@ class ReLU final : public Module {
   Tensor backward(const Tensor& grad_output) override;
 
  private:
-  Tensor cached_input_;
+  tensor::Shape cached_shape_;
+  std::vector<std::uint8_t> passes_;  // 1 where the input is not <= 0
 };
 
 class Tanh final : public Module {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "nn/conv.hpp"
@@ -84,6 +86,27 @@ TEST(ReLU, ForwardAndGradCheck) {
   EXPECT_TRUE(result.ok()) << result.max_rel_error;
 }
 
+TEST(ReLU, SignedZeroAndNaNAtTheKink) {
+  // Forward zeroes x < 0 (so -0 stays -0); backward zeroes the gradient
+  // where x <= 0 and lets NaN inputs through, as max(x, 0) did with the
+  // cached input.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ReLU relu;
+  const Tensor y = relu.forward(Tensor::of({-1.0f, -0.0f, 0.0f, nan, 2.0f}));
+  EXPECT_EQ(y[0], 0.0f);
+  EXPECT_TRUE(std::signbit(y[1]));
+  EXPECT_TRUE(std::isnan(y[3]));
+  EXPECT_EQ(y[4], 2.0f);
+  const Tensor g = relu.backward(Tensor::of({1.0f, 2.0f, 3.0f, 4.0f, 5.0f}));
+  EXPECT_EQ(g[0], 0.0f);
+  EXPECT_EQ(g[1], 0.0f);
+  EXPECT_EQ(g[2], 0.0f);
+  EXPECT_EQ(g[3], 4.0f);
+  EXPECT_EQ(g[4], 5.0f);
+  EXPECT_THROW(relu.backward(Tensor::of({1.0f, 2.0f})), std::invalid_argument);
+  EXPECT_THROW(ReLU().backward(Tensor()), std::invalid_argument);
+}
+
 TEST(Tanh, GradCheck) {
   Tanh layer;
   const auto result = grad_check_module(layer, random_input({3, 4}, 7));
@@ -154,6 +177,24 @@ TEST(Conv2d, OutputShape) {
   Conv2d strided(3, 4, 3, 2, 0, rng);
   const Tensor y2 = strided.forward(random_input({1, 3, 9, 9}, 37));
   EXPECT_EQ(y2.shape(), (tensor::Shape{1, 4, 4, 4}));
+}
+
+TEST(Conv2d, BackwardRejectsMismatchedGradShape) {
+  std::mt19937 rng(38);
+  Conv2d layer(3, 4, 3, 1, 1, rng);
+  // Before any forward there is no cached input to match against.
+  EXPECT_THROW(layer.backward(Tensor({2, 4, 6, 6})), std::invalid_argument);
+  (void)layer.forward(random_input({2, 3, 6, 6}, 39));
+  EXPECT_NO_THROW(layer.backward(Tensor({2, 4, 6, 6})));
+  const tensor::Shape wrong[] = {
+      {2, 4, 7, 6}, {2, 4, 6, 7}, {2, 4, 5, 6},  // spatial extent
+      {3, 4, 6, 6}, {2, 5, 6, 6},                // batch, channels
+      {2, 4, 36},   {2, 4, 6, 6, 1},             // rank
+  };
+  for (const tensor::Shape& shape : wrong) {
+    EXPECT_THROW(layer.backward(Tensor(shape)), std::invalid_argument)
+        << tensor::to_string(shape);
+  }
 }
 
 TEST(MaxPool2d, ForwardSelectsMaxAndRoutesGradient) {

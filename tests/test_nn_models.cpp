@@ -216,6 +216,33 @@ TEST(CnnClassifier, IdenticalSeedsGiveIdenticalParams) {
   EXPECT_EQ(fa, fb);
 }
 
+TEST(CnnClassifier, TrainStepsArePinned) {
+  // Eight SGD steps of the cifar configuration at batch 16, pinned to a
+  // literal FNV-1a digest of every step's loss bits and the final parameter
+  // bytes. Any change to the order or precision in which a layer adds its
+  // terms shows up here.
+  CnnClassifier::Config cfg;  // the cifar workload's model
+  CnnClassifier model(cfg, /*seed=*/21);
+  Sgd opt(model.parameters(), model.gradients(),
+          Sgd::Options{.learning_rate = 0.05f});
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 0x100000001b3ull;
+  };
+  for (unsigned step = 0; step < 8; ++step) {
+    const Batch b = classification_batch(16, 3, 8, 10, 500 + step);
+    model.zero_grad();
+    const float loss = model.loss_and_grad(b);
+    mix(&loss, sizeof loss);
+    opt.step();
+  }
+  for (const Tensor* p : model.parameters()) {
+    mix(p->raw(), p->size() * sizeof(float));
+  }
+  EXPECT_EQ(h, 0x1bf74facd6c6869aull) << std::hex << "digest 0x" << h;
+}
+
 TEST(MatrixFactorization, GradCheck) {
   MatrixFactorization model(4, 5, 3, /*rating_mean=*/3.0f, /*seed=*/11);
   Batch b;
