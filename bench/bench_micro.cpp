@@ -1,8 +1,8 @@
 // Micro-benchmarks for the primitives on JWINS' hot path: DWT/IDWT, TopK,
 // Elias index coding, the XOR float codec, payload serialization, partial
-// averaging, QSGD quantization, message fan-out, the Conv2d forward and
-// backward passes at the cifar model's two shapes, and one CNN/LSTM training
-// step.
+// averaging, seed-mode random index draws, QSGD quantization, message
+// fan-out, the Conv2d forward and backward passes at the cifar model's two
+// shapes, and one CNN/LSTM training step.
 //
 // Every hot-path kernel has one API, writing into caller-owned buffers,
 // arenas or workspaces; its row, <name>/scratch, measures it with that
@@ -150,7 +150,7 @@ inline void consume(const void* p) {
 
 struct Kernel {
   std::string name;   ///< e.g. "dwt_forward/16384/scratch"
-  std::string group;  ///< "fig5" (hot path), "choco", or "train"
+  std::string group;  ///< "fig5" (hot path), "sampling", "choco", or "train"
   std::function<void()> fn;
 };
 
@@ -299,6 +299,21 @@ std::vector<Kernel> build_kernels() {
           core::partial_average(*x, 0.2, *contribs, *arena);
           consume(x->data());
         });
+  }
+
+  // --- Seed-mode index draw (random sampling) ----------------------------
+  // scale100k_compact's shape: 21 of a 58-parameter model, a fresh seed per
+  // call as every sender and receiver draws. Its own group, so the fig5
+  // summary keeps its meaning.
+  {
+    auto indices = std::make_shared<std::vector<std::uint32_t>>();
+    auto arena = std::make_shared<core::Arena>();
+    auto seed = std::make_shared<std::uint64_t>(0);
+    add("random_indices/58/21/scratch", "sampling", [=] {
+      arena->reset();
+      compress::random_indices_into(58, 21, ++*seed, *indices, *arena);
+      consume(indices->data());
+    });
   }
 
   // --- Message fan-out (share to 4 neighbors) -----------------------------

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/kernel_dispatch.hpp"
+#include "core/rng.hpp"
 
 namespace jwins::compress {
 
@@ -129,13 +130,12 @@ void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
   const std::span<std::uint8_t> in_set = arena.alloc<std::uint8_t>(n);
   std::fill(in_set.begin(), in_set.end(), std::uint8_t{0});
   if (k > n) k = n;
-  std::mt19937_64 rng(seed);
+  core::Mt19937_64 rng(seed);
   // Floyd's algorithm gives k distinct samples in O(k) draws.
   out.clear();
   out.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
-    std::uniform_int_distribution<std::size_t> dist(0, j);
-    std::size_t t = dist(rng);
+    std::size_t t = core::bounded(rng, j + 1);
     if (in_set[t]) t = j;
     in_set[t] = true;
     out.push_back(static_cast<std::uint32_t>(t));

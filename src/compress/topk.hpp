@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -37,8 +36,11 @@ void topk_indices_into_fast(std::span<const float> values, std::size_t k,
 /// `k` distinct indices drawn uniformly from [0, n) using `seed` — the
 /// random-sampling baseline. Sharing the seed reproduces the exact subset on
 /// the receiver, so the metadata cost is just the 8-byte seed (paper §II-B2).
-/// Draws into `out` (cleared first, sorted ascending) using `arena` for the
-/// O(n) membership flags.
+/// The stream is Floyd's algorithm over core::Mt19937_64(seed) with
+/// core::bounded (Lemire) for each draw, both defined in core/rng.hpp, so the
+/// repo alone fixes the subset for a seed; a known-answer test pins it
+/// (tests/test_rng.cpp). Draws into `out` (cleared first, sorted ascending)
+/// using `arena` for the O(n) membership flags.
 void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
                          std::vector<std::uint32_t>& out, core::Arena& arena);
 
