@@ -8,7 +8,9 @@
 // progress to the console, and writes one JSON (full metric series, traffic
 // split, per-phase wall-clock, and — for heterogeneous/faulty time models —
 // the simulated compute/comm split) plus one CSV (the series) per run, and a
-// grid.json index — so downstream plotting needs no C++.
+// grid.json index — so downstream plotting needs no C++. Every executed run
+// is checked against the result invariants (sim::check_result); a violation
+// prints `check: <field>: <why>` under that run.
 //
 // Options:
 //   --set key=value   Override/add a scenario key before expansion
@@ -27,7 +29,8 @@
 //                     their grid entries are rebuilt from the file
 //   --list-keys       Print the scenario key reference and exit
 //
-// Exit codes: 0 success, 2 usage/spec error (message: `error: <key>: <why>`).
+// Exit codes: 0 success, 2 usage/spec error (message: `error: <key>: <why>`),
+// 3 a result failed an invariant (the files are still written).
 
 #include <iomanip>
 #include <iostream>
@@ -46,7 +49,9 @@ void print_usage(std::ostream& os) {
   os << "usage: jwins_run <file.scenario> [--set key=value]... [--out=DIR]\n"
         "                 [--no-files] [--dry-run] [--shard i/N] [--merge]\n"
         "                 [--resume] [--list-keys]\n"
-        "Scenario key reference: jwins_run --list-keys, or docs/EXPERIMENTS.md\n";
+        "Scenario key reference: jwins_run --list-keys, or docs/EXPERIMENTS.md\n"
+        "Exit codes: 0 success, 2 usage/spec error, 3 a result failed an\n"
+        "invariant (the `check:` lines name it; files are still written)\n";
 }
 
 void print_key_reference(std::ostream& os) {
@@ -177,11 +182,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  config::SweepOutcome outcome;
   try {
-    config::run_sweep(runs, scenario_name, options);
+    outcome = config::run_sweep(runs, scenario_name, options);
   } catch (const config::ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
+  }
+  if (outcome.violations > 0) {
+    std::cerr << "error: " << outcome.violations << " result invariant "
+              << (outcome.violations == 1 ? "violation" : "violations")
+              << " (see the check: lines)\n";
+    return 3;
   }
   return 0;
 }

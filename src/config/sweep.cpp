@@ -14,6 +14,7 @@
 
 #include "config/runner.hpp"
 #include "net/time_model.hpp"
+#include "sim/check.hpp"
 #include "sim/report.hpp"
 
 namespace jwins::config {
@@ -270,6 +271,9 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
       }
       const sim::ExperimentResult result = execute(run);
       ++outcome.executed;
+      const std::vector<std::string> violations =
+          sim::check_result(result, run.config, run.nodes);
+      outcome.violations += violations.size();
       final_accuracy = result.final_accuracy;
       final_loss = result.final_loss;
       rounds_run = result.rounds_run;
@@ -307,6 +311,9 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
                    << "  overrides=" << ee.staleness_overrides
                    << "  local-steps=" << ee.local_steps_min() << ".."
                    << ee.local_steps_max() << "\n";
+        }
+        for (const std::string& v : violations) {
+          *console << "    check: " << v << "\n";
         }
       }
       if (options.write_files) {

@@ -61,12 +61,17 @@ struct SweepOutcome {
   std::size_t executed = 0;  ///< runs actually simulated
   std::size_t skipped = 0;   ///< grid cells owned by other shards
   std::size_t resumed = 0;   ///< completed runs reused by --resume
+  /// sim::check_result diagnostics over the executed runs (resumed runs
+  /// are not re-checked).
+  std::size_t violations = 0;
   std::string grid_path;     ///< grid.json, or this shard's fragment
 };
 
 /// Executes (this shard's slice of) the expanded grid and writes the result
-/// files plus the grid index — the loop jwins_run runs. Throws ScenarioError
-/// on I/O failures.
+/// files plus the grid index — the loop jwins_run runs. Every executed run
+/// is checked with sim::check_result; each diagnostic is printed as
+/// `check: <field>: <why>` and counted in SweepOutcome::violations, and the
+/// run's files are still written. Throws ScenarioError on I/O failures.
 SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
                        const std::string& scenario_name,
                        const SweepOptions& options);

@@ -69,14 +69,29 @@ std::size_t encode_payload_into(const PayloadView& payload,
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena) {
   net::ByteReader reader(body);
-  const auto index_mode = static_cast<IndexEncoding>(reader.read_u8());
-  const auto value_mode = static_cast<ValueEncoding>(reader.read_u8());
+  const std::uint8_t index_byte = reader.read_u8();
+  const std::uint8_t value_byte = reader.read_u8();
+  // An unknown mode byte would fall through both switches and leave empty
+  // indices, which read as "dense" downstream.
+  if (index_byte > static_cast<std::uint8_t>(IndexEncoding::kSeed)) {
+    throw std::runtime_error("decode_payload: unknown index encoding");
+  }
+  if (value_byte > static_cast<std::uint8_t>(ValueEncoding::kRaw)) {
+    throw std::runtime_error("decode_payload: unknown value encoding");
+  }
+  const auto index_mode = static_cast<IndexEncoding>(index_byte);
+  const auto value_mode = static_cast<ValueEncoding>(value_byte);
   out.vector_length = reader.read_u32();
   const std::uint32_t count = reader.read_u32();
   out.indices.clear();
   out.values.clear();
   if (index_mode != IndexEncoding::kDense && count > out.vector_length) {
     throw std::runtime_error("decode_payload: sparse count exceeds length");
+  }
+  // Zero entries would also decode to empty indices, i.e. "dense"; honest
+  // senders share at least one entry.
+  if (index_mode != IndexEncoding::kDense && count == 0) {
+    throw std::runtime_error("decode_payload: empty sparse payload");
   }
 
   switch (index_mode) {

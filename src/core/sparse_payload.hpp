@@ -96,9 +96,10 @@ std::size_t encode_payload_into(const PayloadView& payload,
 /// are read as views into `body` (no blob copies) and results land in
 /// `out`'s reused buffers; `arena` backs the kSeed membership flags. For
 /// kSeed the index set is regenerated, so the result always carries
-/// explicit indices unless dense. A sparse count above the header's
-/// vector_length is rejected before either section is decoded, and so is
-/// an index set that is not strictly ascending or reaches vector_length.
+/// explicit indices unless dense. An unknown index or value encoding byte,
+/// and a sparse count of zero or above the header's vector_length, are
+/// rejected before either section is decoded, and so is an index set that
+/// is not strictly ascending or reaches vector_length.
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena);
 

@@ -764,5 +764,54 @@ TEST(PayloadDecode, RejectsRawIndexPastVectorLength) {
                std::runtime_error);
 }
 
+// Two hostile bodies that used to decode to empty indices, which
+// SparsePayload::dense() reads as "dense": averaging then walked values[i]
+// up to vector_length over a one-entry (or empty) value array.
+TEST(PayloadDecode, RejectsUnknownEncodingBytes) {
+  core::Arena arena;
+  core::SparsePayload out;
+  // 18 bytes: index encoding byte 9 (no such mode), raw values,
+  // vector_length 4096, count 1, and a one-float value array.
+  net::ByteWriter body;
+  body.write_u8(9);
+  body.write_u8(static_cast<std::uint8_t>(core::ValueEncoding::kRaw));
+  body.write_u32(4096);
+  body.write_u32(1);
+  body.write_f32_array(std::vector<float>{1.0f});
+  const std::vector<std::uint8_t> bad_index = std::move(body).take();
+  ASSERT_EQ(bad_index.size(), 18u);
+  EXPECT_THROW(core::decode_payload_into(bad_index, out, arena),
+               std::runtime_error);
+  // Value encoding byte 7 (no such mode) on an empty dense body, whose
+  // value count (0) the fallen-through value switch would have matched.
+  net::ByteWriter dense;
+  dense.write_u8(static_cast<std::uint8_t>(core::IndexEncoding::kDense));
+  dense.write_u8(7);
+  dense.write_u32(0);
+  dense.write_u32(0);
+  EXPECT_THROW(core::decode_payload_into(dense.buffer(), out, arena),
+               std::runtime_error);
+}
+
+TEST(PayloadDecode, RejectsAnEmptySparseBody) {
+  core::Arena arena;
+  core::SparsePayload out;
+  // The honest encoder's Elias-gamma/XOR body with 0 entries (senders never
+  // produce one: they share max(1, k) entries).
+  core::SparsePayload empty;
+  empty.vector_length = 4096;
+  net::ByteWriter body;
+  BitWriter bits;
+  core::encode_payload_into(empty, {}, body, bits);
+  EXPECT_THROW(core::decode_payload_into(body.buffer(), out, arena),
+               std::runtime_error);
+  for (const auto mode : {core::IndexEncoding::kRaw,
+                          core::IndexEncoding::kEliasGamma}) {
+    EXPECT_THROW(
+        core::decode_payload_into(crafted_payload(mode, 10, {}), out, arena),
+        std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace jwins::compress

@@ -1,24 +1,30 @@
 // Scenario engine tests: parser round-trips, every diagnostic path, sweep
 // expansion count/order, runner wiring, the golden-file check that every
 // paper-figure preset reproduces the hand-wired bench it replaced bit for
-// bit, and the docs contracts (every key the parser accepts, and every
-// checked-in preset, is documented in docs/EXPERIMENTS.md).
+// bit, the shrunk preset cells whose results must show each preset's
+// signature behaviour on top of every result invariant, and the docs
+// contracts (every key the parser accepts, and every checked-in preset, is
+// documented in docs/EXPERIMENTS.md).
 #include "config/runner.hpp"
 #include "config/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <numeric>
 #include <random>
 #include <set>
 #include <sstream>
 
 #include "graph/graph.hpp"
 #include "sim/experiment.hpp"
+#include "sim/report.hpp"
 #include "sim/workloads.hpp"
+#include "test_util.hpp"
 
 namespace jwins::config {
 namespace {
@@ -741,7 +747,9 @@ TEST_P(ScenarioGolden, PresetMatchesBench) {
       std::find_if(runs.begin(), runs.end(),
                    [&](const ScenarioRun& r) { return r.label == row.label; });
   ASSERT_NE(cell, runs.end()) << row.preset << " has no cell " << row.label;
-  expect_bit_identical(execute(*cell), row.hand_wired());
+  const sim::ExperimentResult result = execute(*cell);
+  EXPECT_EQ(testutil::check_report(result, cell->config, cell->nodes), "");
+  expect_bit_identical(result, row.hand_wired());
 }
 
 const Fig8Variant kNoWavelet{false, true, true};
@@ -792,6 +800,234 @@ INSTANTIATE_TEST_SUITE_P(
                   "algorithm=power-gossip",
                   [] { return baselines_bench(sim::Algorithm::kPowerGossip); }}),
     [](const ::testing::TestParamInfo<GoldenRow>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- the shrunk preset cells ---------------------------------------------
+//
+// The event-engine, simulated-time and byzantine presets, shrunk with the
+// same --set values the CLI uses for a quick run. Every cell must hold every
+// result invariant (sim::check_result), emit its gated JSON block, and show
+// the behaviour its preset exists for: a local-step spread under a budget,
+// drops and crashes on flaky links, every robust rule engaging.
+
+/// The text of the result-JSON block `"<name>": {...}` ("" when absent).
+std::string json_block(const std::string& json, const std::string& name) {
+  const std::size_t at = json.find("\n  \"" + name + "\": {");
+  if (at == std::string::npos) return {};
+  return json.substr(at, json.find("\n  }", at) - at);
+}
+
+void expect_keys(const std::string& block,
+                 std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    // Appended piecewise: GCC 12's -Wrestrict misfires on "\"" + key.
+    std::string quoted = "\"";
+    quoted += key;
+    quoted += "\": ";
+    EXPECT_NE(block.find(quoted), std::string::npos) << "missing key " << key;
+  }
+}
+
+void expect_sim_time(const sim::ExperimentResult& r, const std::string& json) {
+  const std::string block = json_block(json, "sim_time");
+  expect_keys(block, {"compute_seconds", "comm_seconds", "stragglers",
+                      "crashed_node_rounds", "messages_dropped", "series"});
+  // One {round, compute_seconds, comm_seconds} point per metric point.
+  std::size_t points = 0;
+  std::istringstream lines(block);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("{\"round\": ") == std::string::npos) continue;
+    ++points;
+    EXPECT_NE(line.find(", \"compute_seconds\": "), std::string::npos);
+    EXPECT_NE(line.find(", \"comm_seconds\": "), std::string::npos);
+  }
+  EXPECT_EQ(points, r.series.size());
+  EXPECT_GT(r.sim_time.compute_seconds, 0.0);
+  EXPECT_GT(r.sim_time.comm_seconds, 0.0);
+}
+
+void expect_event_engine(const sim::ExperimentResult& r,
+                         const std::string& json) {
+  const std::string block = json_block(json, "event_engine");
+  expect_keys(block, {"async_mode", "events_processed", "max_queue_depth",
+                      "messages_delivered", "messages_in_flight",
+                      "messages_stale_dropped", "staleness_overrides",
+                      "staleness_histogram", "edge_records_high_water",
+                      "local_steps"});
+  EXPECT_NE(block.find("\"local_steps\": {\"min\": "), std::string::npos);
+  expect_keys(block, {"max", "mean"});
+  EXPECT_GT(r.event_engine.events_processed, 0u);
+}
+
+/// free/weighted: the per-mode block, and edge records retired from a peak.
+void expect_gate_free(sim::AsyncMode mode, const sim::ExperimentResult& r,
+                      const std::string& json) {
+  expect_event_engine(r, json);
+  expect_keys(json_block(json, "event_engine"),
+              {"effective_neighbors", "mean_contribution_age"});
+  EXPECT_EQ(r.event_engine.mode, mode);
+  EXPECT_GT(r.event_engine.edge_records_high_water, 0u);
+}
+
+void expect_attacked(const ScenarioRun& run, const sim::ExperimentResult& r,
+                     const std::string& json) {
+  expect_keys(json_block(json, "byzantine"),
+              {"mode", "robust_agg", "attackers", "corrupted_messages",
+               "trimmed_entries", "clipped_contributions"});
+  EXPECT_EQ(run.config.byzantine_mode, algo::ByzantineMode::kSignFlip);
+  EXPECT_GT(r.byzantine.corrupted_messages, 0u);
+}
+
+using CellExpectation = std::function<void(
+    const ScenarioRun&, const sim::ExperimentResult&, const std::string&)>;
+
+struct PresetRow {
+  const char* name;
+  const char* preset;  ///< scenarios/<preset>.scenario
+  std::vector<std::pair<const char*, const char*>> overrides;  ///< --set
+  std::size_t runs;  ///< grid cells of the shrunk preset
+  CellExpectation expect;
+};
+
+void PrintTo(const PresetRow& row, std::ostream* os) { *os << row.name; }
+
+class PresetInvariants : public ::testing::TestWithParam<PresetRow> {};
+
+TEST_P(PresetInvariants, ShrunkCellsHoldTheirExpectations) {
+  const PresetRow& row = GetParam();
+  RawScenario raw = load_preset(row.preset);
+  for (const auto& [key, value] : row.overrides) set_value(raw, key, value);
+  const std::vector<ScenarioRun> runs = expand_grid(raw);
+  ASSERT_EQ(runs.size(), row.runs);
+  for (const ScenarioRun& run : runs) {
+    SCOPED_TRACE(run.label);
+    const sim::ExperimentResult result = execute(run);
+    EXPECT_EQ(testutil::check_report(result, run.config, run.nodes), "");
+    std::ostringstream json;
+    sim::write_result_json(json, run.label, result);
+    row.expect(run, result, json.str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, PresetInvariants,
+    ::testing::Values(
+        PresetRow{"straggler_hetero",
+                  "straggler_hetero",
+                  {{"rounds", "4"}, {"eval_every", "2"},
+                   {"eval_sample_limit", "16"}},
+                  2,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) { expect_sim_time(r, json); }},
+        PresetRow{"flaky_links_drop_and_crash",
+                  "flaky_links",
+                  {{"rounds", "6"}, {"eval_every", "2"},
+                   {"eval_sample_limit", "16"}, {"crash_at", "1"},
+                   {"rejoin_at", "4"}},
+                  2,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    expect_sim_time(r, json);
+                    EXPECT_GT(r.sim_time.dropped_total, 0u);
+                    EXPECT_GT(r.sim_time.crashed_node_rounds, 0u);
+                  }},
+        PresetRow{"async_gossip",
+                  "async_gossip",
+                  {{"rounds", "8"}, {"eval_every", "4"},
+                   {"eval_sample_limit", "16"}},
+                  2,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) { expect_event_engine(r, json); }},
+        PresetRow{"async_stale_local_step_spread",
+                  "async_stale",
+                  {{"rounds", "16"}, {"eval_every", "8"},
+                   {"eval_sample_limit", "16"}, {"stop_at_sim_time", "2"}},
+                  1,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    expect_event_engine(r, json);
+                    const sim::EventEngineStats& ee = r.event_engine;
+                    EXPECT_LT(ee.local_steps_min(), ee.local_steps_max());
+                    EXPECT_GT(std::accumulate(ee.staleness_histogram.begin(),
+                                              ee.staleness_histogram.end(),
+                                              std::uint64_t{0}),
+                              0u);
+                  }},
+        PresetRow{"async_free",
+                  "async_free",
+                  {{"rounds", "8"}, {"eval_every", "4"},
+                   {"eval_sample_limit", "16"}, {"stop_at_sim_time", "1"}},
+                  2,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    expect_gate_free(sim::AsyncMode::kFree, r, json);
+                  }},
+        PresetRow{"async_weighted",
+                  "async_weighted",
+                  {{"rounds", "8"}, {"eval_every", "4"},
+                   {"eval_sample_limit", "16"}, {"stop_at_sim_time", "1"}},
+                  2,
+                  [](const ScenarioRun&, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    expect_gate_free(sim::AsyncMode::kWeighted, r, json);
+                  }},
+        // 2 algorithms x byzantine_nodes in {0, 1, 2}; the benign arms keep
+        // the legacy report shape (check_result's byzantine.extended rule).
+        PresetRow{"byzantine_signflip",
+                  "byzantine_signflip",
+                  {{"rounds", "6"}, {"eval_every", "3"},
+                   {"eval_sample_limit", "16"}},
+                  6,
+                  [](const ScenarioRun& run, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    EXPECT_EQ(run.config.robust_agg.kind,
+                              core::RobustAggKind::kNone);
+                    if (run.config.byzantine_nodes == 0) {
+                      EXPECT_EQ(json_block(json, "byzantine"), "");
+                    } else {
+                      expect_attacked(run, r, json);
+                    }
+                  }},
+        // 2 algorithms x robust_agg over none / trimmed_mean / median /
+        // norm_clip against 2 sign-flip attackers: all four rules engage.
+        PresetRow{"byzantine_robust_all_rules_engage",
+                  "byzantine_robust",
+                  {{"rounds", "6"}, {"eval_every", "3"},
+                   {"eval_sample_limit", "16"}},
+                  8,
+                  [](const ScenarioRun& run, const sim::ExperimentResult& r,
+                     const std::string& json) {
+                    expect_attacked(run, r, json);
+                    EXPECT_EQ(r.byzantine.attackers.size(), 2u);
+                    switch (run.config.robust_agg.kind) {
+                      case core::RobustAggKind::kNone:
+                        break;  // zero counters: a check_result identity
+                      case core::RobustAggKind::kTrimmedMean:
+                      case core::RobustAggKind::kMedian:
+                        EXPECT_GT(r.byzantine.trimmed_entries, 0u);
+                        break;
+                      case core::RobustAggKind::kNormClip:
+                        EXPECT_GT(r.byzantine.clipped_contributions, 0u);
+                        break;
+                    }
+                  }},
+        // One ring round sends exactly two messages per node. The CLI runs
+        // this preset at its full 100k nodes; here the ring is smaller so
+        // the sanitizer builds stay quick, yet large enough that the compact
+        // store's slab spans several chunks (the scale model's 58 floats
+        // per node fill a 256 Ki-float chunk every 4519 nodes).
+        PresetRow{"scale_100k_ring_round",
+                  "scale_100k",
+                  {{"rounds", "1"}, {"nodes", "10000"}},
+                  1,
+                  [](const ScenarioRun& run, const sim::ExperimentResult& r,
+                     const std::string&) {
+                    EXPECT_EQ(r.total_traffic.messages_sent, 2 * run.nodes);
+                    EXPECT_TRUE(std::isfinite(r.final_loss));
+                    EXPECT_GT(r.final_loss, 0.0);
+                  }}),
+    [](const ::testing::TestParamInfo<PresetRow>& info) {
       return std::string(info.param.name);
     });
 

@@ -15,6 +15,7 @@
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/workloads.hpp"
+#include "test_util.hpp"
 
 namespace jwins {
 namespace {
@@ -49,7 +50,9 @@ sim::ExperimentResult run_scenario(const Scenario& s, unsigned threads,
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
                           graph::random_regular(n, 4, topo_rng)));
-  return exp.run();
+  sim::ExperimentResult result = exp.run();
+  EXPECT_EQ(testutil::check_report(result, cfg, n), "");
+  return result;
 }
 
 void expect_bit_identical(const sim::ExperimentResult& a,
@@ -201,7 +204,9 @@ sim::ExperimentResult run_byzantine(const ByzantineCase& s, unsigned threads,
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
                           graph::random_regular(n, 4, topo_rng)));
-  return exp.run();
+  sim::ExperimentResult result = exp.run();
+  EXPECT_EQ(testutil::check_report(result, cfg, n), "");
+  return result;
 }
 
 class ByzantineDeterminism

@@ -237,14 +237,16 @@ TEST(SerializerProperty, InterleavedSequencesRoundTrip) {
 // (sim/event_engine.hpp): each seed draws a small topology, a staleness
 // bound, heterogeneous link times, and a fault cocktail (stragglers, i.i.d.
 // drops, crash/rejoin, correlated bursts, a simulated-time budget), then
-// checks the invariants that must hold for EVERY configuration —
-// termination without deadlock (the engine throws on quiescence with live
-// blocked nodes rather than hanging), the message-conservation ledger
-// (sent = delivered + dropped-by-cause + in-flight), staleness-histogram
-// consistency, and bit-identical replay of the result JSON.
+// checks what must hold for EVERY configuration — termination without
+// deadlock (the engine throws on quiescence with live blocked nodes rather
+// than hanging), every result invariant of sim::check_result (the
+// message-conservation ledger, staleness-histogram consistency, the
+// termination shape, the attack ledger), and bit-identical replay of the
+// result JSON.
 
 struct FuzzRun {
   sim::ExperimentConfig cfg;
+  std::size_t nodes = 0;
   sim::ExperimentResult result;
   std::string json;
 };
@@ -255,6 +257,7 @@ FuzzRun run_async_fuzz(unsigned seed) {
   const std::size_t rounds = 3 + rng() % 6;  // 3..8 rounds
 
   FuzzRun out;
+  out.nodes = n;
   sim::ExperimentConfig& cfg = out.cfg;
   cfg.algorithm = sim::Algorithm::kFullSharing;
   cfg.rounds = rounds;
@@ -401,61 +404,9 @@ TEST_P(AsyncEngineFuzz, TerminatesConservesAndReplaysBitIdentically) {
   ASSERT_TRUE(ee.enabled);
   EXPECT_GT(ee.events_processed, 0u);
 
-  // Conservation: every send is accounted for exactly once.
-  EXPECT_EQ(r.total_traffic.messages_sent,
-            ee.messages_delivered + r.sim_time.dropped_total +
-                ee.messages_in_flight);
-
-  // Histogram consistency. Barrier: each applied message fell inside the
-  // gate's window [0, B], and applied + stale-dropped never exceeds
-  // deliveries (the remainder is messages still buffered when their
-  // receiver finished). Free/weighted: no gate, so nothing is ever dropped
-  // for age and the effective-neighbor ledger must agree with the age
-  // histogram contribution for contribution.
-  std::uint64_t applied = 0;
-  for (const std::uint64_t c : ee.staleness_histogram) applied += c;
-  EXPECT_LE(applied + ee.messages_stale_dropped, ee.messages_delivered);
-  if (a.cfg.async_mode == sim::AsyncMode::kBarrier) {
-    ASSERT_EQ(ee.staleness_histogram.size(), a.cfg.staleness_bound + 1);
-  } else {
-    EXPECT_EQ(ee.messages_stale_dropped, 0u);
-    EXPECT_EQ(ee.staleness_overrides, 0u);
-    EXPECT_EQ(applied, ee.contributions_applied);
-    std::uint64_t weighted = 0;
-    for (std::size_t k = 0; k < ee.effective_neighbors.size(); ++k) {
-      weighted += ee.effective_neighbors[k] * k;
-    }
-    EXPECT_EQ(weighted, ee.contributions_applied);
-  }
-
-  // Phase attribution: outside plain-barrier mode the compute/comm split is
-  // advanced at event granularity and must sum to the clock exactly.
-  if (a.cfg.staleness_bound > 0 ||
-      a.cfg.async_mode != sim::AsyncMode::kBarrier) {
-    EXPECT_EQ(r.sim_time.compute_seconds + r.sim_time.comm_seconds,
-              r.sim_seconds);
-  }
-
-  // Termination shape: rounds never overshoot, and without a budget every
-  // node finishes all rounds with the queue fully drained.
-  EXPECT_LE(r.rounds_run, a.cfg.rounds);
-  EXPECT_LE(ee.local_steps_min(), ee.local_steps_max());
-  if (a.cfg.stop_at_sim_time == 0.0) {
-    EXPECT_EQ(r.rounds_run, a.cfg.rounds);
-    EXPECT_EQ(ee.messages_in_flight, 0u);
-  }
-
-  // Adversarial accounting: the gated byzantine block appears exactly when
-  // an attack or defense was drawn, and the attacker ledger matches.
-  EXPECT_EQ(r.byzantine.extended,
-            a.cfg.byzantine_nodes > 0 ||
-                a.cfg.robust_agg.kind != core::RobustAggKind::kNone);
-  if (a.cfg.byzantine_nodes > 0) {
-    EXPECT_EQ(r.byzantine.attackers.size(), a.cfg.byzantine_nodes);
-  } else if (r.byzantine.extended) {
-    EXPECT_TRUE(r.byzantine.attackers.empty());
-    EXPECT_EQ(r.byzantine.corrupted_messages, 0u);
-  }
+  // Conservation, histogram consistency, phase attribution, termination
+  // shape and the attack ledger: every identity a result must satisfy.
+  EXPECT_EQ(testutil::check_report(r, a.cfg, a.nodes), "");
 
   // Replay: the same seed must reproduce the result JSON byte for byte.
   const FuzzRun b = run_async_fuzz(seed);

@@ -1,15 +1,30 @@
 // Shared test fixtures: a quadratic model with a known global optimum (the
-// classic consensus-optimization testbed for decentralized SGD) and a dummy
-// dataset to drive it through the Sampler machinery.
+// classic consensus-optimization testbed for decentralized SGD), a dummy
+// dataset to drive it through the Sampler machinery, and the result-
+// invariant report every suite that runs experiments asserts on.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
+#include "sim/check.hpp"
 
 namespace jwins::testutil {
+
+/// sim::check_result's diagnostics, one per line ("" = the run holds every
+/// result invariant), so `EXPECT_EQ(check_report(...), "")` prints them all.
+inline std::string check_report(const sim::ExperimentResult& result,
+                                const sim::ExperimentConfig& config,
+                                std::size_t nodes) {
+  std::string report;
+  for (const std::string& d : sim::check_result(result, config, nodes)) {
+    report += d + "\n";
+  }
+  return report;
+}
 
 /// Live heap bytes currently held through the global operator new, tracked
 /// by test_arena.cpp's counting-allocator hook (the single new/delete
