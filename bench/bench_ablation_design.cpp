@@ -17,7 +17,6 @@
 #include "bench_util.hpp"
 #include "compress/topk.hpp"
 #include "dwt/dwt.hpp"
-#include "nn/flat.hpp"
 
 namespace {
 
@@ -82,8 +81,7 @@ int main(int argc, char** argv) {
   std::vector<float> trained_model;
   {
     auto model = w.model_factory();
-    nn::Sgd opt(model->parameters(), model->gradients(),
-                {.learning_rate = w.suggested_lr});
+    nn::Sgd opt(*model, {.learning_rate = w.suggested_lr});
     data::Sampler sampler(*w.train, w.partition[0], 16, seed);
     for (int step = 0; step < 200; ++step) {
       const nn::Batch batch = sampler.next();
@@ -91,7 +89,8 @@ int main(int argc, char** argv) {
       model->loss_and_grad(batch);
       opt.step();
     }
-    trained_model = nn::to_flat(model->parameters());
+    const std::span<const float> x = model->flat_params();
+    trained_model.assign(x.begin(), x.end());
   }
 
   std::cout << "=== Ablation 1: wavelet family (paper: Sym2 chosen) ===\n";

@@ -10,21 +10,21 @@
 #include <iomanip>
 #include <iostream>
 #include <random>
+#include <span>
 
 #include "bench_util.hpp"
 #include "compress/topk.hpp"
 #include "data/partition.hpp"
 #include "dwt/dwt.hpp"
 #include "dwt/fft.hpp"
-#include "nn/flat.hpp"
 #include "nn/sgd.hpp"
 
 namespace {
 
 using namespace jwins;
 
-double reconstruction_mse(const std::vector<float>& a,
-                          const std::vector<float>& b) {
+double reconstruction_mse(std::span<const float> a,
+                          std::span<const float> b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double d = static_cast<double>(a[i]) - b[i];
@@ -34,7 +34,7 @@ double reconstruction_mse(const std::vector<float>& a,
 }
 
 std::vector<float> dwt_sparsify(const dwt::DwtPlan& plan,
-                                const std::vector<float>& x, std::size_t k) {
+                                std::span<const float> x, std::size_t k) {
   dwt::DwtWorkspace ws;
   std::vector<float> coeffs(plan.coeff_length());
   plan.forward_into(x, coeffs, ws);
@@ -47,7 +47,7 @@ std::vector<float> dwt_sparsify(const dwt::DwtPlan& plan,
   return back;
 }
 
-std::vector<float> random_sparsify(const std::vector<float>& x, std::size_t k,
+std::vector<float> random_sparsify(std::span<const float> x, std::size_t k,
                                    std::uint64_t seed) {
   core::Arena arena;
   std::vector<std::uint32_t> keep;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // Single node: the whole CIFAR-like dataset, GN-LeNet-style CNN.
   sim::Workload w = sim::make_cifar_like(1, static_cast<std::uint32_t>(seed));
   auto model = w.model_factory();
-  nn::Sgd opt(model->parameters(), model->gradients(), {.learning_rate = 0.05f});
+  nn::Sgd opt(*model, {.learning_rate = 0.05f});
   data::Sampler sampler(*w.train, w.partition[0], 16, seed);
 
   const std::size_t dim = model->parameter_count();
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       model->loss_and_grad(batch);
       opt.step();
     }
-    const std::vector<float> x = nn::to_flat(model->parameters());
+    const std::span<const float> x = model->flat_params();
     cum_wavelet += reconstruction_mse(x, dwt_sparsify(plan, x, k));
     // A complex FFT bin costs two floats of budget (handled inside).
     cum_fft += reconstruction_mse(x, dwt::fft_sparsify_reconstruct(x, k));

@@ -386,9 +386,8 @@ std::vector<Kernel> build_kernels() {
   {
     nn::CnnClassifier::Config cfg;
     auto model = std::make_shared<nn::CnnClassifier>(cfg, 1);
-    auto opt = std::make_shared<nn::Sgd>(model->parameters(),
-                                         model->gradients(),
-                                         nn::Sgd::Options{.learning_rate = 0.05f});
+    auto opt = std::make_shared<nn::Sgd>(
+        *model, nn::Sgd::Options{.learning_rate = 0.05f});
     auto batch = std::make_shared<nn::Batch>();
     std::mt19937 rng(2);
     batch->x = tensor::Tensor::normal({16, 3, 8, 8}, 0.0f, 1.0f, rng);
@@ -410,9 +409,8 @@ std::vector<Kernel> build_kernels() {
     cfg.hidden = 24;
     cfg.layers = 2;
     auto model = std::make_shared<nn::CharLstm>(cfg, 1);
-    auto opt = std::make_shared<nn::Sgd>(model->parameters(),
-                                         model->gradients(),
-                                         nn::Sgd::Options{.learning_rate = 0.05f});
+    auto opt = std::make_shared<nn::Sgd>(
+        *model, nn::Sgd::Options{.learning_rate = 0.05f});
     auto batch = std::make_shared<nn::Batch>();
     batch->x = tensor::Tensor({8, 16});
     batch->labels.resize(8 * 16);

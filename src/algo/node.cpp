@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/flat.hpp"
-
 namespace jwins::algo {
 
 namespace {
@@ -56,7 +54,7 @@ DlNode::DlNode(std::uint32_t rank, std::unique_ptr<nn::SupervisedModel> model,
       model_(std::move(model)),
       sampler_(std::move(sampler)),
       config_(config),
-      optimizer_(model_->parameters(), model_->gradients(), config.sgd) {}
+      optimizer_(*model_, config.sgd) {}
 
 float DlNode::local_train() {
   double total = 0.0;
@@ -70,20 +68,29 @@ float DlNode::local_train() {
 }
 
 std::vector<float> DlNode::flat_params() {
-  return nn::to_flat(model_->parameters());
+  const std::span<const float> x = model_->flat_params();
+  return {x.begin(), x.end()};
 }
 
 void DlNode::flat_params_into(std::vector<float>& out) {
-  out.resize(model_->parameter_count());
-  nn::copy_to_flat(model_->parameters(), out);
+  const std::span<const float> x = model_->flat_params();
+  out.assign(x.begin(), x.end());
 }
 
 void DlNode::flat_params_into(std::span<float> out) {
-  nn::copy_to_flat(model_->parameters(), out);
+  const std::span<const float> x = model_->flat_params();
+  if (out.size() != x.size()) {
+    throw std::invalid_argument("DlNode::flat_params_into: size mismatch");
+  }
+  std::ranges::copy(x, out.begin());
 }
 
 void DlNode::set_flat_params(std::span<const float> flat) {
-  nn::copy_from_flat(model_->parameters(), flat);
+  const std::span<float> x = model_->flat_params();
+  if (flat.size() != x.size()) {
+    throw std::invalid_argument("DlNode::set_flat_params: size mismatch");
+  }
+  std::ranges::copy(flat, x.begin());
 }
 
 std::size_t DlNode::param_count() { return model_->parameter_count(); }

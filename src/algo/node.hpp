@@ -87,8 +87,9 @@ class DlNode {
   /// data shard, and sampler-stream position (counter-mode samplers only —
   /// the shuffle sampler's stream is stateful and cannot be repositioned).
   /// The compact node-state engine binds one lane-worker node per execution
-  /// lane to millions of (rank, shard, params) triples this way; model
-  /// parameters are loaded separately via set_flat_params().
+  /// lane to millions of (rank, shard, params) triples this way; the model
+  /// is pointed at the node's parameters separately
+  /// (nn::SupervisedModel::bind_params()).
   void rebind(std::uint32_t rank, std::span<const std::size_t> shard,
               std::uint64_t sampler_seed, std::size_t sampler_step) {
     rank_ = rank;
@@ -117,12 +118,14 @@ class DlNode {
 
   nn::SupervisedModel& model() noexcept { return *model_; }
 
-  /// Flat view of the current model parameters.
+  /// Copy of the current model parameters (model().flat_params() is the
+  /// vector itself).
   std::vector<float> flat_params();
   /// Reuse variants: copy into caller storage (resized / sized to
   /// param_count()) instead of allocating.
   void flat_params_into(std::vector<float>& out);
   void flat_params_into(std::span<float> out);
+  /// Copies `flat` (param_count() floats) into the model's parameters.
   void set_flat_params(std::span<const float> flat);
   std::size_t param_count();
 

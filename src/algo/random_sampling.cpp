@@ -24,9 +24,8 @@ void RandomSamplingNode::share(net::Network& network, const graph::Graph& g,
                                std::uint32_t round,
                                core::RoundScratch& scratch) {
   scratch.reset();
-  const std::size_t n = param_count();
-  const std::span<float> x = scratch.arena.alloc<float>(n);
-  flat_params_into(x);
+  const std::span<const float> x = model().flat_params();
+  const std::size_t n = x.size();
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(fraction_ * static_cast<double>(n) + 0.5));
   // Per-(node, round) subset seed, derived like every other stream

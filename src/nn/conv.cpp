@@ -307,6 +307,15 @@ Tensor Conv2d::forward(const Tensor& input) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  accumulate_grads(grad_output);
+  const ConvShape s =
+      conv_shape(cached_input_, out_ch_, kernel_, stride_, pad_);
+  Tensor grad_input(cached_input_.shape());
+  conv_input_grad(s, weight_.raw(), grad_output.raw(), grad_input.raw());
+  return grad_input;
+}
+
+void Conv2d::accumulate_grads(const Tensor& grad_output) {
   if (cached_input_.rank() != 4) {
     throw std::invalid_argument("Conv2d::backward: called before forward");
   }
@@ -322,9 +331,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   }
   conv_weight_grad(s, cached_input_.raw(), grad_output.raw(), grad_weight_.raw(),
                    grad_bias_.raw());
-  Tensor grad_input(cached_input_.shape());
-  conv_input_grad(s, weight_.raw(), grad_output.raw(), grad_input.raw());
-  return grad_input;
 }
 
 MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)

@@ -36,19 +36,23 @@ Tensor Linear::forward(const Tensor& input) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  accumulate_grads(grad_output);
+  return tensor::matmul(grad_output, weight_);  // dX = dY · W
+}
+
+void Linear::accumulate_grads(const Tensor& grad_output) {
   const std::size_t batch = cached_input_.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(0) != batch ||
       grad_output.dim(1) != out_) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
-  // dW += dYᵀ · X ; db += column sums of dY ; dX = dY · W.
+  // dW += dYᵀ · X ; db += column sums of dY.
   grad_weight_ += tensor::matmul_tn(grad_output, cached_input_);
   const float* gy = grad_output.raw();
   float* gb = grad_bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < out_; ++o) gb[o] += gy[b * out_ + o];
   }
-  return tensor::matmul(grad_output, weight_);
 }
 
 Tensor ReLU::forward(const Tensor& input) {

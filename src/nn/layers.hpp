@@ -17,6 +17,8 @@ class Linear final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Weight and bias gradients only: skips the dY · W input gradient.
+  void accumulate_grads(const Tensor& grad_output) override;
 
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }

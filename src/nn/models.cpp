@@ -21,7 +21,7 @@ MlpClassifier::MlpClassifier(std::size_t in_features,
 float MlpClassifier::loss_and_grad(const Batch& batch) {
   Tensor logits = net_.forward(batch.x);
   LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  net_.backward(lr.grad);
+  net_.accumulate_grads(lr.grad);
   return lr.loss;
 }
 
@@ -52,7 +52,7 @@ CnnClassifier::CnnClassifier(Config cfg, std::uint32_t seed) {
 float CnnClassifier::loss_and_grad(const Batch& batch) {
   Tensor logits = net_.forward(batch.x);
   LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  net_.backward(lr.grad);
+  net_.accumulate_grads(lr.grad);
   return lr.loss;
 }
 

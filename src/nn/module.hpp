@@ -9,6 +9,8 @@
 //    dL/d(output) and returns dL/d(input), accumulating parameter gradients.
 //  * Parameter gradients accumulate across backward() calls until
 //    zero_grad(); the optimizer consumes them via params()/grads().
+//  * accumulate_grads() is backward() for a caller that does not read
+//    dL/d(input): a model's bottom layer, whose input is the data.
 #pragma once
 
 #include <memory>
@@ -31,6 +33,13 @@ class Module {
   /// accumulates dL/d(params) into the gradient tensors.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without its result: accumulates dL/d(params) only, with the
+  /// same float operations. Layers whose input gradient costs real work
+  /// skip computing it; the default runs backward() and drops the result.
+  virtual void accumulate_grads(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Learnable parameters (possibly empty). Order must be stable: the flat
   /// parameter vector layout used by JWINS depends on it.
   virtual std::vector<Tensor*> params() { return {}; }
@@ -50,14 +59,16 @@ class Sequential final : public Module {
 
   /// Appends a layer; returns *this for chaining via add(...).add(...).
   Sequential& add(std::unique_ptr<Module> layer) {
+    if (first_trained_ == kNone && !layer->params().empty()) {
+      first_trained_ = layers_.size();
+    }
     layers_.push_back(std::move(layer));
     return *this;
   }
 
   template <typename M, typename... Args>
   Sequential& emplace(Args&&... args) {
-    layers_.push_back(std::make_unique<M>(std::forward<Args>(args)...));
-    return *this;
+    return add(std::make_unique<M>(std::forward<Args>(args)...));
   }
 
   Tensor forward(const Tensor& input) override {
@@ -72,6 +83,18 @@ class Sequential final : public Module {
       g = (*it)->backward(g);
     }
     return g;
+  }
+
+  /// Back-propagates only as far as the parameters reach: the lowest layer
+  /// with parameters (conv1 of the CNN) gets accumulate_grads(), and the
+  /// parameter-free layers below it (a leading Flatten) are not visited.
+  void accumulate_grads(const Tensor& grad_output) override {
+    if (first_trained_ == kNone) return;
+    Tensor g = grad_output;
+    for (std::size_t i = layers_.size() - 1; i > first_trained_; --i) {
+      g = layers_[i]->backward(g);
+    }
+    layers_[first_trained_]->accumulate_grads(g);
   }
 
   std::vector<Tensor*> params() override {
@@ -93,7 +116,10 @@ class Sequential final : public Module {
   std::size_t layer_count() const noexcept { return layers_.size(); }
 
  private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   std::vector<std::unique_ptr<Module>> layers_;
+  std::size_t first_trained_ = kNone;  ///< lowest layer with parameters
 };
 
 }  // namespace jwins::nn

@@ -1,50 +1,31 @@
 #include "nn/sgd.hpp"
 
-#include <stdexcept>
+#include <span>
 
 namespace jwins::nn {
 
-Sgd::Sgd(std::vector<tensor::Tensor*> params,
-         std::vector<tensor::Tensor*> grads, Options options)
-    : params_(std::move(params)), grads_(std::move(grads)), options_(options) {
-  if (params_.size() != grads_.size()) {
-    throw std::invalid_argument("Sgd: params/grads size mismatch");
-  }
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i]->same_shape(*grads_[i])) {
-      throw std::invalid_argument("Sgd: param/grad shape mismatch at index " +
-                                  std::to_string(i));
-    }
-  }
+Sgd::Sgd(SupervisedModel& model, Options options)
+    : model_(&model), options_(options) {
+  (void)model.flat_params();  // lays out the buffers; rejects bad pairings
 }
 
 void Sgd::step() {
   const float lr = options_.learning_rate;
   const float wd = options_.weight_decay;
   const float mu = options_.momentum;
-  if (mu != 0.0f && velocity_.empty()) {
-    velocity_.reserve(params_.size());
-    for (tensor::Tensor* p : params_) velocity_.emplace_back(p->shape());
-  }
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensor::Tensor& p = *params_[i];
-    const tensor::Tensor& g = *grads_[i];
-    if (mu == 0.0f) {
-      for (std::size_t j = 0; j < p.size(); ++j) {
-        p[j] -= lr * (g[j] + wd * p[j]);
-      }
-    } else {
-      tensor::Tensor& v = velocity_[i];
-      for (std::size_t j = 0; j < p.size(); ++j) {
-        v[j] = mu * v[j] + g[j] + wd * p[j];
-        p[j] -= lr * v[j];
-      }
+  const std::span<float> p = model_->flat_params();
+  const std::span<const float> g = model_->flat_grads();
+  if (mu == 0.0f) {
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      p[j] -= lr * (g[j] + wd * p[j]);
     }
+    return;
   }
-}
-
-void Sgd::zero_grad() {
-  for (tensor::Tensor* g : grads_) g->zero();
+  if (velocity_.empty()) velocity_.assign(p.size(), 0.0f);
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    velocity_[j] = mu * velocity_[j] + g[j] + wd * p[j];
+    p[j] -= lr * velocity_[j];
+  }
 }
 
 }  // namespace jwins::nn

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "tensor/tensor.hpp"
+#include "nn/model.hpp"
 
 namespace jwins::nn {
 
@@ -17,23 +17,23 @@ class Sgd {
     float weight_decay = 0.0f;
   };
 
-  Sgd(std::vector<tensor::Tensor*> params, std::vector<tensor::Tensor*> grads,
-      Options options);
+  /// Steps `model`'s flat parameter vector with its flat gradients. The
+  /// spans are read at every step, so a model re-bound to another slot
+  /// (SupervisedModel::bind_params) is stepped where it now lives. Throws
+  /// std::invalid_argument when the model's gradients do not pair 1:1 in
+  /// shape with its parameters.
+  Sgd(SupervisedModel& model, Options options);
 
   /// Applies one update: p -= lr * (g + wd * p) (+ momentum buffer if set).
   void step();
-
-  /// Clears all gradient tensors.
-  void zero_grad();
 
   float learning_rate() const noexcept { return options_.learning_rate; }
   void set_learning_rate(float lr) noexcept { options_.learning_rate = lr; }
 
  private:
-  std::vector<tensor::Tensor*> params_;
-  std::vector<tensor::Tensor*> grads_;
+  SupervisedModel* model_;
   Options options_;
-  std::vector<tensor::Tensor> velocity_;  // lazily sized when momentum > 0
+  std::vector<float> velocity_;  // lazily sized when momentum > 0
 };
 
 }  // namespace jwins::nn

@@ -265,7 +265,7 @@ Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
     // All nodes start from the factory's identical x^(0,0): worker 0's
     // fresh parameters ARE the shared base.
     store_ = std::make_unique<NodeStateStore>(
-        n, workers_.front()->flat_params());
+        n, workers_.front()->model().flat_params());
     steps_done_.assign(n, 0);
   } else {
     nodes_.reserve(n);
@@ -418,7 +418,7 @@ void Experiment::bind_worker(algo::DlNode& w, std::size_t i) {
   w.rebind(static_cast<std::uint32_t>(i), partition_[i],
            core::derive_seed(config_.seed, i, 0, kSamplerStream),
            steps_done_[i]);
-  w.set_flat_params(store_->view(i));
+  w.model().bind_params(store_->slot(i));
 }
 
 MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
@@ -446,7 +446,10 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
         [&](unsigned lane, std::size_t j) {
           const std::size_t node = subset.empty() ? j : subset[j];
           if (!compact()) return nodes_[node]->model().evaluate(eval_batch_);
+          // Never through a view bound to a slot: evaluation copies the
+          // node into the worker's own buffer and materializes nothing.
           algo::DlNode& w = *workers_[lane];
+          w.model().unbind_params();
           w.set_flat_params(store_->view(node));
           return w.model().evaluate(eval_batch_);
         },
@@ -481,7 +484,6 @@ void Experiment::for_each_alive(std::size_t t, Fn&& fn) {
     algo::DlNode& w = *workers_[lane];
     bind_worker(w, i);
     fn(w, lane, i);
-    w.flat_params_into(store_->slot(i));
   });
 }
 
@@ -504,8 +506,8 @@ ExperimentResult Experiment::run() {
       // Fused train+share pass: one worker bind covers both. share() reads
       // only the sharing node's own state and every mailbox drain sorts
       // canonically by (round, sender), so fusing the two passes changes no
-      // bytes — it halves the bind/writeback traffic, the dominant
-      // per-round cost at 100k+ nodes.
+      // bytes — it halves the binds, the dominant per-round cost at 100k+
+      // nodes.
       timed_phase(wall_.train_seconds, [&] {
         for_each_alive(t, [&](algo::DlNode& node, unsigned lane,
                               std::size_t i) {

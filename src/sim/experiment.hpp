@@ -416,6 +416,8 @@ class Experiment {
   /// The discrete-event driver (sim/event_engine.hpp) runs the same nodes,
   /// network, and evaluation machinery this class owns.
   friend class EventEngine;
+  /// White-box access for the compact-state tests (bind and evaluate).
+  friend struct ExperimentTestPeer;
 
   /// Times one engine phase, accumulating host seconds into `slot`.
   template <class Fn>
@@ -461,8 +463,10 @@ class Experiment {
   /// static/slow-churn topologies stop recomputing O(n) weights every round.
   const graph::MixingWeights& mixing_weights(const graph::Graph& g,
                                              std::size_t t);
-  /// Points lane-worker `w` at simulated node `i`: rank, shard, sampler
-  /// stream position, and parameters from the state store (compact only).
+  /// Points lane-worker `w` at simulated node `i` (compact only): rank,
+  /// shard and sampler stream position, and its model's parameter views at
+  /// i's store slot, which the first bind materializes. Nothing is copied
+  /// in or out: training, share and aggregate update the slot in place.
   void bind_worker(algo::DlNode& w, std::size_t i);
 
   ExperimentConfig config_;

@@ -29,7 +29,7 @@ class ScaleMlp final : public nn::SupervisedModel {
   float loss_and_grad(const nn::Batch& batch) override {
     nn::Tensor logits = net_.forward(batch.x);
     nn::LossResult lr = nn::softmax_cross_entropy(logits, batch.labels);
-    net_.backward(lr.grad);
+    net_.accumulate_grads(lr.grad);
     return lr.loss;
   }
 

@@ -40,20 +40,94 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 
 }  // namespace
 
-Tensor::Tensor() : shape_{}, data_(1, 0.0f) {}
+Tensor::Tensor() : shape_{}, storage_(1, 0.0f) { point_at_storage(); }
 
-Tensor::Tensor(Shape shape) : shape_(std::move(shape)), data_(numel(shape_), 0.0f) {}
+Tensor::Tensor(Shape shape) : Tensor(std::move(shape), 0.0f) {}
 
 Tensor::Tensor(Shape shape, float fill)
-    : shape_(std::move(shape)), data_(numel(shape_), fill) {}
+    : shape_(std::move(shape)), storage_(numel(shape_), fill) {
+  point_at_storage();
+}
 
 Tensor::Tensor(Shape shape, std::vector<float> values)
-    : shape_(std::move(shape)), data_(std::move(values)) {
-  if (data_.size() != numel(shape_)) {
+    : shape_(std::move(shape)), storage_(std::move(values)) {
+  if (storage_.size() != numel(shape_)) {
     throw std::invalid_argument("tensor data size " +
-                                std::to_string(data_.size()) +
+                                std::to_string(storage_.size()) +
                                 " does not match shape " + to_string(shape_));
   }
+  point_at_storage();
+}
+
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
+  own_copy_of(other.data());
+}
+
+Tensor::Tensor(Tensor&& other) noexcept {
+  if (other.view_) {  // the source keeps viewing; the result owns a copy
+    shape_ = other.shape_;
+    own_copy_of(other.data());
+  } else {
+    take_storage(other);
+  }
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  if (view_) {
+    if (other.size_ != size_) {
+      throw std::logic_error("tensor view of " + std::to_string(size_) +
+                             " elements assigned " +
+                             std::to_string(other.size_));
+    }
+    std::copy_n(other.data_, size_, data_);
+  } else {
+    own_copy_of(other.data());
+  }
+  shape_ = other.shape_;
+  return *this;
+}
+
+Tensor& Tensor::operator=(Tensor&& other) {
+  if (view_ || other.view_) return *this = static_cast<const Tensor&>(other);
+  if (this != &other) take_storage(other);
+  return *this;
+}
+
+void Tensor::point_at_storage() noexcept {
+  data_ = storage_.data();
+  size_ = storage_.size();
+}
+
+void Tensor::take_storage(Tensor& other) noexcept {
+  shape_ = std::move(other.shape_);
+  storage_ = std::move(other.storage_);
+  point_at_storage();
+  other.point_at_storage();
+}
+
+void Tensor::own_copy_of(std::span<const float> values) {
+  storage_.assign(values.begin(), values.end());
+  point_at_storage();
+  view_ = false;
+}
+
+void Tensor::resize_storage(std::size_t n) {
+  if (n == size_) return;
+  if (view_) {
+    throw std::logic_error("tensor view of " + std::to_string(size_) +
+                           " elements cannot hold " + std::to_string(n));
+  }
+  storage_.resize(n, 0.0f);
+  point_at_storage();
+}
+
+void Tensor::bind(float* data) noexcept {
+  if (!view_) {
+    std::vector<float>().swap(storage_);
+    view_ = true;
+  }
+  data_ = data;
 }
 
 Tensor Tensor::of(std::initializer_list<float> values) {
@@ -75,7 +149,7 @@ Tensor Tensor::full(Shape shape, float value) {
 Tensor Tensor::uniform(Shape shape, float lo, float hi, std::mt19937& rng) {
   Tensor t(std::move(shape));
   std::uniform_real_distribution<float> dist(lo, hi);
-  for (float& v : t.data_) v = dist(rng);
+  for (float& v : t.data()) v = dist(rng);
   return t;
 }
 
@@ -83,7 +157,7 @@ Tensor Tensor::normal(Shape shape, float mean, float stddev,
                       std::mt19937& rng) {
   Tensor t(std::move(shape));
   std::normal_distribution<float> dist(mean, stddev);
-  for (float& v : t.data_) v = dist(rng);
+  for (float& v : t.data()) v = dist(rng);
   return t;
 }
 
@@ -95,12 +169,26 @@ std::size_t Tensor::dim(std::size_t axis) const {
   return shape_[axis];
 }
 
+namespace {
+
+void check_index(std::size_t index, std::size_t size) {
+  if (index >= size) {
+    throw std::out_of_range("tensor index " + std::to_string(index) +
+                            " out of range for " + std::to_string(size) +
+                            " elements");
+  }
+}
+
+}  // namespace
+
 float& Tensor::operator[](std::size_t flat_index) {
-  return data_.at(flat_index);
+  check_index(flat_index, size_);
+  return data_[flat_index];
 }
 
 float Tensor::operator[](std::size_t flat_index) const {
-  return data_.at(flat_index);
+  check_index(flat_index, size_);
+  return data_[flat_index];
 }
 
 std::size_t Tensor::offset(std::initializer_list<std::size_t> idx) const {
@@ -132,27 +220,25 @@ float Tensor::at(std::initializer_list<std::size_t> idx) const {
 }
 
 Tensor Tensor::reshape(Shape new_shape) const {
-  if (numel(new_shape) != data_.size()) {
+  if (numel(new_shape) != size_) {
     throw std::invalid_argument("reshape from " + to_string(shape_) + " to " +
                                 to_string(new_shape) +
                                 " changes the element count");
   }
-  Tensor t(std::move(new_shape), data_);
-  return t;
+  return Tensor(std::move(new_shape),
+                std::vector<float>(data_, data_ + size_));
 }
 
 void Tensor::ensure_shape(const Shape& shape) {
+  resize_storage(numel(shape));
   if (shape_ != shape) shape_ = shape;
-  const std::size_t n = numel(shape_);
-  if (data_.size() != n) data_.resize(n, 0.0f);
 }
 
 void Tensor::ensure_shape(std::size_t rows, std::size_t cols) {
+  resize_storage(rows * cols);
   if (shape_.size() != 2) shape_.assign(2, 0);
   shape_[0] = rows;
   shape_[1] = cols;
-  const std::size_t n = rows * cols;
-  if (data_.size() != n) data_.resize(n, 0.0f);
 }
 
 Tensor Tensor::transposed() const {
@@ -170,73 +256,70 @@ Tensor Tensor::transposed() const {
 
 Tensor& Tensor::operator+=(const Tensor& rhs) {
   check_same_shape(*this, rhs, "+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) data_[i] += rhs.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator-=(const Tensor& rhs) {
   check_same_shape(*this, rhs, "-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) data_[i] -= rhs.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator*=(const Tensor& rhs) {
   check_same_shape(*this, rhs, "*=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) data_[i] *= rhs.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator+=(float scalar) {
-  for (float& v : data_) v += scalar;
+  for (float& v : data()) v += scalar;
   return *this;
 }
 
 Tensor& Tensor::operator*=(float scalar) {
-  for (float& v : data_) v *= scalar;
+  for (float& v : data()) v *= scalar;
   return *this;
 }
 
 void Tensor::axpy(float alpha, const Tensor& rhs) {
   check_same_shape(*this, rhs, "axpy");
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    data_[i] += alpha * rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) data_[i] += alpha * rhs.data_[i];
 }
 
-void Tensor::zero() noexcept { std::fill(data_.begin(), data_.end(), 0.0f); }
+void Tensor::zero() noexcept { std::fill_n(data_, size_, 0.0f); }
 
-void Tensor::fill(float value) noexcept {
-  std::fill(data_.begin(), data_.end(), value);
-}
+void Tensor::fill(float value) noexcept { std::fill_n(data_, size_, value); }
 
 float Tensor::sum() const noexcept {
   double acc = 0.0;
-  for (float v : data_) acc += v;
+  for (float v : data()) acc += v;
   return static_cast<float>(acc);
 }
 
 float Tensor::mean() const noexcept {
-  return data_.empty() ? 0.0f : sum() / static_cast<float>(data_.size());
+  return size_ == 0 ? 0.0f : sum() / static_cast<float>(size_);
 }
 
 float Tensor::min() const {
-  if (data_.empty()) throw std::logic_error("min() of empty tensor");
-  return *std::min_element(data_.begin(), data_.end());
+  if (size_ == 0) throw std::logic_error("min() of empty tensor");
+  return *std::min_element(data_, data_ + size_);
 }
 
 float Tensor::max() const {
-  if (data_.empty()) throw std::logic_error("max() of empty tensor");
-  return *std::max_element(data_.begin(), data_.end());
+  if (size_ == 0) throw std::logic_error("max() of empty tensor");
+  return *std::max_element(data_, data_ + size_);
 }
 
 float Tensor::abs_max() const noexcept {
   float m = 0.0f;
-  for (float v : data_) m = std::max(m, std::fabs(v));
+  for (float v : data()) m = std::max(m, std::fabs(v));
   return m;
 }
 
 float Tensor::squared_norm() const noexcept {
   double acc = 0.0;
-  for (float v : data_) acc += static_cast<double>(v) * v;
+  for (float v : data()) acc += static_cast<double>(v) * v;
   return static_cast<float>(acc);
 }
 
@@ -245,13 +328,13 @@ float Tensor::norm() const noexcept {
 }
 
 std::size_t Tensor::argmax() const {
-  if (data_.empty()) throw std::logic_error("argmax() of empty tensor");
-  return static_cast<std::size_t>(
-      std::distance(data_.begin(), std::max_element(data_.begin(), data_.end())));
+  if (size_ == 0) throw std::logic_error("argmax() of empty tensor");
+  return static_cast<std::size_t>(std::max_element(data_, data_ + size_) -
+                                  data_);
 }
 
 void Tensor::apply(const std::function<float(float)>& fn) {
-  for (float& v : data_) v = fn(v);
+  for (float& v : data()) v = fn(v);
 }
 
 bool Tensor::same_shape(const Tensor& other) const noexcept {

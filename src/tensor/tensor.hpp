@@ -3,6 +3,11 @@
 //
 // Design notes:
 //  * Value semantics (copy = deep copy); storage is a std::vector<float>.
+//  * A tensor can instead be a non-owning view of a caller's buffer
+//    (bind()): a model's parameter and gradient tensors view its two flat
+//    buffers (nn/model.hpp). Copying or moving a view yields an owning deep
+//    copy, assigning into a view writes through, and a view never
+//    reallocates (changing its element count throws).
 //  * Shapes are small vectors of std::size_t; rank is dynamic.
 //  * Ops needed by the reproduction are provided directly (elementwise
 //    arithmetic, matmul, reductions, random fills); no lazy evaluation.
@@ -44,6 +49,17 @@ class Tensor {
   /// Tensor adopting `values` (size must equal numel(shape)).
   Tensor(Shape shape, std::vector<float> values);
 
+  /// Copies (and moves) of an owning tensor or of a view are owning deep
+  /// copies. Moving a view copies its values (an allocation failure there
+  /// terminates: the move stays noexcept for std::vector<Tensor>).
+  /// Assigning into a view writes the values through to the viewed buffer;
+  /// the element counts must match.
+  Tensor(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(Tensor&& other);
+  ~Tensor() = default;
+
   /// 1-D tensor from an initializer list, e.g. Tensor::of({1.f, 2.f}).
   static Tensor of(std::initializer_list<float> values);
 
@@ -65,14 +81,19 @@ class Tensor {
   // -- Introspection ---------------------------------------------------------
   const Shape& shape() const noexcept { return shape_; }
   std::size_t rank() const noexcept { return shape_.size(); }
-  std::size_t size() const noexcept { return data_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::size_t dim(std::size_t axis) const;
 
-  std::span<float> data() noexcept { return data_; }
-  std::span<const float> data() const noexcept { return data_; }
+  std::span<float> data() noexcept { return {data_, size_}; }
+  std::span<const float> data() const noexcept { return {data_, size_}; }
 
-  float* raw() noexcept { return data_.data(); }
-  const float* raw() const noexcept { return data_.data(); }
+  float* raw() noexcept { return data_; }
+  const float* raw() const noexcept { return data_; }
+
+  /// Turns this tensor into a view of data[0, size()): the shape is kept,
+  /// nothing is copied, and any owned storage is released. Rebinding a view
+  /// to another buffer is the same call.
+  void bind(float* data) noexcept;
 
   // -- Element access --------------------------------------------------------
   float& operator[](std::size_t flat_index);
@@ -93,7 +114,8 @@ class Tensor {
   /// storage when the element count already matches (no heap traffic in
   /// steady state). Element values are preserved for the common prefix and
   /// zero-filled for any growth; callers treating this as an output buffer
-  /// should overwrite or zero() it.
+  /// should overwrite or zero() it. A view only takes shapes of its own
+  /// element count (anything else throws std::logic_error).
   void ensure_shape(const Shape& shape);
 
   /// Rank-2 ensure_shape that avoids materializing a temporary Shape (the
@@ -138,8 +160,20 @@ class Tensor {
   bool same_shape(const Tensor& other) const noexcept;
 
  private:
+  /// data_/size_ follow storage_ (an owning tensor's invariant).
+  void point_at_storage() noexcept;
+  /// Moves an owning `other`'s shape and storage here.
+  void take_storage(Tensor& other) noexcept;
+  /// Replaces the owned storage with a copy of `values`.
+  void own_copy_of(std::span<const float> values);
+  /// Resizes the owned storage (throws on a view).
+  void resize_storage(std::size_t n);
+
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float> storage_;  ///< empty for a view
+  float* data_ = nullptr;       ///< storage_.data(), or the viewed buffer
+  std::size_t size_ = 0;
+  bool view_ = false;
 };
 
 // -- Free-function arithmetic (value results) ---------------------------------

@@ -598,8 +598,7 @@ TEST(LstmArena, SteadyStateTrainStepAllocationBound) {
   cfg.hidden = 24;
   cfg.layers = 2;
   nn::CharLstm model(cfg, 1);
-  nn::Sgd opt(model.parameters(), model.gradients(),
-              nn::Sgd::Options{.learning_rate = 0.05f});
+  nn::Sgd opt(model, nn::Sgd::Options{.learning_rate = 0.05f});
   nn::Batch batch;
   batch.x = tensor::Tensor({8, 16});
   batch.labels.resize(8 * 16);
@@ -622,7 +621,8 @@ TEST(LstmArena, SteadyStateTrainStepAllocationBound) {
   for (int i = 0; i < kIters; ++i) step();
   const std::uint64_t per_op =
       (g_test_alloc_count.load(std::memory_order_relaxed) - before) / kIters;
-  // Measured ~34/op after the rework (was ~1218). The bound leaves room for
+  // Measured 26/op with flat parameter buffers (34 before, ~1218 before
+  // the workspace rework). The bound leaves room for
   // the per-call return tensors the Module interface requires, but fails
   // loudly if per-timestep churn ever comes back.
   EXPECT_LE(per_op, 80u) << "LSTM train step allocation churn regressed";
@@ -635,8 +635,7 @@ TEST(LstmArena, SteadyStateTrainStepAllocationBound) {
 
 struct CnnStepper {
   nn::CnnClassifier model{nn::CnnClassifier::Config{}, 1};
-  nn::Sgd opt{model.parameters(), model.gradients(),
-              nn::Sgd::Options{.learning_rate = 0.05f}};
+  nn::Sgd opt{model, nn::Sgd::Options{.learning_rate = 0.05f}};
   nn::Batch batch;
 
   CnnStepper() {
@@ -664,9 +663,11 @@ TEST(CnnArena, SteadyStateTrainStepAllocationBound) {
   for (int i = 0; i < kIters; ++i) s.step();
   const std::uint64_t per_op =
       (g_test_alloc_count.load(std::memory_order_relaxed) - before) / kIters;
-  // 64/op before the Conv2d kernels were restructured, nearly all of them
-  // the per-call return tensors of the Module interface.
-  EXPECT_LE(per_op, 64u) << "CNN train step allocation churn regressed";
+  // Measured 52/op (glibc 2.36, libstdc++ 12), nearly all of them the
+  // per-call return tensors of the Module interface; 64/op before the
+  // parameters moved to one flat buffer (zero_grad rebuilt the gradient
+  // lists) and conv1 stopped computing its unread input gradient.
+  EXPECT_LE(per_op, 52u) << "CNN train step allocation churn regressed";
 }
 
 TEST(CnnArena, WarmedModelLiveHeapBound) {
@@ -679,12 +680,57 @@ TEST(CnnArena, WarmedModelLiveHeapBound) {
   for (int i = 0; i < 2; ++i) second->step();
   const std::int64_t held = testutil::live_heap_bytes() - before;
   // Parameters, gradients and each layer's cached forward state at batch 16:
-  // 143720 bytes (glibc 2.36, libstdc++ 12), down from 180600 before ReLU
+  // 144280 bytes (glibc 2.36, libstdc++ 12) with the parameters and
+  // gradients in two flat buffers (143768 before: the views add 24 bytes
+  // per Tensor object), down from 180600 before ReLU
   // cached a byte mask instead of a float copy of its input. The slack
   // absorbs allocator differences and is below the smallest batch-sized
   // buffer, the second ReLU's 4 KiB mask.
   EXPECT_LE(held, 144 * 1024) << "a warmed CnnClassifier holds " << held
                               << " heap bytes; per-node resident memory grew";
+}
+
+// --- Compact node-round pin -------------------------------------------------
+// Under node_state = compact one lane worker is bound to every node in turn,
+// so anything a bind, train, share or aggregate allocates is paid per node
+// per round, 100k times a round on the scale_100k preset.
+
+/// Heap allocations made by run() of a compact scale experiment.
+std::uint64_t compact_run_allocations(std::size_t nodes, std::size_t rounds) {
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kRandomSampling;
+  cfg.rounds = rounds;
+  cfg.eval_every = 100;  // metric rounds: the first and the last
+  cfg.eval_sample = 16;
+  cfg.eval_sample_limit = 32;
+  cfg.node_state = sim::NodeState::kCompact;
+  cfg.batch_sampler = sim::BatchSampler::kCounter;
+  cfg.threads = 1;
+  cfg.seed = 7;
+  sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
+                      std::make_unique<graph::StaticTopology>(
+                          graph::ring(nodes)));
+  const std::uint64_t before =
+      g_test_alloc_count.load(std::memory_order_relaxed);
+  (void)exp.run();
+  return g_test_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+TEST(CompactArena, SteadyStateNodeRoundAllocationBound) {
+  // The third round's allocations: a 3-round run minus a 2-round one (both
+  // evaluate at their first and last round).
+  constexpr std::size_t kNodes = 300;
+  const std::uint64_t two = compact_run_allocations(kNodes, 2);
+  const std::uint64_t three = compact_run_allocations(kNodes, 3);
+  ASSERT_GT(three, two);
+  const std::uint64_t per_node_round = (three - two) / kNodes;
+  // Measured 32 (glibc 2.36, libstdc++ 12), down from 86 when every bind,
+  // writeback, share, aggregate and zero_grad rebuilt the model's tensor
+  // lists and copied it tensor by tensor. What is left is the per-call
+  // return tensors of the Module interface, the batch, and the message.
+  EXPECT_LE(per_node_round, 40u)
+      << "compact node-round allocation churn regressed";
 }
 
 }  // namespace

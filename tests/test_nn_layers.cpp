@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 
@@ -357,6 +358,55 @@ TEST(Sequential, ComposesForwardBackward) {
   EXPECT_EQ(net.params().size(), 4u);  // two Linears x (W, b)
   const auto result = grad_check_module(net, random_input({3, 4}, 71));
   EXPECT_TRUE(result.ok()) << result.max_rel_error;
+}
+
+/// Two stacks built from the same seed: a GN-LeNet-style CNN stage (conv1 at
+/// the bottom) and an MLP behind a parameter-free Flatten.
+Sequential make_stack(bool cnn) {
+  std::mt19937 rng(72);
+  Sequential net;
+  if (cnn) {
+    net.emplace<Conv2d>(2, 4, 3, 1, 1, rng);
+    net.emplace<GroupNorm>(2, 4);
+    net.emplace<ReLU>();
+    net.emplace<MaxPool2d>(2, 2);
+    net.emplace<Flatten>();
+    net.emplace<Linear>(4 * 2 * 2, 3, rng);
+  } else {
+    net.emplace<Flatten>();
+    net.emplace<Linear>(4, 6, rng);
+    net.emplace<ReLU>();
+    net.emplace<Linear>(6, 2, rng);
+  }
+  return net;
+}
+
+TEST(Sequential, AccumulateGradsMatchesBackwardBitForBit) {
+  // accumulate_grads() skips the bottom layer's input gradient and the
+  // parameter-free layers below it; every parameter gradient is unchanged.
+  for (const bool cnn : {true, false}) {
+    SCOPED_TRACE(cnn ? "cnn" : "mlp");
+    Sequential a = make_stack(cnn), b = make_stack(cnn);
+    const Tensor x = random_input(cnn ? tensor::Shape{3, 2, 4, 4}
+                                      : tensor::Shape{3, 1, 2, 2},
+                                  73);
+    for (int call = 0; call < 2; ++call) {  // accumulates across calls
+      const Tensor ya = a.forward(x);
+      (void)b.forward(x);
+      const Tensor gy = random_input(ya.shape(), 74 + call);
+      (void)a.backward(gy);
+      b.accumulate_grads(gy);
+    }
+    const std::vector<Tensor*> ga = a.grads(), gb = b.grads();
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i) {
+      ASSERT_EQ(ga[i]->size(), gb[i]->size());
+      EXPECT_EQ(std::memcmp(ga[i]->raw(), gb[i]->raw(),
+                            ga[i]->size() * sizeof(float)),
+                0)
+          << "gradient " << i;
+    }
+  }
 }
 
 }  // namespace

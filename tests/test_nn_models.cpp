@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
-#include "nn/flat.hpp"
+#include "algo/full_sharing.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
+#include "test_util.hpp"
 
 namespace jwins::nn {
 namespace {
@@ -80,10 +83,26 @@ TEST(Accuracy, CountsTop1) {
 
 // ---------------------------------------------------------------------- sgd
 
+/// A model over caller-owned tensors: once flattened they view its buffers,
+/// so the tests read the optimizer's updates through them.
+class ListedModel final : public SupervisedModel {
+ public:
+  ListedModel(std::vector<Tensor*> params, std::vector<Tensor*> grads)
+      : params_(std::move(params)), grads_(std::move(grads)) {}
+  float loss_and_grad(const Batch&) override { return 0.0f; }
+  EvalMetrics evaluate(const Batch&) override { return {}; }
+  std::vector<Tensor*> parameters() override { return params_; }
+  std::vector<Tensor*> gradients() override { return grads_; }
+
+ private:
+  std::vector<Tensor*> params_, grads_;
+};
+
 TEST(Sgd, PlainStep) {
   Tensor p = Tensor::of({1.0f, 2.0f});
   Tensor g = Tensor::of({0.5f, -1.0f});
-  Sgd opt({&p}, {&g}, {.learning_rate = 0.1f});
+  ListedModel model({&p}, {&g});
+  Sgd opt(model, {.learning_rate = 0.1f});
   opt.step();
   EXPECT_FLOAT_EQ(p[0], 1.0f - 0.05f);
   EXPECT_FLOAT_EQ(p[1], 2.0f + 0.1f);
@@ -92,7 +111,8 @@ TEST(Sgd, PlainStep) {
 TEST(Sgd, WeightDecay) {
   Tensor p = Tensor::of({1.0f});
   Tensor g = Tensor::of({0.0f});
-  Sgd opt({&p}, {&g}, {.learning_rate = 0.1f, .weight_decay = 0.5f});
+  ListedModel model({&p}, {&g});
+  Sgd opt(model, {.learning_rate = 0.1f, .weight_decay = 0.5f});
   opt.step();
   EXPECT_FLOAT_EQ(p[0], 1.0f - 0.1f * 0.5f);
 }
@@ -100,7 +120,8 @@ TEST(Sgd, WeightDecay) {
 TEST(Sgd, MomentumAccumulates) {
   Tensor p = Tensor::of({0.0f});
   Tensor g = Tensor::of({1.0f});
-  Sgd opt({&p}, {&g}, {.learning_rate = 1.0f, .momentum = 0.9f});
+  ListedModel model({&p}, {&g});
+  Sgd opt(model, {.learning_rate = 1.0f, .momentum = 0.9f});
   opt.step();  // v=1, p=-1
   EXPECT_FLOAT_EQ(p[0], -1.0f);
   opt.step();  // v=1.9, p=-2.9
@@ -109,32 +130,68 @@ TEST(Sgd, MomentumAccumulates) {
 
 TEST(Sgd, MismatchedShapesThrow) {
   Tensor p({2}), g({3});
-  EXPECT_THROW(Sgd({&p}, {&g}, {}), std::invalid_argument);
-  Tensor g2({2});
-  EXPECT_THROW(Sgd({&p}, {&g2, &g2}, {}), std::invalid_argument);
+  ListedModel shapes({&p}, {&g});
+  EXPECT_THROW(Sgd(shapes, {}), std::invalid_argument);
+  Tensor q({2}), g2({2});
+  ListedModel counts({&q}, {&g2, &g2});
+  EXPECT_THROW(Sgd(counts, {}), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------- flat
 
+/// Four 4-feature samples, two per class.
+Batch mlp_batch() {
+  Batch b;
+  b.x = Tensor::from({4, 4}, {1, 0, 0, 1, 0, 1, 1, 0, 2, 0, 1, 0, 0, 2, 0, 1});
+  b.labels = {0, 1, 0, 1};
+  return b;
+}
+
 TEST(FlatParams, RoundTrip) {
-  Tensor a = Tensor::of({1, 2, 3});
-  Tensor b = Tensor::from({2, 2}, {4, 5, 6, 7});
-  const std::vector<tensor::Tensor*> tensors{&a, &b};
-  EXPECT_EQ(flat_size(tensors), 7u);
-  const std::vector<float> flat = to_flat(tensors);
-  EXPECT_EQ(flat, (std::vector<float>{1, 2, 3, 4, 5, 6, 7}));
-  const std::vector<float> modified{10, 20, 30, 40, 50, 60, 70};
-  copy_from_flat(tensors, modified);
-  EXPECT_FLOAT_EQ(a[0], 10.0f);
-  EXPECT_FLOAT_EQ(b[3], 70.0f);
+  // The parameter and gradient tensors are views laid back to back, in
+  // parameters() order, over flat_params() and flat_grads().
+  MlpClassifier model(4, {3}, 2, /*seed=*/5);
+  const std::span<float> flat = model.flat_params();
+  const std::span<float> grads = model.flat_grads();
+  ASSERT_EQ(grads.size(), flat.size());
+  const std::vector<Tensor*> params = model.parameters();
+  const std::vector<Tensor*> gradients = model.gradients();
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(params[i]->raw(), flat.data() + offset) << "parameter " << i;
+    EXPECT_EQ(gradients[i]->raw(), grads.data() + offset) << "gradient " << i;
+    offset += params[i]->size();
+  }
+  EXPECT_EQ(offset, flat.size());
+  EXPECT_EQ(model.parameter_count(), 4u * 3 + 3 + 3 * 2 + 2);
+
+  // A write through the span is the model loss_and_grad runs: all-zero
+  // weights give uniform logits, so the loss is log(2) and dL/db2 is
+  // p - onehot summed over the balanced batch, i.e. zero.
+  std::fill(flat.begin(), flat.end(), 0.0f);
+  model.zero_grad();
+  EXPECT_NEAR(model.loss_and_grad(mlp_batch()), std::log(2.0f), 1e-6f);
+  const Tensor& grad_b2 = *gradients.back();
+  EXPECT_NEAR(grad_b2[0], 0.0f, 1e-6f);
+  EXPECT_NEAR(grad_b2[1], 0.0f, 1e-6f);
+  EXPECT_TRUE(std::ranges::all_of(flat, [](float v) { return v == 0.0f; }));
 }
 
 TEST(FlatParams, SizeMismatchThrows) {
-  Tensor a({3});
-  const std::vector<tensor::Tensor*> tensors{&a};
-  std::vector<float> wrong(4);
-  EXPECT_THROW(copy_from_flat(tensors, wrong), std::invalid_argument);
-  EXPECT_THROW(copy_to_flat(tensors, wrong), std::invalid_argument);
+  // DlNode's flat copies and the model's slot bind check the length.
+  testutil::DummyDataset dataset;
+  algo::FullSharingNode node(
+      0, std::make_unique<MlpClassifier>(4, std::vector<std::size_t>{3}, 2, 5),
+      data::Sampler(dataset, {0, 1, 2, 3}, 4, 1), algo::TrainConfig{});
+  const std::size_t n = node.param_count();
+  std::vector<float> wrong(n + 1);
+  EXPECT_THROW(node.set_flat_params(wrong), std::invalid_argument);
+  EXPECT_THROW(node.flat_params_into(std::span<float>(wrong)),
+               std::invalid_argument);
+  EXPECT_THROW(node.model().bind_params(wrong), std::invalid_argument);
+  std::vector<float> right(n, 0.5f);
+  node.set_flat_params(right);
+  EXPECT_EQ(node.flat_params(), right);
 }
 
 // ------------------------------------------------------------------- models
@@ -176,7 +233,7 @@ TEST(MlpClassifier, TrainingReducesLoss) {
       b.x[i * 4 + d] = (label == 0 ? 1.0f : -1.0f) + noise(rng);
     }
   }
-  Sgd opt(model.parameters(), model.gradients(), {.learning_rate = 0.2f});
+  Sgd opt(model, {.learning_rate = 0.2f});
   const double before = model.evaluate(b).loss;
   for (int step = 0; step < 60; ++step) {
     model.zero_grad();
@@ -211,9 +268,7 @@ TEST(CnnClassifier, RejectsBadImageSize) {
 TEST(CnnClassifier, IdenticalSeedsGiveIdenticalParams) {
   CnnClassifier::Config cfg;
   CnnClassifier a(cfg, 33), b(cfg, 33);
-  const auto fa = to_flat(a.parameters());
-  const auto fb = to_flat(b.parameters());
-  EXPECT_EQ(fa, fb);
+  EXPECT_TRUE(std::ranges::equal(a.flat_params(), b.flat_params()));
 }
 
 TEST(CnnClassifier, TrainStepsArePinned) {
@@ -223,8 +278,7 @@ TEST(CnnClassifier, TrainStepsArePinned) {
   // terms shows up here.
   CnnClassifier::Config cfg;  // the cifar workload's model
   CnnClassifier model(cfg, /*seed=*/21);
-  Sgd opt(model.parameters(), model.gradients(),
-          Sgd::Options{.learning_rate = 0.05f});
+  Sgd opt(model, Sgd::Options{.learning_rate = 0.05f});
   std::uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](const void* data, std::size_t n) {
     const auto* bytes = static_cast<const unsigned char*>(data);
@@ -257,7 +311,7 @@ TEST(MatrixFactorization, LearnsSimpleRatings) {
   Batch b;
   b.x = Tensor::from({4, 2}, {0, 0, 0, 1, 1, 0, 1, 1});
   b.y = Tensor::of({5.0f, 1.0f, 1.0f, 5.0f});
-  Sgd opt(model.parameters(), model.gradients(), {.learning_rate = 0.15f});
+  Sgd opt(model, {.learning_rate = 0.15f});
   for (int step = 0; step < 400; ++step) {
     model.zero_grad();
     model.loss_and_grad(b);
@@ -301,7 +355,7 @@ TEST(CharLstm, LearnsDeterministicCycle) {
   Batch b;
   b.x = Tensor::from({2, 6}, {0, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 0});
   b.labels = {1, 2, 0, 1, 2, 0, 2, 0, 1, 2, 0, 1};
-  Sgd opt(model.parameters(), model.gradients(), {.learning_rate = 0.5f});
+  Sgd opt(model, {.learning_rate = 0.5f});
   for (int step = 0; step < 150; ++step) {
     model.zero_grad();
     model.loss_and_grad(b);

@@ -8,6 +8,8 @@
 //     churn, and collapses to the full reduce when k >= n.
 //  2. Compact node state (`node_state = compact`) — the COW NodeStateStore
 //     plus counter-mode samplers reproduce the full engine byte for byte,
+//     a lane worker is bound to a node by pointing its parameter views at
+//     the node's slot (and evaluation never writes through such a view),
 //     and the per-node steady-state heap cost stays under a pinned ceiling
 //     (the memory-diet regression guard, via test_arena.cpp's allocator
 //     hook).
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -42,6 +45,25 @@
 #include "sim/report.hpp"
 #include "sim/workloads.hpp"
 #include "test_util.hpp"
+
+namespace jwins::sim {
+
+/// White-box access to a compact Experiment's lane workers, state store and
+/// metric round.
+struct ExperimentTestPeer {
+  static algo::DlNode& worker(Experiment& e, unsigned lane) {
+    return *e.workers_.at(lane);
+  }
+  static void bind_worker(Experiment& e, algo::DlNode& w, std::size_t i) {
+    e.bind_worker(w, i);
+  }
+  static const NodeStateStore& store(const Experiment& e) { return *e.store_; }
+  static MetricPoint evaluate(Experiment& e, std::size_t round) {
+    return e.evaluate(round, 0.0);
+  }
+};
+
+}  // namespace jwins::sim
 
 namespace jwins {
 namespace {
@@ -451,6 +473,105 @@ TEST(CompactState, ValidateEnforcesRestrictions) {
 
   cfg.algorithm = sim::Algorithm::kRandomSampling;
   EXPECT_TRUE(cfg.validate(16).empty());
+}
+
+/// A compact scale experiment over a ring, ready to run.
+std::unique_ptr<sim::Experiment> make_compact(const sim::Workload& w,
+                                              std::size_t nodes,
+                                              std::size_t rounds) {
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kRandomSampling;
+  cfg.rounds = rounds;
+  cfg.eval_sample = 8;
+  cfg.eval_sample_limit = 32;
+  cfg.node_state = sim::NodeState::kCompact;
+  cfg.batch_sampler = sim::BatchSampler::kCounter;
+  cfg.threads = 1;
+  cfg.seed = 7;
+  return std::make_unique<sim::Experiment>(
+      cfg, w.model_factory, *w.train, w.partition, *w.test,
+      std::make_unique<graph::StaticTopology>(graph::ring(nodes)));
+}
+
+TEST(CompactState, BindPointsTheWorkerAtTheNodeSlot) {
+  using Peer = sim::ExperimentTestPeer;
+  const std::size_t nodes = 40;
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+  auto exp = make_compact(w, nodes, 2);
+  const sim::NodeStateStore& store = Peer::store(*exp);
+  algo::DlNode& worker = Peer::worker(*exp, 0);
+
+  // The first bind materializes the slot, base-initialized, and the worker
+  // trains on it in place.
+  const std::vector<float> base(store.view(3).begin(), store.view(3).end());
+  Peer::bind_worker(*exp, worker, 3);
+  EXPECT_EQ(store.materialized_count(), 1u);
+  EXPECT_EQ(worker.model().flat_params().data(), store.view(3).data());
+  EXPECT_TRUE(std::ranges::equal(store.view(3), base));
+  worker.local_train();
+  EXPECT_FALSE(std::ranges::equal(store.view(3), base));
+  EXPECT_TRUE(std::ranges::equal(store.view(4), base));  // still shared
+
+  // After a run every node owns a slot; rebinding only re-points the views.
+  (void)exp->run();
+  ASSERT_EQ(store.materialized_count(), nodes);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{17}, nodes - 1}) {
+    const std::vector<float> before(store.view(i).begin(),
+                                    store.view(i).end());
+    Peer::bind_worker(*exp, worker, i);
+    EXPECT_EQ(worker.model().flat_params().data(), store.view(i).data())
+        << "node " << i;
+    EXPECT_TRUE(std::ranges::equal(store.view(i), before)) << "node " << i;
+  }
+  EXPECT_EQ(store.materialized_count(), nodes);
+}
+
+/// Every node's current parameters, copied out of the store.
+std::vector<std::vector<float>> snapshot(const sim::NodeStateStore& store) {
+  std::vector<std::vector<float>> out;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    out.emplace_back(store.view(i).begin(), store.view(i).end());
+  }
+  return out;
+}
+
+TEST(CompactState, MetricRoundLeavesEverySlotUntouched) {
+  using Peer = sim::ExperimentTestPeer;
+  const std::size_t nodes = 40;
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+
+  // Before any round: evaluation reads the shared base and materializes
+  // nothing.
+  auto fresh = make_compact(w, nodes, 2);
+  (void)Peer::evaluate(*fresh, 1);
+  EXPECT_EQ(Peer::store(*fresh).materialized_count(), 0u);
+
+  auto exp = make_compact(w, nodes, 2);
+  (void)exp->run();
+  const sim::NodeStateStore& store = Peer::store(*exp);
+  const std::size_t materialized = store.materialized_count();
+  const auto before = snapshot(store);
+  algo::DlNode& worker = Peer::worker(*exp, 0);
+
+  // The worker is left bound to some node's slot; evaluation must load each
+  // sampled node into the worker's own buffer, not write through the view.
+  // Which node the worker was bound to must not change the metrics either.
+  const std::vector<std::uint32_t> sample =
+      sim::Experiment::eval_sample_indices(7, 3, nodes, 8);
+  Peer::bind_worker(*exp, worker, sample.back());
+  const sim::MetricPoint a = Peer::evaluate(*exp, 3);
+  Peer::bind_worker(*exp, worker, nodes - 1 - sample.front());
+  const sim::MetricPoint b = Peer::evaluate(*exp, 3);
+  EXPECT_EQ(a.test_loss, b.test_loss);
+  EXPECT_EQ(a.test_accuracy, b.test_accuracy);
+  EXPECT_EQ(store.materialized_count(), materialized);
+  const auto after = snapshot(store);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    EXPECT_EQ(std::memcmp(before[i].data(), after[i].data(),
+                          before[i].size() * sizeof(float)),
+              0)
+        << "node " << i << "'s slot changed during evaluation";
+  }
 }
 
 // The memory-diet regression guard: per-node steady-state heap cost of a

@@ -4,6 +4,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace jwins::tensor {
 namespace {
@@ -216,6 +217,72 @@ TEST(TensorAllclose, RespectsTolerance) {
   EXPECT_TRUE(allclose(a, b, 1e-3f));
   EXPECT_FALSE(allclose(a, b, 1e-5f));
   EXPECT_FALSE(allclose(a, Tensor({2})));
+}
+
+// ---------------------------------------------------------------- views
+
+TEST(TensorView, BindsWithoutCopyingAndKeepsShape) {
+  float buffer[6] = {1, 2, 3, 4, 5, 6};
+  Tensor v({2, 3});
+  v.bind(buffer);
+  EXPECT_EQ(v.raw(), buffer);
+  EXPECT_EQ(v.shape(), (Shape{2, 3}));
+  EXPECT_FLOAT_EQ(v.at({1, 2}), 6.0f);
+  v[0] = 10.0f;  // element writes land in the buffer
+  EXPECT_FLOAT_EQ(buffer[0], 10.0f);
+  float other[6] = {7, 8, 9, 10, 11, 12};
+  v.bind(other);  // rebinding is the same call
+  EXPECT_EQ(v.raw(), other);
+  EXPECT_FLOAT_EQ(v.at({0, 1}), 8.0f);
+  EXPECT_FLOAT_EQ(buffer[0], 10.0f);
+}
+
+TEST(TensorView, CopyOfViewOwnsItsStorage) {
+  float buffer[3] = {1, 2, 3};
+  Tensor v({3});
+  v.bind(buffer);
+  const Tensor copy = v;
+  EXPECT_NE(copy.raw(), buffer);
+  Tensor moved = std::move(v);  // moving a view copies too; v still views
+  EXPECT_NE(moved.raw(), buffer);
+  EXPECT_EQ(v.raw(), buffer);
+  buffer[1] = 20.0f;
+  EXPECT_FLOAT_EQ(copy[1], 2.0f);
+  EXPECT_FLOAT_EQ(moved[1], 2.0f);
+  EXPECT_FLOAT_EQ(v[1], 20.0f);
+}
+
+TEST(TensorView, AssignmentWritesThrough) {
+  float buffer[4] = {0, 0, 0, 0};
+  Tensor v({2, 2});
+  v.bind(buffer);
+  v = Tensor::from({2, 2}, {1, 2, 3, 4});  // move-assign
+  EXPECT_EQ(v.raw(), buffer);
+  EXPECT_FLOAT_EQ(buffer[3], 4.0f);
+  const Tensor other = Tensor::from({2, 2}, {5, 6, 7, 8});
+  v = other;  // copy-assign
+  EXPECT_FLOAT_EQ(buffer[0], 5.0f);
+  v += other;
+  EXPECT_FLOAT_EQ(buffer[0], 10.0f);
+  v.zero();
+  EXPECT_FLOAT_EQ(buffer[2], 0.0f);
+  EXPECT_THROW(v = Tensor({5}), std::logic_error);  // wrong element count
+  EXPECT_FLOAT_EQ(buffer[1], 0.0f);
+}
+
+TEST(TensorView, EnsureShapeNeverReallocates) {
+  float buffer[6] = {1, 2, 3, 4, 5, 6};
+  Tensor v({6});
+  v.bind(buffer);
+  v.ensure_shape(2, 3);  // same element count: reshaped in place
+  EXPECT_EQ(v.shape(), (Shape{2, 3}));
+  v.ensure_shape(Shape{3, 2});
+  EXPECT_EQ(v.raw(), buffer);
+  EXPECT_THROW(v.ensure_shape(Shape{7}), std::logic_error);
+  EXPECT_THROW(v.ensure_shape(2, 2), std::logic_error);
+  EXPECT_EQ(v.shape(), (Shape{3, 2}));  // a failed call changes nothing
+  EXPECT_EQ(v.raw(), buffer);
+  EXPECT_EQ(v.size(), 6u);
 }
 
 }  // namespace
