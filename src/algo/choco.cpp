@@ -27,9 +27,8 @@ void ChocoNode::share(net::Network& network, const graph::Graph& g,
                       const graph::MixingWeights& /*weights*/,
                       std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  const std::size_t n = param_count();
-  const std::span<float> x = scratch.arena.alloc<float>(n);
-  flat_params_into(x);
+  const std::span<const float> x = model().flat_params();
+  const std::size_t n = x.size();
   const std::span<float> diff = scratch.arena.alloc<float>(n);
   for (std::size_t i = 0; i < n; ++i) diff[i] = x[i] - x_hat_[i];
 
@@ -131,14 +130,13 @@ void ChocoNode::aggregate(net::Network& network, const graph::Graph& g,
   }
   core::robust_accumulate_diffs(robust_agg(), s_, scratch.contributions,
                                 scratch.arena, &robust_counters_mutable());
-  // Consensus step: x += γ (s - x̂) where s - x̂ = Σ_j w_ij (x̂_j - x̂_i).
-  const std::span<float> x = scratch.arena.alloc<float>(param_count());
-  flat_params_into(x);
+  // Consensus step, on the parameters in place: x += γ (s - x̂) where
+  // s - x̂ = Σ_j w_ij (x̂_j - x̂_i).
+  const std::span<float> x = model().flat_params();
   const float gamma = static_cast<float>(options_.gamma);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] += gamma * (s_[i] - x_hat_[i]);
   }
-  set_flat_params(x);
 }
 
 }  // namespace jwins::algo

@@ -86,10 +86,9 @@ void JwinsNode::aggregate(net::Network& network, const graph::Graph& g,
   // own (through the robust rule when one is configured).
   robust_average(own_coeffs_, weights.self_weight[rank()],
                  scratch.contributions, scratch.arena);
-  // Line 11: invert back to the parameter domain.
-  const std::span<float> x_next = scratch.arena.alloc<float>(param_count());
+  // Line 11: invert back to the parameter domain, straight into the model.
+  const std::span<float> x_next = model().flat_params();
   ranker_.inverse_into(own_coeffs_, x_next, scratch.dwt);
-  set_flat_params(x_next);
   // Line 12 / eq. (4): fold in the averaging change, reset shared entries.
   if (sent_dense_) {
     const std::span<std::uint32_t> all =

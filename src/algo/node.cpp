@@ -152,13 +152,12 @@ void DlNode::aggregate(net::Network& network, const graph::Graph& g,
                        const graph::MixingWeights& weights,
                        std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  const std::size_t n = param_count();
-  receive(network, g, weights, round, n, scratch);
-  const std::span<float> x = scratch.arena.alloc<float>(n);
-  flat_params_into(x);
+  // Averages straight into the parameters (in a compact run, the node's
+  // store slot the model views).
+  const std::span<float> x = model_->flat_params();
+  receive(network, g, weights, round, x.size(), scratch);
   robust_average(x, weights.self_weight[rank_], scratch.contributions,
                  scratch.arena);
-  set_flat_params(x);
 }
 
 void DlNode::corrupt_wire_values(std::span<float> values, std::uint32_t round,

@@ -63,8 +63,7 @@ void PowerGossipNode::share(net::Network& network, const graph::Graph& g,
                             const graph::MixingWeights& /*weights*/,
                             std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  const std::span<float> x = scratch.arena.alloc<float>(param_count());
-  flat_params_into(x);
+  const std::span<const float> x = model().flat_params();
   const bool phase_a = (round % 2 == 0);
   // Wire-only corruption: own_p/own_q members must stay honest (the node
   // compares them against the neighbor's reply in aggregate()), so a
@@ -130,9 +129,8 @@ void PowerGossipNode::aggregate(net::Network& network, const graph::Graph& g,
   const bool phase_a = (round % 2 == 0);
   network.drain_into(rank(), scratch.inbox);
   const std::vector<net::Message>& inbox = scratch.inbox;
-  const std::span<float> x = scratch.arena.alloc<float>(param_count());
-  flat_params_into(x);
-  bool updated = false;
+  // Phase B's gossip steps update the parameters in place.
+  const std::span<float> x = model().flat_params();
   for (const net::Message& msg : inbox) {
     EdgeState& state = edge(msg.sender);
     const bool lower = rank() < msg.sender;
@@ -211,11 +209,9 @@ void PowerGossipNode::aggregate(net::Network& network, const graph::Graph& g,
           for (float& v : dq) v = static_cast<float>(v / norm);
           bs.v.assign(dq.begin(), dq.end());
         }
-        updated = true;
       }
     }
   }
-  if (updated) set_flat_params(x);
 }
 
 }  // namespace jwins::algo

@@ -1,5 +1,6 @@
 #include "compress/elias.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -90,15 +91,35 @@ void decode_index_gaps_into(std::span<const std::uint8_t> bytes,
     throw std::runtime_error("decode_index_gaps: count exceeds the stream");
   }
   BitReader reader(bytes);
-  out.clear();
-  out.reserve(count);
+  out.resize(count);
+  std::uint32_t* dst = out.data();
+  std::size_t i = 0;
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t gap = elias_gamma_decode(reader);
+  const auto emit = [&](std::uint64_t gap) {
     const std::uint64_t idx = (i == 0) ? gap - 1 : prev + gap;
     if (idx > 0xFFFFFFFFull) throw std::runtime_error("decoded index overflows u32");
-    out.push_back(static_cast<std::uint32_t>(idx));
+    dst[i++] = static_cast<std::uint32_t>(idx);
     prev = idx;
+  };
+  while (i < count) {
+    // Decode every codeword that lies wholly inside the window's guaranteed
+    // 57 bits and inside the stream, from one load, with no read checks.
+    const unsigned limit =
+        static_cast<unsigned>(std::min<std::size_t>(57, reader.remaining()));
+    std::uint64_t window = reader.peek();
+    unsigned used = 0;
+    while (i < count) {
+      const unsigned len = 2 * static_cast<unsigned>(std::countl_zero(window)) + 1;
+      if (len > limit - used) break;
+      emit(window >> (64 - len));
+      window <<= len;
+      used += len;
+    }
+    reader.skip(used);
+    // A codeword at a window edge, longer than a window, or cut off by the
+    // end of the stream: the checked decoder reads it, or throws what the
+    // bit-at-a-time decoder would.
+    if (used == 0) emit(elias_gamma_decode(reader));
   }
 }
 

@@ -31,8 +31,13 @@ void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
                        BitWriter& writer);
 
 /// Inverse of encode_index_gaps: decodes `count` indices into `out`
-/// (cleared first, capacity kept). Every code is at least one bit, so a
+/// (overwritten, capacity kept). Every code is at least one bit, so a
 /// `count` above 8 * bytes.size() is rejected before anything is reserved.
+/// Windowed: each codeword that lies wholly inside the reader's 57-bit
+/// window and the stream is decoded from the window without a read check;
+/// one at a window edge, longer than 57 bits or cut off by the stream's end
+/// goes through elias_gamma_decode, so a malformed stream throws exactly
+/// what the bit-at-a-time decoder would.
 void decode_index_gaps_into(std::span<const std::uint8_t> bytes,
                             std::size_t count,
                             std::vector<std::uint32_t>& out);

@@ -121,9 +121,15 @@ void encode_stream_fast(std::span<const float> values, BitWriter& writer) {
 }
 
 // One decode loop for both tiers over the shared word-level BitReader. The
-// pinned scalar reference reads a block header as two 5-bit fields, the
-// fast tier as one 10-bit read; the results and errors are identical.
-template <bool kWholeHeader>
+// pinned scalar reference reads every field with its own checked read; the
+// fast tier decodes a whole value (at most 2 + 10 + 32 bits) out of one
+// peek() window wherever kMaxValueBits remain, and falls back to the checked
+// reads only at the stream's tail. A value that fits cannot run out of
+// bits, and the header checks are the same, so the results and errors are
+// identical.
+constexpr unsigned kMaxValueBits = 2 + 10 + 32;
+
+template <bool kWindowed>
 void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
                    std::vector<float>& out) {
   out.clear();
@@ -133,40 +139,66 @@ void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
   if (count > 8 * bytes.size()) {
     throw std::runtime_error("float codec: count exceeds the stream");
   }
-  out.reserve(count);
+  out.resize(count);
+  float* dst = out.data();
   BitReader reader(bytes);
   std::uint32_t prev = static_cast<std::uint32_t>(reader.read_bits(32));
-  out.push_back(bits_float(prev));
+  dst[0] = bits_float(prev);
   unsigned block_lead = 0;
   unsigned block_len = 0;
   bool have_block = false;
-  for (std::size_t i = 1; i < count; ++i) {
-    if (!reader.read_bit()) {  // identical to previous
-      out.push_back(bits_float(prev));
-      continue;
+  // A new block header lead(5) ++ len-1(5). The encoder never emits
+  // lead + len > 32; a header that does would make the shift undefined.
+  const auto set_block = [&](unsigned header) {
+    block_lead = header >> 5;
+    block_len = (header & 0x1Fu) + 1;
+    if (block_lead + block_len > 32) {
+      throw std::runtime_error("float codec: malformed block header");
     }
-    if (reader.read_bit()) {  // new block header: lead(5) ++ len-1(5)
-      if constexpr (kWholeHeader) {
-        const auto header = static_cast<unsigned>(reader.read_bits(10));
-        block_lead = header >> 5;
-        block_len = (header & 0x1Fu) + 1;
-      } else {
-        block_lead = static_cast<unsigned>(reader.read_bits(5));
-        block_len = static_cast<unsigned>(reader.read_bits(5)) + 1;
-      }
-      // The encoder never emits lead + len > 32; a header that does would
-      // make the shift below undefined.
-      if (block_lead + block_len > 32) {
-        throw std::runtime_error("float codec: malformed block header");
-      }
-      have_block = true;
-    } else if (!have_block) {
+    have_block = true;
+  };
+  const auto reuse_block = [&] {
+    if (!have_block) {
       throw std::runtime_error("float codec: reuse of block before definition");
     }
+  };
+  for (std::size_t i = 1; i < count; ++i) {
+    if constexpr (kWindowed) {
+      if (reader.remaining() >= kMaxValueBits) {
+        const std::uint64_t window = reader.peek();
+        if ((window >> 63) == 0) {  // identical to previous
+          reader.skip(1);
+          dst[i] = bits_float(prev);
+          continue;
+        }
+        unsigned used = 2;
+        if ((window >> 62) & 1u) {
+          set_block(static_cast<unsigned>(window >> 52) & 0x3FFu);
+          used = 12;
+        } else {
+          reuse_block();
+        }
+        const auto meaningful =
+            static_cast<std::uint32_t>((window << used) >> (64 - block_len));
+        reader.skip(used + block_len);
+        prev ^= meaningful << (32 - block_lead - block_len);
+        dst[i] = bits_float(prev);
+        continue;
+      }
+    }
+    if (!reader.read_bit()) {  // identical to previous
+      dst[i] = bits_float(prev);
+      continue;
+    }
+    if (reader.read_bit()) {
+      const auto lead = static_cast<unsigned>(reader.read_bits(5));
+      set_block((lead << 5) | static_cast<unsigned>(reader.read_bits(5)));
+    } else {
+      reuse_block();
+    }
     const auto meaningful = static_cast<std::uint32_t>(reader.read_bits(block_len));
-    const unsigned shift = 32 - block_lead - block_len;
-    prev ^= meaningful << shift;
-    out.push_back(bits_float(prev));
+    prev ^= meaningful << (32 - block_lead - block_len);
+    dst[i] = bits_float(prev);
   }
 }
 

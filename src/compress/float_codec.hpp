@@ -33,7 +33,7 @@ void compress_floats_scalar(std::span<const float> values, BitWriter& writer);
 void compress_floats_fast(std::span<const float> values, BitWriter& writer);
 
 /// Exact inverse of compress_floats: decodes `count` floats into `out`
-/// (cleared first, capacity kept). Every value costs at least one bit, so a
+/// (overwritten, capacity kept). Every value costs at least one bit, so a
 /// `count` above 8 * bytes.size() is rejected before anything is reserved.
 /// Dispatches per core::KernelDispatch.
 void decompress_floats_into(std::span<const std::uint8_t> bytes,
@@ -44,9 +44,10 @@ void decompress_floats_into(std::span<const std::uint8_t> bytes,
 void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
                                    std::size_t count, std::vector<float>& out);
 
-/// Fast tier: the same loop over the same BitReader, reading a block header
-/// with one 10-bit read. Identical floats and identical failure behaviour
-/// on malformed streams.
+/// Fast tier: the same loop over the same BitReader, but wherever 44 bits
+/// (the longest value) remain it decodes a whole value out of one peek()
+/// window, with no read checks. Identical floats and identical failure
+/// behaviour on malformed streams.
 void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
                                  std::size_t count, std::vector<float>& out);
 

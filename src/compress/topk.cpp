@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -15,9 +16,9 @@ namespace {
 
 // Total order shared by the scalar reference and the fast path: magnitude
 // descending, index ascending on ties. The tie rule makes the selected set
-// unique, which is what lets the bucket-select kernel promise the *identical*
-// index set (and what the 200-seed sweep in test_kernel_equivalence.cpp
-// pins).
+// unique, which is what lets the one-pass kernel promise the *identical*
+// index set (and what the seeded sweeps in test_kernel_equivalence.cpp
+// pin).
 struct MagnitudeGreater {
   std::span<const float> values;
   bool operator()(std::uint32_t a, std::uint32_t b) const {
@@ -28,16 +29,91 @@ struct MagnitudeGreater {
   }
 };
 
-// Magnitude bits of a (non-NaN) float: IEEE-754 bit patterns of non-negative
-// floats are monotone in value, so bucketing by the top 16 of the 31
-// magnitude bits preserves the magnitude order between buckets exactly.
-inline std::uint32_t magnitude_bucket(float v) noexcept {
-  return (std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFu) >> 15;
+// Magnitude key of a (non-NaN) float: IEEE-754 bit patterns of
+// non-negative floats are monotone in value, so comparing keys is comparing
+// magnitudes exactly (+0.0 and -0.0 share key 0, as fabs makes them equal).
+inline std::uint32_t magnitude_key(float v) noexcept {
+  return std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFu;
 }
 
-// Below this size the histogram pass costs more than it saves; the fast
-// entry point delegates to the scalar select (still bit-identical).
-constexpr std::size_t kBucketSelectMinN = 4096;
+// From this size on the threshold comes from a 65536-bucket histogram over
+// the top 16 key bits; below it, from nth_element over a copy of the keys.
+constexpr std::size_t kHistogramMinN = 4096;
+
+// T, the k-th largest key, with how many keys lie above it and equal to it.
+struct Threshold {
+  std::uint32_t key;
+  std::size_t above;
+  std::size_t ties;
+};
+
+// Tallies `keys` against `key`: the keys above it and equal to it.
+Threshold tally(std::span<const std::uint32_t> keys, std::uint32_t key) {
+  std::size_t above = 0;
+  std::size_t ties = 0;
+  for (const std::uint32_t x : keys) {
+    above += x > key;
+    ties += x == key;
+  }
+  return {key, above, ties};
+}
+
+// Small n: select over a copy of the keys, held in `work`.
+Threshold threshold_by_select(std::span<const float> values, std::size_t k,
+                              std::vector<std::uint32_t>& work) {
+  const std::size_t n = values.size();
+  work.resize(n);
+  for (std::size_t i = 0; i < n; ++i) work[i] = magnitude_key(values[i]);
+  const auto kth = work.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(work.begin(), kth, work.end(), std::greater<>{});
+  return tally(work, *kth);
+}
+
+// Large n: a histogram pass finds the bucket holding T, and the exact select
+// runs over that bucket's keys only. Every key equal to T is in the bucket.
+Threshold threshold_by_histogram(std::span<const float> values,
+                                 std::size_t k) {
+  // Fully rewritten per call, so the result does not depend on prior calls
+  // (only the heap warm-up does).
+  thread_local std::vector<std::uint32_t> hist;
+  thread_local std::vector<std::uint32_t> bucket;
+  hist.assign(std::size_t{1} << 16, 0u);
+  for (const float v : values) ++hist[magnitude_key(v) >> 15];
+  // The boundary bucket: scanning from the largest magnitudes down, the
+  // first where the cumulative count reaches k.
+  std::size_t cum = 0;
+  std::uint32_t cut = static_cast<std::uint32_t>(hist.size());
+  while (cut-- > 0) {
+    cum += hist[cut];
+    if (cum >= k) break;
+  }
+  bucket.clear();
+  for (const float v : values) {
+    const std::uint32_t key = magnitude_key(v);
+    if ((key >> 15) == cut) bucket.push_back(key);
+  }
+  const std::size_t bucket_above = cum - hist[cut];
+  const auto kth =
+      bucket.begin() + static_cast<std::ptrdiff_t>(k - bucket_above - 1);
+  std::nth_element(bucket.begin(), kth, bucket.end(), std::greater<>{});
+  Threshold t = tally(bucket, *kth);
+  t.above += bucket_above;
+  return t;
+}
+
+// Appends each index in [begin, end) whose key is at least `floor` to
+// dst[m...] in index order and returns the new count. Branch-free: every
+// index is stored, and the count steps past the kept ones, so dst must have
+// room for one entry past the last kept.
+std::size_t emit_at_least(std::span<const float> values, std::size_t begin,
+                          std::size_t end, std::uint32_t floor,
+                          std::uint32_t* dst, std::size_t m) {
+  for (std::size_t i = begin; i < end; ++i) {
+    dst[m] = static_cast<std::uint32_t>(i);
+    m += magnitude_key(values[i]) >= floor;
+  }
+  return m;
+}
 
 }  // namespace
 
@@ -65,55 +141,29 @@ void topk_indices_into_fast(std::span<const float> values, std::size_t k,
     std::iota(out.begin(), out.end(), 0u);
     return;
   }
-  if (n < kBucketSelectMinN || k == 0) {
-    topk_indices_into_scalar(values, k, out);
+  if (k == 0) {
+    out.clear();
     return;
   }
-  // Pass 1: 65536-bucket histogram over the top magnitude bits. The
-  // thread_local workspaces are fully rewritten per call, so the result does
-  // not depend on prior calls (only the heap warm-up does).
-  thread_local std::vector<std::uint32_t> hist;
-  thread_local std::vector<std::uint32_t> boundary;
-  hist.assign(std::size_t{1} << 16, 0u);
-  for (std::size_t i = 0; i < n; ++i) ++hist[magnitude_bucket(values[i])];
-  // Find the boundary bucket: the highest bucket where the cumulative count
-  // (scanning from the largest magnitudes down) first reaches k.
-  std::size_t cum = 0;
-  std::uint32_t cut = static_cast<std::uint32_t>(hist.size());
-  while (cut-- > 0) {
-    cum += hist[cut];
-    if (cum >= k) break;
-  }
-  const std::size_t above = cum - hist[cut];
-  // Pass 2: everything strictly above the boundary bucket is selected;
-  // boundary-bucket members are candidates for the remaining slots.
-  out.clear();
-  boundary.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t b = magnitude_bucket(values[i]);
-    if (b > cut) {
-      out.push_back(static_cast<std::uint32_t>(i));
-    } else if (b == cut) {
-      boundary.push_back(static_cast<std::uint32_t>(i));
+  // Under "magnitude descending, index ascending" the top k are every key
+  // above T plus the first `quota` keys equal to T in index order. So up to
+  // the quota-th tie every key >= T is kept, and past it every key > T: one
+  // pass in index order emits the selection already sorted.
+  const Threshold t = n < kHistogramMinN
+                          ? threshold_by_select(values, k, out)
+                          : threshold_by_histogram(values, k);
+  const std::size_t quota = k - t.above;  // >= 1: T itself is not above T
+  std::size_t split = n;
+  if (quota < t.ties) {
+    split = 0;
+    for (std::size_t left = quota; left != 0; ++split) {
+      left -= magnitude_key(values[split]) == t.key;
     }
   }
-  // Exact select on the boundary bucket only, under the same total order as
-  // the scalar reference.
-  const std::size_t need = k - above;
-  if (need < boundary.size()) {
-    std::nth_element(boundary.begin(),
-                     boundary.begin() + static_cast<std::ptrdiff_t>(need),
-                     boundary.end(), MagnitudeGreater{values});
-    boundary.resize(need);
-    std::sort(boundary.begin(), boundary.end());
-  }
-  // Both halves are ascending (collected in index order; the boundary
-  // remainder re-sorted above), so a merge replaces the full k-sort.
-  thread_local std::vector<std::uint32_t> merged;
-  merged.resize(k);
-  std::merge(out.begin(), out.end(), boundary.begin(), boundary.end(),
-             merged.begin());
-  out.assign(merged.begin(), merged.end());
+  out.resize(k + 1);  // room for emit_at_least's store past the last kept
+  std::size_t m = emit_at_least(values, 0, split, t.key, out.data(), 0);
+  m = emit_at_least(values, split, n, t.key + 1, out.data(), m);
+  out.resize(m);
 }
 
 void topk_indices_into(std::span<const float> values, std::size_t k,

@@ -18,17 +18,22 @@ namespace jwins::compress {
 /// returned. Values must be NaN-free. `out` doubles as the selection
 /// workspace — once warmed to values.size() capacity the call is
 /// allocation-free. Dispatches between the scalar reference and the
-/// bucket-select fast path per core::KernelDispatch.
+/// one-pass fast path per core::KernelDispatch.
 void topk_indices_into(std::span<const float> values, std::size_t k,
                        std::vector<std::uint32_t>& out);
 
 /// Pinned golden reference: full nth_element select under the
-/// magnitude-descending / index-ascending total order.
+/// magnitude-descending / index-ascending total order, then a sort.
 void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
                               std::vector<std::uint32_t>& out);
 
-/// Fast path: single-pass 65536-bucket histogram over the top magnitude
-/// bits, exact nth_element only on the boundary bucket. Returns the
+/// Fast path: finds T, the k-th largest magnitude key (the float's bits
+/// without the sign), and how many keys above T there are — by
+/// nth_element over a copy of the keys below 4096 entries, by a
+/// 65536-bucket histogram over the top key bits and an exact select inside
+/// the boundary bucket from there on. One branch-free pass in index order
+/// then emits every index whose key is above T, or equal to T while the
+/// tie quota lasts, so the selection comes out sorted. Returns the
 /// identical index set as the scalar reference (same total order).
 void topk_indices_into_fast(std::span<const float> values, std::size_t k,
                             std::vector<std::uint32_t>& out);

@@ -1,7 +1,8 @@
-// Bit-at-a-time reference decoders that pin the word-level compress::BitReader
-// and the decoders built on it (Elias gamma, the XOR float codec). They read
-// one bit per step, so they are slow but obviously right; the tests compare
-// the library against them on valid and malformed streams alike.
+// Bit-at-a-time references that pin the word-level compress::BitWriter and
+// compress::BitReader and the decoders built on them (Elias gamma, the XOR
+// float codec). They move one bit per step, so they are slow but obviously
+// right; the tests compare the library against them on valid and malformed
+// streams alike.
 #pragma once
 
 #include <bit>
@@ -13,6 +14,36 @@
 #include <vector>
 
 namespace jwins::testref {
+
+/// A copy of `bytes`, for comparing byte spans with EXPECT_EQ.
+inline std::vector<std::uint8_t> as_vector(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
+/// MSB-first bit sink writing one bit per step, with the library BitWriter's
+/// contract: invalid_argument for a count above 64, the lowest `count` bits
+/// of the value written, the last byte zero-padded.
+class RefBitWriter {
+ public:
+  void write_bits(std::uint64_t bits, unsigned count) {
+    if (count > 64) throw std::invalid_argument("write_bits: count > 64");
+    for (unsigned i = count; i > 0; --i) write_bit((bits >> (i - 1)) & 1u);
+  }
+
+  void write_bit(bool bit) {
+    if (bit_count_ % 8 == 0) bytes_.push_back(0);
+    if (bit) bytes_.back() |= static_cast<std::uint8_t>(0x80u >> (bit_count_ % 8));
+    ++bit_count_;
+  }
+
+  std::size_t bit_count() const noexcept { return bit_count_; }
+
+  const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t bit_count_ = 0;
+};
 
 /// MSB-first bit source reading one bit per step, with the library
 /// BitReader's contract: out_of_range past the end, invalid_argument for a

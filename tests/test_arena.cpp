@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bit_reference.hpp"
 #include "compress/elias.hpp"
 #include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
@@ -295,7 +296,8 @@ TEST(ScratchEquivalence, EliasAndFloatCodec) {
   dirty.clear();
   compress::encode_index_gaps(indices, dirty);
   compress::decode_index_gaps_into(dirty.bytes(), 800, dirty_idx);
-  EXPECT_EQ(fresh.bytes(), dirty.bytes());
+  EXPECT_EQ(testref::as_vector(fresh.bytes()),
+            testref::as_vector(dirty.bytes()));
   EXPECT_EQ(fresh_idx, dirty_idx);
 
   compress::BitWriter fresh_floats;
@@ -308,7 +310,8 @@ TEST(ScratchEquivalence, EliasAndFloatCodec) {
   dirty.clear();
   compress::compress_floats(values, dirty);
   compress::decompress_floats_into(dirty.bytes(), 8192, dirty_back);
-  EXPECT_EQ(fresh_floats.bytes(), dirty.bytes());
+  EXPECT_EQ(testref::as_vector(fresh_floats.bytes()),
+            testref::as_vector(dirty.bytes()));
   EXPECT_EQ(fresh_back, dirty_back);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <utility>
@@ -57,6 +58,82 @@ TEST(BitStream, CountTooLargeThrows) {
   std::vector<std::uint8_t> buf(16);
   BitReader r(buf);
   EXPECT_THROW(r.read_bits(65), std::invalid_argument);
+}
+
+// The word-level writer against the bit-at-a-time reference, over seeded
+// random programs of writes: every count 0-64 (those above 57 take the
+// split store) with all 64 value bits random, so the masking is tested too;
+// write_bit interleaved; bytes() read mid-stream before more writes; clear()
+// reuse; and the recycled-storage constructor on a dirty buffer.
+TEST(BitWriter, MatchesBitAtATimeReference) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    std::mt19937_64 rng(seed);
+    // Odd seeds adopt a recycled buffer full of set bits, as the QSGD
+    // packer does with its previous output.
+    BitWriter w = seed % 2 == 0
+                      ? BitWriter()
+                      : BitWriter(std::vector<std::uint8_t>(rng() % 64, 0xFF));
+    testref::RefBitWriter ref;
+    const std::string what = "seed " + std::to_string(seed);
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t pick = rng() % 16;
+      if (pick < 10) {
+        const auto count = static_cast<unsigned>(rng() % 65);
+        const std::uint64_t bits = rng();
+        w.write_bits(bits, count);
+        ref.write_bits(bits, count);
+      } else if (pick < 14) {
+        const bool bit = rng() % 2 != 0;
+        w.write_bit(bit);
+        ref.write_bit(bit);
+      } else if (pick < 15) {
+        ASSERT_EQ(w.bit_count(), ref.bit_count()) << what << " op " << op;
+        ASSERT_EQ(testref::as_vector(w.bytes()), ref.bytes())
+            << what << " op " << op;
+      } else if (rng() % 4 == 0) {
+        w.clear();
+        ref = testref::RefBitWriter();
+        ASSERT_EQ(w.bit_count(), 0u) << what;
+        ASSERT_TRUE(w.bytes().empty()) << what;
+      }
+    }
+    ASSERT_EQ(w.bit_count(), ref.bit_count()) << what;
+    ASSERT_EQ(testref::as_vector(w.bytes()), ref.bytes()) << what;
+    EXPECT_EQ(std::move(w).finish(), ref.bytes()) << what;
+  }
+  // Every count at every bit offset of the first word, after a prefix of
+  // set bits, so a store that touched a bit outside its codeword shows.
+  for (unsigned offset = 0; offset < 16; ++offset) {
+    for (unsigned count = 0; count <= 64; ++count) {
+      BitWriter w;
+      testref::RefBitWriter ref;
+      w.write_bits(~std::uint64_t{0}, offset);
+      ref.write_bits(~std::uint64_t{0}, offset);
+      w.write_bits(0x8000000000000001ull, count);
+      ref.write_bits(0x8000000000000001ull, count);
+      w.write_bit(true);
+      ref.write_bit(true);
+      EXPECT_EQ(std::move(w).finish(), ref.bytes())
+          << "offset " << offset << " count " << count;
+    }
+  }
+  testref::RefBitWriter ref;
+  EXPECT_THROW(ref.write_bits(0, 65), std::invalid_argument);
+}
+
+TEST(BitWriter, FinishTrimsAndClearReusesCapacity) {
+  BitWriter w;
+  for (int i = 0; i < 100; ++i) w.write_bits(0x1FFF, 13);
+  const std::uint8_t* storage = w.bytes().data();
+  w.clear();
+  for (int i = 0; i < 100; ++i) w.write_bits(0x1555, 13);
+  EXPECT_EQ(w.bytes().data(), storage);  // no reallocation on reuse
+  EXPECT_EQ(w.bytes().size(), (100u * 13 + 7) / 8);
+  const std::vector<std::uint8_t> bytes = std::move(w).finish();
+  EXPECT_EQ(bytes.size(), (100u * 13 + 7) / 8);
+  BitReader r(bytes);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(r.read_bits(13), 0x1555u);
+  EXPECT_EQ(r.read_bits(4), 0u);  // the last byte's padding
 }
 
 // -------------------------------------------------------------------- elias
@@ -323,6 +400,50 @@ TEST(EliasGamma, ExplicitMalformedCodewords) {
   BitReader truncated(no_value);
   EXPECT_THROW(elias_gamma_decode(truncated), std::out_of_range);
   expect_gamma_matches_reference(no_value, 1, "63 zeros then end");
+}
+
+// decode_index_gaps_into reads every codeword that fits its 57-bit window
+// straight out of the window and hands the rest to the checked decoder.
+// Put a codeword of each width (1 to 63 bits: gaps up to 2^31, the u32
+// limit) at every bit offset across the first window edges, behind `pad`
+// one-bit codewords and ahead of a run of short ones, and compare with the
+// bit-at-a-time reference on the whole stream, on the stream cut at every
+// byte, on too large a count, and with single bits flipped.
+TEST(IndexGaps, WindowedDecodeMatchesReferenceAcrossWindowEdges) {
+  for (unsigned width = 1; width <= 32; ++width) {
+    const std::uint64_t top = std::uint64_t{1} << (width - 1);
+    const std::uint64_t gap = top | (0x2AAAAAAAull & (top - 1));
+    for (unsigned pad = 0; pad < 72; ++pad) {
+      std::vector<std::uint32_t> indices(pad);
+      std::iota(indices.begin(), indices.end(), 0u);
+      std::uint64_t idx = pad == 0 ? gap - 1 : pad - 1 + gap;
+      if (idx > 0xFFFFFFF0ull) continue;
+      for (int i = 0; i < 12; ++i, idx += 1 + i % 5) {
+        indices.push_back(static_cast<std::uint32_t>(idx));
+      }
+      BitWriter w;
+      encode_index_gaps(indices, w);
+      const auto bytes = std::move(w).finish();
+      const std::string what =
+          "width " + std::to_string(width) + " pad " + std::to_string(pad);
+      std::vector<std::uint32_t> back;
+      decode_index_gaps_into(bytes, indices.size(), back);
+      ASSERT_EQ(back, indices) << what;
+      expect_indices_match_reference(bytes, indices.size() + 1, what);
+      for (std::size_t len = 0; len < bytes.size(); ++len) {
+        expect_indices_match_reference(std::span(bytes).first(len),
+                                       indices.size(),
+                                       what + " len " + std::to_string(len));
+      }
+      if (pad % 24 != 5) continue;
+      for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        auto flipped = bytes;
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+        expect_indices_match_reference(flipped, indices.size(),
+                                       what + " bit " + std::to_string(bit));
+      }
+    }
+  }
 }
 
 TEST(BitStream, WideReadsAcrossWindowEdgeMatchReference) {

@@ -132,6 +132,12 @@ TEST_P(DeterminismAcrossThreads, ScalarAndFastKernelTiersByteIdentical) {
   // documents only — so a forced-scalar run and a fast run of every
   // algorithm must serialize to the same bytes.
   const Scenario& s = GetParam();
+  // The scenarios' model (1344 parameters) is below top-k's 4096-entry
+  // histogram cut-off, like the benchmark workloads' models (2092 and
+  // 3360), so the JWINS and CHOCO cells compare the one-pass nth_element
+  // threshold kernel against the scalar reference end to end.
+  EXPECT_LT(sim::make_femnist_like(8, 23).model_factory()->parameter_count(),
+            std::size_t{4096});
   sim::ExperimentResult scalar_result, fast_result;
   {
     core::KernelDispatch::ScopedForce forced(core::KernelTier::kScalar);

@@ -1,14 +1,16 @@
 // Bit-identity harness for the vectorized kernel tiers (ISSUE 9 tentpole).
 //
 // Every fast kernel in core::KernelDispatch's families — DWT analyze /
-// synthesize, TopK bucket-select, blocked QSGD rounding, and the XOR float
+// synthesize, TopK one-pass select, blocked QSGD rounding, and the XOR float
 // codec block encoder — promises *byte-identical* output to its pinned
 // scalar reference. These tests compare the raw output bytes (not
 // approximate values) across a size ladder that covers degenerate,
 // non-power-of-two, and large inputs, plus adversarial all-equal/all-zero
 // vectors and a 200-seed tie-heavy TopK sweep.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -105,39 +107,93 @@ TEST(KernelEquivalence, DwtSynthesizeBitIdentical) {
 
 // --- TopK --------------------------------------------------------------
 
+// Score vectors as the workloads hand them to top-k: JWINS scores over a
+// small model are mostly exact zeros (a 2-round movielens192_jwins smoke run
+// had 2923 of 3360 at zero), here ~88 % of them, with +0.0 and -0.0
+// mixed; the rest are normal draws with a few subnormals and repeats.
+std::vector<float> workload_scores(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  std::vector<float> out(n);
+  for (float& v : out) {
+    const unsigned pick = rng() % 100;
+    if (pick < 88) {
+      v = pick % 2 == 0 ? 0.0f : -0.0f;
+    } else if (pick < 90) {
+      v = std::numeric_limits<float>::denorm_min() * static_cast<float>(rng() % 4);
+    } else if (pick < 92) {
+      v = 0.5f;
+    } else {
+      v = dist(rng);
+    }
+  }
+  return out;
+}
+
+void expect_topk_tiers_equal(std::span<const float> values, std::size_t k,
+                             const std::string& what) {
+  std::vector<std::uint32_t> idx_s, idx_f;
+  compress::topk_indices_into_scalar(values, k, idx_s);
+  compress::topk_indices_into_fast(values, k, idx_f);
+  EXPECT_EQ(idx_s, idx_f) << what;
+}
+
 TEST(KernelEquivalence, TopkIdenticalIndexSet) {
   for (std::size_t n : kSizes) {
     for (const auto& values : adversarial_inputs(n, 17)) {
       for (std::size_t k :
            {std::size_t{0}, std::size_t{1}, n / 10, n / 2, n - 1, n, n + 7}) {
-        std::vector<std::uint32_t> idx_s, idx_f;
-        compress::topk_indices_into_scalar(values, k, idx_s);
-        compress::topk_indices_into_fast(values, k, idx_f);
-        EXPECT_EQ(idx_s, idx_f) << "n=" << n << " k=" << k;
+        expect_topk_tiers_equal(values, k,
+                                "n=" + std::to_string(n) + " k=" + std::to_string(k));
       }
+    }
+  }
+  // The model sizes the benchmark workloads select over (cifar 2092,
+  // movielens 3360; both below the histogram cut-off), at every paper
+  // cut-off alpha and at CHOCO's n / 10, on zero-heavy and dense scores.
+  for (std::size_t n : {std::size_t{2092}, std::size_t{3360}}) {
+    for (unsigned seed = 0; seed < 4; ++seed) {
+      const std::vector<float> sparse = workload_scores(n, 31 + seed);
+      ASSERT_GE(std::count_if(sparse.begin(), sparse.end(),
+                              [](float v) { return v == 0.0f; }),
+                static_cast<std::ptrdiff_t>(n * 85 / 100));
+      const std::vector<float> dense = random_values(n, 41 + seed);
+      for (double alpha : {0.10, 0.15, 0.20, 0.25, 0.30, 0.40}) {
+        const auto k = static_cast<std::size_t>(alpha * static_cast<double>(n) + 0.5);
+        const std::string what = "n=" + std::to_string(n) + " alpha=" +
+                                 std::to_string(alpha) + " seed=" +
+                                 std::to_string(seed);
+        expect_topk_tiers_equal(sparse, k, what + " sparse");
+        expect_topk_tiers_equal(dense, k, what + " dense");
+      }
+      expect_topk_tiers_equal(sparse, n / 10, "choco sparse n=" + std::to_string(n));
+      expect_topk_tiers_equal(dense, n / 10, "choco dense n=" + std::to_string(n));
     }
   }
 }
 
 // 200-seed randomized sweep over tie-heavy inputs: values drawn from a small
-// discrete magnitude set so the boundary bucket is packed with exact ties.
-// The fast path must return *exactly* the reference index set, which pins
-// the shared tie rule (magnitude descending, index ascending).
+// discrete magnitude set so the threshold magnitude is packed with exact
+// ties. The fast path must return *exactly* the reference index set, which
+// pins the shared tie rule (magnitude descending, index ascending). It runs
+// at the movielens model size (the nth_element threshold) and above the
+// histogram cut-off.
 TEST(KernelEquivalence, TopkTieBreak200SeedSweep) {
-  const std::size_t n = 8192;  // above the bucket-select threshold
-  for (unsigned seed = 0; seed < 200; ++seed) {
-    std::mt19937 rng(seed);
-    std::uniform_int_distribution<int> mag(0, 4);
-    std::uniform_int_distribution<int> sign(0, 1);
-    std::vector<float> values(n);
-    for (float& v : values) {
-      v = static_cast<float>(mag(rng)) * 0.5f * (sign(rng) ? 1.0f : -1.0f);
+  for (const std::size_t n : {std::size_t{3360}, std::size_t{8192}}) {
+    for (unsigned seed = 0; seed < 200; ++seed) {
+      std::mt19937 rng(seed);
+      std::uniform_int_distribution<int> mag(0, 4);
+      std::uniform_int_distribution<int> sign(0, 1);
+      std::vector<float> values(n);
+      for (float& v : values) {
+        v = static_cast<float>(mag(rng)) * 0.5f * (sign(rng) ? 1.0f : -1.0f);
+      }
+      const std::size_t k = n / 10 + (seed % 64);
+      std::vector<std::uint32_t> idx_s, idx_f;
+      compress::topk_indices_into_scalar(values, k, idx_s);
+      compress::topk_indices_into_fast(values, k, idx_f);
+      ASSERT_EQ(idx_s, idx_f) << "n=" << n << " seed=" << seed;
     }
-    const std::size_t k = n / 10 + (seed % 64);
-    std::vector<std::uint32_t> idx_s, idx_f;
-    compress::topk_indices_into_scalar(values, k, idx_s);
-    compress::topk_indices_into_fast(values, k, idx_f);
-    ASSERT_EQ(idx_s, idx_f) << "seed=" << seed;
   }
 }
 
