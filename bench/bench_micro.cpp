@@ -6,10 +6,15 @@
 //
 // Every hot-path kernel has one API, writing into caller-owned buffers,
 // arenas or workspaces; its row, <name>/scratch, measures it with that
-// scratch kept across iterations, as the engine runs it. The /fresh rows
-// that timed the deleted allocating twins are retired (the names stay in
-// BENCH_baseline.json and BENCH_1.json); the kernels without scratch state
-// (fft_real, the Conv2d passes, the train steps) keep their /fresh names.
+// scratch kept across iterations, as the engine runs it. The kernels that
+// the tests pin against a simple reference (DWT, top-k, XOR codec, QSGD)
+// carry two rows from the same run: <name>/scratch/fast times the shipped
+// kernel, <name>/scratch/scalar the reference from tests/*_reference.hpp
+// (group "reference"), so their ratio is the kernel's speedup. The /fresh
+// rows that timed the deleted allocating twins are retired (the names stay
+// in BENCH_baseline.json and BENCH_1.json); the kernels without scratch
+// state (fft_real, the Conv2d passes, the train steps) keep their /fresh
+// names.
 //
 // Two frontends share the kernel registry:
 //   * `--json=PATH` (and any run without Google Benchmark installed) uses a
@@ -47,7 +52,6 @@
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "core/averaging.hpp"
-#include "core/kernel_dispatch.hpp"
 #include "core/scratch.hpp"
 #include "core/sparse_payload.hpp"
 #include "dwt/dwt.hpp"
@@ -56,6 +60,13 @@
 #include "net/serializer.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
+
+// The test references, from tests/ (on this target's include path only).
+#include "bit_reference.hpp"
+#include "dwt_reference.hpp"
+#include "float_codec_reference.hpp"
+#include "quantize_reference.hpp"
+#include "topk_reference.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook: global operator new/delete overrides tallying
@@ -150,7 +161,8 @@ inline void consume(const void* p) {
 
 struct Kernel {
   std::string name;   ///< e.g. "dwt_forward/16384/scratch"
-  std::string group;  ///< "fig5" (hot path), "sampling", "choco", or "train"
+  std::string group;  ///< "fig5" (hot path), "sampling", "choco", "train",
+                      ///< or "reference" (test references)
   std::function<void()> fn;
 };
 
@@ -162,14 +174,15 @@ std::vector<Kernel> build_kernels() {
   auto add = [&](std::string name, std::string group, std::function<void()> fn) {
     kernels.push_back({std::move(name), std::move(group), std::move(fn)});
   };
-  // Kernels with a scalar/fast dispatch pair (core::KernelDispatch) carry the
-  // active tier as a trailing suffix, so a JWINS_FORCE_SCALAR=1 run and a
-  // native run of the same binary are distinguishable in the JSON. Consumers
-  // comparing across runs strip the suffix (see tests/test_bench_schema.cpp).
-  auto add_tiered = [&](std::string name, std::string group,
-                        std::function<void()> fn) {
-    add(name + "/" + core::KernelDispatch::tier_name(), std::move(group),
-        std::move(fn));
+  // A kernel with a test reference: the kernel as <name>/fast in `group`,
+  // the reference as <name>/scalar in the "reference" group, so the fig5
+  // summary sums the same rows as a run without references. Consumers
+  // comparing across documents strip the suffix (tests/test_bench_schema.cpp).
+  auto add_with_reference = [&](const std::string& name, std::string group,
+                                std::function<void()> kernel,
+                                std::function<void()> reference) {
+    add(name + "/fast", std::move(group), std::move(kernel));
+    add(name + "/scalar", "reference", std::move(reference));
   };
 
   // --- DWT ----------------------------------------------------------------
@@ -179,18 +192,34 @@ std::vector<Kernel> build_kernels() {
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 1));
     auto coeffs = std::make_shared<std::vector<float>>(plan->coeff_length());
     auto ws = std::make_shared<dwt::DwtWorkspace>();
-    add_tiered("dwt_forward/16384/scratch", "fig5", [=] {
-      plan->forward_into(*x, *coeffs, *ws);
-      consume(coeffs->data());
-    });
+    auto ref_coeffs = std::make_shared<std::vector<float>>(plan->coeff_length());
+    auto ref_ws = std::make_shared<dwt::DwtWorkspace>();
+    add_with_reference(
+        "dwt_forward/16384/scratch", "fig5",
+        [=] {
+          plan->forward_into(*x, *coeffs, *ws);
+          consume(coeffs->data());
+        },
+        [=] {
+          testref::ref_dwt_forward(*plan, *x, *ref_coeffs, *ref_ws);
+          consume(ref_coeffs->data());
+        });
     auto fwd = std::make_shared<std::vector<float>>(plan->coeff_length());
     plan->forward_into(*x, *fwd, *ws);
     auto out = std::make_shared<std::vector<float>>(n);
     auto ws2 = std::make_shared<dwt::DwtWorkspace>();
-    add_tiered("dwt_inverse/16384/scratch", "fig5", [=] {
-      plan->inverse_into(*fwd, *out, *ws2);
-      consume(out->data());
-    });
+    auto ref_out = std::make_shared<std::vector<float>>(n);
+    auto ref_ws2 = std::make_shared<dwt::DwtWorkspace>();
+    add_with_reference(
+        "dwt_inverse/16384/scratch", "fig5",
+        [=] {
+          plan->inverse_into(*fwd, *out, *ws2);
+          consume(out->data());
+        },
+        [=] {
+          testref::ref_dwt_inverse(*plan, *fwd, *ref_out, *ref_ws2);
+          consume(ref_out->data());
+        });
   }
 
   // --- TopK ---------------------------------------------------------------
@@ -198,10 +227,17 @@ std::vector<Kernel> build_kernels() {
     const std::size_t n = 1 << 16;
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 4));
     auto idx = std::make_shared<std::vector<std::uint32_t>>();
-    add_tiered("topk/65536/scratch", "fig5", [=] {
-      compress::topk_indices_into(*x, n / 10, *idx);
-      consume(idx->data());
-    });
+    auto ref_idx = std::make_shared<std::vector<std::uint32_t>>();
+    add_with_reference(
+        "topk/65536/scratch", "fig5",
+        [=] {
+          compress::topk_indices_into(*x, n / 10, *idx);
+          consume(idx->data());
+        },
+        [=] {
+          testref::ref_topk_indices(*x, n / 10, *ref_idx);
+          consume(ref_idx->data());
+        });
   }
   {
     // The movielens model size at alpha = 0.25, on JWINS-like scores: 87 %
@@ -214,10 +250,17 @@ std::vector<Kernel> build_kernels() {
       if (pick < 87) v = pick % 2 == 0 ? 0.0f : -0.0f;
     }
     auto idx = std::make_shared<std::vector<std::uint32_t>>();
-    add_tiered("topk/3360/scratch", "fig5", [=] {
-      compress::topk_indices_into(*x, n / 4, *idx);
-      consume(idx->data());
-    });
+    auto ref_idx = std::make_shared<std::vector<std::uint32_t>>();
+    add_with_reference(
+        "topk/3360/scratch", "fig5",
+        [=] {
+          compress::topk_indices_into(*x, n / 4, *idx);
+          consume(idx->data());
+        },
+        [=] {
+          testref::ref_topk_indices(*x, n / 4, *ref_idx);
+          consume(ref_idx->data());
+        });
   }
 
   // --- Elias index gaps ---------------------------------------------------
@@ -248,20 +291,36 @@ std::vector<Kernel> build_kernels() {
     const std::size_t n = 1 << 14;
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 7));
     auto bits = std::make_shared<compress::BitWriter>();
-    add_tiered("xor_compress/16384/scratch", "fig5", [=] {
-      bits->clear();
-      compress::compress_floats(*x, *bits);
-      consume(bits->bytes().data());
-    });
+    auto ref_bits = std::make_shared<compress::BitWriter>();
+    add_with_reference(
+        "xor_compress/16384/scratch", "fig5",
+        [=] {
+          bits->clear();
+          compress::compress_floats(*x, *bits);
+          consume(bits->bytes().data());
+        },
+        [=] {
+          ref_bits->clear();
+          testref::ref_compress_floats(*x, *ref_bits);
+          consume(ref_bits->bytes().data());
+        });
     compress::BitWriter encoder;
     compress::compress_floats(*x, encoder);
     auto encoded = std::make_shared<std::vector<std::uint8_t>>(
         std::move(encoder).finish());
     auto decoded = std::make_shared<std::vector<float>>();
-    add_tiered("xor_decompress/16384/scratch", "fig5", [=] {
-      compress::decompress_floats_into(*encoded, n, *decoded);
-      consume(decoded->data());
-    });
+    auto ref_decoded = std::make_shared<std::vector<float>>();
+    // The decoder's reference reads one bit per step (bit_reference.hpp).
+    add_with_reference(
+        "xor_decompress/16384/scratch", "fig5",
+        [=] {
+          compress::decompress_floats_into(*encoded, n, *decoded);
+          consume(decoded->data());
+        },
+        [=] {
+          testref::ref_decompress_floats(*encoded, n, *ref_decoded);
+          consume(ref_decoded->data());
+        });
   }
 
   // --- Payload codec ------------------------------------------------------
@@ -359,10 +418,19 @@ std::vector<Kernel> build_kernels() {
     auto x = std::make_shared<std::vector<float>>(random_floats(n, 13));
     auto rng = std::make_shared<std::mt19937_64>(17);
     auto q = std::make_shared<compress::QuantizedVector>();
-    add_tiered("qsgd_quantize/16384/scratch", "choco", [=] {
-      compress::qsgd_quantize_into(*x, 15, *rng, *q);
-      consume(q->packed.data());
-    });
+    auto ref_rng = std::make_shared<std::mt19937_64>(17);
+    auto ref_q = std::make_shared<compress::QuantizedVector>();
+    add_with_reference(
+        "qsgd_quantize/16384/scratch", "choco",
+        [=] {
+          compress::qsgd_quantize_into(*x, 15, *rng, *q);
+          consume(q->packed.data());
+        },
+        [=] {
+          testref::ref_qsgd_quantize(std::span<const float>(*x), 15, *ref_rng,
+                                     *ref_q);
+          consume(ref_q->packed.data());
+        });
   }
 
   // --- FFT (kept for the reconstruction study; no scratch variant) --------
@@ -513,13 +581,9 @@ void write_json(std::ostream& os, const std::vector<KernelResult>& results,
   os << "{\n";
   os << "  \"schema\": \"jwins.bench_micro/1\",\n";
   os << "  \"filter\": \"" << filter << "\",\n";
-  // Kernel-dispatch provenance lives here, in the bench document — never in
-  // experiment result JSON, which must stay byte-identical across tiers.
-  os << "  \"host\": {\"kernel_dispatch\": \""
-     << core::KernelDispatch::tier_name() << "\", \"compiled_march\": \""
-     << core::KernelDispatch::compiled_march() << "\", \"forced_scalar\": "
-     << (core::KernelDispatch::env_forced_scalar() ? "true" : "false")
-     << "},\n";
+  // Build provenance lives here, in the bench document — never in
+  // experiment result JSON, which must not depend on the build.
+  os << "  \"host\": {\"compiled_march\": \"" << JWINS_MARCH_TIER << "\"},\n";
   os << "  \"units\": {\"time\": \"ns/op\", \"allocs\": \"count/op\", "
         "\"alloc_bytes\": \"bytes/op\"},\n";
   os << "  \"kernels\": [\n";

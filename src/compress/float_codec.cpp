@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 #include "compress/bitstream.hpp"
-#include "core/kernel_dispatch.hpp"
 
 namespace jwins::compress {
 
@@ -18,58 +16,15 @@ std::uint32_t float_bits(float v) noexcept {
 
 float bits_float(std::uint32_t b) noexcept { return std::bit_cast<float>(b); }
 
-// Shared encode loop: emits to `writer` if non-null, always tallies bits.
-std::size_t encode_stream(std::span<const float> values, BitWriter* writer) {
-  std::size_t bits = 0;
-  auto emit_bit = [&](bool b) {
-    if (writer) writer->write_bit(b);
-    ++bits;
-  };
-  auto emit_bits = [&](std::uint64_t v, unsigned n) {
-    if (writer) writer->write_bits(v, n);
-    bits += n;
-  };
+// The longest coded value: control bits, a block header and 32 payload bits.
+constexpr unsigned kMaxValueBits = 2 + 10 + 32;
 
-  if (values.empty()) return 0;
-  emit_bits(float_bits(values[0]), 32);
-  std::uint32_t prev = float_bits(values[0]);
-  unsigned block_lead = 0xFF;  // invalid: forces a new block header first time
-  unsigned block_len = 0;
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    const std::uint32_t cur = float_bits(values[i]);
-    const std::uint32_t x = cur ^ prev;
-    prev = cur;
-    if (x == 0) {
-      emit_bit(false);
-      continue;
-    }
-    emit_bit(true);
-    const unsigned lead = std::min(31, std::countl_zero(x));
-    const unsigned trail = static_cast<unsigned>(std::countr_zero(x));
-    const unsigned len = 32 - lead - trail;
-    const bool fits_block =
-        block_lead != 0xFF && lead >= block_lead &&
-        (32 - lead - len) >= (32 - block_lead - block_len);
-    if (fits_block) {
-      emit_bit(false);
-      emit_bits(x >> (32 - block_lead - block_len), block_len);
-    } else {
-      emit_bit(true);
-      emit_bits(lead, 5);
-      emit_bits(len - 1, 5);
-      emit_bits(x >> trail, len);
-      block_lead = lead;
-      block_len = len;
-    }
-  }
-  return bits;
-}
+}  // namespace
 
-// Fast encoder: the XOR / leading-zero / trailing-zero scan runs as a fused
-// block pass, and the per-value control+payload bits are emitted with one
-// combined write_bits call per value. Decisions and bit layout are exactly
-// the reference's, so the output bytes are identical.
-void encode_stream_fast(std::span<const float> values, BitWriter& writer) {
+// The XOR / leading-zero / trailing-zero scan runs as a fused block pass,
+// and the per-value control+payload bits are emitted with one combined
+// write_bits call per value.
+void compress_floats(std::span<const float> values, BitWriter& writer) {
   if (values.empty()) return;
   writer.write_bits(float_bits(values[0]), 32);
   unsigned block_lead = 0xFF;
@@ -120,18 +75,11 @@ void encode_stream_fast(std::span<const float> values, BitWriter& writer) {
   }
 }
 
-// One decode loop for both tiers over the shared word-level BitReader. The
-// pinned scalar reference reads every field with its own checked read; the
-// fast tier decodes a whole value (at most 2 + 10 + 32 bits) out of one
-// peek() window wherever kMaxValueBits remain, and falls back to the checked
-// reads only at the stream's tail. A value that fits cannot run out of
-// bits, and the header checks are the same, so the results and errors are
-// identical.
-constexpr unsigned kMaxValueBits = 2 + 10 + 32;
-
-template <bool kWindowed>
-void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
-                   std::vector<float>& out) {
+// Decodes a whole value out of one peek() window wherever kMaxValueBits
+// remain, and falls back to one checked read per field only at the stream's
+// tail, so a truncated stream fails as a read past the end.
+void decompress_floats_into(std::span<const std::uint8_t> bytes,
+                            std::size_t count, std::vector<float>& out) {
   out.clear();
   if (count == 0) return;
   // Bound the wire-supplied count by the stream length before reserving:
@@ -163,28 +111,26 @@ void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
     }
   };
   for (std::size_t i = 1; i < count; ++i) {
-    if constexpr (kWindowed) {
-      if (reader.remaining() >= kMaxValueBits) {
-        const std::uint64_t window = reader.peek();
-        if ((window >> 63) == 0) {  // identical to previous
-          reader.skip(1);
-          dst[i] = bits_float(prev);
-          continue;
-        }
-        unsigned used = 2;
-        if ((window >> 62) & 1u) {
-          set_block(static_cast<unsigned>(window >> 52) & 0x3FFu);
-          used = 12;
-        } else {
-          reuse_block();
-        }
-        const auto meaningful =
-            static_cast<std::uint32_t>((window << used) >> (64 - block_len));
-        reader.skip(used + block_len);
-        prev ^= meaningful << (32 - block_lead - block_len);
+    if (reader.remaining() >= kMaxValueBits) {
+      const std::uint64_t window = reader.peek();
+      if ((window >> 63) == 0) {  // identical to previous
+        reader.skip(1);
         dst[i] = bits_float(prev);
         continue;
       }
+      unsigned used = 2;
+      if ((window >> 62) & 1u) {
+        set_block(static_cast<unsigned>(window >> 52) & 0x3FFu);
+        used = 12;
+      } else {
+        reuse_block();
+      }
+      const auto meaningful =
+          static_cast<std::uint32_t>((window << used) >> (64 - block_len));
+      reader.skip(used + block_len);
+      prev ^= meaningful << (32 - block_lead - block_len);
+      dst[i] = bits_float(prev);
+      continue;
     }
     if (!reader.read_bit()) {  // identical to previous
       dst[i] = bits_float(prev);
@@ -200,47 +146,6 @@ void decode_stream(std::span<const std::uint8_t> bytes, std::size_t count,
     prev ^= meaningful << (32 - block_lead - block_len);
     dst[i] = bits_float(prev);
   }
-}
-
-}  // namespace
-
-void compress_floats(std::span<const float> values, BitWriter& writer) {
-  if (core::KernelDispatch::fast()) {
-    encode_stream_fast(values, writer);
-  } else {
-    encode_stream(values, &writer);
-  }
-}
-
-void compress_floats_scalar(std::span<const float> values, BitWriter& writer) {
-  encode_stream(values, &writer);
-}
-
-void compress_floats_fast(std::span<const float> values, BitWriter& writer) {
-  encode_stream_fast(values, writer);
-}
-
-std::size_t compressed_floats_size(std::span<const float> values) {
-  return (encode_stream(values, nullptr) + 7) / 8;
-}
-
-void decompress_floats_into(std::span<const std::uint8_t> bytes,
-                            std::size_t count, std::vector<float>& out) {
-  if (core::KernelDispatch::fast()) {
-    decompress_floats_into_fast(bytes, count, out);
-  } else {
-    decompress_floats_into_scalar(bytes, count, out);
-  }
-}
-
-void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
-                                 std::size_t count, std::vector<float>& out) {
-  decode_stream<true>(bytes, count, out);
-}
-
-void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
-                                   std::size_t count, std::vector<float>& out) {
-  decode_stream<false>(bytes, count, out);
 }
 
 }  // namespace jwins::compress

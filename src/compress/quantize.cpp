@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "compress/bitstream.hpp"
-#include "core/kernel_dispatch.hpp"
 #include "net/serializer.hpp"
 
 namespace jwins::compress {
@@ -17,52 +16,25 @@ unsigned bits_per_level(std::uint32_t levels) noexcept {
   return static_cast<unsigned>(std::bit_width(levels));
 }
 
-// Shared norm prologue: the sequential double accumulation is part of the
-// pinned reference (vectorizing it would change the summation order).
-BitWriter quantize_prologue(std::span<const float> values,
-                            std::uint32_t levels, QuantizedVector& out) {
+}  // namespace
+
+template <class Urbg>
+void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
+                        Urbg& rng, QuantizedVector& out) {
   if (levels == 0) throw std::invalid_argument("qsgd_quantize: levels must be >= 1");
   out.levels = levels;
   out.count = static_cast<std::uint32_t>(values.size());
+  // The sequential double accumulation is part of the pinned output
+  // (vectorizing it would change the summation order).
   double norm_sq = 0.0;
   for (float v : values) norm_sq += static_cast<double>(v) * v;
   out.norm = static_cast<float>(std::sqrt(norm_sq));
-  return BitWriter(std::move(out.packed));  // reuse the packed capacity
-}
-
-template <class Urbg>
-void qsgd_quantize_into_scalar_impl(std::span<const float> values,
-                                    std::uint32_t levels, Urbg& rng,
-                                    QuantizedVector& out) {
-  BitWriter writer = quantize_prologue(values, levels, out);
-  std::uniform_real_distribution<double> u01(0.0, 1.0);
-  const unsigned level_bits = bits_per_level(levels);
-  for (float v : values) {
-    writer.write_bit(v < 0.0f);
-    std::uint32_t level = 0;
-    if (out.norm > 0.0f) {
-      const double scaled =
-          std::fabs(v) / out.norm * static_cast<double>(levels);
-      const auto lower = static_cast<std::uint32_t>(scaled);
-      const double frac = scaled - lower;
-      level = lower + (u01(rng) < frac ? 1u : 0u);  // unbiased rounding
-      if (level > levels) level = levels;
-    }
-    writer.write_bits(level, level_bits);
-  }
-  out.packed = std::move(writer).finish();
-}
-
-template <class Urbg>
-void qsgd_quantize_into_fast_impl(std::span<const float> values,
-                                  std::uint32_t levels, Urbg& rng,
-                                  QuantizedVector& out) {
-  BitWriter writer = quantize_prologue(values, levels, out);
+  BitWriter writer(std::move(out.packed));  // reuse the packed capacity
   std::uniform_real_distribution<double> u01(0.0, 1.0);
   const unsigned level_bits = bits_per_level(levels);
   if (!(out.norm > 0.0f)) {
     // Degenerate all-zero vector: no scaling and no RNG draws, matching the
-    // scalar reference exactly (sign bit then a zero level, fused into one
+    // reference exactly (sign bit then a zero level, fused into one
     // MSB-first write).
     for (float v : values) {
       writer.write_bits(static_cast<std::uint64_t>(v < 0.0f) << level_bits,
@@ -103,48 +75,6 @@ void qsgd_quantize_into_fast_impl(std::span<const float> values,
   }
   out.packed = std::move(writer).finish();
 }
-
-}  // namespace
-
-template <class Urbg>
-void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
-                        Urbg& rng, QuantizedVector& out) {
-  if (core::KernelDispatch::fast()) {
-    qsgd_quantize_into_fast_impl(values, levels, rng, out);
-  } else {
-    qsgd_quantize_into_scalar_impl(values, levels, rng, out);
-  }
-}
-
-template <class Urbg>
-void qsgd_quantize_into_scalar(std::span<const float> values,
-                               std::uint32_t levels, Urbg& rng,
-                               QuantizedVector& out) {
-  qsgd_quantize_into_scalar_impl(values, levels, rng, out);
-}
-
-template <class Urbg>
-void qsgd_quantize_into_fast(std::span<const float> values,
-                             std::uint32_t levels, Urbg& rng,
-                             QuantizedVector& out) {
-  qsgd_quantize_into_fast_impl(values, levels, rng, out);
-}
-
-template void qsgd_quantize_into_scalar<std::mt19937_64>(std::span<const float>,
-                                                         std::uint32_t,
-                                                         std::mt19937_64&,
-                                                         QuantizedVector&);
-template void qsgd_quantize_into_scalar<core::CounterRng>(
-    std::span<const float>, std::uint32_t, core::CounterRng&,
-    QuantizedVector&);
-template void qsgd_quantize_into_fast<std::mt19937_64>(std::span<const float>,
-                                                       std::uint32_t,
-                                                       std::mt19937_64&,
-                                                       QuantizedVector&);
-template void qsgd_quantize_into_fast<core::CounterRng>(std::span<const float>,
-                                                        std::uint32_t,
-                                                        core::CounterRng&,
-                                                        QuantizedVector&);
 
 template void qsgd_quantize_into<std::mt19937_64>(std::span<const float>,
                                                   std::uint32_t,

@@ -34,9 +34,10 @@ struct QuantizedVector {
 /// Quantizes `values` to s levels with unbiased stochastic rounding into
 /// `out`, reusing out.packed's capacity. One uniform draw per element;
 /// instantiated for std::mt19937_64 (tests, benches) and the engine's
-/// counter-based core::CounterRng streams. Dispatches between the scalar
-/// reference and the blocked fast path per core::KernelDispatch (identical
-/// RNG draw sequence and packed bytes on both tiers).
+/// counter-based core::CounterRng streams. The scale/trunc/frac arithmetic
+/// runs over contiguous blocks while the draws and the bit emission keep
+/// coordinate order, so the packed bytes and the draw sequence match the
+/// per-coordinate reference in tests/quantize_reference.hpp.
 template <class Urbg>
 void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
                         Urbg& rng, QuantizedVector& out);
@@ -44,28 +45,6 @@ void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
 extern template void qsgd_quantize_into<std::mt19937_64>(
     std::span<const float>, std::uint32_t, std::mt19937_64&, QuantizedVector&);
 extern template void qsgd_quantize_into<core::CounterRng>(
-    std::span<const float>, std::uint32_t, core::CounterRng&, QuantizedVector&);
-
-/// Pinned golden reference: per-coordinate scale, round and emit.
-template <class Urbg>
-void qsgd_quantize_into_scalar(std::span<const float> values,
-                               std::uint32_t levels, Urbg& rng,
-                               QuantizedVector& out);
-
-/// Fast path: scale/trunc/frac batched over contiguous blocks, RNG draw and
-/// bit emission kept in reference order.
-template <class Urbg>
-void qsgd_quantize_into_fast(std::span<const float> values,
-                             std::uint32_t levels, Urbg& rng,
-                             QuantizedVector& out);
-
-extern template void qsgd_quantize_into_scalar<std::mt19937_64>(
-    std::span<const float>, std::uint32_t, std::mt19937_64&, QuantizedVector&);
-extern template void qsgd_quantize_into_scalar<core::CounterRng>(
-    std::span<const float>, std::uint32_t, core::CounterRng&, QuantizedVector&);
-extern template void qsgd_quantize_into_fast<std::mt19937_64>(
-    std::span<const float>, std::uint32_t, std::mt19937_64&, QuantizedVector&);
-extern template void qsgd_quantize_into_fast<core::CounterRng>(
     std::span<const float>, std::uint32_t, core::CounterRng&, QuantizedVector&);
 
 /// Non-owning view of a serialized quantized vector: the packed bitstream

@@ -2,32 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
 
-#include "core/kernel_dispatch.hpp"
 #include "core/rng.hpp"
 
 namespace jwins::compress {
 
 namespace {
-
-// Total order shared by the scalar reference and the fast path: magnitude
-// descending, index ascending on ties. The tie rule makes the selected set
-// unique, which is what lets the one-pass kernel promise the *identical*
-// index set (and what the seeded sweeps in test_kernel_equivalence.cpp
-// pin).
-struct MagnitudeGreater {
-  std::span<const float> values;
-  bool operator()(std::uint32_t a, std::uint32_t b) const {
-    const float fa = std::fabs(values[a]);
-    const float fb = std::fabs(values[b]);
-    if (fa != fb) return fa > fb;
-    return a < b;
-  }
-};
 
 // Magnitude key of a (non-NaN) float: IEEE-754 bit patterns of
 // non-negative floats are monotone in value, so comparing keys is comparing
@@ -117,24 +100,8 @@ std::size_t emit_at_least(std::span<const float> values, std::size_t begin,
 
 }  // namespace
 
-void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
-                              std::vector<std::uint32_t>& out) {
-  const std::size_t n = values.size();
-  // `out` is the selection workspace: its capacity stays at n after the
-  // first call, so reuse makes this allocation-free.
-  out.resize(n);
-  std::iota(out.begin(), out.end(), 0u);
-  if (k >= n) {
-    return;  // already ascending
-  }
-  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
-                   out.end(), MagnitudeGreater{values});
-  out.resize(k);
-  std::sort(out.begin(), out.end());
-}
-
-void topk_indices_into_fast(std::span<const float> values, std::size_t k,
-                            std::vector<std::uint32_t>& out) {
+void topk_indices_into(std::span<const float> values, std::size_t k,
+                       std::vector<std::uint32_t>& out) {
   const std::size_t n = values.size();
   if (k >= n) {
     out.resize(n);
@@ -164,15 +131,6 @@ void topk_indices_into_fast(std::span<const float> values, std::size_t k,
   std::size_t m = emit_at_least(values, 0, split, t.key, out.data(), 0);
   m = emit_at_least(values, split, n, t.key + 1, out.data(), m);
   out.resize(m);
-}
-
-void topk_indices_into(std::span<const float> values, std::size_t k,
-                       std::vector<std::uint32_t>& out) {
-  if (core::KernelDispatch::fast()) {
-    topk_indices_into_fast(values, k, out);
-  } else {
-    topk_indices_into_scalar(values, k, out);
-  }
 }
 
 void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,

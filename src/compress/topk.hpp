@@ -17,26 +17,18 @@ namespace jwins::compress {
 /// making the selected set unique. If k >= values.size(), all indices are
 /// returned. Values must be NaN-free. `out` doubles as the selection
 /// workspace — once warmed to values.size() capacity the call is
-/// allocation-free. Dispatches between the scalar reference and the
-/// one-pass fast path per core::KernelDispatch.
+/// allocation-free.
+///
+/// Finds T, the k-th largest magnitude key (the float's bits without the
+/// sign), and how many keys above T there are — by nth_element over a copy
+/// of the keys below 4096 entries, by a 65536-bucket histogram over the top
+/// key bits and an exact select inside the boundary bucket from there on.
+/// One branch-free pass in index order then emits every index whose key is
+/// above T, or equal to T while the tie quota lasts, so the selection comes
+/// out sorted. tests/topk_reference.hpp holds the full-sort reference it
+/// matches index for index.
 void topk_indices_into(std::span<const float> values, std::size_t k,
                        std::vector<std::uint32_t>& out);
-
-/// Pinned golden reference: full nth_element select under the
-/// magnitude-descending / index-ascending total order, then a sort.
-void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
-                              std::vector<std::uint32_t>& out);
-
-/// Fast path: finds T, the k-th largest magnitude key (the float's bits
-/// without the sign), and how many keys above T there are — by
-/// nth_element over a copy of the keys below 4096 entries, by a
-/// 65536-bucket histogram over the top key bits and an exact select inside
-/// the boundary bucket from there on. One branch-free pass in index order
-/// then emits every index whose key is above T, or equal to T while the
-/// tie quota lasts, so the selection comes out sorted. Returns the
-/// identical index set as the scalar reference (same total order).
-void topk_indices_into_fast(std::span<const float> values, std::size_t k,
-                            std::vector<std::uint32_t>& out);
 
 /// `k` distinct indices drawn uniformly from [0, n) using `seed` — the
 /// random-sampling baseline. Sharing the seed reproduces the exact subset on

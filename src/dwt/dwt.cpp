@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernel_dispatch.hpp"
-
 namespace jwins::dwt {
 
 namespace {
@@ -53,8 +51,8 @@ void analyze_level_scalar(const Wavelet& w, std::span<const float> input,
   }
 }
 
-void analyze_level_fast(const Wavelet& w, std::span<const float> input,
-                        std::span<float> approx, std::span<float> detail) {
+void analyze_level(const Wavelet& w, std::span<const float> input,
+                   std::span<float> approx, std::span<float> detail) {
   const std::size_t n = input.size();
   validate_analyze(n, approx, detail);
   const std::size_t taps = w.length();
@@ -107,15 +105,6 @@ void analyze_level_fast(const Wavelet& w, std::span<const float> input,
   }
 }
 
-void analyze_level(const Wavelet& w, std::span<const float> input,
-                   std::span<float> approx, std::span<float> detail) {
-  if (core::KernelDispatch::fast()) {
-    analyze_level_fast(w, input, approx, detail);
-  } else {
-    analyze_level_scalar(w, input, approx, detail);
-  }
-}
-
 void synthesize_level_scalar(const Wavelet& w, std::span<const float> approx,
                              std::span<const float> detail,
                              std::span<float> output) {
@@ -137,9 +126,8 @@ void synthesize_level_scalar(const Wavelet& w, std::span<const float> approx,
   }
 }
 
-void synthesize_level_fast(const Wavelet& w, std::span<const float> approx,
-                           std::span<const float> detail,
-                           std::span<float> output) {
+void synthesize_level(const Wavelet& w, std::span<const float> approx,
+                      std::span<const float> detail, std::span<float> output) {
   const std::size_t half = approx.size();
   const std::size_t n = output.size();
   validate_synthesize(half, detail, n);
@@ -150,7 +138,7 @@ void synthesize_level_fast(const Wavelet& w, std::span<const float> approx,
   }
   // Gather form of the scatter reference. Per output j the reference adds
   // one contribution per source k in ascending-k order, each shaped
-  // lp[m]*a[k] + hp[m]*d[k]; the fast path reproduces exactly that term
+  // lp[m]*a[k] + hp[m]*d[k]; this kernel reproduces exactly that term
   // sequence. Outputs j >= taps-1 take only unwrapped contributors, split
   // by parity into stride-1 filter-major passes; outputs j < taps-1 mix
   // wrapped and unwrapped contributors and stay scalar.
@@ -209,15 +197,6 @@ void synthesize_level_fast(const Wavelet& w, std::span<const float> approx,
   }
   // The two parity lanes start at outputs taps-1 and taps (one each), so
   // together with the boundary loop they cover [0, n) exactly once.
-}
-
-void synthesize_level(const Wavelet& w, std::span<const float> approx,
-                      std::span<const float> detail, std::span<float> output) {
-  if (core::KernelDispatch::fast()) {
-    synthesize_level_fast(w, approx, detail, output);
-  } else {
-    synthesize_level_scalar(w, approx, detail, output);
-  }
 }
 
 DwtPlan::DwtPlan(Wavelet wavelet, std::size_t input_length, std::size_t levels)

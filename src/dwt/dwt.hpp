@@ -21,9 +21,10 @@
 namespace jwins::dwt {
 
 /// Single-level periodized analysis. Input length must be even.
-/// Writes `n/2` approximation and `n/2` detail coefficients. Dispatches
-/// between the scalar reference and the stride-1 fast path per
-/// core::KernelDispatch; the tiers are bit-identical.
+/// Writes `n/2` approximation and `n/2` detail coefficients. Filter-major
+/// stride-1 accumulation over the unwrapped interior, per-output wrap tail;
+/// filters longer than the signal go to analyze_level_scalar. Bit-identical
+/// to analyze_level_scalar: same doubles, same order.
 void analyze_level(const Wavelet& w, std::span<const float> input,
                    std::span<float> approx, std::span<float> detail);
 
@@ -31,13 +32,10 @@ void analyze_level(const Wavelet& w, std::span<const float> input,
 void analyze_level_scalar(const Wavelet& w, std::span<const float> input,
                           std::span<float> approx, std::span<float> detail);
 
-/// Fast path: filter-major stride-1 accumulation over the unwrapped
-/// interior, scalar wrap tail. Same doubles, same order as the reference.
-void analyze_level_fast(const Wavelet& w, std::span<const float> input,
-                        std::span<float> approx, std::span<float> detail);
-
 /// Single-level periodized synthesis: exact inverse of analyze_level.
-/// Dispatches like analyze_level.
+/// Parity-split gather form with stride-1 filter-major passes; filters
+/// longer than the signal go to synthesize_level_scalar. Bit-identical to
+/// the scatter reference.
 void synthesize_level(const Wavelet& w, std::span<const float> approx,
                       std::span<const float> detail, std::span<float> output);
 
@@ -45,12 +43,6 @@ void synthesize_level(const Wavelet& w, std::span<const float> approx,
 void synthesize_level_scalar(const Wavelet& w, std::span<const float> approx,
                              std::span<const float> detail,
                              std::span<float> output);
-
-/// Fast path: parity-split gather form with stride-1 filter-major passes;
-/// bit-identical to the scatter reference.
-void synthesize_level_fast(const Wavelet& w, std::span<const float> approx,
-                           std::span<const float> detail,
-                           std::span<float> output);
 
 /// Reusable ping-pong buffers for multi-level transforms. A workspace is
 /// plan-agnostic: DwtPlan grows it on first use (to the plan's outermost

@@ -631,11 +631,11 @@ TEST(FloatCodec, NanPreservedBitExact) {
 }
 
 TEST(FloatCodec, WireCountBoundedByStreamBeforeReserve) {
-  // Both decoder tiers: a count the stream cannot hold (every value costs
-  // at least one bit) throws before `out` reserves anything.
+  // The decoder and its bit-at-a-time reference: a count the stream cannot
+  // hold (every value costs at least one bit) throws before `out` reserves
+  // anything.
   const std::vector<std::uint8_t> bytes(10, 0xFF);
-  for (auto* decode : {&decompress_floats_into_scalar,
-                       &decompress_floats_into_fast}) {
+  for (auto* decode : {&decompress_floats_into, &testref::ref_decompress_floats}) {
     std::vector<float> out;
     EXPECT_THROW(decode(bytes, 0xFFFFFFFFu, out), std::runtime_error);
     EXPECT_LE(out.capacity(), bytes.size());
@@ -672,16 +672,6 @@ TEST(FloatCodec, CorrelatedStreamCompresses) {
   BitWriter w;
   EXPECT_EQ(round_trip(vals, w), vals);
   EXPECT_LT(w.bytes().size(), vals.size() * 4 * 8 / 10);  // >= 20% saving
-}
-
-TEST(FloatCodec, SizeEstimatorMatches) {
-  std::mt19937 rng(21);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  std::vector<float> vals(777);
-  for (float& v : vals) v = dist(rng);
-  BitWriter w;
-  compress_floats(vals, w);
-  EXPECT_EQ(compressed_floats_size(vals), w.bytes().size());
 }
 
 // --------------------------------------------------------------------- topk

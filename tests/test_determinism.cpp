@@ -10,7 +10,6 @@
 #include <random>
 #include <sstream>
 
-#include "core/kernel_dispatch.hpp"
 #include "graph/graph.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -121,37 +120,6 @@ TEST_P(DeterminismAcrossThreads, AsyncThreadedMatchesSequential) {
   sim::write_result_json(a, "determinism/async", sequential,
                          /*include_wall=*/false);
   sim::write_result_json(b, "determinism/async", threaded,
-                         /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
-}
-
-TEST_P(DeterminismAcrossThreads, ScalarAndFastKernelTiersByteIdentical) {
-  // The vectorized kernel tiers (core::KernelDispatch) are bit-identical by
-  // construction; this closes the loop at the experiment level. Result JSON
-  // must never encode which tier ran — the host block lives in bench
-  // documents only — so a forced-scalar run and a fast run of every
-  // algorithm must serialize to the same bytes.
-  const Scenario& s = GetParam();
-  // The scenarios' model (1344 parameters) is below top-k's 4096-entry
-  // histogram cut-off, like the benchmark workloads' models (2092 and
-  // 3360), so the JWINS and CHOCO cells compare the one-pass nth_element
-  // threshold kernel against the scalar reference end to end.
-  EXPECT_LT(sim::make_femnist_like(8, 23).model_factory()->parameter_count(),
-            std::size_t{4096});
-  sim::ExperimentResult scalar_result, fast_result;
-  {
-    core::KernelDispatch::ScopedForce forced(core::KernelTier::kScalar);
-    scalar_result = run_scenario(s, 1);
-  }
-  {
-    core::KernelDispatch::ScopedForce forced(core::KernelTier::kFast);
-    fast_result = run_scenario(s, 1);
-  }
-  expect_bit_identical(scalar_result, fast_result, "scalar vs fast tier");
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/tier", scalar_result,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/tier", fast_result,
                          /*include_wall=*/false);
   EXPECT_EQ(a.str(), b.str());
 }

@@ -1,12 +1,14 @@
-// Bit-identity harness for the vectorized kernel tiers (ISSUE 9 tentpole).
+// Bit-identity harness for the restructured kernels.
 //
-// Every fast kernel in core::KernelDispatch's families — DWT analyze /
-// synthesize, TopK one-pass select, blocked QSGD rounding, and the XOR float
-// codec block encoder — promises *byte-identical* output to its pinned
-// scalar reference. These tests compare the raw output bytes (not
-// approximate values) across a size ladder that covers degenerate,
-// non-power-of-two, and large inputs, plus adversarial all-equal/all-zero
-// vectors and a 200-seed tie-heavy TopK sweep.
+// Every kernel on the share path — DWT analyze / synthesize, the one-pass
+// top-k select, blocked QSGD rounding, and the XOR float codec — promises
+// *byte-identical* output to a simple reference: the DWT's per-output
+// analyze_level_scalar / scatter synthesize_level_scalar in src/dwt (the
+// kernels call them for long filters), the others in tests/*_reference.hpp.
+// These tests compare the raw output bytes (not approximate values) across
+// a size ladder that covers degenerate, non-power-of-two, and large inputs,
+// plus adversarial all-equal/all-zero vectors and a 200-seed tie-heavy
+// top-k sweep.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -23,15 +25,18 @@
 #include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
-#include "core/kernel_dispatch.hpp"
 #include "dwt/dwt.hpp"
 #include "dwt/wavelet.hpp"
+#include "dwt_reference.hpp"
+#include "float_codec_reference.hpp"
+#include "quantize_reference.hpp"
+#include "topk_reference.hpp"
 
 namespace {
 
 using namespace jwins;
 
-// The ladder from ISSUE 9: degenerate (1..3), around the first vector width
+// The size ladder: degenerate (1..3), around the first vector width
 // (15..17), non-power-of-two (255, 65537), and the bench sizes.
 const std::vector<std::size_t> kSizes = {1,    2,    3,     15,   16,
                                          17,   255,  1024,  16384, 65537};
@@ -77,10 +82,21 @@ TEST(KernelEquivalence, DwtAnalyzeBitIdentical) {
       for (const auto& input : adversarial_inputs(n, 11)) {
         std::vector<float> a_s(n / 2), d_s(n / 2), a_f(n / 2), d_f(n / 2);
         dwt::analyze_level_scalar(w, input, a_s, d_s);
-        dwt::analyze_level_fast(w, input, a_f, d_f);
+        dwt::analyze_level(w, input, a_f, d_f);
         const std::string what = w.name + " n=" + std::to_string(n);
         expect_bytes_equal(a_s, a_f, "approx " + what);
         expect_bytes_equal(d_s, d_f, "detail " + what);
+      }
+    }
+    // The whole multi-level plan, odd lengths (zero-padded levels) included.
+    for (std::size_t n : kSizes) {
+      const dwt::DwtPlan plan(w, n, 4);
+      dwt::DwtWorkspace ws_r, ws_k;
+      for (const auto& input : adversarial_inputs(n, 19)) {
+        std::vector<float> c_r(plan.coeff_length()), c_k(plan.coeff_length());
+        testref::ref_dwt_forward(plan, input, c_r, ws_r);
+        plan.forward_into(input, c_k, ws_k);
+        expect_bytes_equal(c_r, c_k, "plan " + w.name + " n=" + std::to_string(n));
       }
     }
   }
@@ -97,9 +113,21 @@ TEST(KernelEquivalence, DwtSynthesizeBitIdentical) {
         dwt::analyze_level_scalar(w, input, approx, detail);
         std::vector<float> out_s(n), out_f(n);
         dwt::synthesize_level_scalar(w, approx, detail, out_s);
-        dwt::synthesize_level_fast(w, approx, detail, out_f);
+        dwt::synthesize_level(w, approx, detail, out_f);
         expect_bytes_equal(out_s, out_f,
                            w.name + " n=" + std::to_string(n));
+      }
+    }
+    for (std::size_t n : kSizes) {
+      const dwt::DwtPlan plan(w, n, 4);
+      dwt::DwtWorkspace ws_r, ws_k;
+      for (const auto& input : adversarial_inputs(n, 23)) {
+        std::vector<float> coeffs(plan.coeff_length());
+        plan.forward_into(input, coeffs, ws_k);
+        std::vector<float> out_r(n), out_k(n);
+        testref::ref_dwt_inverse(plan, coeffs, out_r, ws_r);
+        plan.inverse_into(coeffs, out_k, ws_k);
+        expect_bytes_equal(out_r, out_k, "plan " + w.name + " n=" + std::to_string(n));
       }
     }
   }
@@ -130,12 +158,12 @@ std::vector<float> workload_scores(std::size_t n, unsigned seed) {
   return out;
 }
 
-void expect_topk_tiers_equal(std::span<const float> values, std::size_t k,
-                             const std::string& what) {
-  std::vector<std::uint32_t> idx_s, idx_f;
-  compress::topk_indices_into_scalar(values, k, idx_s);
-  compress::topk_indices_into_fast(values, k, idx_f);
-  EXPECT_EQ(idx_s, idx_f) << what;
+void expect_topk_matches_reference(std::span<const float> values,
+                                   std::size_t k, const std::string& what) {
+  std::vector<std::uint32_t> idx_r, idx_k;
+  testref::ref_topk_indices(values, k, idx_r);
+  compress::topk_indices_into(values, k, idx_k);
+  EXPECT_EQ(idx_r, idx_k) << what;
 }
 
 TEST(KernelEquivalence, TopkIdenticalIndexSet) {
@@ -143,7 +171,7 @@ TEST(KernelEquivalence, TopkIdenticalIndexSet) {
     for (const auto& values : adversarial_inputs(n, 17)) {
       for (std::size_t k :
            {std::size_t{0}, std::size_t{1}, n / 10, n / 2, n - 1, n, n + 7}) {
-        expect_topk_tiers_equal(values, k,
+        expect_topk_matches_reference(values, k,
                                 "n=" + std::to_string(n) + " k=" + std::to_string(k));
       }
     }
@@ -163,18 +191,18 @@ TEST(KernelEquivalence, TopkIdenticalIndexSet) {
         const std::string what = "n=" + std::to_string(n) + " alpha=" +
                                  std::to_string(alpha) + " seed=" +
                                  std::to_string(seed);
-        expect_topk_tiers_equal(sparse, k, what + " sparse");
-        expect_topk_tiers_equal(dense, k, what + " dense");
+        expect_topk_matches_reference(sparse, k, what + " sparse");
+        expect_topk_matches_reference(dense, k, what + " dense");
       }
-      expect_topk_tiers_equal(sparse, n / 10, "choco sparse n=" + std::to_string(n));
-      expect_topk_tiers_equal(dense, n / 10, "choco dense n=" + std::to_string(n));
+      expect_topk_matches_reference(sparse, n / 10, "choco sparse n=" + std::to_string(n));
+      expect_topk_matches_reference(dense, n / 10, "choco dense n=" + std::to_string(n));
     }
   }
 }
 
 // 200-seed randomized sweep over tie-heavy inputs: values drawn from a small
 // discrete magnitude set so the threshold magnitude is packed with exact
-// ties. The fast path must return *exactly* the reference index set, which
+// ties. The kernel must return *exactly* the reference index set, which
 // pins the shared tie rule (magnitude descending, index ascending). It runs
 // at the movielens model size (the nth_element threshold) and above the
 // histogram cut-off.
@@ -189,10 +217,10 @@ TEST(KernelEquivalence, TopkTieBreak200SeedSweep) {
         v = static_cast<float>(mag(rng)) * 0.5f * (sign(rng) ? 1.0f : -1.0f);
       }
       const std::size_t k = n / 10 + (seed % 64);
-      std::vector<std::uint32_t> idx_s, idx_f;
-      compress::topk_indices_into_scalar(values, k, idx_s);
-      compress::topk_indices_into_fast(values, k, idx_f);
-      ASSERT_EQ(idx_s, idx_f) << "n=" << n << " seed=" << seed;
+      std::vector<std::uint32_t> idx_r, idx_k;
+      testref::ref_topk_indices(values, k, idx_r);
+      compress::topk_indices_into(values, k, idx_k);
+      ASSERT_EQ(idx_r, idx_k) << "n=" << n << " seed=" << seed;
     }
   }
 }
@@ -205,16 +233,16 @@ TEST(KernelEquivalence, QsgdBitIdentical) {
       for (std::uint32_t levels : {1u, 15u, 16u, 255u}) {
         std::mt19937_64 rng_s(99), rng_f(99);
         compress::QuantizedVector q_s, q_f;
-        compress::qsgd_quantize_into_scalar(std::span<const float>(values),
-                                            levels, rng_s, q_s);
-        compress::qsgd_quantize_into_fast(std::span<const float>(values),
-                                          levels, rng_f, q_f);
+        testref::ref_qsgd_quantize(std::span<const float>(values), levels,
+                                   rng_s, q_s);
+        compress::qsgd_quantize_into(std::span<const float>(values), levels,
+                                     rng_f, q_f);
         ASSERT_EQ(q_s.norm, q_f.norm) << "n=" << n << " levels=" << levels;
         ASSERT_EQ(q_s.count, q_f.count);
         expect_bytes_equal(q_s.packed, q_f.packed,
                            "n=" + std::to_string(n) +
                                " levels=" + std::to_string(levels));
-        // Both tiers must also have consumed the same number of draws.
+        // Both must also have consumed the same number of draws.
         EXPECT_EQ(rng_s(), rng_f()) << "RNG streams diverged";
       }
     }
@@ -226,46 +254,42 @@ TEST(KernelEquivalence, QsgdBitIdentical) {
 TEST(KernelEquivalence, XorCodecBitIdentical) {
   for (std::size_t n : kSizes) {
     for (const auto& values : adversarial_inputs(n, 29)) {
-      compress::BitWriter w_s, w_f;
-      compress::compress_floats_scalar(values, w_s);
-      compress::compress_floats_fast(values, w_f);
-      ASSERT_EQ(w_s.bit_count(), w_f.bit_count()) << "n=" << n;
-      const auto bytes_s = std::move(w_s).finish();
-      const auto bytes_f = std::move(w_f).finish();
-      expect_bytes_equal(bytes_s, bytes_f, "encode n=" + std::to_string(n));
-      std::vector<float> dec_s, dec_f;
-      compress::decompress_floats_into_scalar(bytes_s, n, dec_s);
-      compress::decompress_floats_into_fast(bytes_s, n, dec_f);
-      expect_bytes_equal(dec_s, dec_f, "decode n=" + std::to_string(n));
-      expect_bytes_equal(dec_s, values, "roundtrip n=" + std::to_string(n));
+      compress::BitWriter w_r, w_k;
+      testref::ref_compress_floats(values, w_r);
+      compress::compress_floats(values, w_k);
+      ASSERT_EQ(w_r.bit_count(), w_k.bit_count()) << "n=" << n;
+      const auto bytes_r = std::move(w_r).finish();
+      const auto bytes_k = std::move(w_k).finish();
+      expect_bytes_equal(bytes_r, bytes_k, "encode n=" + std::to_string(n));
+      std::vector<float> dec_r, dec_k;
+      testref::ref_decompress_floats(bytes_r, n, dec_r);
+      compress::decompress_floats_into(bytes_r, n, dec_k);
+      expect_bytes_equal(dec_r, dec_k, "decode n=" + std::to_string(n));
+      expect_bytes_equal(dec_k, values, "roundtrip n=" + std::to_string(n));
     }
   }
 }
 
-// Truncated and bit-flipped streams: both decoder tiers and the
+// Truncated and bit-flipped streams: the windowed decoder and the
 // bit-at-a-time reference give identical floats or the same exception type.
 TEST(KernelEquivalence, XorDecodeMalformedStreamsIdentical) {
   using testref::Failure;
   auto expect_same = [](std::span<const std::uint8_t> bytes, std::size_t n,
                         const std::string& what) {
-    std::vector<float> dec_s, dec_f, dec_r;
-    const Failure fail_s = testref::failure_of(
-        [&] { compress::decompress_floats_into_scalar(bytes, n, dec_s); });
-    const Failure fail_f = testref::failure_of(
-        [&] { compress::decompress_floats_into_fast(bytes, n, dec_f); });
+    std::vector<float> dec_k, dec_r;
+    const Failure fail_k = testref::failure_of(
+        [&] { compress::decompress_floats_into(bytes, n, dec_k); });
     const Failure fail_r = testref::failure_of(
         [&] { testref::ref_decompress_floats(bytes, n, dec_r); });
-    ASSERT_EQ(static_cast<int>(fail_s), static_cast<int>(fail_r)) << what;
-    ASSERT_EQ(static_cast<int>(fail_f), static_cast<int>(fail_r)) << what;
+    ASSERT_EQ(static_cast<int>(fail_k), static_cast<int>(fail_r)) << what;
     if (fail_r != Failure::kNone) return;
-    expect_bytes_equal(dec_s, dec_r, "scalar " + what);
-    expect_bytes_equal(dec_f, dec_r, "fast " + what);
+    expect_bytes_equal(dec_k, dec_r, what);
   };
   std::mt19937_64 rng(41);
   for (std::size_t n : {1, 2, 3, 17, 255, 1024}) {
     for (const auto& values : adversarial_inputs(n, 37)) {
       compress::BitWriter w;
-      compress::compress_floats_scalar(values, w);
+      testref::ref_compress_floats(values, w);
       const auto bytes = std::move(w).finish();
       const std::string size = "n=" + std::to_string(n);
       expect_same(bytes, n + 1, size + " one value too many");
@@ -284,34 +308,6 @@ TEST(KernelEquivalence, XorDecodeMalformedStreamsIdentical) {
       }
     }
   }
-}
-
-// --- Dispatch plumbing -------------------------------------------------
-
-TEST(KernelEquivalence, ScopedForceSelectsTier) {
-  {
-    core::KernelDispatch::ScopedForce forced(core::KernelTier::kScalar);
-    EXPECT_EQ(core::KernelDispatch::tier(), core::KernelTier::kScalar);
-    EXPECT_STREQ(core::KernelDispatch::tier_name(), "scalar");
-    {
-      core::KernelDispatch::ScopedForce nested(core::KernelTier::kFast);
-      EXPECT_TRUE(core::KernelDispatch::fast());
-    }
-    EXPECT_FALSE(core::KernelDispatch::fast());
-  }
-  // Dispatched entry points honor the override: the same call under both
-  // forces must agree (they run different code paths).
-  const std::vector<float> values = random_values(5000, 31);
-  std::vector<std::uint32_t> idx_scalar, idx_fast;
-  {
-    core::KernelDispatch::ScopedForce forced(core::KernelTier::kScalar);
-    compress::topk_indices_into(values, 500, idx_scalar);
-  }
-  {
-    core::KernelDispatch::ScopedForce forced(core::KernelTier::kFast);
-    compress::topk_indices_into(values, 500, idx_fast);
-  }
-  EXPECT_EQ(idx_scalar, idx_fast);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "compress/float_codec.hpp"
 #include "core/averaging.hpp"
-#include "core/kernel_dispatch.hpp"
 #include "compress/topk.hpp"
 #include "core/sparse_payload.hpp"
 #include "dwt/dwt.hpp"
@@ -351,15 +350,6 @@ FuzzRun run_async_fuzz(unsigned seed) {
         break;
     }
   }
-
-  // Kernel-dispatch tier, drawn LAST — after the robust_agg draw — so every
-  // earlier seed keeps its exact configuration. The tiers are bit-identical
-  // (test_kernel_equivalence.cpp), so this draw swaps the code path under
-  // the whole run without being allowed to move a single output bit; the
-  // replay below re-draws the same tier from the same seed.
-  const core::KernelTier tier = rng() % 2 == 0 ? core::KernelTier::kFast
-                                               : core::KernelTier::kScalar;
-  core::KernelDispatch::ScopedForce forced_tier(tier);
 
   data::Partition partition(n, {0, 1, 2, 3});
   auto counter = std::make_shared<std::size_t>(0);
