@@ -25,8 +25,8 @@
 //   --merge           Merge the shard fragments in DIR/<scenario-name>/ into
 //                     a grid.json byte-identical to an unsharded run's, then
 //                     exit (no runs are executed)
-//   --resume          Skip runs whose result JSON already exists and parses;
-//                     their grid entries are rebuilt from the file
+//   --resume          Skip runs whose complete jwins.result/2 JSON already
+//                     exists; their grid entries are rebuilt from the file
 //   --list-keys       Print the scenario key reference and exit
 //
 // Exit codes: 0 success, 2 usage/spec error (message: `error: <key>: <why>`),

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -101,8 +102,14 @@ std::string field_value(const std::string& line, const std::string& key) {
 }
 
 /// strtod over the exact %.17g text the writer emitted — round-trips to the
-/// same double, so re-emitting via json_number reproduces the bytes.
+/// same double, so re-emitting via json_number reproduces the bytes. The
+/// writer's null (a non-finite value, e.g. a diverged loss) reads as NaN,
+/// which json_number writes back as null.
 bool parse_double(const std::string& text, double& out) {
+  if (text == "null") {
+    out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
   if (text.empty()) return false;
   errno = 0;
   char* end = nullptr;
@@ -184,12 +191,20 @@ std::string run_file_base(const ScenarioRun& run) {
 
 std::optional<CompletedRun> probe_completed_run(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return std::nullopt;
+  std::string line;
+  // A complete result file opens with the schema line and ends with the
+  // document's closing brace; anything else (an older shape, a write cut
+  // short) is re-run.
+  if (!std::getline(in, line) || line != "{" || !std::getline(in, line) ||
+      field_value(line, "schema") !=
+          std::string("\"") + sim::kResultSchema + "\"") {
+    return std::nullopt;
+  }
   CompletedRun probe;
   bool have_acc = false, have_loss = false, have_rounds = false;
-  std::string line;
-  while (in && !(have_acc && have_loss && have_rounds)) {
-    if (!std::getline(in, line)) break;
+  bool closed = false;
+  while (std::getline(in, line)) {
+    closed = line == "}";
     if (std::string v = field_value(line, "final_accuracy"); !v.empty()) {
       have_acc = parse_double(v, probe.final_accuracy);
     } else if (std::string w = field_value(line, "final_loss"); !w.empty()) {
@@ -203,7 +218,7 @@ std::optional<CompletedRun> probe_completed_run(const std::string& path) {
       }
     }
   }
-  if (!(have_acc && have_loss && have_rounds)) return std::nullopt;
+  if (!(closed && have_acc && have_loss && have_rounds)) return std::nullopt;
   return probe;
 }
 
@@ -289,7 +304,7 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
                  << "  sim-time=" << sim::format_seconds(result.sim_seconds)
                  << (result.reached_target ? "  [reached target]" : "")
                  << "\n";
-        if (result.sim_time.extended) {
+        if (run.config.time.extended()) {
           const sim::SimTimeBreakdown& st = result.sim_time;
           *console << "    sim: compute="
                    << sim::format_seconds(st.compute_seconds)

@@ -84,8 +84,10 @@ struct CompletedRun {
 };
 
 /// Reads the summary triple back from a result JSON written by
-/// sim::write_result_json. nullopt when the file is missing or any field
-/// fails to parse (the run then simply re-executes).
+/// sim::write_result_json (a null loss or accuracy reads as NaN). nullopt
+/// when the file is missing, does not open with the current schema line,
+/// lacks its closing brace, or any field fails to parse (the run then simply
+/// re-executes).
 std::optional<CompletedRun> probe_completed_run(const std::string& path);
 
 /// Merges every grid.shard-<i>-of-<N>.json in `dir` into dir/grid.json,

@@ -113,8 +113,8 @@ struct TimeModelConfig {
   /// True when any fault-injection feature beyond the legacy i.i.d. drop is
   /// configured.
   bool any_faults() const noexcept;
-  /// heterogeneous_time() || any_faults(): gates the extended simulated-time
-  /// block in result JSON (absent = legacy report shape, byte-identical).
+  /// heterogeneous_time() || any_faults(): anything beyond the flat link
+  /// model (jwins_run then prints the time-model and drop summary lines).
   bool extended() const noexcept { return heterogeneous_time() || any_faults(); }
 
   /// Cross-field sanity checks, one "<scenario key>: <why>" per violation

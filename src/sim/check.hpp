@@ -19,8 +19,7 @@ namespace jwins::sim {
 ///
 ///  * sim_time.dropped_total == iid + edge + burst + crash;
 ///  * async engine: messages_sent == delivered + dropped_total + in_flight
-///    (the conservation ledger); after an event-loop target stop, which
-///    leaves its queued arrivals uncounted, messages_sent >= that sum;
+///    (the conservation ledger);
 ///  * async engine: staleness-histogram total + stale drops <= delivered,
 ///    with equality in plain barrier mode (staleness_bound 0); barrier runs
 ///    size the histogram to the window and collect no gate-free stats;
@@ -31,7 +30,8 @@ namespace jwins::sim {
 ///    per local step;
 ///  * rounds_run <= rounds, and == rounds with neither a budget nor a
 ///    reached target; reached_target needs a target it really reached;
-///  * messages_in_flight == 0 without a budget;
+///  * messages_in_flight == 0 unless the run was cut (a budget or a
+///    reached target);
 ///  * async engine: per-node local steps stay within the run's rounds
 ///    (barrier: at most rounds_run; event loop: the slowest node's count is
 ///    rounds_run);
@@ -40,7 +40,7 @@ namespace jwins::sim {
 ///  * byzantine.attackers has byzantine_nodes ascending ranks below the node
 ///    count; no corrupted messages without attackers; trim and clip counters
 ///    stay 0 unless the configured robust rule is the one that moves them;
-///  * each `extended`/`enabled` flag equals what the config implies, and the
+///  * event_engine.enabled is set exactly under the async engine, and the
 ///    mode fields mirror the config;
 ///  * the series is non-empty with ascending rounds, and final_accuracy and
 ///    final_loss are its last point's.

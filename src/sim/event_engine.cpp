@@ -114,9 +114,6 @@ ExperimentResult EventEngine::run() {
   mode_ = exp_.config_.async_mode;
   stats_.enabled = true;
   stats_.mode = mode_;
-  stats_.extended = exp_.config_.staleness_bound > 0 ||
-                    exp_.config_.stop_at_sim_time > 0.0 ||
-                    mode_ != AsyncMode::kBarrier;
   // Barrier runs size the histogram to the gate's window; free/weighted
   // start at size 1 (age 0) and grow to whatever ages actually occur.
   stats_.staleness_histogram.assign(exp_.config_.staleness_bound + 1, 0);
@@ -464,6 +461,20 @@ bool EventEngine::maybe_evaluate(ExperimentResult& result) {
   return false;
 }
 
+void EventEngine::cut_queue() {
+  // Whatever is still queued when the loop stops early (budget cut or target
+  // stop) never happens. Arrivals among it are the in-flight messages of the
+  // conservation ledger; their edge records retire too, so every record is
+  // accounted for (delivered, dropped, or cut) by the time the run ends.
+  while (!queue_.empty()) {
+    const Event cut = queue_.pop();
+    if (cut.kind == EventKind::kMessageArrival) {
+      ++stats_.messages_in_flight;
+      exp_.network_.retire_transfer(cut.message.sender, cut.node);
+    }
+  }
+}
+
 ExperimentResult EventEngine::run_event_loop() {
   ExperimentResult result;
   const ExperimentConfig& cfg = exp_.config_;
@@ -479,28 +490,14 @@ ExperimentResult EventEngine::run_event_loop() {
 
   for (std::uint32_t i = 0; i < n; ++i) start_round(i, 0.0);
 
-  bool stop = false;
-  while (!queue_.empty() && !stop) {
-    Event event = queue_.pop();
-    if (cfg.stop_at_sim_time > 0.0 && event.time > cfg.stop_at_sim_time) {
-      // Budget cut: events at times <= the budget were processed; whatever
-      // is still queued — this event included — never happens. Arrivals
-      // among them are the in-flight messages of the conservation ledger;
-      // their edge records retire too, so every record is accounted for
-      // (delivered, dropped, or cut) by the time the run ends.
-      if (event.kind == EventKind::kMessageArrival) {
-        ++stats_.messages_in_flight;
-        exp_.network_.retire_transfer(event.message.sender, event.node);
-      }
-      while (!queue_.empty()) {
-        const Event cut = queue_.pop();
-        if (cut.kind == EventKind::kMessageArrival) {
-          ++stats_.messages_in_flight;
-          exp_.network_.retire_transfer(cut.message.sender, cut.node);
-        }
-      }
+  while (!queue_.empty()) {
+    // Budget cut: events at times <= the budget are processed; the rest are
+    // cut below, unprocessed.
+    if (cfg.stop_at_sim_time > 0.0 &&
+        queue_.top_time() > cfg.stop_at_sim_time) {
       break;
     }
+    Event event = queue_.pop();
     // Phase attribution at event granularity (the mid-flight compute/comm
     // fix): the slice since the previous event counts as compute while any
     // node is inside a training interval, as communication otherwise. The
@@ -521,10 +518,9 @@ ExperimentResult EventEngine::run_event_loop() {
         break;
       case EventKind::kLocalStep:
         process_local_step(event, result);
-        stop = result.reached_target;
         break;
     }
-    if (stop) break;
+    if (result.reached_target) break;
     if (queue_.empty()) {
       bool all_done = true;
       for (const bool d : done_) all_done = all_done && d;
@@ -547,6 +543,8 @@ ExperimentResult EventEngine::run_event_loop() {
       }
     }
   }
+
+  cut_queue();
 
   std::uint64_t min_completed = round_.empty() ? 0 : round_[0];
   for (const std::uint32_t r : round_) {

@@ -25,8 +25,8 @@
 // times, but every node's LocalStep waits for the global round barrier, and
 // the round clock advances through the very same Network::finish_round()
 // call the synchronous loop makes. Every model byte, metric point, and
-// result-JSON byte is then identical to EngineKind::kSync, under ANY
-// TimeModel (flat or heterogeneous, with or without fault injection).
+// result-JSON byte outside the "event_engine" block is then identical to
+// EngineKind::kSync, under ANY TimeModel (flat or heterogeneous, with or without fault injection).
 // With staleness_bound B > 0 nodes genuinely desynchronize: a node may run
 // up to B rounds ahead of its slowest expected neighbor, messages more than
 // B rounds stale are discarded (counted), and quiescence detection
@@ -79,6 +79,8 @@ class EventQueue {
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
+  /// Time of the event pop() would return next; the queue must not be empty.
+  double top_time() const noexcept { return heap_.front().time; }
   /// High-water mark of size() over the queue's lifetime.
   std::size_t max_depth() const noexcept { return max_depth_; }
   /// Time of the most recent pop (-infinity before the first).
@@ -169,6 +171,8 @@ class EventEngine : private net::DeliverySink {
   /// Emits due global evaluations (all nodes past the eval round) and the
   /// target-accuracy stop. Returns true when the run should terminate.
   bool maybe_evaluate(ExperimentResult& result);
+  /// Empties the queue after an early stop (budget cut or target stop).
+  void cut_queue();
 
   Experiment& exp_;
   EventQueue queue_;

@@ -628,7 +628,6 @@ void Experiment::collect_summary(ExperimentResult& result) {
   result.mean_alpha =
       alpha_samples_ == 0 ? 0.0 : alpha_sum_ / static_cast<double>(alpha_samples_);
   const net::TimeModel& tm = network_.time_model();
-  result.sim_time.extended = tm.extended();
   result.sim_time.compute_seconds = network_.simulated_compute_seconds();
   result.sim_time.comm_seconds = network_.simulated_comm_seconds();
   result.sim_time.dropped_total = tm.dropped_total();
@@ -638,24 +637,16 @@ void Experiment::collect_summary(ExperimentResult& result) {
   result.sim_time.dropped_crash = tm.dropped_crash();
   result.sim_time.crashed_node_rounds = tm.crashed_node_rounds();
   result.sim_time.stragglers = tm.straggler_count();
-  // Attack/defense accounting (gated exactly like sim_time/event_engine:
-  // absent on benign, defense-free runs so their JSON stays byte-identical).
-  result.byzantine.extended =
-      config_.byzantine_nodes > 0 ||
-      config_.robust_agg.kind != core::RobustAggKind::kNone;
-  if (result.byzantine.extended) {
-    result.byzantine.mode = config_.byzantine_mode;
-    result.byzantine.robust_agg = config_.robust_agg.kind;
-    for (const auto& node : nodes_) {
-      if (node->is_byzantine()) {
-        result.byzantine.attackers.push_back(node->rank());
-      }
-      result.byzantine.corrupted_messages += node->corrupted_messages();
-      result.byzantine.trimmed_entries +=
-          node->robust_counters().trimmed_entries;
-      result.byzantine.clipped_contributions +=
-          node->robust_counters().clipped_contributions;
+  result.byzantine.mode = config_.byzantine_mode;
+  result.byzantine.robust_agg = config_.robust_agg.kind;
+  for (const auto& node : nodes_) {
+    if (node->is_byzantine()) {
+      result.byzantine.attackers.push_back(node->rank());
     }
+    result.byzantine.corrupted_messages += node->corrupted_messages();
+    result.byzantine.trimmed_entries += node->robust_counters().trimmed_entries;
+    result.byzantine.clipped_contributions +=
+        node->robust_counters().clipped_contributions;
   }
 }
 

@@ -61,9 +61,10 @@ const char* algorithm_name(Algorithm algorithm);
 ///    are state machines advanced by TrainDone / MessageArrival / LocalStep
 ///    events, messages arrive when their link says they arrive, and slow
 ///    nodes genuinely fall behind. With `staleness_bound == 0` (barrier
-///    mode) it reduces EXACTLY — byte-for-byte result JSON — to kSync under
-///    any TimeModel; a bound B > 0 lets a node run up to B rounds ahead of
-///    its neighbors (docs/SIMULATION.md "Asynchronous engine").
+///    mode) it reduces EXACTLY — byte-for-byte result JSON outside the
+///    "event_engine" block — to kSync under any TimeModel; a bound B > 0
+///    lets a node run up to B rounds ahead of its neighbors
+///    (docs/SIMULATION.md "Asynchronous engine").
 enum class EngineKind { kSync, kAsync };
 
 const char* engine_name(EngineKind kind);
@@ -269,12 +270,9 @@ struct PhaseTimings {
   double total_seconds = 0.0;  ///< whole run(), including bookkeeping
 };
 
-/// Simulated-time & fault summary of a run. `extended` is true when the
-/// experiment configured anything beyond the flat link model; only then does
-/// `sim::write_result_json` emit the "sim_time" block (keeping default-model
-/// JSON byte-identical to the pre-TimeModel engine).
+/// Simulated-time & fault summary of a run (the "sim_time" result-JSON
+/// block; zero drop and straggler counters under the flat link model).
 struct SimTimeBreakdown {
-  bool extended = false;
   double compute_seconds = 0.0;  ///< cumulative simulated compute phase
   double comm_seconds = 0.0;     ///< cumulative simulated communication phase
   std::uint64_t dropped_total = 0;
@@ -286,24 +284,21 @@ struct SimTimeBreakdown {
   std::size_t stragglers = 0;             ///< nodes with a compute multiplier
 };
 
-/// Counters of one asynchronous-engine run (sim/event_engine.hpp).
-/// `enabled` is true whenever the run used EngineKind::kAsync; `extended`
-/// additionally gates the "event_engine" result-JSON block — it is set only
-/// when the run configured genuine asynchrony (staleness_bound > 0) or a
-/// simulated-time budget, so barrier-mode runs keep their JSON byte-identical
-/// to the synchronous engine (the golden-reduction guarantee).
+/// Counters of one asynchronous-engine run (sim/event_engine.hpp), the
+/// "event_engine" result-JSON block. `enabled` is true whenever the run used
+/// EngineKind::kAsync; a synchronous run leaves every counter 0 and every
+/// array empty.
 struct EventEngineStats {
   bool enabled = false;
-  bool extended = false;
-  /// Aggregation discipline the run used (mirrors config; names the
-  /// per-mode JSON block).
+  /// Aggregation discipline the run used (mirrors config).
   AsyncMode mode = AsyncMode::kBarrier;
   std::uint64_t events_processed = 0;
   std::size_t max_queue_depth = 0;
   /// Messages that survived failure injection and reached their receiver's
   /// inbox. sent == delivered + dropped (per-cause) + in_flight.
   std::uint64_t messages_delivered = 0;
-  /// Arrival events still queued when the run terminated (budget cut).
+  /// Arrival events still queued when the event loop was cut short (budget
+  /// cut or target stop).
   std::uint64_t messages_in_flight = 0;
   /// Delivered messages discarded unapplied because their round tag had
   /// fallen below the receiver's staleness window.
@@ -340,12 +335,9 @@ struct EventEngineStats {
   double mean_contribution_age() const noexcept;
 };
 
-/// Attack/defense accounting of one run. `extended` is true when the run
-/// configured byzantine nodes or a non-none robust rule; only then does
-/// sim::write_result_json emit the "byzantine" block, so benign runs keep
-/// their JSON byte-identical to the pre-adversarial engine.
+/// Attack/defense accounting of one run, the "byzantine" result-JSON block
+/// (no attackers and zero counters on a benign, defense-free run).
 struct ByzantineStats {
-  bool extended = false;
   algo::ByzantineMode mode = algo::ByzantineMode::kSignFlip;
   core::RobustAggKind robust_agg = core::RobustAggKind::kNone;
   /// The seeded victim set (ascending ranks; empty without an attack).
@@ -370,8 +362,7 @@ struct ExperimentResult {
   SimTimeBreakdown sim_time;
   EventEngineStats event_engine;  ///< async engine only (enabled == false
                                   ///< under the synchronous engine)
-  ByzantineStats byzantine;  ///< attack/defense accounting (extended ==
-                             ///< false on benign, defense-free runs)
+  ByzantineStats byzantine;  ///< attack/defense accounting
   PhaseTimings wall;        ///< host wall-clock per phase (not simulated)
 };
 

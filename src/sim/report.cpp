@@ -90,6 +90,7 @@ std::string json_string(const std::string& s) {
 void write_result_json(std::ostream& os, const std::string& label,
                        const ExperimentResult& result, bool include_wall) {
   os << "{\n";
+  os << "  \"schema\": \"" << kResultSchema << "\",\n";
   os << "  \"label\": " << json_string(label) << ",\n";
   os << "  \"rounds_run\": " << result.rounds_run << ",\n";
   os << "  \"sim_seconds\": " << json_number(result.sim_seconds) << ",\n";
@@ -105,92 +106,60 @@ void write_result_json(std::ostream& os, const std::string& label,
   os << "    \"payload_bytes_sent\": " << t.payload_bytes_sent << ",\n";
   os << "    \"metadata_bytes_sent\": " << t.metadata_bytes_sent << "\n";
   os << "  },\n";
-  // Extended simulated-time block: present only when the run configured
-  // heterogeneity or fault injection beyond the flat link model, so the
-  // default report shape stays byte-identical to the pre-TimeModel engine
-  // (docs/SIMULATION.md "Result JSON").
-  if (result.sim_time.extended) {
-    const SimTimeBreakdown& st = result.sim_time;
-    os << "  \"sim_time\": {\n";
-    os << "    \"compute_seconds\": " << json_number(st.compute_seconds)
-       << ",\n";
-    os << "    \"comm_seconds\": " << json_number(st.comm_seconds) << ",\n";
-    os << "    \"stragglers\": " << st.stragglers << ",\n";
-    os << "    \"crashed_node_rounds\": " << st.crashed_node_rounds << ",\n";
-    os << "    \"messages_dropped\": {\"total\": " << st.dropped_total
-       << ", \"iid\": " << st.dropped_iid << ", \"edge\": " << st.dropped_edge
-       << ", \"burst\": " << st.dropped_burst
-       << ", \"crash\": " << st.dropped_crash << "},\n";
-    os << "    \"series\": [";
-    for (std::size_t i = 0; i < result.series.size(); ++i) {
-      const MetricPoint& p = result.series[i];
-      os << (i == 0 ? "\n" : ",\n");
-      os << "      {\"round\": " << p.round
-         << ", \"compute_seconds\": " << json_number(p.sim_compute_seconds)
-         << ", \"comm_seconds\": " << json_number(p.sim_comm_seconds) << "}";
-    }
-    os << (result.series.empty() ? "]\n" : "\n    ]\n");
-    os << "  },\n";
+  const SimTimeBreakdown& st = result.sim_time;
+  os << "  \"sim_time\": {\n";
+  os << "    \"compute_seconds\": " << json_number(st.compute_seconds) << ",\n";
+  os << "    \"comm_seconds\": " << json_number(st.comm_seconds) << ",\n";
+  os << "    \"stragglers\": " << st.stragglers << ",\n";
+  os << "    \"crashed_node_rounds\": " << st.crashed_node_rounds << ",\n";
+  os << "    \"messages_dropped\": {\"total\": " << st.dropped_total
+     << ", \"iid\": " << st.dropped_iid << ", \"edge\": " << st.dropped_edge
+     << ", \"burst\": " << st.dropped_burst
+     << ", \"crash\": " << st.dropped_crash << "}\n";
+  os << "  },\n";
+  const EventEngineStats& ee = result.event_engine;
+  os << "  \"event_engine\": {\n";
+  os << "    \"engine\": \"" << (ee.enabled ? "async" : "sync") << "\",\n";
+  os << "    \"async_mode\": \"" << async_mode_name(ee.mode) << "\",\n";
+  os << "    \"events_processed\": " << ee.events_processed << ",\n";
+  os << "    \"max_queue_depth\": " << ee.max_queue_depth << ",\n";
+  os << "    \"messages_delivered\": " << ee.messages_delivered << ",\n";
+  os << "    \"messages_in_flight\": " << ee.messages_in_flight << ",\n";
+  os << "    \"messages_stale_dropped\": " << ee.messages_stale_dropped
+     << ",\n";
+  os << "    \"staleness_overrides\": " << ee.staleness_overrides << ",\n";
+  os << "    \"staleness_histogram\": [";
+  for (std::size_t i = 0; i < ee.staleness_histogram.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << ee.staleness_histogram[i];
   }
-  // Event-engine block: present only when the asynchronous engine ran with
-  // genuine asynchrony (staleness_bound > 0) or a simulated-time budget —
-  // barrier-mode runs keep their JSON byte-identical to the synchronous
-  // engine (the golden-reduction guarantee; sim/event_engine.hpp).
-  if (result.event_engine.extended) {
-    const EventEngineStats& ee = result.event_engine;
-    os << "  \"event_engine\": {\n";
-    os << "    \"async_mode\": \"" << async_mode_name(ee.mode) << "\",\n";
-    os << "    \"events_processed\": " << ee.events_processed << ",\n";
-    os << "    \"max_queue_depth\": " << ee.max_queue_depth << ",\n";
-    os << "    \"messages_delivered\": " << ee.messages_delivered << ",\n";
-    os << "    \"messages_in_flight\": " << ee.messages_in_flight << ",\n";
-    os << "    \"messages_stale_dropped\": " << ee.messages_stale_dropped
-       << ",\n";
-    os << "    \"staleness_overrides\": " << ee.staleness_overrides << ",\n";
-    os << "    \"staleness_histogram\": [";
-    for (std::size_t i = 0; i < ee.staleness_histogram.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << ee.staleness_histogram[i];
-    }
-    os << "],\n";
-    // Per-mode block: only the gate-free modes collect the effective-
-    // neighbor histogram and contribution ages (under the barrier gate the
-    // neighbor count is pinned by the gate itself).
-    if (ee.mode != AsyncMode::kBarrier) {
-      os << "    \"effective_neighbors\": [";
-      for (std::size_t i = 0; i < ee.effective_neighbors.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << ee.effective_neighbors[i];
-      }
-      os << "],\n";
-      os << "    \"mean_contribution_age\": "
-         << json_number(ee.mean_contribution_age()) << ",\n";
-    }
-    os << "    \"edge_records_high_water\": " << ee.edge_records_high_water
-       << ",\n";
-    os << "    \"local_steps\": {\"min\": " << ee.local_steps_min()
-       << ", \"max\": " << ee.local_steps_max()
-       << ", \"mean\": " << json_number(ee.local_steps_mean()) << "}\n";
-    os << "  },\n";
+  os << "],\n";
+  os << "    \"effective_neighbors\": [";
+  for (std::size_t i = 0; i < ee.effective_neighbors.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << ee.effective_neighbors[i];
   }
-  // Byzantine block: present only when the run configured an attack or a
-  // non-none robust rule, so benign runs keep the legacy report shape
-  // (docs/SIMULATION.md "Adversarial behavior").
-  if (result.byzantine.extended) {
-    const ByzantineStats& bz = result.byzantine;
-    os << "  \"byzantine\": {\n";
-    os << "    \"mode\": \"" << algo::byzantine_mode_name(bz.mode) << "\",\n";
-    os << "    \"robust_agg\": \"" << core::robust_agg_name(bz.robust_agg)
-       << "\",\n";
-    os << "    \"attackers\": [";
-    for (std::size_t i = 0; i < bz.attackers.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << bz.attackers[i];
-    }
-    os << "],\n";
-    os << "    \"corrupted_messages\": " << bz.corrupted_messages << ",\n";
-    os << "    \"trimmed_entries\": " << bz.trimmed_entries << ",\n";
-    os << "    \"clipped_contributions\": " << bz.clipped_contributions
-       << "\n";
-    os << "  },\n";
+  os << "],\n";
+  os << "    \"mean_contribution_age\": "
+     << json_number(ee.mean_contribution_age()) << ",\n";
+  os << "    \"edge_records_high_water\": " << ee.edge_records_high_water
+     << ",\n";
+  os << "    \"local_steps\": {\"min\": " << ee.local_steps_min()
+     << ", \"max\": " << ee.local_steps_max()
+     << ", \"mean\": " << json_number(ee.local_steps_mean()) << "}\n";
+  os << "  },\n";
+  const ByzantineStats& bz = result.byzantine;
+  os << "  \"byzantine\": {\n";
+  os << "    \"mode\": \"" << algo::byzantine_mode_name(bz.mode) << "\",\n";
+  os << "    \"robust_agg\": \"" << core::robust_agg_name(bz.robust_agg)
+     << "\",\n";
+  os << "    \"attackers\": [";
+  for (std::size_t i = 0; i < bz.attackers.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << bz.attackers[i];
   }
+  os << "],\n";
+  os << "    \"corrupted_messages\": " << bz.corrupted_messages << ",\n";
+  os << "    \"trimmed_entries\": " << bz.trimmed_entries << ",\n";
+  os << "    \"clipped_contributions\": " << bz.clipped_contributions << "\n";
+  os << "  },\n";
   if (include_wall) {
     const PhaseTimings& w = result.wall;
     os << "  \"wall_seconds\": {\n";
@@ -207,6 +176,8 @@ void write_result_json(std::ostream& os, const std::string& label,
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"round\": " << p.round
        << ", \"sim_seconds\": " << json_number(p.sim_seconds)
+       << ", \"compute_seconds\": " << json_number(p.sim_compute_seconds)
+       << ", \"comm_seconds\": " << json_number(p.sim_comm_seconds)
        << ", \"test_accuracy\": " << json_number(p.test_accuracy)
        << ", \"test_loss\": " << json_number(p.test_loss)
        << ", \"train_loss\": " << json_number(p.train_loss)

@@ -31,24 +31,23 @@ std::string json_number(double v);
 /// JSON string literal with quote/backslash/control-character escaping.
 std::string json_string(const std::string& s);
 
+/// Identifies the result-JSON shape: the first key of every document
+/// write_result_json emits (docs/SIMULATION.md "Result JSON").
+inline constexpr const char* kResultSchema = "jwins.result/2";
+
 /// Machine-readable result for downstream plotting (the jwins_run CLI's
-/// output format): the full metric series, per-phase host wall-clock, and
-/// the payload/metadata traffic split. Runs under a heterogeneous or
-/// fault-injecting time model additionally carry a "sim_time" block
-/// (simulated compute/comm split, per-cause drop counters, and the
-/// per-evaluation simulated-time series); under the default flat model the
-/// block is omitted so the report shape is unchanged (docs/SIMULATION.md).
-/// Runs under the asynchronous event engine with genuine asynchrony
-/// (staleness_bound > 0 or a sim-time budget) likewise carry an
-/// "event_engine" block — event/queue counters, the message conservation
-/// ledger (delivered / in-flight / stale-dropped), the staleness histogram,
-/// and the per-node local-step spread; barrier-mode async runs omit it so
-/// their JSON stays byte-identical to the synchronous engine.
+/// output format). Every run emits the same blocks in the same order: the
+/// summary, traffic, "sim_time" (simulated compute/comm split and per-cause
+/// drop counters), "event_engine" (event and queue counters, the message
+/// conservation ledger, staleness statistics and the per-node local-step
+/// spread; all zero under the synchronous engine), "byzantine" (attackers
+/// and defense counters), the host "wall_seconds" and the metric series,
+/// whose points carry the cumulative simulated compute/comm split.
 /// The output is deterministic — the same ExperimentResult always produces
 /// the same bytes (doubles are emitted round-trip exactly via %.17g) —
-/// EXCEPT the "wall_seconds" block, which measures this host; pass
-/// include_wall = false when comparing JSON across runs (the determinism
-/// tests do).
+/// EXCEPT the "wall_seconds" block, which measures this host; include_wall
+/// = false omits it when comparing JSON across runs (the determinism tests
+/// do).
 void write_result_json(std::ostream& os, const std::string& label,
                        const ExperimentResult& result,
                        bool include_wall = true);

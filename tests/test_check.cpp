@@ -214,7 +214,7 @@ const Base& base(const std::string& name) {
       add_heterogeneity(c);
       c.compute_seconds_per_round = 0.005;
     });
-    // A target stop leaves queued arrivals uncounted: sent exceeds the ledger.
+    // A target stop cuts the queue: its arrivals end in flight.
     add("free_target", [](ExperimentConfig& c) {
       c.engine = EngineKind::kAsync;
       c.async_mode = AsyncMode::kFree;
@@ -237,22 +237,10 @@ struct Edit {
 };
 
 const Edit kEdits[] = {
-    // Flags and the mode mirrors.
-    {"sync", "sim_time.extended",
-     [](ExperimentResult& r, const ExperimentConfig&) {
-       r.sim_time.extended = false;
-     }},
+    // The engine flag and the mode mirrors.
     {"sync", "event_engine.enabled",
      [](ExperimentResult& r, const ExperimentConfig&) {
        r.event_engine.enabled = true;
-     }},
-    {"free", "event_engine.extended",
-     [](ExperimentResult& r, const ExperimentConfig&) {
-       r.event_engine.extended = false;
-     }},
-    {"sync", "byzantine.extended",
-     [](ExperimentResult& r, const ExperimentConfig&) {
-       r.byzantine.extended = true;
      }},
     {"free", "event_engine.mode",
      [](ExperimentResult& r, const ExperimentConfig&) {
@@ -316,6 +304,10 @@ const Edit kEdits[] = {
     {"free_target", "messages_sent",
      [](ExperimentResult& r, const ExperimentConfig&) {
        r.total_traffic.messages_sent = 0;
+     }},
+    {"free_target", "traffic.messages_sent",
+     [](ExperimentResult& r, const ExperimentConfig&) {
+       ++r.total_traffic.messages_sent;
      }},
     {"barrier", "staleness_histogram",
      [](ExperimentResult& r, const ExperimentConfig&) {
@@ -428,6 +420,7 @@ TEST(CheckResult, BasesAreValidAndExerciseEveryLedger) {
   const ExperimentResult& free_target = base("free_target").result;
   EXPECT_TRUE(free_target.reached_target);
   EXPECT_GT(free_target.event_engine.messages_delivered, 0u);
+  EXPECT_GT(free_target.event_engine.messages_in_flight, 0u);
 }
 
 TEST(CheckResult, OneEditedFieldTripsOneNamedIdentity) {

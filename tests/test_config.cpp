@@ -807,9 +807,10 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The event-engine, simulated-time and byzantine presets, shrunk with the
 // same --set values the CLI uses for a quick run. Every cell must hold every
-// result invariant (sim::check_result), emit its gated JSON block, and show
-// the behaviour its preset exists for: a local-step spread under a budget,
-// drops and crashes on flaky links, every robust rule engaging.
+// result invariant (sim::check_result), fill the JSON block its preset is
+// about, and show the behaviour the preset exists for: a local-step spread
+// under a budget, drops and crashes on flaky links, every robust rule
+// engaging.
 
 /// The text of the result-JSON block `"<name>": {...}` ("" when absent).
 std::string json_block(const std::string& json, const std::string& name) {
@@ -830,12 +831,12 @@ void expect_keys(const std::string& block,
 }
 
 void expect_sim_time(const sim::ExperimentResult& r, const std::string& json) {
-  const std::string block = json_block(json, "sim_time");
-  expect_keys(block, {"compute_seconds", "comm_seconds", "stragglers",
-                      "crashed_node_rounds", "messages_dropped", "series"});
-  // One {round, compute_seconds, comm_seconds} point per metric point.
+  expect_keys(json_block(json, "sim_time"),
+              {"compute_seconds", "comm_seconds", "stragglers",
+               "crashed_node_rounds", "messages_dropped"});
+  // Every series point carries its compute/comm split.
   std::size_t points = 0;
-  std::istringstream lines(block);
+  std::istringstream lines(json);
   for (std::string line; std::getline(lines, line);) {
     if (line.find("{\"round\": ") == std::string::npos) continue;
     ++points;
@@ -850,11 +851,11 @@ void expect_sim_time(const sim::ExperimentResult& r, const std::string& json) {
 void expect_event_engine(const sim::ExperimentResult& r,
                          const std::string& json) {
   const std::string block = json_block(json, "event_engine");
-  expect_keys(block, {"async_mode", "events_processed", "max_queue_depth",
-                      "messages_delivered", "messages_in_flight",
-                      "messages_stale_dropped", "staleness_overrides",
-                      "staleness_histogram", "edge_records_high_water",
-                      "local_steps"});
+  expect_keys(block, {"engine", "async_mode", "events_processed",
+                      "max_queue_depth", "messages_delivered",
+                      "messages_in_flight", "messages_stale_dropped",
+                      "staleness_overrides", "staleness_histogram",
+                      "edge_records_high_water", "local_steps"});
   EXPECT_NE(block.find("\"local_steps\": {\"min\": "), std::string::npos);
   expect_keys(block, {"max", "mean"});
   EXPECT_GT(r.event_engine.events_processed, 0u);
@@ -972,8 +973,8 @@ INSTANTIATE_TEST_SUITE_P(
                      const std::string& json) {
                     expect_gate_free(sim::AsyncMode::kWeighted, r, json);
                   }},
-        // 2 algorithms x byzantine_nodes in {0, 1, 2}; the benign arms keep
-        // the legacy report shape (check_result's byzantine.extended rule).
+        // 2 algorithms x byzantine_nodes in {0, 1, 2}; the benign arms
+        // report no attackers and zero counters in the same block.
         PresetRow{"byzantine_signflip",
                   "byzantine_signflip",
                   {{"rounds", "6"}, {"eval_every", "3"},
@@ -984,7 +985,11 @@ INSTANTIATE_TEST_SUITE_P(
                     EXPECT_EQ(run.config.robust_agg.kind,
                               core::RobustAggKind::kNone);
                     if (run.config.byzantine_nodes == 0) {
-                      EXPECT_EQ(json_block(json, "byzantine"), "");
+                      const std::string block = json_block(json, "byzantine");
+                      EXPECT_NE(block.find("\"attackers\": [],"),
+                                std::string::npos);
+                      EXPECT_NE(block.find("\"corrupted_messages\": 0,"),
+                                std::string::npos);
                     } else {
                       expect_attacked(run, r, json);
                     }
@@ -1030,6 +1035,92 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PresetRow>& info) {
       return std::string(info.param.name);
     });
+
+// --- one result shape ------------------------------------------------------
+
+/// Every key path of a result-JSON document in first-seen order, with array
+/// elements folded into "[]" ("series[].round"): two documents of the same
+/// shape give the same list whatever their series lengths and values.
+std::vector<std::string> key_paths(const std::string& json) {
+  std::vector<std::string> paths;
+  std::vector<std::string> open;  // path prefix of each open container
+  std::string last_key;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      std::string text;
+      for (++i; json[i] != '"'; ++i) {
+        if (json[i] == '\\') ++i;
+        text += json[i];
+      }
+      if (i + 1 < json.size() && json[i + 1] == ':') {
+        last_key = open.back() + text;
+        if (std::find(paths.begin(), paths.end(), last_key) == paths.end()) {
+          paths.push_back(last_key);
+        }
+      }
+    } else if (c == '{' || c == '[') {
+      // An object or array is owned by the key before it, or by the array
+      // it is an element of.
+      std::string owner;
+      if (!open.empty()) {
+        const std::string& top = open.back();
+        const bool in_array = top.size() >= 2 &&
+                              top.compare(top.size() - 2, 2, "[]") == 0;
+        owner = in_array ? top : last_key;
+      }
+      open.push_back(open.empty() ? "" : owner + (c == '{' ? "." : "[]"));
+    } else if (c == '}' || c == ']') {
+      open.pop_back();
+    }
+  }
+  return paths;
+}
+
+TEST(ResultShape, SyncBenignAndAsyncAttackedRunsEmitTheSameKeyPaths) {
+  // jwins.result/2 has one shape: a sync run on the flat link model with no
+  // attack and an async free-mode run on heterogeneous links under attack
+  // emit the same key paths in the same order; only the values differ.
+  const std::string base =
+      "workload = femnist\nalgorithm = jwins\nnodes = 6\n"
+      "topology = regular\nrounds = 2\nseed = 5\neval_every = 1\n"
+      "eval_sample_limit = 16\neval_node_limit = 2\n";
+  const auto emit = [](const std::string& text) {
+    const std::vector<ScenarioRun> runs = expand(text);
+    EXPECT_EQ(runs.size(), 1u);
+    const sim::ExperimentResult result = execute(runs.front());
+    EXPECT_EQ(testutil::check_report(result, runs.front().config,
+                                     runs.front().nodes),
+              "");
+    std::ostringstream json;
+    sim::write_result_json(json, runs.front().label, result);
+    return json.str();
+  };
+  const std::string plain = emit(base);
+  const std::string attacked =
+      emit(base +
+           "engine = async\nasync_mode = free\nlatency_dist = uniform:2:40\n"
+           "straggler_fraction = 0.3\nstraggler_slowdown = 4\n"
+           "byzantine_nodes = 1\nrobust_agg = trimmed_mean:0.25\n");
+  for (const std::string& json : {plain, attacked}) {
+    EXPECT_EQ(json.rfind("{\n  \"schema\": \"jwins.result/2\",\n", 0), 0u);
+    for (const char* block :
+         {"traffic", "sim_time", "event_engine", "byzantine", "wall_seconds"}) {
+      EXPECT_NE(json_block(json, block), "") << block;
+    }
+    expect_keys(json_block(json, "event_engine"),
+                {"engine", "effective_neighbors", "mean_contribution_age"});
+  }
+  EXPECT_NE(plain.find("\"engine\": \"sync\""), std::string::npos);
+  EXPECT_NE(attacked.find("\"engine\": \"async\""), std::string::npos);
+  const std::vector<std::string> paths = key_paths(plain);
+  EXPECT_EQ(paths, key_paths(attacked));
+  EXPECT_NE(std::find(paths.begin(), paths.end(), "series[].comm_seconds"),
+            paths.end());
+  EXPECT_NE(std::find(paths.begin(), paths.end(),
+                      "sim_time.messages_dropped.crash"),
+            paths.end());
+}
 
 // The "without random cut-off" arms pin alpha to the base distribution's
 // expected value; the preset spells it as a decimal literal, which must

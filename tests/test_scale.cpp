@@ -764,6 +764,28 @@ TEST(Sweep, ProbeParsesWrittenResultsAndRejectsGarbage) {
   EXPECT_FALSE(config::probe_completed_run((dir / "absent.json").string()));
   write_file(dir / "garbage.json", "{\"not\": \"a result\"}\n");
   EXPECT_FALSE(config::probe_completed_run((dir / "garbage.json").string()));
+
+  // A write cut short after the summary lines lacks the closing brace.
+  const std::string text = read_file(json);
+  const std::size_t loss_end = text.find('\n', text.find("\"final_loss\""));
+  write_file(dir / "truncated.json", text.substr(0, loss_end + 1));
+  EXPECT_FALSE(config::probe_completed_run((dir / "truncated.json").string()));
+  // A document without the schema line is some other shape.
+  write_file(dir / "schemaless.json",
+             std::regex_replace(text, std::regex("\n  \"schema\": [^\n]*"),
+                                ""));
+  EXPECT_FALSE(
+      config::probe_completed_run((dir / "schemaless.json").string()));
+  // A diverged run's loss is written as null and reads back as NaN.
+  write_file(dir / "diverged.json",
+             std::regex_replace(text,
+                                std::regex("\"final_loss\": [^,]*,"),
+                                "\"final_loss\": null,"));
+  const auto diverged =
+      config::probe_completed_run((dir / "diverged.json").string());
+  ASSERT_TRUE(diverged.has_value());
+  EXPECT_TRUE(std::isnan(diverged->final_loss));
+  EXPECT_EQ(diverged->final_accuracy, probe->final_accuracy);
 }
 
 // --- Scale presets parse, validate, and carry the memory-diet knobs --------

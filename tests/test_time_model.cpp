@@ -11,9 +11,10 @@
 //  * crash/rejoin and burst bookkeeping, per-cause drop counters;
 //  * the new scenario keys: value mapping, unit conversion, and every
 //    diagnostic path;
-//  * experiment integration: the extended sim_time JSON block (present
-//    under heterogeneity/faults, absent by default) and the threads=1 vs 4
-//    byte-identical-JSON determinism guard extended to heterogeneous runs.
+//  * experiment integration: the sim_time JSON block (drop and straggler
+//    counters under heterogeneity/faults, zero by default) and the
+//    threads=1 vs 4 byte-identical-JSON determinism guard carried over to
+//    heterogeneous runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -243,8 +244,7 @@ TEST(TimeModelGolden, DegenerateHeterogeneityMatchesFlatOnSingleEdges) {
 
 TEST(TimeModelGolden, InertHeterogeneitySettingsKeepResultsByteIdentical) {
   // straggler_fraction > 0 with slowdown == 1 changes nothing, so the run
-  // must stay on the legacy path and emit byte-identical JSON (no sim_time
-  // block) — the pre-PR report shape.
+  // must stay on the flat path and emit byte-identical JSON.
   const std::size_t n = 6;
   auto run_with = [&](const TimeModelConfig& time) {
     const sim::Workload w = sim::make_femnist_like(n, 5);
@@ -269,7 +269,6 @@ TEST(TimeModelGolden, InertHeterogeneitySettingsKeepResultsByteIdentical) {
   const std::string a = run_with({});
   const std::string b = run_with(inert);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.find("\"sim_time\""), std::string::npos);
 }
 
 // --- the critical-path accumulator -----------------------------------------
@@ -687,7 +686,6 @@ TimeModelConfig hetero_fault_config() {
 TEST(TimeModelExperiment, ExtendedRunPopulatesTheBreakdown) {
   const sim::ExperimentResult result =
       run_experiment(hetero_fault_config(), /*threads=*/2);
-  EXPECT_TRUE(result.sim_time.extended);
   EXPECT_GT(result.sim_time.comm_seconds, 0.0);
   EXPECT_GT(result.sim_time.compute_seconds, 0.0);
   EXPECT_NEAR(result.sim_time.compute_seconds + result.sim_time.comm_seconds,
@@ -719,16 +717,21 @@ TEST(TimeModelExperiment, StragglersSlowTheSimulatedClock) {
 }
 
 TEST(TimeModelExperiment, DefaultRunJsonHasNoSimTimeBlock) {
+  // The flat model's sim_time block is all zero counters: no stragglers,
+  // crashes or drops of any cause.
   const sim::ExperimentResult result = run_experiment({}, 2);
   std::ostringstream os;
   sim::write_result_json(os, "default", result, /*include_wall=*/false);
-  EXPECT_EQ(os.str().find("\"sim_time\""), std::string::npos);
-  EXPECT_FALSE(result.sim_time.extended);
+  EXPECT_NE(os.str().find("\"stragglers\": 0,\n    \"crashed_node_rounds\": "
+                          "0,\n    \"messages_dropped\": {\"total\": 0, "
+                          "\"iid\": 0, \"edge\": 0, \"burst\": 0, "
+                          "\"crash\": 0}"),
+            std::string::npos);
 }
 
 TEST(TimeModelExperiment, ExtendedJsonIsByteIdenticalAcrossThreadCounts) {
-  // The determinism guard extended to heterogeneous/faulty runs: threads=1
-  // and threads=4 must emit identical JSON bytes, sim_time block included.
+  // The determinism guard on heterogeneous/faulty runs: threads=1 and
+  // threads=4 must emit identical JSON bytes, sim_time block included.
   const sim::ExperimentResult sequential =
       run_experiment(hetero_fault_config(), 1);
   const sim::ExperimentResult threaded =
@@ -770,7 +773,6 @@ TEST(TimeModelExperiment, ScenarioPresetRunsThroughTheRunner) {
   const auto runs = config::expand_grid(raw);
   ASSERT_EQ(runs.size(), 1u);
   const sim::ExperimentResult result = config::execute(runs.front());
-  EXPECT_TRUE(result.sim_time.extended);
   EXPECT_GT(result.sim_time.dropped_total, 0u);
   EXPECT_EQ(result.sim_time.crashed_node_rounds, 4u);  // 2 nodes x rounds [1,3)
 }

@@ -26,6 +26,18 @@ inline std::string check_report(const sim::ExperimentResult& result,
   return report;
 }
 
+/// `json`, a sim::write_result_json document, without its top-level
+/// `"<name>": {...}` block: compares two reports that differ only there
+/// (the async engine's barrier reduction against kSync differs only in its
+/// "event_engine" counters).
+inline std::string strip_json_block(const std::string& json,
+                                    const std::string& name) {
+  const std::size_t at = json.find("\n  \"" + name + "\": {");
+  if (at == std::string::npos) return json;
+  // Every block is followed by another key, so it closes with "\n  },".
+  return json.substr(0, at) + json.substr(json.find("\n  },", at) + 5);
+}
+
 /// Live heap bytes currently held through the global operator new, tracked
 /// by test_arena.cpp's counting-allocator hook (the single new/delete
 /// replacement the test binary is allowed). Returns -1 when the hook is
