@@ -20,13 +20,12 @@
 //   --no-files        Console summary only, write nothing
 //   --dry-run         Print the expanded grid and exit without running
 //   --shard i/N       Execute only grid cells with index % N == i and write
-//                     a grid.shard-i-of-N.json fragment instead of grid.json
-//                     (run all N shards — any machines — then --merge)
-//   --merge           Merge the shard fragments in DIR/<scenario-name>/ into
-//                     a grid.json byte-identical to an unsharded run's, then
-//                     exit (no runs are executed)
-//   --resume          Skip runs whose complete jwins.result/2 JSON already
-//                     exists; their grid entries are rebuilt from the file
+//                     their JSON + CSV, no grid.json (run all N shards — any
+//                     machines — into one DIR, then --resume)
+//   --resume          Keep runs whose complete jwins.result/2 JSON already
+//                     exists under their spec-digested file name and rebuild
+//                     their grid entries from it; execute the rest. Over the
+//                     shards' output it writes the unsharded grid.json
 //   --list-keys       Print the scenario key reference and exit
 //
 // Exit codes: 0 success, 2 usage/spec error (message: `error: <key>: <why>`),
@@ -47,8 +46,8 @@ using namespace jwins;
 
 void print_usage(std::ostream& os) {
   os << "usage: jwins_run <file.scenario> [--set key=value]... [--out=DIR]\n"
-        "                 [--no-files] [--dry-run] [--shard i/N] [--merge]\n"
-        "                 [--resume] [--list-keys]\n"
+        "                 [--no-files] [--dry-run] [--shard i/N] [--resume]\n"
+        "                 [--list-keys]\n"
         "Scenario key reference: jwins_run --list-keys, or docs/EXPERIMENTS.md\n"
         "Exit codes: 0 success, 2 usage/spec error, 3 a result failed an\n"
         "invariant (the `check:` lines name it; files are still written)\n";
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
   config::SweepOptions options;
   options.console = &std::cout;
   bool dry_run = false;
-  bool merge = false;
   std::string shard_text;
 
   for (int i = 1; i < argc; ++i) {
@@ -90,8 +88,6 @@ int main(int argc, char** argv) {
       options.write_files = false;
     } else if (arg == "--dry-run") {
       dry_run = true;
-    } else if (arg == "--merge") {
-      merge = true;
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -131,14 +127,6 @@ int main(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-  if (merge && !shard_text.empty()) {
-    std::cerr << "error: --merge: cannot be combined with --shard\n";
-    return 2;
-  }
-  if (merge && !options.write_files) {
-    std::cerr << "error: --merge: cannot be combined with --no-files\n";
-    return 2;
-  }
 
   std::vector<config::ScenarioRun> runs;
   std::string scenario_name;
@@ -153,18 +141,6 @@ int main(int argc, char** argv) {
   } catch (const config::ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
-  }
-
-  if (merge) {
-    try {
-      const std::string dir = options.out_dir + "/" + scenario_name;
-      const std::string grid = config::merge_shards(dir);
-      std::cout << "merged shard fragments into " << grid << "\n";
-    } catch (const config::ScenarioError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
-    return 0;
   }
 
   std::cout << "scenario " << scenario_name << ": " << runs.size()

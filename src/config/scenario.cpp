@@ -4,7 +4,9 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/cutoff.hpp"
@@ -33,25 +35,29 @@ bool parse_full(std::string_view text, T& out) {
   return ec == std::errc{} && parsed_end == end;
 }
 
-std::size_t parse_uint(const std::string& key, const std::string& value,
-                       std::size_t min_value = 0) {
-  std::size_t out = 0;
-  if (!parse_full(std::string_view(value), out)) {
-    fail(key, "\"" + value + "\" is not an unsigned integer");
-  }
-  if (out < min_value) {
-    fail(key, "must be >= " + std::to_string(min_value) +
-                  " (got " + value + ")");
-  }
-  return out;
-}
-
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   std::uint64_t out = 0;
   if (!parse_full(std::string_view(value), out)) {
     fail(key, "\"" + value + "\" is not an unsigned integer");
   }
   return out;
+}
+
+/// parse_u64 bounded to [min_value, max of T], so a value wider than the
+/// field is rejected instead of wrapping.
+template <typename T = std::size_t>
+T parse_uint(const std::string& key, const std::string& value,
+             std::uint64_t min_value = 0) {
+  const std::uint64_t out = parse_u64(key, value);
+  if (out < min_value) {
+    fail(key, "must be >= " + std::to_string(min_value) +
+                  " (got " + value + ")");
+  }
+  if (out > std::numeric_limits<T>::max()) {
+    fail(key, "must be <= " + std::to_string(std::numeric_limits<T>::max()) +
+                  " (got " + value + ")");
+  }
+  return static_cast<T>(out);
 }
 
 double parse_double(const std::string& key, const std::string& value) {
@@ -109,18 +115,27 @@ sim::Algorithm parse_algorithm(const std::string& key,
 core::RandomizedCutoff parse_cutoff(const std::string& key,
                                     const std::string& value) {
   if (value == "paper") return core::RandomizedCutoff::paper_default();
-  const auto in_unit = [&](std::string_view text, const char* what) {
+  const auto number = [&](std::string_view text, const char* what) {
     double v = 0.0;
-    if (!parse_full(text, v) || !(v > 0.0) || v > 1.0) {
-      fail(key, std::string(what) + " must be a number in (0, 1] (got \"" +
+    if (!parse_full(text, v)) {
+      fail(key, std::string(what) + " must be a number (got \"" +
                     std::string(text) + "\")");
     }
     return v;
   };
+  // The distribution's own constructors own the range rules; their
+  // invalid_argument becomes this key's diagnostic.
+  const auto build = [&](auto make) {
+    try {
+      return make();
+    } catch (const std::invalid_argument& e) {
+      fail(key, e.what());
+    }
+  };
   const std::string_view sv = value;
   if (sv.rfind("fixed:", 0) == 0) {
-    return core::RandomizedCutoff::fixed(
-        in_unit(sv.substr(6), "fixed:<alpha> alpha"));
+    const double alpha = number(sv.substr(6), "fixed:<alpha> alpha");
+    return build([&] { return core::RandomizedCutoff::fixed(alpha); });
   }
   if (sv.rfind("two-point:", 0) == 0) {
     const std::string_view rest = sv.substr(10);
@@ -128,9 +143,11 @@ core::RandomizedCutoff parse_cutoff(const std::string& key,
     if (colon == std::string_view::npos) {
       fail(key, "two-point needs two fields: two-point:<alpha_low>:<p_full>");
     }
-    const double alpha_low = in_unit(rest.substr(0, colon), "alpha_low");
-    const double p_full = in_unit(rest.substr(colon + 1), "p_full");
-    return core::RandomizedCutoff::two_point(alpha_low, p_full);
+    const double alpha_low = number(rest.substr(0, colon), "alpha_low");
+    const double p_full = number(rest.substr(colon + 1), "p_full");
+    return build([&] {
+      return core::RandomizedCutoff::two_point(alpha_low, p_full);
+    });
   }
   fail(key, "unknown cutoff \"" + value +
                 "\" (valid: paper, fixed:<alpha>, two-point:<alpha_low>:<p_full>)");
@@ -499,11 +516,10 @@ const std::vector<KeySpec>& key_specs() {
         });
 
     // --- execution -------------------------------------------------------
-    add({"threads", "uint", "0 (auto)", "0 = all hardware threads",
+    add({"threads", "uint", "0 (auto)", "<= 1024 (0 = all hardware threads)",
          "Execution lanes; results are bit-identical at any value"},
         [](ScenarioRun& r, const std::string& v) {
-          r.config.threads =
-              static_cast<unsigned>(parse_uint("threads", v));
+          r.config.threads = parse_uint<unsigned>("threads", v);
         });
     add({"node_state", "enum", "full", "full, compact",
          "Per-node state layout: full = one model/optimizer/sampler object "
@@ -770,11 +786,11 @@ const std::vector<KeySpec>& key_specs() {
                                           ? algo::ChocoNode::Compressor::kTopK
                                           : algo::ChocoNode::Compressor::kQsgd;
         });
-    add({"choco_qsgd_levels", "uint", "15", ">= 1",
+    add({"choco_qsgd_levels", "uint", "15", "1 .. 4294967295",
          "Quantization levels for the qsgd compressor"},
         [](ScenarioRun& r, const std::string& v) {
-          r.config.choco.qsgd_levels = static_cast<std::uint32_t>(
-              parse_uint("choco_qsgd_levels", v, 1));
+          r.config.choco.qsgd_levels =
+              parse_uint<std::uint32_t>("choco_qsgd_levels", v, 1);
         });
     add({"power_gossip_gamma", "float", "1.0", "(0, 1e3]",
          "PowerGossip consensus step on the rank-1 estimates"},
@@ -1004,6 +1020,10 @@ std::vector<ScenarioRun> expand_grid(const RawScenario& raw) {
       if (values.size() > 1) {
         if (!label.empty()) label += ',';
         label += key + "=" + value;
+      }
+      if (key != "threads") {
+        if (!run.spec.empty()) run.spec += ',';
+        run.spec += key + "=" + value;
       }
     }
     run.label = label.empty() ? "run" : label;

@@ -74,6 +74,11 @@ void set_value(RawScenario& raw, const std::string& key,
 struct ScenarioRun {
   std::string scenario;   ///< scenario name
   std::string label;      ///< swept "key=value" pairs, comma-joined ("run" if unswept)
+  /// Every "key=value" the cell was built from, comma-joined in file order,
+  /// except `threads` (results are bit-identical at any thread count). Two
+  /// cells with the same spec compute the same result; run_file_base
+  /// digests it into the output file names.
+  std::string spec;
   std::size_t index = 0;  ///< position in the expanded grid
 
   std::string workload = "cifar";

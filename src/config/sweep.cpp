@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -54,40 +54,6 @@ std::size_t parse_size(const std::string& text, const std::string& what) {
     throw ScenarioError(what + ": \"" + text + "\" is not a number");
   }
   return static_cast<std::size_t>(v);
-}
-
-/// One "  {"index": N, ...}" line lifted out of a grid fragment, with the
-/// following-entry comma (if any) already stripped.
-struct GridEntry {
-  std::size_t index = 0;
-  std::string text;
-};
-
-/// Reads the entry lines out of one grid(.shard-*)?.json file.
-std::vector<GridEntry> read_grid_entries(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw ScenarioError("--merge: cannot read " + path.string());
-  }
-  std::vector<GridEntry> entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("  {\"index\": ", 0) != 0) continue;
-    // All entries but the file's last carry the next entry's separator comma;
-    // drop it so stored entry bytes are position-independent.
-    if (!line.empty() && line.back() == ',') line.pop_back();
-    GridEntry e;
-    e.text = line;
-    const std::size_t value_at = std::string("  {\"index\": ").size();
-    const std::size_t comma = line.find(',', value_at);
-    if (comma == std::string::npos) {
-      throw ScenarioError("--merge: malformed entry in " + path.string());
-    }
-    e.index = parse_size(line.substr(value_at, comma - value_at),
-                         "--merge: entry index in " + path.string());
-    entries.push_back(std::move(e));
-  }
-  return entries;
 }
 
 /// Finds `"<key>": ` in a result-JSON line and returns the value text (up to
@@ -140,11 +106,6 @@ ShardSpec parse_shard(const std::string& text) {
   return spec;
 }
 
-std::string shard_fragment_name(const ShardSpec& shard) {
-  return "grid.shard-" + std::to_string(shard.index) + "-of-" +
-         std::to_string(shard.count) + ".json";
-}
-
 std::string describe_run(const ScenarioRun& run) {
   std::string text = "workload=" + run.workload +
                      " algorithm=" + sim::algorithm_name(run.config.algorithm) +
@@ -184,9 +145,16 @@ std::string describe_run(const ScenarioRun& run) {
 }
 
 std::string run_file_base(const ScenarioRun& run) {
+  std::uint32_t digest = 2166136261u;  // 32-bit FNV-1a
+  for (const char c : run.spec) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 16777619u;
+  }
   char prefix[16];
+  char suffix[16];
   std::snprintf(prefix, sizeof prefix, "run%03zu_", run.index);
-  return prefix + file_slug(run.label);
+  std::snprintf(suffix, sizeof suffix, "_%08x",
+                static_cast<unsigned>(digest));
+  return prefix + file_slug(run.label) + suffix;
 }
 
 std::optional<CompletedRun> probe_completed_run(const std::string& path) {
@@ -239,6 +207,9 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
     }
   }
 
+  // Only a run over the whole grid writes the index; a shard's runs are
+  // indexed by a later --resume over every shard's output.
+  const bool write_grid = options.write_files && options.shard.count == 1;
   std::ostringstream grid_index;
   grid_index << "[";
   bool first_entry = true;
@@ -344,7 +315,7 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
       }
     }
 
-    if (!options.write_files) continue;
+    if (!write_grid) continue;
     grid_index << (first_entry ? "\n" : ",\n");
     first_entry = false;
     grid_index << "  {\"index\": " << run.index
@@ -356,110 +327,20 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
                << ", \"rounds_run\": " << rounds_run << "}";
   }
 
-  if (options.write_files) {
+  if (write_grid) {
     grid_index << (first_entry ? "]\n" : "\n]\n");
-    const std::string grid_name = options.shard.count > 1
-                                      ? shard_fragment_name(options.shard)
-                                      : std::string("grid.json");
-    const fs::path grid_path = run_dir / grid_name;
+    const fs::path grid_path = run_dir / "grid.json";
     std::ofstream grid(grid_path);
     grid << grid_index.str();
     outcome.grid_path = grid_path.string();
-    if (console) {
-      const std::size_t results = outcome.executed + outcome.resumed;
-      *console << "wrote " << results << " result"
-               << (results == 1 ? "" : "s") << " (JSON + CSV) and "
-               << grid_name << " to " << run_dir.string() << "\n";
-    }
+  }
+  if (options.write_files && console) {
+    const std::size_t results = outcome.executed + outcome.resumed;
+    *console << "wrote " << results << " result" << (results == 1 ? "" : "s")
+             << " (JSON + CSV)" << (write_grid ? " and grid.json" : "")
+             << " to " << run_dir.string() << "\n";
   }
   return outcome;
-}
-
-std::string merge_shards(const std::string& dir) {
-  // Collect grid.shard-<i>-of-<N>.json fragments.
-  std::map<std::size_t, fs::path> fragments;
-  std::size_t count = 0;
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("grid.shard-", 0) != 0) continue;
-    const std::string suffix = ".json";
-    if (name.size() <= suffix.size() ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string body = name.substr(std::string("grid.shard-").size(),
-                                         name.size() -
-                                             std::string("grid.shard-").size() -
-                                             suffix.size());
-    const std::size_t sep = body.find("-of-");
-    if (sep == std::string::npos) continue;
-    const std::size_t i = parse_size(body.substr(0, sep), "--merge: " + name);
-    const std::size_t n =
-        parse_size(body.substr(sep + 4), "--merge: " + name);
-    if (count == 0) {
-      count = n;
-    } else if (n != count) {
-      throw ScenarioError("--merge: fragments disagree on shard count (" +
-                          std::to_string(count) + " vs " + std::to_string(n) +
-                          " in " + name + ")");
-    }
-    if (!fragments.emplace(i, entry.path()).second) {
-      throw ScenarioError("--merge: duplicate shard " + std::to_string(i));
-    }
-  }
-  if (ec) {
-    throw ScenarioError("--merge: cannot read " + dir + ": " + ec.message());
-  }
-  if (fragments.empty()) {
-    throw ScenarioError("--merge: no grid.shard-*.json fragments in " + dir);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!fragments.count(i)) {
-      throw ScenarioError("--merge: missing shard " + std::to_string(i) +
-                          " of " + std::to_string(count));
-    }
-  }
-
-  // Pool the entries and demand exactly-once coverage of 0..total-1.
-  std::map<std::size_t, std::string> entries;
-  for (const auto& [shard, path] : fragments) {
-    for (GridEntry& e : read_grid_entries(path)) {
-      if (e.index % count != shard) {
-        throw ScenarioError("--merge: run " + std::to_string(e.index) +
-                            " found in shard " + std::to_string(shard) +
-                            ", expected " + std::to_string(e.index % count));
-      }
-      if (!entries.emplace(e.index, std::move(e.text)).second) {
-        throw ScenarioError("--merge: duplicate run " +
-                            std::to_string(e.index));
-      }
-    }
-  }
-  std::size_t expect = 0;
-  for (const auto& [index, text] : entries) {
-    if (index != expect) {
-      throw ScenarioError("--merge: missing run " + std::to_string(expect) +
-                          " (shards incomplete?)");
-    }
-    ++expect;
-  }
-
-  // Re-emit with the unsharded writer's separator scheme: byte-identical.
-  std::ostringstream merged;
-  merged << "[";
-  for (const auto& [index, text] : entries) {
-    merged << (index == 0 ? "\n" : ",\n") << text;
-  }
-  merged << (entries.empty() ? "]\n" : "\n]\n");
-
-  const fs::path grid_path = fs::path(dir) / "grid.json";
-  std::ofstream grid(grid_path);
-  if (!grid) {
-    throw ScenarioError("--merge: cannot write " + grid_path.string());
-  }
-  grid << merged.str();
-  return grid_path.string();
 }
 
 }  // namespace jwins::config

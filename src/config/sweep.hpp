@@ -1,16 +1,20 @@
 // Sharded/resumable sweep execution — the engine behind jwins_run's
-// --shard/--merge/--resume flags, factored out of the CLI so the scale test
-// suite drives the exact production path.
+// --shard/--resume flags, factored out of the CLI so the scale test suite
+// drives the exact production path.
 //
-// Sharding contract: `--shard i/N` deterministically partitions the expanded
-// grid by run index (index % N == i), so N independent processes — or N CI
-// jobs — each execute a disjoint slice and write a fragment index
-// (grid.shard-<i>-of-<N>.json). merge_shards() reassembles the fragments
-// into a grid.json that is BYTE-IDENTICAL to the one an unsharded run would
-// have written: fragments carry the same per-entry bytes, and the merge
-// re-derives the separators for the combined set. Resume reads the three
-// summary numbers back from an existing result JSON via strtod — an exact
-// %.17g round-trip — so a resumed grid entry is byte-identical too.
+// Every run's output files are named by its grid index, its label and a
+// digest of its full spec (run_file_base), so a file on disk belongs to
+// exactly one configuration. `--resume` keeps a run whose complete result
+// JSON already exists under that name and re-executes every other; it reads
+// the three summary numbers back via strtod — an exact %.17g round-trip —
+// so a kept run's grid entry is byte-identical to a fresh one.
+//
+// Sharding contract: `--shard i/N` deterministically partitions the
+// expanded grid by run index (index % N == i), so N independent processes —
+// or N CI jobs — each execute a disjoint slice and write only those runs'
+// JSON and CSV. A `--resume` over the union of the shards' output then
+// executes nothing that a shard finished and writes a grid.json that is
+// BYTE-IDENTICAL to the one an unsharded run would have written.
 #pragma once
 
 #include <cstddef>
@@ -39,21 +43,20 @@ inline bool shard_owns(const ShardSpec& shard,
   return run_index % shard.count == shard.index;
 }
 
-/// Fragment-index filename of one shard: "grid.shard-<i>-of-<N>.json".
-std::string shard_fragment_name(const ShardSpec& shard);
-
 /// One-line human description of a run (the CLI's grid/progress listing).
 std::string describe_run(const ScenarioRun& run);
 
-/// Output-file stem of a run: "run%03zu_" + a slug of its label — the names
-/// both the writer and --resume's probe derive independently.
+/// Output-file stem of a run: "run%03zu_" + a slug of its label + "_" + the
+/// 8-hex-digit FNV-1a digest of its spec — the names both the writer and
+/// --resume's probe derive independently. A run computed under another spec
+/// has another name, so resume never keeps it.
 std::string run_file_base(const ScenarioRun& run);
 
 struct SweepOptions {
   std::string out_dir = "jwins_results";  ///< root; files land in out/<name>/
   bool write_files = true;
-  bool resume = false;      ///< skip runs whose result JSON already parses
-  ShardSpec shard;          ///< default: the whole grid
+  bool resume = false;      ///< keep runs whose complete result JSON exists
+  ShardSpec shard;          ///< default: the whole grid (writes grid.json)
   std::ostream* console = nullptr;  ///< progress stream (null = silent)
 };
 
@@ -64,11 +67,12 @@ struct SweepOutcome {
   /// sim::check_result diagnostics over the executed runs (resumed runs
   /// are not re-checked).
   std::size_t violations = 0;
-  std::string grid_path;     ///< grid.json, or this shard's fragment
+  std::string grid_path;     ///< grid.json; empty for a shard or --no-files
 };
 
 /// Executes (this shard's slice of) the expanded grid and writes the result
-/// files plus the grid index — the loop jwins_run runs. Every executed run
+/// files, plus the grid.json index when the run covers the whole grid — the
+/// loop jwins_run runs. Every executed run
 /// is checked with sim::check_result; each diagnostic is printed as
 /// `check: <field>: <why>` and counted in SweepOutcome::violations, and the
 /// run's files are still written. Throws ScenarioError on I/O failures.
@@ -89,12 +93,5 @@ struct CompletedRun {
 /// lacks its closing brace, or any field fails to parse (the run then simply
 /// re-executes).
 std::optional<CompletedRun> probe_completed_run(const std::string& path);
-
-/// Merges every grid.shard-<i>-of-<N>.json in `dir` into dir/grid.json,
-/// byte-identical to an unsharded run's index. Validates that all fragments
-/// agree on N, every shard 0..N-1 is present, and the entry indices cover
-/// 0..total-1 exactly once. Returns the grid.json path; throws ScenarioError
-/// on any violation.
-std::string merge_shards(const std::string& dir);
 
 }  // namespace jwins::config

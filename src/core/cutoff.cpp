@@ -15,15 +15,15 @@ RandomizedCutoff::RandomizedCutoff(std::vector<double> alphas,
   }
   double total = 0.0;
   for (std::size_t i = 0; i < alphas_.size(); ++i) {
-    if (alphas_[i] <= 0.0 || alphas_[i] > 1.0) {
+    if (!(alphas_[i] > 0.0 && alphas_[i] <= 1.0)) {
       throw std::invalid_argument("RandomizedCutoff: alpha must be in (0, 1]");
     }
-    if (probs_[i] <= 0.0) {
+    if (!(probs_[i] > 0.0)) {
       throw std::invalid_argument("RandomizedCutoff: probabilities must be positive");
     }
     total += probs_[i];
   }
-  if (std::fabs(total - 1.0) > 1e-6) {
+  if (!(std::fabs(total - 1.0) <= 1e-6)) {
     throw std::invalid_argument("RandomizedCutoff: probabilities must sum to 1");
   }
   cdf_.resize(probs_.size());
@@ -38,7 +38,7 @@ RandomizedCutoff RandomizedCutoff::paper_default() {
 }
 
 RandomizedCutoff RandomizedCutoff::two_point(double alpha_low, double p_full) {
-  if (p_full <= 0.0 || p_full >= 1.0) {
+  if (!(p_full > 0.0 && p_full < 1.0)) {
     throw std::invalid_argument("two_point: p_full must be in (0, 1)");
   }
   return RandomizedCutoff({alpha_low, 1.0}, {1.0 - p_full, p_full});

@@ -22,8 +22,9 @@ class RandomizedCutoff {
   /// The paper's default: uniform over {10,15,20,25,30,40,100}%.
   static RandomizedCutoff paper_default();
 
-  /// Two-point budget distribution: p(100%) = p_full, p(alpha_low) = 1-p_full.
-  /// Expected budget = p_full + (1 - p_full) * alpha_low.
+  /// Two-point budget distribution: p(100%) = p_full, p(alpha_low) = 1-p_full,
+  /// p_full in (0, 1) (use fixed() for a single point). Expected budget =
+  /// p_full + (1 - p_full) * alpha_low.
   static RandomizedCutoff two_point(double alpha_low, double p_full);
 
   /// Degenerate distribution (used by the no-random-cutoff ablation).

@@ -29,6 +29,7 @@
 // from different external threads on the same pool are not supported.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -56,10 +57,15 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size()) + 1;
   }
 
+  /// Most lanes a configuration may ask for: each is an OS thread, and
+  /// every lane carries its own scratch (and, under compact node state, its
+  /// own model).
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// Default for "as fast as the hardware allows" callers.
   static unsigned default_thread_count() noexcept {
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return hw == 0 ? 1 : std::min(hw, kMaxThreads);
   }
 
   /// Runs fn(i) for every i in [0, n), statically chunked across threads.

@@ -5,6 +5,19 @@
 
 namespace jwins::nn {
 
+float SequentialClassifier::loss_and_grad(const Batch& batch) {
+  Tensor logits = net_.forward(batch.x);
+  LossResult lr = softmax_cross_entropy(logits, batch.labels);
+  net_.accumulate_grads(lr.grad);
+  return lr.loss;
+}
+
+EvalMetrics SequentialClassifier::evaluate(const Batch& batch) {
+  Tensor logits = net_.forward(batch.x);
+  LossResult lr = softmax_cross_entropy(logits, batch.labels);
+  return {lr.loss, accuracy(logits, batch.labels), batch.size()};
+}
+
 MlpClassifier::MlpClassifier(std::size_t in_features,
                              std::vector<std::size_t> hidden,
                              std::size_t classes, std::uint32_t seed) {
@@ -16,19 +29,6 @@ MlpClassifier::MlpClassifier(std::size_t in_features,
     prev = h;
   }
   net_.emplace<Linear>(prev, classes, rng);
-}
-
-float MlpClassifier::loss_and_grad(const Batch& batch) {
-  Tensor logits = net_.forward(batch.x);
-  LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  net_.accumulate_grads(lr.grad);
-  return lr.loss;
-}
-
-EvalMetrics MlpClassifier::evaluate(const Batch& batch) {
-  Tensor logits = net_.forward(batch.x);
-  LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  return {lr.loss, accuracy(logits, batch.labels), batch.size()};
 }
 
 CnnClassifier::CnnClassifier(Config cfg, std::uint32_t seed) {
@@ -47,19 +47,6 @@ CnnClassifier::CnnClassifier(Config cfg, std::uint32_t seed) {
   net_.emplace<Flatten>();
   const std::size_t spatial = cfg.image_size / 4;
   net_.emplace<Linear>(cfg.conv2_channels * spatial * spatial, cfg.classes, rng);
-}
-
-float CnnClassifier::loss_and_grad(const Batch& batch) {
-  Tensor logits = net_.forward(batch.x);
-  LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  net_.accumulate_grads(lr.grad);
-  return lr.loss;
-}
-
-EvalMetrics CnnClassifier::evaluate(const Batch& batch) {
-  Tensor logits = net_.forward(batch.x);
-  LossResult lr = softmax_cross_entropy(logits, batch.labels);
-  return {lr.loss, accuracy(logits, batch.labels), batch.size()};
 }
 
 MatrixFactorization::MatrixFactorization(std::size_t users, std::size_t items,

@@ -16,24 +16,30 @@
 
 namespace jwins::nn {
 
-/// Multi-layer perceptron classifier: [B, in] -> logits [B, classes].
-class MlpClassifier final : public SupervisedModel {
+/// Softmax cross-entropy classifier over a layer stack that ends in logits
+/// [B, classes]. Subclasses only build `net_` in their constructors; the
+/// training step, evaluation and parameter lists are this one body.
+class SequentialClassifier : public SupervisedModel {
  public:
-  MlpClassifier(std::size_t in_features, std::vector<std::size_t> hidden,
-                std::size_t classes, std::uint32_t seed);
-
   float loss_and_grad(const Batch& batch) override;
   EvalMetrics evaluate(const Batch& batch) override;
   std::vector<Tensor*> parameters() override { return net_.params(); }
   std::vector<Tensor*> gradients() override { return net_.grads(); }
 
- private:
+ protected:
   Sequential net_;
+};
+
+/// Multi-layer perceptron classifier: [B, in] -> logits [B, classes].
+class MlpClassifier final : public SequentialClassifier {
+ public:
+  MlpClassifier(std::size_t in_features, std::vector<std::size_t> hidden,
+                std::size_t classes, std::uint32_t seed);
 };
 
 /// GN-LeNet-style CNN: two conv+groupnorm+relu+pool stages then a linear
 /// head. Input [B, C, H, W]; H and W must be divisible by 4.
-class CnnClassifier final : public SupervisedModel {
+class CnnClassifier final : public SequentialClassifier {
  public:
   struct Config {
     std::size_t in_channels = 3;
@@ -45,14 +51,6 @@ class CnnClassifier final : public SupervisedModel {
   };
 
   CnnClassifier(Config config, std::uint32_t seed);
-
-  float loss_and_grad(const Batch& batch) override;
-  EvalMetrics evaluate(const Batch& batch) override;
-  std::vector<Tensor*> parameters() override { return net_.params(); }
-  std::vector<Tensor*> gradients() override { return net_.grads(); }
-
- private:
-  Sequential net_;
 };
 
 /// Matrix factorization with user/item embeddings and biases (Koren et al.

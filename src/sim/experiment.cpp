@@ -93,6 +93,8 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   require(eval_every >= 1,
           "eval_every: must be >= 1 (0 would divide by zero in the round loop)");
   require(eval_sample_limit >= 1, "eval_sample_limit: must be >= 1");
+  require(threads <= net::ThreadPool::kMaxThreads,
+          "threads: must be <= 1024 (0 = all hardware threads)");
   require(eval_sample == 0 || eval_node_limit == 0,
           "eval_sample: conflicts with eval_node_limit (two node-subset "
           "rules; pick one)");
@@ -203,11 +205,27 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   return errors;
 }
 
+namespace {
+
+/// Throws on an invalid config, before the members built from it (the time
+/// model, the thread pool's OS threads) exist.
+ExperimentConfig validated(ExperimentConfig config, std::size_t nodes) {
+  if (nodes == 0) throw std::invalid_argument("Experiment: empty partition");
+  if (const auto errors = config.validate(nodes); !errors.empty()) {
+    std::string joined = "Experiment: invalid config";
+    for (const std::string& e : errors) joined += "\n  " + e;
+    throw std::invalid_argument(joined);
+  }
+  return config;
+}
+
+}  // namespace
+
 Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
                        const data::Dataset& train, data::Partition partition,
                        const data::Dataset& test,
                        std::unique_ptr<graph::TopologyProvider> topology)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config), partition.size())),
       test_(&test),
       topology_(std::move(topology)),
       network_(partition.size(),
@@ -216,12 +234,6 @@ Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
       pool_(config_.threads) {
   const std::size_t n = partition.size();
   n_ = n;
-  if (n == 0) throw std::invalid_argument("Experiment: empty partition");
-  if (const auto errors = config_.validate(n); !errors.empty()) {
-    std::string joined = "Experiment: invalid config";
-    for (const std::string& e : errors) joined += "\n  " + e;
-    throw std::invalid_argument(joined);
-  }
   algo::TrainConfig train_config{config_.local_steps, config_.sgd,
                                  config_.seed};
   // PowerGossip's edge vectors are shared randomness: both endpoints must

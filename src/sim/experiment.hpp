@@ -164,7 +164,8 @@ struct ExperimentConfig {
 
   /// Execution lanes for the per-node phases. Results are bit-identical at
   /// any value (see docs/DESIGN.md); 1 runs fully inline. Benches and
-  /// examples default to net::ThreadPool::default_thread_count().
+  /// examples default to net::ThreadPool::default_thread_count(). At most
+  /// net::ThreadPool::kMaxThreads.
   unsigned threads = 1;
   std::uint64_t seed = 1;
 

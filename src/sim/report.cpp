@@ -88,7 +88,7 @@ std::string json_string(const std::string& s) {
 }
 
 void write_result_json(std::ostream& os, const std::string& label,
-                       const ExperimentResult& result, bool include_wall) {
+                       const ExperimentResult& result) {
   os << "{\n";
   os << "  \"schema\": \"" << kResultSchema << "\",\n";
   os << "  \"label\": " << json_string(label) << ",\n";
@@ -160,16 +160,14 @@ void write_result_json(std::ostream& os, const std::string& label,
   os << "    \"trimmed_entries\": " << bz.trimmed_entries << ",\n";
   os << "    \"clipped_contributions\": " << bz.clipped_contributions << "\n";
   os << "  },\n";
-  if (include_wall) {
-    const PhaseTimings& w = result.wall;
-    os << "  \"wall_seconds\": {\n";
-    os << "    \"train\": " << json_number(w.train_seconds) << ",\n";
-    os << "    \"share\": " << json_number(w.share_seconds) << ",\n";
-    os << "    \"aggregate\": " << json_number(w.aggregate_seconds) << ",\n";
-    os << "    \"evaluate\": " << json_number(w.evaluate_seconds) << ",\n";
-    os << "    \"total\": " << json_number(w.total_seconds) << "\n";
-    os << "  },\n";
-  }
+  const PhaseTimings& w = result.wall;
+  os << "  \"wall_seconds\": {\n";
+  os << "    \"train\": " << json_number(w.train_seconds) << ",\n";
+  os << "    \"share\": " << json_number(w.share_seconds) << ",\n";
+  os << "    \"aggregate\": " << json_number(w.aggregate_seconds) << ",\n";
+  os << "    \"evaluate\": " << json_number(w.evaluate_seconds) << ",\n";
+  os << "    \"total\": " << json_number(w.total_seconds) << "\n";
+  os << "  },\n";
   os << "  \"series\": [";
   for (std::size_t i = 0; i < result.series.size(); ++i) {
     const MetricPoint& p = result.series[i];

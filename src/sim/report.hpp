@@ -45,11 +45,9 @@ inline constexpr const char* kResultSchema = "jwins.result/2";
 /// whose points carry the cumulative simulated compute/comm split.
 /// The output is deterministic — the same ExperimentResult always produces
 /// the same bytes (doubles are emitted round-trip exactly via %.17g) —
-/// EXCEPT the "wall_seconds" block, which measures this host; include_wall
-/// = false omits it when comparing JSON across runs (the determinism tests
-/// do).
+/// EXCEPT the "wall_seconds" block, which measures this host (tests that
+/// compare JSON across runs strip it).
 void write_result_json(std::ostream& os, const std::string& label,
-                       const ExperimentResult& result,
-                       bool include_wall = true);
+                       const ExperimentResult& result);
 
 }  // namespace jwins::sim

@@ -16,7 +16,7 @@ std::size_t scaled(std::size_t base, double scale) {
 /// in front, so the rank-4 SyntheticImages batches feed the Linear stack
 /// directly. Kept local (not a nn/ model) — it exists only to give the
 /// 100k–1M-node runs a ~50-parameter SupervisedModel.
-class ScaleMlp final : public nn::SupervisedModel {
+class ScaleMlp final : public nn::SequentialClassifier {
  public:
   explicit ScaleMlp(std::uint32_t seed) {
     std::mt19937 rng(seed);
@@ -26,28 +26,9 @@ class ScaleMlp final : public nn::SupervisedModel {
     net_.emplace<nn::Linear>(kHidden, kClasses, rng);
   }
 
-  float loss_and_grad(const nn::Batch& batch) override {
-    nn::Tensor logits = net_.forward(batch.x);
-    nn::LossResult lr = nn::softmax_cross_entropy(logits, batch.labels);
-    net_.accumulate_grads(lr.grad);
-    return lr.loss;
-  }
-
-  nn::EvalMetrics evaluate(const nn::Batch& batch) override {
-    nn::Tensor logits = net_.forward(batch.x);
-    nn::LossResult lr = nn::softmax_cross_entropy(logits, batch.labels);
-    return {lr.loss, nn::accuracy(logits, batch.labels), batch.size()};
-  }
-
-  std::vector<nn::Tensor*> parameters() override { return net_.params(); }
-  std::vector<nn::Tensor*> gradients() override { return net_.grads(); }
-
   static constexpr std::size_t kFeatures = 4;  ///< 1 channel x 2x2 images
   static constexpr std::size_t kHidden = 8;
   static constexpr std::size_t kClasses = 2;
-
- private:
-  nn::Sequential net_;
 };
 
 }  // namespace

@@ -515,9 +515,7 @@ TEST(ArenaDeterminism, EngineJsonByteIdenticalAcrossThreadCounts) {
   const auto threaded = run_fig5_like(4);
   const auto threaded_again = run_fig5_like(4);
   auto to_json = [](const sim::ExperimentResult& r) {
-    std::ostringstream os;
-    sim::write_result_json(os, "arena/jwins", r, /*include_wall=*/false);
-    return os.str();
+    return testutil::deterministic_json(r, "arena/jwins");
   };
   const std::string a = to_json(sequential);
   EXPECT_EQ(a, to_json(threaded));

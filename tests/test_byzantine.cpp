@@ -28,6 +28,7 @@
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/workloads.hpp"
+#include "test_util.hpp"
 
 namespace jwins {
 namespace {
@@ -530,13 +531,12 @@ void expect_bit_identical(const sim::ExperimentResult& a,
                           const sim::ExperimentResult& b, const char* label,
                           bool ignore_mode_echo = false) {
   SCOPED_TRACE(label);
-  std::ostringstream ja, jb;
-  sim::write_result_json(ja, "report", a, /*include_wall=*/false);
-  sim::write_result_json(jb, "report", b, /*include_wall=*/false);
+  const std::string ja = testutil::deterministic_json(a, "report");
+  const std::string jb = testutil::deterministic_json(b, "report");
   if (ignore_mode_echo) {
-    EXPECT_EQ(without_mode_echo(ja.str()), without_mode_echo(jb.str()));
+    EXPECT_EQ(without_mode_echo(ja), without_mode_echo(jb));
   } else {
-    EXPECT_EQ(ja.str(), jb.str());
+    EXPECT_EQ(ja, jb);
   }
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
   EXPECT_EQ(a.final_loss, b.final_loss);
@@ -599,9 +599,7 @@ TEST_P(AttackMatrix, AttackAccountingIsReported) {
             algo::byzantine_victims(29, 8, GetParam().attackers));
   EXPECT_GT(result.byzantine.corrupted_messages, 0u);
   EXPECT_TRUE(std::isfinite(result.final_loss));
-  std::ostringstream os;
-  sim::write_result_json(os, "report", result, /*include_wall=*/false);
-  const std::string json = os.str();
+  const std::string json = testutil::deterministic_json(result, "report");
   EXPECT_NE(json.find("\"byzantine\""), std::string::npos);
   EXPECT_NE(json.find(std::string("\"mode\": \"") +
                       algo::byzantine_mode_name(GetParam().mode) + "\""),
@@ -704,10 +702,9 @@ TEST_P(DefenseMatrix, DefenseRunsAndReportsItsActivity) {
   } else {
     EXPECT_GT(result.byzantine.trimmed_entries, 0u);
   }
-  std::ostringstream os;
-  sim::write_result_json(os, "report", result, /*include_wall=*/false);
-  EXPECT_NE(os.str().find(std::string("\"robust_agg\": \"") +
-                          core::robust_agg_name(GetParam().defense) + "\""),
+  const std::string json = testutil::deterministic_json(result, "report");
+  EXPECT_NE(json.find(std::string("\"robust_agg\": \"") +
+                      core::robust_agg_name(GetParam().defense) + "\""),
             std::string::npos);
 }
 

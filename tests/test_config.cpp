@@ -223,12 +223,37 @@ TEST(ScenarioDiagnostics, OutOfRangeValues) {
                         "random_sampling_fraction: must be in (0, 1]");
 }
 
+TEST(ScenarioDiagnostics, UintKeysRejectValuesTheirFieldCannotHold) {
+  // Expansion builds no thread pool, so these bounds are checked without
+  // starting a single thread.
+  expect_error_contains("threads = 5000\n", "threads: must be <= 1024");
+  EXPECT_EQ(expand_error("threads = 1024\n"), "");
+  // 2^32 and 2^32 + 1 used to wrap to 0 and 1 in the 32-bit fields.
+  expect_error_contains("threads = 4294967296\n",
+                        "threads: must be <= 4294967295");
+  expect_error_contains("choco_qsgd_levels = 4294967297\n",
+                        "choco_qsgd_levels: must be <= 4294967295");
+  EXPECT_EQ(expand_error("choco_qsgd_levels = 4294967295\n"), "");
+}
+
 TEST(ScenarioDiagnostics, CutoffSpecGrammar) {
   expect_error_contains("jwins_cutoff = pareto\n",
                         "jwins_cutoff: unknown cutoff");
   expect_error_contains("jwins_cutoff = two-point:0.5\n", "two fields");
   expect_error_contains("jwins_cutoff = fixed:1.5\n", "(0, 1]");
   expect_error_contains("jwins_cutoff = fixed:0\n", "(0, 1]");
+  expect_error_contains("jwins_cutoff = fixed:nan\n", "(0, 1]");
+  expect_error_contains("jwins_cutoff = fixed:abc\n",
+                        "jwins_cutoff: fixed:<alpha> alpha must be a number");
+  // p_full = 1 is the fixed:1 distribution; two_point rejects it, and the
+  // parser reports that instead of letting the throw escape.
+  expect_error_contains("jwins_cutoff = two-point:0.1:1\n",
+                        "jwins_cutoff: two_point: p_full must be in (0, 1)");
+  expect_error_contains("jwins_cutoff = two-point:0.1:nan\n",
+                        "jwins_cutoff: two_point: p_full must be in (0, 1)");
+  expect_error_contains("jwins_cutoff = two-point:0:0.5\n",
+                        "jwins_cutoff: RandomizedCutoff: alpha must be in");
+  EXPECT_EQ(expand_error("jwins_cutoff = two-point:0.1:0.5\n"), "");
 }
 
 TEST(ScenarioDiagnostics, ByzantineAndRobustAggGrammar) {

@@ -102,13 +102,12 @@ TEST_P(DeterminismAcrossThreads, AsyncBarrierMatchesSyncByteForByte) {
   const auto sync = run_scenario(s, 1, sim::EngineKind::kSync);
   const auto async = run_scenario(s, 1, sim::EngineKind::kAsync);
   expect_bit_identical(sync, async, "sync vs async barrier");
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/reduction", sync,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/reduction", async,
-                         /*include_wall=*/false);
-  EXPECT_EQ(testutil::strip_json_block(a.str(), "event_engine"),
-            testutil::strip_json_block(b.str(), "event_engine"));
+  EXPECT_EQ(testutil::strip_json_block(
+                testutil::deterministic_json(sync, "determinism/reduction"),
+                "event_engine"),
+            testutil::strip_json_block(
+                testutil::deterministic_json(async, "determinism/reduction"),
+                "event_engine"));
 }
 
 TEST_P(DeterminismAcrossThreads, AsyncThreadedMatchesSequential) {
@@ -118,12 +117,8 @@ TEST_P(DeterminismAcrossThreads, AsyncThreadedMatchesSequential) {
   const auto sequential = run_scenario(s, 1, sim::EngineKind::kAsync);
   const auto threaded = run_scenario(s, 4, sim::EngineKind::kAsync);
   expect_bit_identical(sequential, threaded, "async threads=1 vs threads=4");
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/async", sequential,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/async", threaded,
-                         /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(testutil::deterministic_json(sequential, "determinism/async"),
+            testutil::deterministic_json(threaded, "determinism/async"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,12 +196,8 @@ TEST_P(ByzantineDeterminism, ThreadedAndReplayMatchBitForBit) {
             threaded.byzantine.trimmed_entries);
   EXPECT_EQ(sequential.byzantine.clipped_contributions,
             threaded.byzantine.clipped_contributions);
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/byzantine", sequential,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/byzantine", threaded,
-                         /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(testutil::deterministic_json(sequential, "determinism/byzantine"),
+            testutil::deterministic_json(threaded, "determinism/byzantine"));
 }
 
 TEST_P(ByzantineDeterminism, EventEngineReplaysBitIdentically) {
@@ -220,12 +211,9 @@ TEST_P(ByzantineDeterminism, EventEngineReplaysBitIdentically) {
   expect_bit_identical(sync, async_seq, "sync vs async barrier");
   expect_bit_identical(async_seq, async_threaded,
                        "async threads=1 vs threads=4");
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/byzantine", async_seq,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/byzantine", async_threaded,
-                         /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(
+      testutil::deterministic_json(async_seq, "determinism/byzantine"),
+      testutil::deterministic_json(async_threaded, "determinism/byzantine"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -307,12 +295,11 @@ TEST(JsonReport, SchemaShapeCoversSeriesTrafficAndWall) {
     ++rounds_seen;
   }
   EXPECT_EQ(rounds_seen, result.series.size());
-  // Host wall timings are excludable (they are the one nondeterministic
-  // block).
-  std::ostringstream no_wall;
-  sim::write_result_json(no_wall, "determinism/jwins", result,
-                         /*include_wall=*/false);
-  EXPECT_EQ(no_wall.str().find("wall_seconds"), std::string::npos);
+  // Host wall timings are the one nondeterministic block, and the JSON the
+  // comparisons use strips all of it.
+  EXPECT_EQ(testutil::deterministic_json(result, "determinism/jwins")
+                .find("wall_seconds"),
+            std::string::npos);
 }
 
 TEST(JsonReport, BitIdenticalAcrossThreadCounts) {
@@ -321,12 +308,8 @@ TEST(JsonReport, BitIdenticalAcrossThreadCounts) {
   const Scenario s{"jwins", sim::Algorithm::kJwins};
   const auto sequential = run_scenario(s, 1);
   const auto threaded = run_scenario(s, 4);
-  std::ostringstream a, b;
-  sim::write_result_json(a, "determinism/jwins", sequential,
-                         /*include_wall=*/false);
-  sim::write_result_json(b, "determinism/jwins", threaded,
-                         /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(testutil::deterministic_json(sequential, "determinism/jwins"),
+            testutil::deterministic_json(threaded, "determinism/jwins"));
 }
 
 TEST(Determinism, WallTimingsArePopulated) {

@@ -293,9 +293,7 @@ std::unique_ptr<Experiment> make_mini(const ExperimentConfig& cfg,
 }
 
 std::string json_of(const ExperimentResult& result) {
-  std::ostringstream os;
-  write_result_json(os, "t", result, /*include_wall=*/false);
-  return os.str();
+  return testutil::deterministic_json(result, "t");
 }
 
 /// Runs cfg under both engines on identically-built experiments and demands

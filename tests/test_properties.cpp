@@ -373,9 +373,7 @@ FuzzRun run_async_fuzz(unsigned seed) {
   sim::Experiment exp(cfg, factory, dataset, partition, dataset,
                       std::make_unique<graph::StaticTopology>(g));
   out.result = exp.run();
-  std::ostringstream os;
-  sim::write_result_json(os, "fuzz", out.result, /*include_wall=*/false);
-  out.json = os.str();
+  out.json = testutil::deterministic_json(out.result, "fuzz");
   return out;
 }
 

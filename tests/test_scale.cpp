@@ -13,10 +13,10 @@
 //     and the per-node steady-state heap cost stays under a pinned ceiling
 //     (the memory-diet regression guard, via test_arena.cpp's allocator
 //     hook).
-//  3. Sharded sweeps (`--shard i/N` / `--merge` / `--resume`) — every grid
-//     cell lands in exactly one shard, merged fragments are byte-identical
-//     to an unsharded grid.json, and resume regenerates only what is
-//     missing, byte-exactly.
+//  3. Sharded sweeps (`--shard i/N` / `--resume`) — every grid cell lands
+//     in exactly one shard, a resume over the shards' output writes a
+//     grid.json byte-identical to an unsharded one, and resume regenerates
+//     only what is missing or was computed under another spec, byte-exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,9 +71,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string json_of(const sim::ExperimentResult& result) {
-  std::ostringstream os;
-  sim::write_result_json(os, "scale/test", result, /*include_wall=*/false);
-  return os.str();
+  return testutil::deterministic_json(result, "scale/test");
 }
 
 std::string read_file(const fs::path& path) {
@@ -92,8 +90,7 @@ void write_file(const fs::path& path, const std::string& text) {
 /// Result JSONs match except the host-timing block, which measures this
 /// process and is excluded from every determinism contract.
 std::string strip_wall_seconds(const std::string& json) {
-  static const std::regex wall("\"wall_seconds\": \\{[^}]*\\}");
-  return std::regex_replace(json, wall, "");
+  return testutil::strip_json_block(json, "wall_seconds");
 }
 
 /// A fresh per-test scratch directory under the gtest temp root.
@@ -640,8 +637,10 @@ TEST(Sweep, EveryRunLandsInExactlyOneShard) {
 }
 
 /// The suite's sweep grid: 2 algorithms x 2 seeds over the scale workload,
-/// small enough to execute in milliseconds.
-std::vector<config::ScenarioRun> sweep_grid() {
+/// small enough to execute in milliseconds. `overrides` are applied like
+/// `jwins_run --set`.
+std::vector<config::ScenarioRun> sweep_grid(
+    const std::vector<std::pair<std::string, std::string>>& overrides = {}) {
   config::RawScenario raw = config::parse_scenario_text(
       "name = scale_suite\n"
       "workload = scale\n"
@@ -653,38 +652,76 @@ std::vector<config::ScenarioRun> sweep_grid() {
       "eval_every = 1\n"
       "eval_sample_limit = 16\n"
       "threads = 2\n");
+  for (const auto& [key, value] : overrides) {
+    config::set_value(raw, key, value);
+  }
   return config::expand_grid(raw);
 }
 
-TEST(Sweep, ShardedFragmentsMergeByteIdenticalToUnshardedGrid) {
+/// Runs `runs` into out_dir with the given shard and resume settings,
+/// logging progress to `console` when given.
+config::SweepOutcome sweep(const std::vector<config::ScenarioRun>& runs,
+                           const fs::path& out_dir,
+                           config::ShardSpec shard = {}, bool resume = false,
+                           std::ostream* console = nullptr) {
+  config::SweepOptions options;
+  options.out_dir = out_dir.string();
+  options.shard = shard;
+  options.resume = resume;
+  options.console = console;
+  return config::run_sweep(runs, "scale_suite", options);
+}
+
+/// True when a resume's progress log shows `run` kept rather than executed.
+bool kept_in(const std::string& log, const config::ScenarioRun& run) {
+  return log.find("[resume: kept " + config::run_file_base(run) + ".json]") !=
+         std::string::npos;
+}
+
+/// The file names in `dir`, sorted.
+std::vector<std::string> names_in(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(Sweep, ShardedRunsResumeByteIdenticalToUnshardedGrid) {
   const auto runs = sweep_grid();
   ASSERT_EQ(runs.size(), 4u);
-  const fs::path dir = test_dir("shard_merge");
+  const fs::path dir = test_dir("shard_resume");
 
-  config::SweepOptions unsharded;
-  unsharded.out_dir = (dir / "ref").string();
-  const config::SweepOutcome ref =
-      config::run_sweep(runs, "scale_suite", unsharded);
+  const config::SweepOutcome ref = sweep(runs, dir / "ref");
   EXPECT_EQ(ref.executed, 4u);
   EXPECT_EQ(ref.skipped, 0u);
 
   std::size_t executed_total = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    config::SweepOptions sharded;
-    sharded.out_dir = (dir / "shards").string();
-    sharded.shard = {i, 3};
-    const config::SweepOutcome out =
-        config::run_sweep(runs, "scale_suite", sharded);
+    const config::SweepOutcome out = sweep(runs, dir / "shards", {i, 3});
     executed_total += out.executed;
     EXPECT_EQ(out.executed + out.skipped, runs.size());
-    EXPECT_TRUE(fs::exists(dir / "shards" / "scale_suite" /
-                           config::shard_fragment_name(sharded.shard)));
+    EXPECT_TRUE(out.grid_path.empty());
   }
   EXPECT_EQ(executed_total, runs.size());  // disjoint cover
 
-  const std::string merged =
-      config::merge_shards((dir / "shards" / "scale_suite").string());
-  EXPECT_EQ(read_file(merged),
+  // The shards wrote their runs' JSON and CSV and nothing else.
+  const fs::path shard_dir = dir / "shards" / "scale_suite";
+  std::vector<std::string> expected;
+  for (const config::ScenarioRun& run : runs) {
+    expected.push_back(config::run_file_base(run) + ".csv");
+    expected.push_back(config::run_file_base(run) + ".json");
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names_in(shard_dir), expected);
+
+  // Resume over the union assembles the index without executing anything.
+  const config::SweepOutcome assembled =
+      sweep(runs, dir / "shards", {}, /*resume=*/true);
+  EXPECT_EQ(assembled.executed, 0u);
+  EXPECT_EQ(assembled.resumed, runs.size());
+  EXPECT_EQ(read_file(assembled.grid_path),
             read_file(dir / "ref" / "scale_suite" / "grid.json"));
 
   // The per-run artifacts agree too (minus the host-timing block).
@@ -692,23 +729,89 @@ TEST(Sweep, ShardedFragmentsMergeByteIdenticalToUnshardedGrid) {
     const std::string base = config::run_file_base(run);
     EXPECT_EQ(strip_wall_seconds(
                   read_file(dir / "ref" / "scale_suite" / (base + ".json"))),
-              strip_wall_seconds(read_file(dir / "shards" / "scale_suite" /
-                                           (base + ".json"))))
+              strip_wall_seconds(read_file(shard_dir / (base + ".json"))))
         << base;
   }
 }
 
-TEST(Sweep, MergeRejectsIncompleteFragmentSets) {
+TEST(Sweep, ResumeOverIncompleteShardsExecutesOnlyTheMissingCells) {
   const auto runs = sweep_grid();
-  const fs::path dir = test_dir("merge_incomplete");
-  config::SweepOptions sharded;
-  sharded.out_dir = dir.string();
-  sharded.shard = {0, 2};  // run shard 0 of 2, never shard 1
-  config::run_sweep(runs, "scale_suite", sharded);
-  EXPECT_THROW(config::merge_shards((dir / "scale_suite").string()),
-               config::ScenarioError);
-  // No fragments at all is also an error, not an empty grid.
-  EXPECT_THROW(config::merge_shards(dir.string()), config::ScenarioError);
+  const fs::path dir = test_dir("shard_incomplete");
+  sweep(runs, dir / "ref");
+  sweep(runs, dir / "shards", {0, 2});  // run shard 0 of 2, never shard 1
+
+  // Resume executes exactly shard 1's cells (odd indices) and keeps shard 0's.
+  std::ostringstream log;
+  const config::SweepOutcome out =
+      sweep(runs, dir / "shards", {}, /*resume=*/true, &log);
+  EXPECT_EQ(out.executed, 2u);
+  EXPECT_EQ(out.resumed, 2u);
+  for (const config::ScenarioRun& run : runs) {
+    EXPECT_EQ(kept_in(log.str(), run), config::shard_owns({0, 2}, run.index))
+        << run.label;
+  }
+  EXPECT_EQ(read_file(out.grid_path),
+            read_file(dir / "ref" / "scale_suite" / "grid.json"));
+}
+
+TEST(Sweep, ResumeReRunsCellsWhoseSpecChanged) {
+  const auto runs = sweep_grid();
+  const auto longer = sweep_grid({{"rounds", "3"}});
+  const auto one_lane = sweep_grid({{"threads", "1"}});
+  ASSERT_EQ(longer.size(), runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Same index and label, different spec: a different file name.
+    EXPECT_NE(config::run_file_base(longer[i]),
+              config::run_file_base(runs[i]));
+    // The thread count never changes a result, so it is not in the spec.
+    EXPECT_EQ(config::run_file_base(one_lane[i]),
+              config::run_file_base(runs[i]));
+  }
+  EXPECT_TRUE(std::regex_match(
+      config::run_file_base(runs[0]),
+      std::regex("run000_algorithm-random-sampling_seed-1_[0-9a-f]{8}")))
+      << config::run_file_base(runs[0]);
+
+  const fs::path dir = test_dir("spec_change");
+  ASSERT_EQ(sweep(runs, dir).executed, runs.size());
+
+  // A changed rounds count re-executes every cell; none is kept.
+  const config::SweepOutcome rerun = sweep(longer, dir, {}, /*resume=*/true);
+  EXPECT_EQ(rerun.executed, runs.size());
+  EXPECT_EQ(rerun.resumed, 0u);
+  const std::string grid = read_file(rerun.grid_path);
+  EXPECT_EQ(grid.find("\"rounds_run\": 2"), std::string::npos) << grid;
+  std::size_t three = 0;
+  for (std::size_t at = grid.find("\"rounds_run\": 3");
+       at != std::string::npos; at = grid.find("\"rounds_run\": 3", at + 1)) {
+    ++three;
+  }
+  EXPECT_EQ(three, runs.size());
+
+  // Changing only the thread count keeps every run.
+  const config::SweepOutcome kept = sweep(
+      sweep_grid({{"rounds", "3"}, {"threads", "1"}}), dir, {},
+      /*resume=*/true);
+  EXPECT_EQ(kept.executed, 0u);
+  EXPECT_EQ(kept.resumed, runs.size());
+  EXPECT_EQ(read_file(kept.grid_path), grid);
+
+  // Shards built under two specs: a resume under the base spec re-executes
+  // exactly the cells of the shard that ran under the other one.
+  sweep(runs, dir / "ref");
+  sweep(longer, dir / "mixed", {0, 2});
+  sweep(runs, dir / "mixed", {1, 2});
+  std::ostringstream log;
+  const config::SweepOutcome mixed =
+      sweep(runs, dir / "mixed", {}, /*resume=*/true, &log);
+  EXPECT_EQ(mixed.executed, 2u);
+  EXPECT_EQ(mixed.resumed, 2u);
+  for (const config::ScenarioRun& run : runs) {
+    EXPECT_EQ(kept_in(log.str(), run), config::shard_owns({1, 2}, run.index))
+        << run.label;
+  }
+  EXPECT_EQ(read_file(mixed.grid_path),
+            read_file(dir / "ref" / "scale_suite" / "grid.json"));
 }
 
 TEST(Sweep, ResumeRegeneratesOnlyMissingRuns) {

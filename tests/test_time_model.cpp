@@ -259,9 +259,7 @@ TEST(TimeModelGolden, InertHeterogeneitySettingsKeepResultsByteIdentical) {
     sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                         std::make_unique<graph::StaticTopology>(
                             graph::random_regular(n, 3, rng)));
-    std::ostringstream os;
-    sim::write_result_json(os, "golden", exp.run(), /*include_wall=*/false);
-    return os.str();
+    return testutil::deterministic_json(exp.run(), "golden");
   };
   TimeModelConfig inert;
   inert.straggler_fraction = 0.5;
@@ -720,12 +718,11 @@ TEST(TimeModelExperiment, DefaultRunJsonHasNoSimTimeBlock) {
   // The flat model's sim_time block is all zero counters: no stragglers,
   // crashes or drops of any cause.
   const sim::ExperimentResult result = run_experiment({}, 2);
-  std::ostringstream os;
-  sim::write_result_json(os, "default", result, /*include_wall=*/false);
-  EXPECT_NE(os.str().find("\"stragglers\": 0,\n    \"crashed_node_rounds\": "
-                          "0,\n    \"messages_dropped\": {\"total\": 0, "
-                          "\"iid\": 0, \"edge\": 0, \"burst\": 0, "
-                          "\"crash\": 0}"),
+  const std::string json = testutil::deterministic_json(result, "default");
+  EXPECT_NE(json.find("\"stragglers\": 0,\n    \"crashed_node_rounds\": "
+                      "0,\n    \"messages_dropped\": {\"total\": 0, "
+                      "\"iid\": 0, \"edge\": 0, \"burst\": 0, "
+                      "\"crash\": 0}"),
             std::string::npos);
 }
 
@@ -736,12 +733,10 @@ TEST(TimeModelExperiment, ExtendedJsonIsByteIdenticalAcrossThreadCounts) {
       run_experiment(hetero_fault_config(), 1);
   const sim::ExperimentResult threaded =
       run_experiment(hetero_fault_config(), 4);
-  std::ostringstream a, b;
-  sim::write_result_json(a, "hetero", sequential, /*include_wall=*/false);
-  sim::write_result_json(b, "hetero", threaded, /*include_wall=*/false);
-  EXPECT_EQ(a.str(), b.str());
-  EXPECT_NE(a.str().find("\"sim_time\""), std::string::npos);
-  EXPECT_NE(a.str().find("\"messages_dropped\""), std::string::npos);
+  const std::string a = testutil::deterministic_json(sequential, "hetero");
+  EXPECT_EQ(a, testutil::deterministic_json(threaded, "hetero"));
+  EXPECT_NE(a.find("\"sim_time\""), std::string::npos);
+  EXPECT_NE(a.find("\"messages_dropped\""), std::string::npos);
 }
 
 TEST(TimeModelExperiment, TrainLossAveragesOnlyNodesThatTrained) {

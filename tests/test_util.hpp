@@ -6,11 +6,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
 #include "sim/check.hpp"
+#include "sim/report.hpp"
 
 namespace jwins::testutil {
 
@@ -36,6 +38,15 @@ inline std::string strip_json_block(const std::string& json,
   if (at == std::string::npos) return json;
   // Every block is followed by another key, so it closes with "\n  },".
   return json.substr(0, at) + json.substr(json.find("\n  },", at) + 5);
+}
+
+/// sim::write_result_json's document for `result` without its host-timing
+/// "wall_seconds" block, the one part that differs between identical runs.
+inline std::string deterministic_json(const sim::ExperimentResult& result,
+                                      const std::string& label) {
+  std::ostringstream os;
+  sim::write_result_json(os, label, result);
+  return strip_json_block(os.str(), "wall_seconds");
 }
 
 /// Live heap bytes currently held through the global operator new, tracked
