@@ -7,10 +7,11 @@
 // Every hot-path kernel has one API, writing into caller-owned buffers,
 // arenas or workspaces; its row, <name>/scratch, measures it with that
 // scratch kept across iterations, as the engine runs it. The kernels that
-// the tests pin against a simple reference (DWT, top-k, XOR codec, QSGD)
-// carry two rows from the same run: <name>/scratch/fast times the shipped
-// kernel, <name>/scratch/scalar the reference from tests/*_reference.hpp
-// (group "reference"), so their ratio is the kernel's speedup. The /fresh
+// the tests pin against a simple reference (DWT, top-k, the seed-mode index
+// draw, XOR codec, QSGD) carry two rows from the same run:
+// <name>/scratch/fast times the shipped kernel, <name>/scratch/scalar the
+// reference from tests/*_reference.hpp (group "reference"), so their ratio
+// is the kernel's speedup. The /fresh
 // rows that timed the deleted allocating twins are retired (the names stay
 // in BENCH_baseline.json and BENCH_1.json); the kernels without scratch
 // state (fft_real, the Conv2d passes, the train steps) keep their /fresh
@@ -66,6 +67,7 @@
 #include "dwt_reference.hpp"
 #include "float_codec_reference.hpp"
 #include "quantize_reference.hpp"
+#include "random_indices_reference.hpp"
 #include "topk_reference.hpp"
 
 // ---------------------------------------------------------------------------
@@ -384,10 +386,51 @@ std::vector<Kernel> build_kernels() {
     auto indices = std::make_shared<std::vector<std::uint32_t>>();
     auto arena = std::make_shared<core::Arena>();
     auto seed = std::make_shared<std::uint64_t>(0);
-    add("random_indices/58/21/scratch", "sampling", [=] {
+    auto ref_indices = std::make_shared<std::vector<std::uint32_t>>();
+    auto ref_seed = std::make_shared<std::uint64_t>(0);
+    add_with_reference(
+        "random_indices/58/21/scratch", "sampling",
+        [=] {
+          arena->reset();
+          compress::random_indices_into(58, 21, ++*seed, *indices, *arena);
+          consume(indices->data());
+        },
+        [=] {
+          testref::ref_random_indices(58, 21, ++*ref_seed, *ref_indices);
+          consume(ref_indices->data());
+        });
+  }
+  {
+    // The whole decode a scale100k_compact receiver runs per message: the
+    // header, the index set re-drawn from the seed, the XOR-coded values.
+    // Each call decodes the next of 1024 bodies with distinct seeds, as
+    // every message carries its own, so no branch history repeats.
+    auto bodies = std::make_shared<std::vector<std::vector<std::uint8_t>>>();
+    core::Arena draw_arena;
+    net::ByteWriter writer;
+    compress::BitWriter bits;
+    for (std::uint64_t seed = 1; seed <= 1024; ++seed) {
+      core::SparsePayload payload;
+      payload.vector_length = 58;
+      const auto values = random_floats(58, static_cast<unsigned>(seed));
+      draw_arena.reset();
+      compress::random_indices_into(58, 21, seed, payload.indices, draw_arena);
+      compress::gather_into(values, payload.indices, payload.values);
+      core::PayloadOptions options;
+      options.index_encoding = core::IndexEncoding::kSeed;
+      options.seed = seed;
+      writer.clear();
+      core::encode_payload_into(payload, options, writer, bits);
+      bodies->push_back(writer.buffer());
+    }
+    auto out = std::make_shared<core::SparsePayload>();
+    auto arena = std::make_shared<core::Arena>();
+    auto next = std::make_shared<std::size_t>(0);
+    add("payload_decode/seed/58/21/scratch", "sampling", [=] {
       arena->reset();
-      compress::random_indices_into(58, 21, ++*seed, *indices, *arena);
-      consume(indices->data());
+      core::decode_payload_into((*bodies)[*next], *out, *arena);
+      *next = (*next + 1) % bodies->size();
+      consume(out->values.data());
     });
   }
 

@@ -722,6 +722,19 @@ TEST(TopK, KLargerThanNReturnsAll) {
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 1}));
 }
 
+TEST(TopK, OutputHoldsAtMostKPlusOne) {
+  // The select needs no n-sized workspace: a fresh `out` ends with room for
+  // the k indices and the emit's one store past the last.
+  std::mt19937 rng(11);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  std::vector<float> v(3360);
+  for (float& x : v) x = dist(rng);
+  std::vector<std::uint32_t> idx;
+  topk_indices_into(v, 336, idx);
+  EXPECT_EQ(idx.size(), 336u);
+  EXPECT_LE(idx.capacity(), 337u);
+}
+
 TEST(TopK, ZeroKReturnsEmpty) {
   const std::vector<float> v{1.0f, 2.0f};
   std::vector<std::uint32_t> idx{9};

@@ -859,19 +859,6 @@ TEST(AsyncWeighted, ReplayIsBitIdentical) {
   }
 }
 
-/// FNV-1a over the bytes of every node's final model, in rank order.
-std::uint64_t model_digest(Experiment& exp, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<float> params = exp.node(i).flat_params();
-    const auto* bytes = reinterpret_cast<const unsigned char*>(params.data());
-    for (std::size_t b = 0; b < params.size() * sizeof(float); ++b) {
-      h = (h ^ bytes[b]) * 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
 TEST(AsyncWeighted, DecayedRunsArePinned) {
   // lambda = 0.5 under aged contributions, pinned to literal constants:
   // final_loss bits and a digest of every node's final model bytes. Any
@@ -916,7 +903,7 @@ TEST(AsyncWeighted, DecayedRunsArePinned) {
     std::memcpy(&loss_bits, &r.final_loss, sizeof(loss_bits));
     EXPECT_EQ(loss_bits, cell.loss_bits)
         << cell.name << ": 0x" << std::hex << loss_bits;
-    const std::uint64_t digest = model_digest(*exp, 6);
+    const std::uint64_t digest = testutil::model_digest(*exp, 6);
     EXPECT_EQ(digest, cell.digest) << cell.name << ": 0x" << std::hex << digest;
   }
 }

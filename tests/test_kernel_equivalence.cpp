@@ -1,15 +1,17 @@
 // Bit-identity harness for the restructured kernels.
 //
-// Every kernel on the share path — DWT analyze / synthesize, the one-pass
-// top-k select, blocked QSGD rounding, and the XOR float codec — promises
-// *byte-identical* output to a simple reference: the DWT's per-output
-// analyze_level_scalar / scatter synthesize_level_scalar in src/dwt (the
-// kernels call them for long filters), the others in tests/*_reference.hpp.
-// These tests compare the raw output bytes (not approximate values) across
-// a size ladder that covers degenerate, non-power-of-two, and large inputs,
-// plus adversarial all-equal/all-zero vectors and a 200-seed tie-heavy
-// top-k sweep.
+// Every kernel on the share path — DWT analyze / synthesize, the radix-select
+// top-k, the seed-mode index draw, blocked QSGD rounding, and the XOR float
+// codec — promises *byte-identical* output to a simple reference: the DWT's
+// per-output analyze_level_scalar / scatter synthesize_level_scalar in
+// src/dwt (the kernels call them for long filters), the others in
+// tests/*_reference.hpp. These tests compare the raw output bytes (not
+// approximate values) across a size ladder that covers degenerate,
+// non-power-of-two, and large inputs, plus adversarial all-equal/all-zero
+// and extreme-magnitude vectors and a 200-seed tie-heavy top-k sweep.
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -25,11 +27,14 @@
 #include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
+#include "core/arena.hpp"
+#include "core/rng.hpp"
 #include "dwt/dwt.hpp"
 #include "dwt/wavelet.hpp"
 #include "dwt_reference.hpp"
 #include "float_codec_reference.hpp"
 #include "quantize_reference.hpp"
+#include "random_indices_reference.hpp"
 #include "topk_reference.hpp"
 
 namespace {
@@ -50,8 +55,12 @@ std::vector<float> random_values(std::size_t n, unsigned seed) {
 }
 
 // Adversarial variants: all-zero (degenerate norms, empty XOR residuals),
-// all-equal (every TopK candidate tied), and alternating-sign equal
-// magnitude (ties with sign churn). All NaN-free by construction.
+// all-equal (every TopK candidate tied), alternating-sign equal magnitude
+// (ties with sign churn), the extreme magnitudes (±inf, ±FLT_MAX,
+// ±denorm_min, then subnormals and zeros, so a top-k threshold can be a
+// subnormal), and keys that share the top radix digit (the top 11 key bits
+// of 1.0f) and spread over the lower 20 bits, so every level of the top-k
+// select runs. All NaN-free by construction.
 std::vector<std::vector<float>> adversarial_inputs(std::size_t n,
                                                    unsigned seed) {
   std::vector<std::vector<float>> out;
@@ -61,6 +70,24 @@ std::vector<std::vector<float>> adversarial_inputs(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) alt[i] = (i % 2 == 0) ? 0.25f : -0.25f;
   out.push_back(std::move(alt));
   out.push_back(random_values(n, seed));
+  using limits = std::numeric_limits<float>;
+  const float extremes[] = {limits::infinity(), -limits::infinity(),
+                            limits::max(),      -limits::max(),
+                            limits::denorm_min(), -limits::denorm_min()};
+  std::vector<float> extreme(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    extreme[i] = i % 10 < 6 ? extremes[i % 10]
+                            : limits::denorm_min() * static_cast<float>(i % 97) *
+                                  (i % 2 == 0 ? 1.0f : -1.0f);
+  }
+  out.push_back(std::move(extreme));
+  std::vector<float> top_digit(n);
+  std::mt19937 rng(seed);
+  for (float& v : top_digit) {
+    const std::uint32_t bits = 0x3F800000u | (rng() & 0xFFFFFu);
+    v = std::bit_cast<float>(bits) * (rng() % 2 == 0 ? 1.0f : -1.0f);
+  }
+  out.push_back(std::move(top_digit));
   return out;
 }
 
@@ -177,8 +204,8 @@ TEST(KernelEquivalence, TopkIdenticalIndexSet) {
     }
   }
   // The model sizes the benchmark workloads select over (cifar 2092,
-  // movielens 3360; both below the histogram cut-off), at every paper
-  // cut-off alpha and at CHOCO's n / 10, on zero-heavy and dense scores.
+  // movielens 3360), at every paper cut-off alpha and at CHOCO's n / 10, on
+  // zero-heavy and dense scores.
   for (std::size_t n : {std::size_t{2092}, std::size_t{3360}}) {
     for (unsigned seed = 0; seed < 4; ++seed) {
       const std::vector<float> sparse = workload_scores(n, 31 + seed);
@@ -204,8 +231,8 @@ TEST(KernelEquivalence, TopkIdenticalIndexSet) {
 // discrete magnitude set so the threshold magnitude is packed with exact
 // ties. The kernel must return *exactly* the reference index set, which
 // pins the shared tie rule (magnitude descending, index ascending). It runs
-// at the movielens model size (the nth_element threshold) and above the
-// histogram cut-off.
+// at the movielens model size and at 8192, where the tied keys outnumber k
+// and the select re-reads every value at each level.
 TEST(KernelEquivalence, TopkTieBreak200SeedSweep) {
   for (const std::size_t n : {std::size_t{3360}, std::size_t{8192}}) {
     for (unsigned seed = 0; seed < 200; ++seed) {
@@ -225,11 +252,42 @@ TEST(KernelEquivalence, TopkTieBreak200SeedSweep) {
   }
 }
 
+// --- Seed-mode index draw ------------------------------------------------
+
+// The kernel's flag scan against Floyd's draw followed by a sort, on the
+// in-repo generator, so it runs on every standard library. The shapes cover
+// k = 0, k = n, k > n (clamped), the scale workload's 21 of 58, and sets
+// sparse and dense in large n.
+TEST(KernelEquivalence, RandomIndicesMatchReference) {
+  core::Arena arena;
+  std::vector<std::uint32_t> got, want;
+  const std::size_t shapes[][2] = {{1, 0},      {1, 1},     {10, 3},
+                                   {58, 21},    {58, 58},   {100, 99},
+                                   {400, 320},  {3360, 336}, {5000, 40},
+                                   {5000, 5000}, {100000, 5}, {3, 7}};
+  for (const auto& [n, k] : shapes) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const std::uint64_t s = core::mix64(seed * 7919 + n + k);
+      arena.reset();
+      compress::random_indices_into(n, k, s, got, arena);
+      testref::ref_random_indices(n, k, s, want);
+      ASSERT_EQ(got, want) << "n " << n << " k " << k << " seed " << s;
+    }
+  }
+}
+
 // --- QSGD --------------------------------------------------------------
 
 TEST(KernelEquivalence, QsgdBitIdentical) {
   for (std::size_t n : kSizes) {
     for (const auto& values : adversarial_inputs(n, 23)) {
+      // An infinite coordinate makes its scaled level inf / inf = NaN, whose
+      // conversion to an integer level has no defined result in either
+      // implementation, so there is nothing to compare.
+      if (std::any_of(values.begin(), values.end(),
+                      [](float v) { return std::isinf(v); })) {
+        continue;
+      }
       for (std::uint32_t levels : {1u, 15u, 16u, 255u}) {
         std::mt19937_64 rng_s(99), rng_f(99);
         compress::QuantizedVector q_s, q_f;

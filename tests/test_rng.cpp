@@ -2,7 +2,6 @@
 // must reproduce std::mt19937_64 draw for draw, core::bounded must be
 // Lemire's method, and random_indices_into's subsets are pinned as literal
 // constants so the repo alone defines the random-sampling wire semantics.
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "compress/topk.hpp"
 #include "core/arena.hpp"
 #include "core/rng.hpp"
+#include "random_indices_reference.hpp"
 
 namespace {
 
@@ -87,18 +87,15 @@ TEST(Bounded, MatchesLibstdcxxUniformIntDistribution) {
 // Floyd's algorithm exactly as random_indices_into ran it on <random>.
 std::vector<std::uint32_t> std_random_indices(std::size_t n, std::size_t k,
                                               std::uint64_t seed) {
-  std::vector<std::uint8_t> in_set(n, 0);
-  if (k > n) k = n;
   std::mt19937_64 rng(seed);
   std::vector<std::uint32_t> out;
-  for (std::size_t j = n - k; j < n; ++j) {
-    std::uniform_int_distribution<std::size_t> dist(0, j);
-    std::size_t t = dist(rng);
-    if (in_set[t]) t = j;
-    in_set[t] = 1;
-    out.push_back(static_cast<std::uint32_t>(t));
-  }
-  std::sort(out.begin(), out.end());
+  testref::floyd_sorted(
+      n, k,
+      [&rng](std::size_t range) {
+        std::uniform_int_distribution<std::size_t> dist(0, range - 1);
+        return dist(rng);
+      },
+      out);
   return out;
 }
 

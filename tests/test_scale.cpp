@@ -46,25 +46,6 @@
 #include "sim/workloads.hpp"
 #include "test_util.hpp"
 
-namespace jwins::sim {
-
-/// White-box access to a compact Experiment's lane workers, state store and
-/// metric round.
-struct ExperimentTestPeer {
-  static algo::DlNode& worker(Experiment& e, unsigned lane) {
-    return *e.workers_.at(lane);
-  }
-  static void bind_worker(Experiment& e, algo::DlNode& w, std::size_t i) {
-    e.bind_worker(w, i);
-  }
-  static const NodeStateStore& store(const Experiment& e) { return *e.store_; }
-  static MetricPoint evaluate(Experiment& e, std::size_t round) {
-    return e.evaluate(round, 0.0);
-  }
-};
-
-}  // namespace jwins::sim
-
 namespace jwins {
 namespace {
 

@@ -1,18 +1,42 @@
 // Shared test fixtures: a quadratic model with a known global optimum (the
 // classic consensus-optimization testbed for decentralized SGD), a dummy
-// dataset to drive it through the Sampler machinery, and the result-
-// invariant report every suite that runs experiments asserts on.
+// dataset to drive it through the Sampler machinery, the result-invariant
+// report every suite that runs experiments asserts on, and the final-model
+// digest the pinned runs compare.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "data/dataset.hpp"
 #include "nn/model.hpp"
 #include "sim/check.hpp"
+#include "sim/experiment.hpp"
+#include "sim/node_state.hpp"
 #include "sim/report.hpp"
+
+namespace jwins::sim {
+
+/// White-box access to an Experiment's node-state layout and, under compact
+/// state, its lane workers, state store and metric round.
+struct ExperimentTestPeer {
+  static algo::DlNode& worker(Experiment& e, unsigned lane) {
+    return *e.workers_.at(lane);
+  }
+  static void bind_worker(Experiment& e, algo::DlNode& w, std::size_t i) {
+    e.bind_worker(w, i);
+  }
+  static const NodeStateStore& store(const Experiment& e) { return *e.store_; }
+  static bool compact(const Experiment& e) { return e.compact(); }
+  static MetricPoint evaluate(Experiment& e, std::size_t round) {
+    return e.evaluate(round, 0.0);
+  }
+};
+
+}  // namespace jwins::sim
 
 namespace jwins::testutil {
 
@@ -47,6 +71,28 @@ inline std::string deterministic_json(const sim::ExperimentResult& result,
   std::ostringstream os;
   sim::write_result_json(os, label, result);
   return strip_json_block(os.str(), "wall_seconds");
+}
+
+/// FNV-1a over the bytes of the first `n` nodes' final models, in rank
+/// order: each node's own parameters under full node state, its store slot
+/// under compact state.
+inline std::uint64_t model_digest(sim::Experiment& exp, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto absorb = [&h](std::span<const float> params) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(params.data());
+    for (std::size_t b = 0; b < params.size() * sizeof(float); ++b) {
+      h = (h ^ bytes[b]) * 0x100000001b3ull;
+    }
+  };
+  using Peer = sim::ExperimentTestPeer;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (Peer::compact(exp)) {
+      absorb(Peer::store(exp).view(i));
+    } else {
+      absorb(exp.node(i).model().flat_params());
+    }
+  }
+  return h;
 }
 
 /// Live heap bytes currently held through the global operator new, tracked
