@@ -17,21 +17,14 @@
 // state (fft_real, the Conv2d passes, the train steps) keep their /fresh
 // names.
 //
-// Two frontends share the kernel registry:
-//   * `--json=PATH` (and any run without Google Benchmark installed) uses a
-//     dependency-free steady_clock harness that also reports heap
-//     allocations per op via a global operator new/delete counting hook,
-//     and emits the stable JSON schema documented in docs/PERFORMANCE.md.
-//     BENCH_baseline.json at the repo root is a checked-in snapshot.
-//   * with Google Benchmark installed and no --json flag, the kernels are
-//     registered with benchmark::RegisterBenchmark for interactive use.
+// The harness is dependency-free: a steady_clock loop that also reports
+// heap allocations per op via a global operator new/delete counting hook.
+// It prints one line per kernel to stderr and emits the stable JSON schema
+// documented in docs/PERFORMANCE.md to PATH (--json=PATH) or to stdout.
+// BENCH_baseline.json at the repo root is a checked-in snapshot.
 //
-// Usage: bench_micro [--json=PATH] [--filter=SUBSTR] [--min-time-ms=N]
+// Usage: bench_micro [--json[=PATH]] [--filter=SUBSTR] [--min-time-ms=N]
 //                    [--list]
-
-#ifdef JWINS_HAVE_BENCHMARK
-#include <benchmark/benchmark.h>
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -149,7 +142,7 @@ std::vector<float> random_floats(std::size_t n, unsigned seed) {
   return out;
 }
 
-/// Keeps the optimizer honest without Google Benchmark's DoNotOptimize.
+/// Keeps the optimizer from deleting a kernel's result (a DoNotOptimize).
 #if defined(__GNUC__) || defined(__clang__)
 inline void consume(const void* p) {
   asm volatile("" : : "g"(p) : "memory");
@@ -695,15 +688,12 @@ int main(int argc, char** argv) {
   std::string filter;
   double min_time_ms = 20.0;
   bool list_only = false;
-  bool force_harness = false;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-      force_harness = true;
     } else if (arg == "--json") {
-      force_harness = true;  // JSON to stdout
+      json_path.clear();  // JSON to stdout
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(9);
     } else if (arg.rfind("--min-time-ms=", 0) == 0) {
@@ -718,13 +708,13 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: bench_micro [--json[=PATH]] [--filter=SUBSTR]\n"
           "                   [--min-time-ms=N] [--list]\n"
-          "--json uses the dependency-free harness and emits the\n"
-          "jwins.bench_micro/1 schema (docs/PERFORMANCE.md). Without --json\n"
-          "and with Google Benchmark available, flags are passed through to\n"
-          "its runner.\n");
+          "Emits the jwins.bench_micro/1 schema (docs/PERFORMANCE.md) to\n"
+          "PATH, or to stdout without one.\n");
       return 0;
     } else {
-      passthrough.push_back(argv[i]);
+      std::fprintf(stderr, "error: unknown flag %s (see --help)\n",
+                   arg.c_str());
+      return 2;
     }
   }
 
@@ -734,22 +724,5 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-#ifdef JWINS_HAVE_BENCHMARK
-  if (!force_harness) {
-    for (const Kernel& k : kernels) {
-      if (!filter.empty() && k.name.find(filter) == std::string::npos) continue;
-      benchmark::RegisterBenchmark(k.name.c_str(),
-                                   [fn = k.fn](benchmark::State& state) {
-                                     for (auto _ : state) fn();
-                                   });
-    }
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-#endif
-  (void)force_harness;
   return run_harness(kernels, filter, min_time_ms, json_path);
 }

@@ -22,7 +22,7 @@
 //   --shard i/N       Execute only grid cells with index % N == i and write
 //                     their JSON + CSV, no grid.json (run all N shards — any
 //                     machines — into one DIR, then --resume)
-//   --resume          Keep runs whose complete jwins.result/2 JSON already
+//   --resume          Keep runs whose complete jwins.result/3 JSON already
 //                     exists under their spec-digested file name and rebuild
 //                     their grid entries from it; execute the rest. Over the
 //                     shards' output it writes the unsharded grid.json

@@ -1,13 +1,8 @@
 #include "algo/full_sharing.hpp"
 
-namespace jwins::algo {
+#include "core/sparse_payload.hpp"
 
-FullSharingNode::FullSharingNode(std::uint32_t rank,
-                                 std::unique_ptr<nn::SupervisedModel> model,
-                                 data::Sampler sampler, TrainConfig config,
-                                 core::ValueEncoding value_encoding)
-    : DlNode(rank, std::move(model), std::move(sampler), config),
-      value_encoding_(value_encoding) {}
+namespace jwins::algo {
 
 void FullSharingNode::share(net::Network& network, const graph::Graph& g,
                             const graph::MixingWeights& /*weights*/,
@@ -23,7 +18,6 @@ void FullSharingNode::share(net::Network& network, const graph::Graph& g,
   payload.values = x;
   core::PayloadOptions options;
   options.index_encoding = core::IndexEncoding::kDense;
-  options.value_encoding = value_encoding_;
   const net::Message msg = core::make_message(
       rank(), round, payload, options, network.pool(), scratch.bits);
   broadcast(network, g, msg);

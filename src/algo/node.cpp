@@ -135,10 +135,8 @@ void DlNode::receive(net::Network& network, const graph::Graph& g,
   network.drain_into(rank_, scratch.inbox);
   for (const net::Message& msg : scratch.inbox) {
     core::SparsePayload& payload = scratch.payloads.next();
-    core::decode_payload_into(msg.body, payload, scratch.arena);
-    if (payload.vector_length != expected_length) {
-      throw std::invalid_argument("DlNode::receive: vector length mismatch");
-    }
+    core::decode_payload_into(msg.body, payload, scratch.arena,
+                              expected_length);
   }
   // Pool references are stable once every payload is decoded.
   for (std::size_t i = 0; i < scratch.inbox.size(); ++i) {

@@ -129,9 +129,8 @@ class DlNode {
   void set_flat_params(std::span<const float> flat);
   std::size_t param_count();
 
-  /// Adjusts the local optimizer's step size (for learning-rate schedules).
+  /// Adjusts the local optimizer's step size.
   void set_learning_rate(float lr) noexcept { optimizer_.set_learning_rate(lr); }
-  float learning_rate() const noexcept { return optimizer_.learning_rate(); }
 
   /// Staleness-weighted mixing (sim::AsyncMode::kWeighted): a contribution
   /// tagged s rounds before the aggregating round mixes with weight
@@ -192,9 +191,10 @@ class DlNode {
   /// Drains this node's inbox into scratch.inbox, decodes every message
   /// into a scratch.payloads slot, and pushes one
   /// {contribution_weight(), &payload} per message into
-  /// scratch.contributions, in inbox order. Throws when a payload's
-  /// vector_length is not `expected_length` (param_count(), or the
-  /// coefficient length for JWINS). The caller resets `scratch` first.
+  /// scratch.contributions, in inbox order. Throws, before decoding its
+  /// sections, when a payload's vector_length is not `expected_length`
+  /// (param_count(), or the coefficient length for JWINS). The caller
+  /// resets `scratch` first.
   void receive(net::Network& network, const graph::Graph& g,
                const graph::MixingWeights& weights, std::uint32_t round,
                std::size_t expected_length, core::RoundScratch& scratch);

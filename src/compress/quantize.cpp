@@ -50,6 +50,7 @@ void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
   std::uint32_t lower[kBlock];
   double frac[kBlock];
   const float norm = out.norm;
+  const double level_cap = static_cast<double>(levels) + 1.0;
   std::size_t i = 0;
   while (i < values.size()) {
     const std::size_t len = std::min(kBlock, values.size() - i);
@@ -59,9 +60,13 @@ void qsgd_quantize_into(std::span<const float> values, std::uint32_t levels,
       // double for the levels product.
       const double scaled =
           std::fabs(v[j]) / norm * static_cast<double>(levels);
-      const auto lo = static_cast<std::uint32_t>(scaled);
+      // An infinite coordinate scales to inf / inf = NaN, which has no
+      // integer conversion: anything not below levels + 1 (NaN included)
+      // takes the top level, still after its one draw.
+      const bool in_range = scaled < level_cap;
+      const auto lo = static_cast<std::uint32_t>(in_range ? scaled : levels);
       lower[j] = lo;
-      frac[j] = scaled - lo;
+      frac[j] = in_range ? scaled - lo : 0.0;
     }
     for (std::size_t j = 0; j < len; ++j) {
       std::uint32_t level = lower[j] + (u01(rng) < frac[j] ? 1u : 0u);
@@ -123,27 +128,11 @@ QuantizedView qsgd_view(std::span<const std::uint8_t> bytes) {
   return q;
 }
 
-std::size_t qsgd_wire_size(const QuantizedVector& q) noexcept {
-  // norm + levels + count + length-prefixed packed blob.
-  return sizeof(float) + 3 * sizeof(std::uint32_t) + q.packed.size();
-}
-
 void qsgd_serialize_into(const QuantizedVector& q, net::ByteWriter& writer) {
   writer.write_f32(q.norm);
   writer.write_u32(q.levels);
   writer.write_u32(q.count);
   writer.write_bytes(q.packed);
-}
-
-void qsgd_deserialize_into(std::span<const std::uint8_t> bytes,
-                           QuantizedVector& out) {
-  net::ByteReader reader(bytes);
-  out.norm = reader.read_f32();
-  out.levels = reader.read_u32();
-  out.count = reader.read_u32();
-  const std::span<const std::uint8_t> packed = reader.view_bytes();
-  out.packed.assign(packed.begin(), packed.end());
-  if (out.levels == 0) throw std::runtime_error("qsgd_deserialize: zero levels");
 }
 
 }  // namespace jwins::compress

@@ -65,14 +65,9 @@ QuantizedView qsgd_view(std::span<const std::uint8_t> bytes);
 void qsgd_dequantize_into(const QuantizedVector& q, std::vector<float>& out);
 void qsgd_dequantize_into(const QuantizedView& q, std::vector<float>& out);
 
-/// Serialized wire size in bytes.
-std::size_t qsgd_wire_size(const QuantizedVector& q) noexcept;
-
-/// Serialization to/from a byte buffer (format: norm f32, levels u32,
-/// count u32, packed bytes). Serialize appends to a caller-owned writer,
-/// deserialize reuses `out`'s packed buffer.
+/// Appends the wire format (norm f32, levels u32, count u32, then the
+/// length-prefixed packed bytes) to a caller-owned writer; qsgd_view()
+/// parses it back.
 void qsgd_serialize_into(const QuantizedVector& q, net::ByteWriter& writer);
-void qsgd_deserialize_into(std::span<const std::uint8_t> bytes,
-                           QuantizedVector& out);
 
 }  // namespace jwins::compress

@@ -446,7 +446,8 @@ const std::vector<KeySpec>& key_specs() {
           }
         });
     add({"learning_rate", "float", "auto", "auto, or (0, 1e3]",
-         "SGD learning rate; auto = the workload's grid-searched suggestion"},
+         "Constant step size of plain SGD; auto = the workload's grid-searched "
+         "suggestion"},
         [](ScenarioRun& r, const std::string& v) {
           if (v == "auto") {
             r.auto_learning_rate = true;
@@ -455,39 +456,6 @@ const std::vector<KeySpec>& key_specs() {
                 parse_double_in("learning_rate", v, 0.0, 1e3, true, "(0, 1e3]"));
             r.auto_learning_rate = false;
           }
-        });
-    add({"momentum", "float", "0", "[0, 1)",
-         "SGD momentum (paper: 0, plain SGD)"},
-        [](ScenarioRun& r, const std::string& v) {
-          const double m = parse_double("momentum", v);
-          if (m < 0.0 || m >= 1.0) fail("momentum", "must be in [0, 1)");
-          r.config.sgd.momentum = static_cast<float>(m);
-        });
-    add({"weight_decay", "float", "0", ">= 0", "SGD weight decay"},
-        [](ScenarioRun& r, const std::string& v) {
-          const double w = parse_double("weight_decay", v);
-          if (w < 0.0) fail("weight_decay", "must be >= 0");
-          r.config.sgd.weight_decay = static_cast<float>(w);
-        });
-    add({"lr_decay_factor", "float", "1.0", "(0, 1]",
-         "Multiply the learning rate by this every lr_decay_every rounds"},
-        [](ScenarioRun& r, const std::string& v) {
-          r.config.lr_decay_factor =
-              parse_double_in("lr_decay_factor", v, 0.0, 1.0, true, "(0, 1]");
-        });
-    add({"lr_decay_every", "uint", "0 (off)", "any",
-         "Learning-rate decay period in rounds (0 = constant)"},
-        [](ScenarioRun& r, const std::string& v) {
-          r.config.lr_decay_every = parse_uint("lr_decay_every", v);
-        });
-    add({"message_drop_probability", "float", "0", "[0, 1)",
-         "Failure injection: probability any message is dropped in flight"},
-        [](ScenarioRun& r, const std::string& v) {
-          const double p = parse_double("message_drop_probability", v);
-          if (p < 0.0 || p >= 1.0) {
-            fail("message_drop_probability", "must be in [0, 1)");
-          }
-          r.config.message_drop_probability = p;
         });
 
     // --- evaluation ------------------------------------------------------
@@ -527,7 +495,7 @@ const std::vector<KeySpec>& key_specs() {
          "per-node copy-on-write deltas driven by per-lane workers — the "
          "100k-1M-node memory diet. compact requires engine = sync, "
          "batch_sampler = counter, algorithm = random-sampling or "
-         "full-sharing, and no byzantine/robust_agg/momentum; results are "
+         "full-sharing, and no byzantine/robust_agg; results are "
          "byte-identical to full under the same config"},
         [](ScenarioRun& r, const std::string& v) {
           expect_enum("node_state", v, {"full", "compact"});
@@ -602,7 +570,7 @@ const std::vector<KeySpec>& key_specs() {
     add({"edge_drop", "string", "off",
          "off, fixed:<p>, uniform:<lo>:<hi> with probabilities in [0, 1)",
          "Per-edge message-drop probability (drawn once per edge for "
-         "uniform), on top of message_drop_probability"},
+         "uniform); every message draws its own drop decision"},
         [](ScenarioRun& r, const std::string& v) {
           r.config.time.edge_drop = parse_edge_drop("edge_drop", v);
         });

@@ -281,7 +281,7 @@ SweepOutcome run_sweep(const std::vector<ScenarioRun>& runs,
                    << sim::format_seconds(st.compute_seconds)
                    << "  comm=" << sim::format_seconds(st.comm_seconds)
                    << "  dropped=" << st.dropped_total
-                   << " (iid=" << st.dropped_iid << " edge=" << st.dropped_edge
+                   << " (edge=" << st.dropped_edge
                    << " burst=" << st.dropped_burst
                    << " crash=" << st.dropped_crash << ")"
                    << "  crashed-rounds=" << st.crashed_node_rounds

@@ -67,7 +67,8 @@ std::size_t encode_payload_into(const PayloadView& payload,
 }
 
 void decode_payload_into(std::span<const std::uint8_t> body,
-                         SparsePayload& out, Arena& arena) {
+                         SparsePayload& out, Arena& arena,
+                         std::optional<std::size_t> expected_length) {
   net::ByteReader reader(body);
   const std::uint8_t index_byte = reader.read_u8();
   const std::uint8_t value_byte = reader.read_u8();
@@ -82,6 +83,9 @@ void decode_payload_into(std::span<const std::uint8_t> body,
   const auto index_mode = static_cast<IndexEncoding>(index_byte);
   const auto value_mode = static_cast<ValueEncoding>(value_byte);
   out.vector_length = reader.read_u32();
+  if (expected_length && out.vector_length != *expected_length) {
+    throw std::runtime_error("decode_payload: vector length mismatch");
+  }
   const std::uint32_t count = reader.read_u32();
   out.indices.clear();
   out.values.clear();

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -97,11 +98,14 @@ std::size_t encode_payload_into(const PayloadView& payload,
 /// `out`'s reused buffers; `arena` backs the kSeed membership flags. For
 /// kSeed the index set is regenerated, so the result always carries
 /// explicit indices unless dense. An unknown index or value encoding byte,
-/// and a sparse count of zero or above the header's vector_length, are
-/// rejected before either section is decoded, and so is an index set that
-/// is not strictly ascending or reaches vector_length.
+/// a header vector_length other than `expected_length` (when given: the
+/// receiver's own length, which bounds what a kSeed decode allocates), and a
+/// sparse count of zero or above the header's vector_length are rejected
+/// before either section is decoded, and so is an index set that is not
+/// strictly ascending or reaches vector_length.
 void decode_payload_into(std::span<const std::uint8_t> body,
-                         SparsePayload& out, Arena& arena);
+                         SparsePayload& out, Arena& arena,
+                         std::optional<std::size_t> expected_length = {});
 
 /// Encodes `payload` into a network message whose body is a buffer from
 /// `pool`, so its storage is recycled round over round and fan-out to d

@@ -78,15 +78,9 @@ void Network::deliver(std::uint32_t to, Message msg) {
   mailboxes_[to].push_back(std::move(msg));
 }
 
-std::vector<Message> Network::drain(std::uint32_t node) {
-  std::vector<Message> out;
-  drain_into(node, out);
-  return out;
-}
-
 void Network::drain_into(std::uint32_t node, std::vector<Message>& out) {
   if (node >= mailboxes_.size()) {
-    throw std::out_of_range("Network::drain: node out of range");
+    throw std::out_of_range("Network::drain_into: node out of range");
   }
   out.clear();
   {

@@ -5,8 +5,8 @@
 // records payload vs. metadata bytes per node (the split behind Figures 4/9),
 // and a net::TimeModel (net/time_model.hpp) converts per-round byte volumes
 // into simulated wall-clock time — the basis of the paper's time-to-accuracy
-// comparisons. The TimeModel also owns failure injection (i.i.d. and
-// per-edge message drop, node crash/rejoin, burst outages) and per-edge
+// comparisons. The TimeModel also owns failure injection (per-edge message
+// drop, node crash/rejoin, burst outages) and per-edge
 // bandwidth/latency heterogeneity; its default configuration is the flat
 // LinkModel every result before the time-model subsystem was computed under
 // (see docs/SIMULATION.md).
@@ -110,18 +110,9 @@ class Network {
 
   std::size_t size() const noexcept { return mailboxes_.size(); }
 
-  /// Enables lossy-link failure injection: each message is independently
-  /// dropped with probability `probability` (deterministic given `seed`:
-  /// the decision hashes (sender, receiver, round, seed), so runs are
-  /// reproducible regardless of thread scheduling). Dropped messages still
-  /// count as sent bytes — the sender paid for them — and are tallied in
-  /// messages_dropped().
-  void set_drop(double probability, std::uint64_t seed) {
-    time_.set_iid_drop(probability, seed);
-  }
-
-  /// Messages discarded by failure injection so far (all causes: i.i.d.,
-  /// per-edge, burst, crash; the TimeModel keeps the per-cause split).
+  /// Messages discarded by failure injection so far (all causes: per-edge,
+  /// burst, crash; the TimeModel keeps the per-cause split). Dropped
+  /// messages still count as sent bytes — the sender paid for them.
   std::uint64_t messages_dropped() const noexcept {
     return time_.dropped_total();
   }
@@ -145,14 +136,12 @@ class Network {
   /// the canonical (round, sender) drain order still applies.
   void deliver(std::uint32_t to, Message msg);
 
-  /// Drains node i's mailbox (receiver's view of the round). Messages are
-  /// returned sorted by (round, sender) — the sequential engine's arrival
-  /// order — so aggregation is independent of thread scheduling.
-  std::vector<Message> drain(std::uint32_t node);
-
-  /// Reuse variant: swaps the mailbox contents into `out` (cleared first),
-  /// so the receiver's scratch vector and the mailbox circulate their heap
-  /// capacity instead of reallocating every round. Same canonical order.
+  /// Drains node i's mailbox (receiver's view of the round) into `out`
+  /// (cleared first) by a swap, so the receiver's scratch vector and the
+  /// mailbox circulate their heap capacity instead of reallocating every
+  /// round. Messages come out sorted by (round, sender) — the sequential
+  /// engine's arrival order — so aggregation is independent of thread
+  /// scheduling.
   void drain_into(std::uint32_t node, std::vector<Message>& out);
 
   /// Advances the simulated clock by one round: compute phase plus the

@@ -207,15 +207,6 @@ bool TimeModel::burst_active(std::size_t round) const {
          round % config_.burst_every < config_.burst_length;
 }
 
-void TimeModel::set_iid_drop(double probability, std::uint64_t seed) {
-  if (probability < 0.0 || probability >= 1.0) {
-    throw std::invalid_argument(
-        "Network::set_drop: probability must be in [0, 1)");
-  }
-  iid_drop_probability_ = probability;
-  iid_drop_seed_ = seed;
-}
-
 DropCause TimeModel::drop_cause(std::uint32_t sender, std::uint32_t receiver,
                                 std::uint32_t round) const {
   if (has_crashes() &&
@@ -238,18 +229,6 @@ DropCause TimeModel::drop_cause(std::uint32_t sender, std::uint32_t receiver,
             seed_, sender,
             (std::uint64_t{round} << 32) | receiver, kSaltEdgeDecision)) < p) {
       return DropCause::kEdge;
-    }
-  }
-  if (iid_drop_probability_ > 0.0) {
-    // The original Network lossy-link hash, verbatim: drop decisions of
-    // pre-TimeModel seeded runs are preserved bit for bit.
-    const std::uint64_t h =
-        core::mix64(iid_drop_seed_ ^ core::mix64(sender) ^
-                    core::mix64(std::uint64_t{receiver} << 20) ^
-                    core::mix64(std::uint64_t{round} << 40));
-    if (static_cast<double>(h) / 18446744073709551616.0 <
-        iid_drop_probability_) {
-      return DropCause::kIid;
     }
   }
   return DropCause::kNone;
@@ -295,7 +274,6 @@ void TimeModel::count_drop(DropCause cause) {
     case DropCause::kCrash: ++dropped_crash_; break;
     case DropCause::kBurst: ++dropped_burst_; break;
     case DropCause::kEdge: ++dropped_edge_; break;
-    case DropCause::kIid: ++dropped_iid_; break;
   }
 }
 

@@ -5,8 +5,8 @@
 // identical link) is the degenerate case of this subsystem: a TimeModel
 // additionally supports per-edge bandwidth/latency drawn from seeded
 // distributions, per-node compute-speed multipliers (stragglers), and fault
-// injection beyond i.i.d. message drop — per-edge drop probabilities, node
-// crash/rejoin schedules, and correlated burst outages. Every random
+// injection — per-edge drop probabilities, node crash/rejoin schedules, and
+// correlated burst outages. Every random
 // attribute is a pure function of (experiment seed, entity coordinates) via
 // core::derive_seed, so results are bit-identical at any thread count and
 // the attributes survive topology churn (an edge's bandwidth depends only
@@ -57,10 +57,9 @@ struct LinkDist {
   bool is_base() const noexcept { return kind == Kind::kBase; }
 };
 
-/// Per-edge drop-probability spec. Unlike the legacy i.i.d. knob (one global
-/// probability for every message), each edge gets its own probability —
-/// drawn once per edge for `kUniform` — and the per-message decision is then
-/// keyed on (edge, round).
+/// Per-edge drop-probability spec. Each edge gets its own probability —
+/// the same p everywhere for `kFixed`, drawn once per edge for `kUniform` —
+/// and every message then draws its own decision keyed on (edge, round).
 struct EdgeDropDist {
   enum class Kind {
     kOff,      ///< no per-edge drops (the default)
@@ -110,8 +109,7 @@ struct TimeModelConfig {
   /// True when the round clock must take the per-edge critical-path engine
   /// instead of the exact legacy formula.
   bool heterogeneous_time() const noexcept;
-  /// True when any fault-injection feature beyond the legacy i.i.d. drop is
-  /// configured.
+  /// True when any fault-injection feature is configured.
   bool any_faults() const noexcept;
   /// heterogeneous_time() || any_faults(): anything beyond the flat link
   /// model (jwins_run then prints the time-model and drop summary lines).
@@ -124,8 +122,8 @@ struct TimeModelConfig {
 
 /// Why a message was discarded by failure injection. Precedence is the enum
 /// order: a message on a crashed endpoint is counted as kCrash even if the
-/// burst/edge/i.i.d. dice would also have dropped it.
-enum class DropCause { kNone, kCrash, kBurst, kEdge, kIid };
+/// burst/edge dice would also have dropped it.
+enum class DropCause { kNone, kCrash, kBurst, kEdge };
 
 /// The simulated clock and fault oracle for one Network. Owns the per-round
 /// byte accounting and converts it into simulated time:
@@ -171,11 +169,6 @@ class TimeModel {
   bool burst_active(std::size_t round) const;
 
   // --- send-path hooks (see the thread-safety contract above) -------------
-  /// Enables the legacy i.i.d. message drop (hash formula unchanged from the
-  /// original Network::set_drop, so existing seeded runs keep their drops).
-  void set_iid_drop(double probability, std::uint64_t seed);
-  double iid_drop_probability() const noexcept { return iid_drop_probability_; }
-
   /// Failure-injection verdict for one message. Pure: the decision hashes
   /// logical coordinates only, so it is independent of thread scheduling.
   DropCause drop_cause(std::uint32_t sender, std::uint32_t receiver,
@@ -219,9 +212,8 @@ class TimeModel {
 
   // --- fault bookkeeping ---------------------------------------------------
   std::uint64_t dropped_total() const noexcept {
-    return dropped_iid_ + dropped_edge_ + dropped_burst_ + dropped_crash_;
+    return dropped_edge_ + dropped_burst_ + dropped_crash_;
   }
-  std::uint64_t dropped_iid() const noexcept { return dropped_iid_; }
   std::uint64_t dropped_edge() const noexcept { return dropped_edge_; }
   std::uint64_t dropped_burst() const noexcept { return dropped_burst_; }
   std::uint64_t dropped_crash() const noexcept { return dropped_crash_; }
@@ -250,9 +242,6 @@ class TimeModel {
 
   std::vector<bool> crash_set_;  ///< seeded choice of crash_nodes victims
 
-  double iid_drop_probability_ = 0.0;
-  std::uint64_t iid_drop_seed_ = 0;
-
   /// Per-sender (receiver, bytes) accumulators for the current round, in
   /// send order (= the sender's deterministic neighbor iteration order).
   std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
@@ -262,7 +251,6 @@ class TimeModel {
   std::size_t edge_record_count_ = 0;
   std::size_t edge_records_high_water_ = 0;
 
-  std::uint64_t dropped_iid_ = 0;
   std::uint64_t dropped_edge_ = 0;
   std::uint64_t dropped_burst_ = 0;
   std::uint64_t dropped_crash_ = 0;

@@ -1,9 +1,7 @@
-// Plain SGD, matching the paper's optimizer choice ("basic SGD optimizer
-// without momentum", §IV-B). Momentum and weight decay are available for the
-// extension experiments but default to off.
+// Plain SGD at a constant learning rate, the paper's optimizer ("basic SGD
+// optimizer without momentum", §IV-B): no momentum buffer, no weight decay,
+// no schedule, so a node's optimizer holds no state beyond its step size.
 #pragma once
-
-#include <vector>
 
 #include "nn/model.hpp"
 
@@ -13,8 +11,6 @@ class Sgd {
  public:
   struct Options {
     float learning_rate = 0.01f;
-    float momentum = 0.0f;
-    float weight_decay = 0.0f;
   };
 
   /// Steps `model`'s flat parameter vector with its flat gradients. The
@@ -24,16 +20,14 @@ class Sgd {
   /// shape with its parameters.
   Sgd(SupervisedModel& model, Options options);
 
-  /// Applies one update: p -= lr * (g + wd * p) (+ momentum buffer if set).
+  /// Applies one update: p -= lr * g.
   void step();
 
-  float learning_rate() const noexcept { return options_.learning_rate; }
   void set_learning_rate(float lr) noexcept { options_.learning_rate = lr; }
 
  private:
   SupervisedModel* model_;
   Options options_;
-  std::vector<float> velocity_;  // lazily sized when momentum > 0
 };
 
 }  // namespace jwins::nn

@@ -132,11 +132,9 @@ std::vector<std::string> check_result(const ExperimentResult& result,
   }
 
   // --- message ledgers
-  if (st.dropped_total !=
-      st.dropped_iid + st.dropped_edge + st.dropped_burst + st.dropped_crash) {
+  if (st.dropped_total != st.dropped_edge + st.dropped_burst + st.dropped_crash) {
     fail("sim_time.dropped_total",
-         to_string(st.dropped_total) + " != dropped_iid " +
-             to_string(st.dropped_iid) + " + dropped_edge " +
+         to_string(st.dropped_total) + " != dropped_edge " +
              to_string(st.dropped_edge) + " + dropped_burst " +
              to_string(st.dropped_burst) + " + dropped_crash " +
              to_string(st.dropped_crash));

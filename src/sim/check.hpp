@@ -17,7 +17,7 @@ namespace jwins::sim {
 /// `config`. Returns one "<field>: <why>" diagnostic per violated identity,
 /// naming the result field by its JSON path (empty = consistent):
 ///
-///  * sim_time.dropped_total == iid + edge + burst + crash;
+///  * sim_time.dropped_total == edge + burst + crash;
 ///  * async engine: messages_sent == delivered + dropped_total + in_flight
 ///    (the conservation ledger);
 ///  * async engine: staleness-histogram total + stale drops <= delivered,

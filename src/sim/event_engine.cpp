@@ -209,7 +209,7 @@ ExperimentResult EventEngine::run_barrier() {
       });
       ++stats_.local_steps[i];
     }
-    // The round tail (lr decay, alpha, budget, eval, target stop) is the
+    // The round tail (alpha, budget, eval, target stop) is the
     // synchronous loop's own.
     if (exp_.end_round(t, train_losses, result)) break;
   }
@@ -410,12 +410,6 @@ void EventEngine::process_local_step(const Event& event,
       exp_.alpha_sum_ +=
           static_cast<algo::JwinsNode&>(*exp_.nodes_[i]).last_alpha();
       ++exp_.alpha_samples_;
-    }
-    // Per-node decay at the node's OWN round boundary — the async analogue
-    // of the sync loop's global decay (documented divergence).
-    if (cfg.lr_decay_every > 0 && (r + 1) % cfg.lr_decay_every == 0) {
-      exp_.nodes_[i]->set_learning_rate(static_cast<float>(
-          exp_.nodes_[i]->learning_rate() * cfg.lr_decay_factor));
     }
   }
   ++round_[i];

@@ -81,15 +81,8 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   require(local_steps >= 1, "local_steps: must be >= 1");
   require(std::isfinite(sgd.learning_rate) && sgd.learning_rate > 0.0f,
           "learning_rate: must be > 0");
-  require(sgd.momentum >= 0.0f && sgd.momentum < 1.0f,
-          "momentum: must be in [0, 1)");
-  require(sgd.weight_decay >= 0.0f, "weight_decay: must be >= 0");
   require(target_accuracy <= 1.0,
           "target_accuracy: must be <= 1 (a fraction, not a percentage)");
-  require(lr_decay_factor > 0.0 && lr_decay_factor <= 1.0,
-          "lr_decay_factor: must be in (0, 1]");
-  require(message_drop_probability >= 0.0 && message_drop_probability < 1.0,
-          "message_drop_probability: must be in [0, 1)");
   require(eval_every >= 1,
           "eval_every: must be >= 1 (0 would divide by zero in the round loop)");
   require(eval_sample_limit >= 1, "eval_sample_limit: must be >= 1");
@@ -116,9 +109,6 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
     require(robust_agg.kind == core::RobustAggKind::kNone,
             "node_state: compact requires robust_agg = none (per-node "
             "robust counters need full node objects)");
-    require(sgd.momentum == 0.0f,
-            "node_state: compact requires momentum = 0 (momentum keeps "
-            "per-node optimizer state)");
   }
   require(compute_seconds_per_round >= 0.0,
           "compute_seconds_per_round: must be >= 0");
@@ -343,9 +333,6 @@ Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
     for (auto& node : nodes_) node->set_robust_agg(config_.robust_agg);
   }
   eval_batch_ = data::full_batch(*test_, config_.eval_sample_limit);
-  if (config_.message_drop_probability > 0.0) {
-    network_.set_drop(config_.message_drop_probability, config_.seed);
-  }
   // One scratch per execution lane, arena pre-sized from the model so the
   // very first round already runs without heap growth. Lanes are exclusive
   // (static chunking), so scratches are never shared between running calls.
@@ -564,17 +551,6 @@ bool Experiment::end_round(std::size_t t, std::span<const float> train_losses,
     return time_model.node_alive(static_cast<std::uint32_t>(i), t);
   };
 
-  if (config_.lr_decay_every > 0 && (t + 1) % config_.lr_decay_every == 0) {
-    // Every node follows the same schedule. One of the two is empty: the
-    // lane workers hold the only optimizer state under compact state.
-    for (auto* group : {&nodes_, &workers_}) {
-      for (auto& node : *group) {
-        node->set_learning_rate(static_cast<float>(node->learning_rate() *
-                                                   config_.lr_decay_factor));
-      }
-    }
-  }
-
   if (config_.algorithm == Algorithm::kJwins) {
     // Alpha over the alive nodes of the metric population, in rank order
     // (crashed nodes drew no cut-off). Under eval_sample that is the seeded
@@ -643,7 +619,6 @@ void Experiment::collect_summary(ExperimentResult& result) {
   result.sim_time.compute_seconds = network_.simulated_compute_seconds();
   result.sim_time.comm_seconds = network_.simulated_comm_seconds();
   result.sim_time.dropped_total = tm.dropped_total();
-  result.sim_time.dropped_iid = tm.dropped_iid();
   result.sim_time.dropped_edge = tm.dropped_edge();
   result.sim_time.dropped_burst = tm.dropped_burst();
   result.sim_time.dropped_crash = tm.dropped_crash();

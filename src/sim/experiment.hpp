@@ -128,17 +128,6 @@ struct ExperimentConfig {
   std::size_t local_steps = 1;  ///< tau
   nn::Sgd::Options sgd;
 
-  /// Step learning-rate schedule: every `lr_decay_every` rounds multiply
-  /// the learning rate by `lr_decay_factor` (1.0 = constant, the paper's
-  /// setting).
-  double lr_decay_factor = 1.0;
-  std::size_t lr_decay_every = 0;  ///< 0 = no decay
-
-  /// Failure injection: probability that any message is dropped in flight
-  /// (0 = reliable network). Exercises the partial-averaging robustness the
-  /// paper credits JWINS for ("flexible to nodes leaving and joining").
-  double message_drop_probability = 0.0;
-
   std::size_t eval_every = 10;
   std::size_t eval_sample_limit = 512;  ///< test subsample per evaluation
   std::size_t eval_node_limit = 0;      ///< 0 = evaluate every node
@@ -155,7 +144,7 @@ struct ExperimentConfig {
 
   /// Per-node state layout (see NodeState). kCompact trades generality for
   /// memory: validate() enforces its restrictions (sync engine, counter
-  /// sampler, stateless-node algorithm, no byzantine/robust/momentum).
+  /// sampler, stateless-node algorithm, no byzantine/robust).
   NodeState node_state = NodeState::kFull;
 
   /// Mini-batch sampling discipline (see BatchSampler). The default keeps
@@ -277,7 +266,6 @@ struct SimTimeBreakdown {
   double compute_seconds = 0.0;  ///< cumulative simulated compute phase
   double comm_seconds = 0.0;     ///< cumulative simulated communication phase
   std::uint64_t dropped_total = 0;
-  std::uint64_t dropped_iid = 0;
   std::uint64_t dropped_edge = 0;
   std::uint64_t dropped_burst = 0;
   std::uint64_t dropped_crash = 0;
@@ -430,8 +418,7 @@ class Experiment {
   template <class Fn>
   void for_each_alive(std::size_t t, Fn&& fn);
   /// Round-boundary bookkeeping of the lockstep engines (the sync loop and
-  /// the event engine's barrier mode): rounds_run, learning-rate decay,
-  /// JWINS alpha accounting, the sim-time budget, the eval cadence and the
+  /// the event engine's barrier mode): rounds_run, JWINS alpha accounting, the sim-time budget, the eval cadence and the
   /// target stop. Returns true when the run stops after round t.
   bool end_round(std::size_t t, std::span<const float> train_losses,
                  ExperimentResult& result);

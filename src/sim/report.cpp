@@ -113,7 +113,7 @@ void write_result_json(std::ostream& os, const std::string& label,
   os << "    \"stragglers\": " << st.stragglers << ",\n";
   os << "    \"crashed_node_rounds\": " << st.crashed_node_rounds << ",\n";
   os << "    \"messages_dropped\": {\"total\": " << st.dropped_total
-     << ", \"iid\": " << st.dropped_iid << ", \"edge\": " << st.dropped_edge
+     << ", \"edge\": " << st.dropped_edge
      << ", \"burst\": " << st.dropped_burst
      << ", \"crash\": " << st.dropped_crash << "}\n";
   os << "  },\n";

@@ -38,8 +38,12 @@ void ref_qsgd_quantize(std::span<const float> values, std::uint32_t levels,
     if (out.norm > 0.0f) {
       const double scaled =
           std::fabs(v) / out.norm * static_cast<double>(levels);
-      const auto lower = static_cast<std::uint32_t>(scaled);
-      const double frac = scaled - lower;
+      // NaN (an infinite v: inf / inf) or anything not below levels + 1
+      // cannot be converted to an integer: it is the top level.
+      const bool in_range = scaled < static_cast<double>(levels) + 1.0;
+      const auto lower =
+          static_cast<std::uint32_t>(in_range ? scaled : levels);
+      const double frac = in_range ? scaled - lower : 0.0;
       level = lower + (u01(rng) < frac ? 1u : 0u);  // unbiased rounding
       if (level > levels) level = levels;
     }

@@ -319,25 +319,25 @@ TEST(ScratchEquivalence, QsgdQuantizer) {
   const auto warm = random_floats(4096, 13);
   const auto values = random_floats(2048, 3);
   std::mt19937_64 rng_fresh(9), rng_warm(4), rng_dirty(9);
-  compress::QuantizedVector fresh, dirty, parsed;
+  compress::QuantizedVector fresh, dirty;
   std::vector<float> fresh_deq, dirty_deq;
   compress::qsgd_quantize_into(values, 15, rng_fresh, fresh);
   compress::qsgd_dequantize_into(fresh, fresh_deq);
   compress::qsgd_quantize_into(warm, 63, rng_warm, dirty);
   compress::qsgd_dequantize_into(dirty, dirty_deq);
-  net::ByteWriter warm_wire, wire;
-  compress::qsgd_serialize_into(dirty, warm_wire);
-  compress::qsgd_deserialize_into(warm_wire.buffer(), parsed);
   compress::qsgd_quantize_into(values, 15, rng_dirty, dirty);
   compress::qsgd_dequantize_into(dirty, dirty_deq);
+  EXPECT_EQ(dirty.norm, fresh.norm);
+  EXPECT_EQ(dirty.levels, fresh.levels);
+  EXPECT_EQ(dirty.count, fresh.count);
+  EXPECT_EQ(dirty.packed, fresh.packed);
+  net::ByteWriter wire;
   compress::qsgd_serialize_into(dirty, wire);
-  compress::qsgd_deserialize_into(wire.buffer(), parsed);
-  for (const compress::QuantizedVector* q : {&dirty, &parsed}) {
-    EXPECT_EQ(q->norm, fresh.norm);
-    EXPECT_EQ(q->levels, fresh.levels);
-    EXPECT_EQ(q->count, fresh.count);
-    EXPECT_EQ(q->packed, fresh.packed);
-  }
+  const compress::QuantizedView parsed = compress::qsgd_view(wire.buffer());
+  EXPECT_EQ(parsed.norm, fresh.norm);
+  EXPECT_EQ(parsed.levels, fresh.levels);
+  EXPECT_EQ(parsed.count, fresh.count);
+  EXPECT_TRUE(std::ranges::equal(parsed.packed, fresh.packed));
   EXPECT_EQ(fresh_deq, dirty_deq);
 }
 

@@ -51,8 +51,7 @@ void add_heterogeneity(ExperimentConfig& cfg) {
 }
 
 void add_faults(ExperimentConfig& cfg) {
-  cfg.message_drop_probability = 0.1;
-  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.1, 0.0};
+  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.2, 0.0};
   cfg.time.burst_every = 3;
   cfg.time.burst_drop = 0.5;
   cfg.time.crash_nodes = 1;
@@ -200,7 +199,7 @@ const Base& base(const std::string& name) {
     add("attack", add_attack);
     add("barrier", [](ExperimentConfig& c) {
       c.engine = EngineKind::kAsync;
-      c.message_drop_probability = 0.2;
+      c.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.2, 0.0};
     });
     add("bounded", [](ExperimentConfig& c) {
       c.engine = EngineKind::kAsync;
@@ -289,9 +288,9 @@ const Edit kEdits[] = {
        r.series.front().sim_comm_seconds += 1.0;
      }},
     // Message ledgers.
-    {"sync", "dropped_iid",
+    {"sync", "dropped_edge",
      [](ExperimentResult& r, const ExperimentConfig&) {
-       ++r.sim_time.dropped_iid;
+       ++r.sim_time.dropped_edge;
      }},
     {"sync", "messages_in_flight",
      [](ExperimentResult& r, const ExperimentConfig&) {

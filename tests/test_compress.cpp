@@ -937,5 +937,37 @@ TEST(PayloadDecode, RejectsAnEmptySparseBody) {
   }
 }
 
+// A seed-mode body regenerates its index set from (seed, count,
+// vector_length) through one membership flag per coordinate, so the header's
+// length sizes an allocation: checked against the receiver's own length, it
+// is rejected before anything is drawn.
+TEST(PayloadDecode, RejectsALengthOtherThanTheReceiversBeforeDecoding) {
+  net::ByteWriter body;
+  body.write_u8(static_cast<std::uint8_t>(core::IndexEncoding::kSeed));
+  body.write_u8(static_cast<std::uint8_t>(core::ValueEncoding::kRaw));
+  body.write_u32(0xFFFFFFFFu);  // 4 GiB of flags if it were believed
+  body.write_u32(1);
+  body.write_u64(7);
+  body.write_f32_array(std::vector<float>{1.0f});
+  const std::vector<std::uint8_t> huge = std::move(body).take();
+  ASSERT_EQ(huge.size(), 26u);
+  core::Arena arena;
+  core::SparsePayload out;
+  EXPECT_THROW(core::decode_payload_into(huge, out, arena, 58), std::runtime_error);
+  EXPECT_LT(arena.high_water(), 1024u);
+  // The same check holds for every index mode, and a matching length
+  // decodes as before.
+  const std::vector<std::uint32_t> indices{0, 4, 9};
+  for (const auto mode : {core::IndexEncoding::kRaw,
+                          core::IndexEncoding::kEliasGamma}) {
+    EXPECT_THROW(core::decode_payload_into(crafted_payload(mode, 10, indices),
+                                           out, arena, 11),
+                 std::runtime_error);
+    core::decode_payload_into(crafted_payload(mode, 10, indices), out, arena,
+                              10);
+    EXPECT_EQ(out.indices, indices);
+  }
+}
+
 }  // namespace
 }  // namespace jwins::compress

@@ -41,7 +41,10 @@ sim::ExperimentResult run_scenario(const Scenario& s, unsigned threads,
   cfg.threads = threads;
   cfg.seed = 23;
   cfg.engine = engine;
-  cfg.message_drop_probability = s.drop_probability;
+  if (s.drop_probability > 0.0) {
+    cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, s.drop_probability,
+                          0.0};
+  }
   if (s.choco_qsgd) {
     cfg.choco.compressor = algo::ChocoNode::Compressor::kQsgd;
   }

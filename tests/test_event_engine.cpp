@@ -345,8 +345,9 @@ TEST(EventEngineBarrier, MatchesSyncWithStragglers) {
 }
 
 TEST(EventEngineBarrier, MatchesSyncWithIidDrop) {
+  // Every message draws its own drop decision at one fixed probability.
   ExperimentConfig cfg = mini_config(8);
-  cfg.message_drop_probability = 0.3;
+  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.3, 0.0};
   expect_golden_reduction(cfg, 4);
 }
 
@@ -383,8 +384,6 @@ TEST(EventEngineBarrier, MatchesSyncWithPermanentCrash) {
 TEST(EventEngineBarrier, MatchesSyncWithEverythingAtOnce) {
   ExperimentConfig cfg = mini_config(12);
   cfg.eval_every = 3;
-  cfg.lr_decay_every = 4;
-  cfg.lr_decay_factor = 0.5;
   cfg.time.bandwidth_dist = {net::LinkDist::Kind::kUniform, 2e6, 20e6};
   cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.001, 0.030};
   cfg.time.straggler_fraction = 0.3;
@@ -490,8 +489,9 @@ TEST(EventEngineBounded, ConservationWithoutFaults) {
 
 TEST(EventEngineBounded, ConservationWithDrops) {
   ExperimentConfig cfg = bounded_config(10, 2);
-  cfg.message_drop_probability = 0.3;
-  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.2, 0.0};
+  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.3, 0.0};
+  cfg.time.burst_every = 3;
+  cfg.time.burst_drop = 0.5;
   auto exp = make_mini(cfg, 6, 4);
   const ExperimentResult r = exp->run();
   EXPECT_GT(r.sim_time.dropped_total, 0u);

@@ -1,14 +1,18 @@
 // Tests for the extension features: QSGD quantization, CHOCO-with-
-// quantization, lossy-network failure injection, learning-rate schedules,
-// and the JWINS band-share diagnostics.
+// quantization, lossy-network failure injection, and the JWINS band-share
+// diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "algo/choco.hpp"
 #include "algo/jwins_node.hpp"
+#include "compress/bitstream.hpp"
 #include "compress/quantize.hpp"
 #include "graph/graph.hpp"
 #include "net/network.hpp"
@@ -32,13 +36,14 @@ TEST(Qsgd, RoundTripSerialization) {
   compress::qsgd_quantize_into(values, 15, rng, q);
   net::ByteWriter writer;
   compress::qsgd_serialize_into(q, writer);
-  EXPECT_EQ(writer.size(), compress::qsgd_wire_size(q));
-  compress::QuantizedVector back;
-  compress::qsgd_deserialize_into(writer.buffer(), back);
+  // norm + levels + count + the length-prefixed packed blob.
+  EXPECT_EQ(writer.size(), sizeof(float) + 3 * sizeof(std::uint32_t) +
+                               q.packed.size());
+  const compress::QuantizedView back = compress::qsgd_view(writer.buffer());
   EXPECT_EQ(back.norm, q.norm);
   EXPECT_EQ(back.levels, q.levels);
   EXPECT_EQ(back.count, q.count);
-  EXPECT_EQ(back.packed, q.packed);
+  EXPECT_TRUE(std::ranges::equal(back.packed, q.packed));
 }
 
 TEST(Qsgd, DequantizedValuesBoundedByNorm) {
@@ -58,6 +63,22 @@ TEST(Qsgd, DequantizedValuesBoundedByNorm) {
     if (values[i] < -0.1f) {
       EXPECT_LE(back[i], 0.0f);
     }
+  }
+}
+
+TEST(Qsgd, InfiniteCoordinateTakesTheTopLevel) {
+  // An infinite coordinate makes the norm infinite: the finite ones scale to
+  // level 0 and the infinite ones (inf / inf) to the top level s.
+  std::mt19937_64 rng(5);
+  const std::vector<float> values{2.0f, INFINITY, -INFINITY};
+  compress::QuantizedVector q;
+  compress::qsgd_quantize_into(values, 4, rng, q);
+  compress::BitReader reader(q.packed);
+  const std::vector<std::pair<bool, std::uint64_t>> expected{
+      {false, 0}, {false, 4}, {true, 4}};
+  for (const auto& [negative, level] : expected) {
+    EXPECT_EQ(reader.read_bit(), negative);
+    EXPECT_EQ(reader.read_bits(3), level);  // bit_width(4) level bits
   }
 }
 
@@ -179,9 +200,11 @@ TEST(ChocoQsgd, ConvergesOnQuadratics) {
 // -------------------------------------------------------- failure injection
 
 TEST(NetworkDrop, DropsDeterministicFraction) {
-  net::Network a(4), b(4);
-  a.set_drop(0.3, 99);
-  b.set_drop(0.3, 99);
+  net::TimeModelConfig lossy;
+  lossy.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.3, 0.0};
+  net::Network a(4, net::TimeModel(4, {}, lossy, 99));
+  net::Network b(4, net::TimeModel(4, {}, lossy, 99));
+  std::vector<net::Message> inbox;
   std::size_t delivered_a = 0, delivered_b = 0;
   for (std::uint32_t round = 0; round < 200; ++round) {
     for (std::uint32_t s = 0; s < 4; ++s) {
@@ -193,8 +216,10 @@ TEST(NetworkDrop, DropsDeterministicFraction) {
       b.send((s + 1) % 4, msg);
     }
     for (std::uint32_t i = 0; i < 4; ++i) {
-      delivered_a += a.drain(i).size();
-      delivered_b += b.drain(i).size();
+      a.drain_into(i, inbox);
+      delivered_a += inbox.size();
+      b.drain_into(i, inbox);
+      delivered_b += inbox.size();
     }
   }
   EXPECT_EQ(delivered_a, delivered_b);  // deterministic given seed
@@ -206,9 +231,20 @@ TEST(NetworkDrop, DropsDeterministicFraction) {
 }
 
 TEST(NetworkDrop, InvalidProbabilityThrows) {
-  net::Network net(2);
-  EXPECT_THROW(net.set_drop(-0.1, 1), std::invalid_argument);
-  EXPECT_THROW(net.set_drop(1.0, 1), std::invalid_argument);
+  // A drop probability outside [0, 1) never reaches a Network: the
+  // experiment refuses the config.
+  const sim::Workload w = sim::make_celeba_like(4, 3);
+  for (const double p : {-0.1, 1.0}) {
+    sim::ExperimentConfig cfg;
+    cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, p, 0.0};
+    std::mt19937 rng(3);
+    EXPECT_THROW(sim::Experiment(cfg, w.model_factory, *w.train, w.partition,
+                                 *w.test,
+                                 std::make_unique<graph::StaticTopology>(
+                                     graph::random_regular(4, 3, rng))),
+                 std::invalid_argument)
+        << "p = " << p;
+  }
 }
 
 TEST(ExperimentDrop, JwinsToleratesLossyLinks) {
@@ -225,7 +261,7 @@ TEST(ExperimentDrop, JwinsToleratesLossyLinks) {
   cfg.eval_every = 40;
   cfg.eval_sample_limit = 160;
   cfg.eval_node_limit = 4;
-  cfg.message_drop_probability = 0.15;
+  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.15, 0.0};
   std::mt19937 rng(21);
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
@@ -233,28 +269,6 @@ TEST(ExperimentDrop, JwinsToleratesLossyLinks) {
   const auto result = exp.run();
   EXPECT_GT(result.final_accuracy, 0.4);  // well above 10-class chance
   EXPECT_GT(exp.network().messages_dropped(), 0u);
-}
-
-// ---------------------------------------------------------- lr schedule
-
-TEST(ExperimentLrSchedule, DecaysLearningRate) {
-  const std::size_t n = 4;
-  const sim::Workload w = sim::make_celeba_like(n, 22);
-  sim::ExperimentConfig cfg;
-  cfg.algorithm = sim::Algorithm::kFullSharing;
-  cfg.rounds = 10;
-  cfg.sgd.learning_rate = 0.08f;
-  cfg.lr_decay_every = 4;
-  cfg.lr_decay_factor = 0.5;
-  cfg.eval_every = 10;
-  cfg.eval_sample_limit = 32;
-  std::mt19937 rng(22);
-  sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
-                      std::make_unique<graph::StaticTopology>(
-                          graph::random_regular(n, 3, rng)));
-  exp.run();
-  // Two decays happened (after rounds 4 and 8): 0.08 * 0.25 = 0.02.
-  EXPECT_NEAR(exp.node(0).learning_rate(), 0.02f, 1e-6f);
 }
 
 // ----------------------------------------------------------- band stats

@@ -92,11 +92,14 @@ TEST(Network, SendAndDrain) {
   net.send(1, msg);
   net.send(1, msg);
   net.send(2, msg);
-  auto inbox1 = net.drain(1);
-  EXPECT_EQ(inbox1.size(), 2u);
-  EXPECT_EQ(inbox1[0].round, 7u);
-  EXPECT_TRUE(net.drain(1).empty());  // drained
-  EXPECT_EQ(net.drain(2).size(), 1u);
+  std::vector<Message> inbox;
+  net.drain_into(1, inbox);
+  EXPECT_EQ(inbox.size(), 2u);
+  EXPECT_EQ(inbox[0].round, 7u);
+  net.drain_into(1, inbox);
+  EXPECT_TRUE(inbox.empty());  // drained
+  net.drain_into(2, inbox);
+  EXPECT_EQ(inbox.size(), 1u);
   EXPECT_EQ(net.traffic().node(0).messages_sent, 3u);
 }
 
@@ -107,7 +110,8 @@ TEST(Network, BoundsChecked) {
   EXPECT_THROW(net.send(5, msg), std::out_of_range);
   msg.sender = 9;
   EXPECT_THROW(net.send(1, msg), std::out_of_range);
-  EXPECT_THROW(net.drain(4), std::out_of_range);
+  std::vector<Message> inbox;
+  EXPECT_THROW(net.drain_into(4, inbox), std::out_of_range);
 }
 
 TEST(Network, RoundTimeUsesSlowestNode) {
@@ -144,7 +148,11 @@ TEST(Network, ConcurrentSendsAreSafe) {
   });
   EXPECT_EQ(net.traffic().total().messages_sent, 400u);
   std::size_t received = 0;
-  for (std::uint32_t i = 0; i < 8; ++i) received += net.drain(i).size();
+  std::vector<Message> inbox;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    net.drain_into(i, inbox);
+    received += inbox.size();
+  }
   EXPECT_EQ(received, 400u);
 }
 
@@ -165,7 +173,8 @@ TEST(Network, DrainReturnsCanonicalSenderOrder) {
   send(3, 0, 2);
   send(0, 1, 3);  // second message from sender 0, same round
   send(1, 1, 4);
-  const auto inbox = net.drain(0);
+  std::vector<Message> inbox;
+  net.drain_into(0, inbox);
   ASSERT_EQ(inbox.size(), 5u);
   EXPECT_EQ(inbox[0].sender, 3u);  // round 0 first
   EXPECT_EQ(inbox[1].sender, 0u);

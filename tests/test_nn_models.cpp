@@ -108,26 +108,6 @@ TEST(Sgd, PlainStep) {
   EXPECT_FLOAT_EQ(p[1], 2.0f + 0.1f);
 }
 
-TEST(Sgd, WeightDecay) {
-  Tensor p = Tensor::of({1.0f});
-  Tensor g = Tensor::of({0.0f});
-  ListedModel model({&p}, {&g});
-  Sgd opt(model, {.learning_rate = 0.1f, .weight_decay = 0.5f});
-  opt.step();
-  EXPECT_FLOAT_EQ(p[0], 1.0f - 0.1f * 0.5f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Tensor p = Tensor::of({0.0f});
-  Tensor g = Tensor::of({1.0f});
-  ListedModel model({&p}, {&g});
-  Sgd opt(model, {.learning_rate = 1.0f, .momentum = 0.9f});
-  opt.step();  // v=1, p=-1
-  EXPECT_FLOAT_EQ(p[0], -1.0f);
-  opt.step();  // v=1.9, p=-2.9
-  EXPECT_FLOAT_EQ(p[0], -2.9f);
-}
-
 TEST(Sgd, MismatchedShapesThrow) {
   Tensor p({2}), g({3});
   ListedModel shapes({&p}, {&g});

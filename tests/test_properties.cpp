@@ -281,7 +281,8 @@ FuzzRun run_async_fuzz(unsigned seed) {
     cfg.time.straggler_slowdown = 2.0 + static_cast<double>(rng() % 4);
   }
   if (rng() % 3 == 0) {  // lossy fabric
-    cfg.message_drop_probability = 0.05 * static_cast<double>(1 + rng() % 5);
+    cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed,
+                          0.05 * static_cast<double>(1 + rng() % 5), 0.0};
   }
   if (rng() % 4 == 0) {  // crash, sometimes permanent
     cfg.time.crash_nodes = 1;

@@ -399,12 +399,6 @@ const CompactCase kCompactCases[] = {
        c.algorithm = sim::Algorithm::kFullSharing;
      },
      false},
-    {"lr-decay",
-     [](sim::ExperimentConfig& c) {
-       c.lr_decay_every = 2;
-       c.lr_decay_factor = 0.5;
-     },
-     false},
     {"crash-rejoin",
      [](sim::ExperimentConfig& c) {
        c.time.crash_nodes = 2;

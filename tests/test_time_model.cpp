@@ -23,7 +23,6 @@
 
 #include "config/runner.hpp"
 #include "config/scenario.hpp"
-#include "core/rng.hpp"
 #include "graph/graph.hpp"
 #include "net/network.hpp"
 #include "sim/experiment.hpp"
@@ -486,24 +485,6 @@ TEST(TimeModelEdgeDrop, FixedProbabilityDropsDeterministically) {
   EXPECT_GT(kept, 20u);
 }
 
-TEST(TimeModelEdgeDrop, LegacyIidHashIsPreserved) {
-  // The i.i.d. drop decision must reproduce the original Network hash so
-  // seeded lossy-link runs keep their exact drop patterns.
-  TimeModel tm(4, {}, {}, 0);
-  tm.set_iid_drop(0.3, 99);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    for (std::uint32_t r = 0; r < 50; ++r) {
-      const std::uint32_t to = (s + 1) % 4;
-      const std::uint64_t h =
-          core::mix64(99 ^ core::mix64(s) ^ core::mix64(std::uint64_t{to} << 20) ^
-                      core::mix64(std::uint64_t{r} << 40));
-      const bool expect_drop =
-          static_cast<double>(h) / 18446744073709551616.0 < 0.3;
-      EXPECT_EQ(tm.drop_cause(s, to, r) == DropCause::kIid, expect_drop);
-    }
-  }
-}
-
 TEST(TimeModelNetwork, DropCausesAreCounted) {
   TimeModelConfig config;
   config.burst_every = 2;
@@ -522,8 +503,10 @@ TEST(TimeModelNetwork, DropCausesAreCounted) {
   send(4);  // burst window
   EXPECT_EQ(network.messages_dropped(), 2u);
   EXPECT_EQ(network.time_model().dropped_burst(), 2u);
-  EXPECT_EQ(network.time_model().dropped_iid(), 0u);
-  EXPECT_EQ(network.drain(1).size(), 2u);
+  EXPECT_EQ(network.time_model().dropped_edge(), 0u);
+  std::vector<net::Message> inbox;
+  network.drain_into(1, inbox);
+  EXPECT_EQ(inbox.size(), 2u);
   // Dropped messages still count as sent bytes — the sender paid.
   EXPECT_EQ(network.traffic().total().messages_sent, 4u);
 }
@@ -721,7 +704,7 @@ TEST(TimeModelExperiment, DefaultRunJsonHasNoSimTimeBlock) {
   const std::string json = testutil::deterministic_json(result, "default");
   EXPECT_NE(json.find("\"stragglers\": 0,\n    \"crashed_node_rounds\": "
                       "0,\n    \"messages_dropped\": {\"total\": 0, "
-                      "\"iid\": 0, \"edge\": 0, \"burst\": 0, "
+                      "\"edge\": 0, \"burst\": 0, "
                       "\"crash\": 0}"),
             std::string::npos);
 }
