@@ -6,6 +6,12 @@
 // floats in each transform domain, reconstruct, and accumulate the MSE
 // against the uncompressed model. The paper's result — wavelet loses the
 // least information, then FFT, then random sampling — must reproduce.
+//
+// Two closing tables hold the design ablation's reconstruction columns: the
+// trained model's error at the same budget under each wavelet family (four
+// levels), and under Sym2 at 1-6 levels. The paper picked Sym2 and saw no
+// gain past four levels. Their learning arms are
+// scenarios/ablation_wavelet.scenario.
 
 #include <iomanip>
 #include <iostream>
@@ -101,5 +107,23 @@ int main(int argc, char** argv) {
   std::cout << "  wavelet " << cum_wavelet << (cum_wavelet < cum_fft ? "  <  " : "  >! ")
             << "fft " << cum_fft << (cum_fft < cum_random ? "  <  " : "  >! ")
             << "random " << cum_random << "\n";
+
+  const std::span<const float> trained = model->flat_params();
+  std::cout << "\ntrained model, reconstruction MSE by wavelet family "
+               "(4 levels)\nwavelet,mse\n";
+  for (const char* name : {"haar", "sym2", "db4"}) {
+    const dwt::DwtPlan family(dwt::wavelet_by_name(name), dim, 4);
+    std::cout << name << ','
+              << reconstruction_mse(trained, dwt_sparsify(family, trained, k))
+              << "\n";
+  }
+  std::cout << "\ntrained model, reconstruction MSE by sym2 levels\n"
+               "levels,mse\n";
+  for (std::size_t levels = 1; levels <= 6; ++levels) {
+    const dwt::DwtPlan deep(dwt::sym2(), dim, levels);
+    std::cout << levels << ','
+              << reconstruction_mse(trained, dwt_sparsify(deep, trained, k))
+              << "\n";
+  }
   return 0;
 }

@@ -1,24 +1,21 @@
 // Shared helpers for the benches: tiny --key=value flag parsing (each bench
 // runs standalone with sensible defaults but can be scaled up to paper
-// size) and the preset plumbing. The figure benches load their wiring from
-// scenarios/*.scenario via load_preset() and keep only protocol logic in
-// C++ (Fig. 5's derived target accuracy, the baselines' equal-bytes round
-// count); the kernel-level and thread-study benches that still wire an
-// ExperimentConfig use static_regular() for the benches' topology.
+// size) and the preset plumbing. The experiment benches load their wiring
+// from scenarios/*.scenario via load_preset() and keep only protocol logic
+// in C++ (Figs. 5 and 10's derived target accuracy, the baselines'
+// equal-bytes round count); no bench wires an ExperimentConfig by hand.
 #pragma once
 
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "config/runner.hpp"
 #include "config/scenario.hpp"
-#include "graph/graph.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/workloads.hpp"
@@ -90,22 +87,6 @@ class Flags {
 
   std::map<std::string, std::string> values_;
 };
-
-/// The --threads flag, defaulting to every hardware thread: the engine is
-/// bit-identical at any thread count (docs/DESIGN.md "Determinism &
-/// threading model"), so benches take the parallel speedup for free.
-inline unsigned thread_flag(const Flags& flags) {
-  return static_cast<unsigned>(flags.get(
-      "threads",
-      static_cast<std::size_t>(net::ThreadPool::default_thread_count())));
-}
-
-inline std::unique_ptr<graph::TopologyProvider> static_regular(
-    std::size_t nodes, std::size_t degree, unsigned seed) {
-  std::mt19937 rng(seed);
-  return std::make_unique<graph::StaticTopology>(
-      graph::random_regular(nodes, degree, rng));
-}
 
 /// Loads a figure's scenario preset: --scenario=PATH override, else the
 /// checked-in scenarios/ copy (JWINS_SCENARIO_DIR is baked in by CMake).

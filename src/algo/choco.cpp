@@ -111,11 +111,12 @@ void ChocoNode::aggregate(net::Network& network, const graph::Graph& g,
   // decay.
   if (options_.compressor == Compressor::kQsgd) {
     // Dense diffs: the packed bitstream is read in place from the
-    // refcounted body and dequantized into a pool slot.
+    // refcounted body and dequantized into a pool slot. The view rejects a
+    // count other than the model's before the slot is sized from it.
     network.drain_into(rank(), scratch.inbox);
     for (const net::Message& msg : scratch.inbox) {
       core::SparsePayload& payload = scratch.payloads.next();
-      compress::qsgd_dequantize_into(compress::qsgd_view(msg.body),
+      compress::qsgd_dequantize_into(compress::qsgd_view(msg.body, s_.size()),
                                      payload.values);
       payload.vector_length = static_cast<std::uint32_t>(payload.values.size());
     }

@@ -117,7 +117,8 @@ void qsgd_dequantize_into(const QuantizedView& q, std::vector<float>& out) {
   dequantize_packed(q.norm, q.levels, q.count, q.packed, out);
 }
 
-QuantizedView qsgd_view(std::span<const std::uint8_t> bytes) {
+QuantizedView qsgd_view(std::span<const std::uint8_t> bytes,
+                        std::optional<std::size_t> expected_count) {
   net::ByteReader reader(bytes);
   QuantizedView q;
   q.norm = reader.read_f32();
@@ -125,6 +126,15 @@ QuantizedView qsgd_view(std::span<const std::uint8_t> bytes) {
   q.count = reader.read_u32();
   q.packed = reader.view_bytes();
   if (q.levels == 0) throw std::runtime_error("qsgd_view: zero levels");
+  if (expected_count && q.count != *expected_count) {
+    throw std::runtime_error("qsgd_view: count mismatch");
+  }
+  // count < 2^32 at 1 + 32 bits each: the products cannot wrap.
+  const std::uint64_t bits =
+      std::uint64_t{q.count} * (1 + bits_per_level(q.levels));
+  if (std::uint64_t{q.packed.size()} * 8 < bits) {
+    throw std::runtime_error("qsgd_view: packed section too short");
+  }
   return q;
 }
 

@@ -4,7 +4,7 @@
 // (§II-B) and CHOCO-SGD is defined for arbitrary compressors; this module
 // provides the standard s-level stochastic quantizer so CHOCO can run with
 // quantization instead of TopK (an extension experiment — see
-// bench_ablation_design).
+// scenarios/ablation_choco_compressor.scenario).
 //
 // Encoding of x: ||x||_2 (one float), then per element a sign bit and an
 // integer level in [0, s], stochastically rounded so the quantizer is
@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <span>
 #include <vector>
@@ -57,8 +58,12 @@ struct QuantizedView {
 };
 
 /// Parses the qsgd wire format into a view over `bytes` (no copies).
-/// The view is valid as long as `bytes` is.
-QuantizedView qsgd_view(std::span<const std::uint8_t> bytes);
+/// The view is valid as long as `bytes` is. Zero levels, a count other than
+/// `expected_count` (when given: the receiver's own length, which bounds
+/// what dequantizing allocates), and a packed section shorter than
+/// count * (1 + bit_width(levels)) bits throw before anything is decoded.
+QuantizedView qsgd_view(std::span<const std::uint8_t> bytes,
+                        std::optional<std::size_t> expected_count = {});
 
 /// Reconstructs the (lossy) vector into `out` (resized to count):
 /// sign * norm * level / s per element.

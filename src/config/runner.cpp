@@ -22,8 +22,9 @@ std::unique_ptr<graph::TopologyProvider> make_run_topology(
       return std::make_unique<graph::DynamicRegularTopology>(
           run.nodes, degree, run.config.seed, run.churn_every);
     }
-    // Same construction as the benches' static_regular helper, so scenario
-    // runs and hand-wired runs agree bit for bit on the graph.
+    // The reference construction of a static random-regular graph: the
+    // hand-wired configs of the golden tests (tests/test_config.cpp) build
+    // the same one, so scenario and hand-wired runs agree bit for bit.
     std::mt19937 rng(static_cast<unsigned>(run.config.seed));
     return std::make_unique<graph::StaticTopology>(
         graph::random_regular(run.nodes, degree, rng));

@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 
+#include "algo/choco.hpp"
 #include "graph/graph.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -572,7 +573,8 @@ TEST(ExperimentConfigValidate, ExperimentConstructorRejectsInvalidConfig) {
 constexpr std::size_t kGoldenNodes = 8;
 constexpr std::size_t kGoldenRounds = 6;
 
-/// The benches' static_regular(nodes, degree_for_nodes(nodes), seed).
+/// make_run_topology's static random-regular graph (config/runner.cpp) at
+/// auto_degree(nodes), built by hand.
 sim::ExperimentResult run_hand_wired(const sim::ExperimentConfig& cfg,
                                      const sim::Workload& w, std::size_t nodes,
                                      std::size_t seed) {
@@ -723,6 +725,81 @@ sim::ExperimentResult baselines_bench(sim::Algorithm algorithm) {
   return run_hand_wired(cfg, w, nodes, seed);
 }
 
+// bench_fig10_scalability: its make_config(algorithm), at the first node
+// count of its bench-size sweep (8 nodes, degree 3).
+sim::ExperimentResult fig10_bench(sim::Algorithm algorithm) {
+  const std::size_t n = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const sim::Workload w =
+      sim::make_cifar_like_4shard(n, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = algorithm;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = w.suggested_lr;
+  cfg.eval_every = 5;
+  cfg.eval_sample_limit = 160;
+  cfg.eval_node_limit = std::min<std::size_t>(n, 8);
+  cfg.threads = threads;
+  cfg.seed = seed;
+  cfg.random_sampling_fraction = 0.37;
+  return run_hand_wired(cfg, w, n, seed);
+}
+
+// bench_ablation_design: its run_jwins(wavelet, 4, use_wavelet) lambda.
+sim::ExperimentResult ablation_wavelet_bench(const std::string& wavelet,
+                                             bool use_wavelet) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const std::size_t levels = 4;
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kJwins;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = w.suggested_lr;
+  cfg.eval_every = rounds;
+  cfg.eval_sample_limit = 192;
+  cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
+  cfg.threads = threads;
+  cfg.seed = seed;
+  cfg.jwins.ranker.wavelet = wavelet;
+  cfg.jwins.ranker.levels = levels;
+  cfg.jwins.ranker.use_wavelet = use_wavelet;
+  return run_hand_wired(cfg, w, nodes, seed);
+}
+
+// bench_ablation_design: one arm of its CHOCO compressor loop.
+sim::ExperimentResult ablation_choco_bench(bool use_qsgd) {
+  const std::size_t nodes = kGoldenNodes;
+  const std::size_t rounds = kGoldenRounds;
+  const std::size_t seed = 1;
+  const unsigned threads = 1;
+  const sim::Workload w =
+      sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kChoco;
+  cfg.rounds = rounds;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = w.suggested_lr;
+  cfg.eval_every = rounds;
+  cfg.eval_sample_limit = 192;
+  cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
+  cfg.threads = threads;
+  cfg.seed = seed;
+  cfg.choco.gamma = use_qsgd ? 0.2 : 0.5;
+  cfg.choco.fraction = 0.2;
+  cfg.choco.compressor = use_qsgd ? algo::ChocoNode::Compressor::kQsgd
+                                  : algo::ChocoNode::Compressor::kTopK;
+  cfg.choco.qsgd_levels = 31;
+  return run_hand_wired(cfg, w, nodes, seed);
+}
+
 struct GoldenRow {
   const char* name;
   const char* preset;  ///< scenarios/<preset>.scenario
@@ -834,7 +911,27 @@ INSTANTIATE_TEST_SUITE_P(
                   [] { return fig9_bench(core::IndexEncoding::kEliasGamma); }},
         GoldenRow{"baselines_power_gossip", "baselines_powergossip", {},
                   "algorithm=power-gossip",
-                  [] { return baselines_bench(sim::Algorithm::kPowerGossip); }}),
+                  [] { return baselines_bench(sim::Algorithm::kPowerGossip); }},
+        GoldenRow{"fig10_random_sampling", "fig10_scalability", {},
+                  "algorithm=random-sampling",
+                  [] { return fig10_bench(sim::Algorithm::kRandomSampling); }},
+        GoldenRow{"fig10_jwins", "fig10_scalability", {}, "algorithm=jwins",
+                  [] { return fig10_bench(sim::Algorithm::kJwins); }},
+        GoldenRow{"ablation_wavelet_haar", "ablation_wavelet", {},
+                  "jwins_wavelet=haar,jwins_use_wavelet=true",
+                  [] { return ablation_wavelet_bench("haar", true); }},
+        GoldenRow{"ablation_wavelet_db4", "ablation_wavelet", {},
+                  "jwins_wavelet=db4,jwins_use_wavelet=true",
+                  [] { return ablation_wavelet_bench("db4", true); }},
+        GoldenRow{"ablation_wavelet_identity", "ablation_wavelet", {},
+                  "jwins_wavelet=sym2,jwins_use_wavelet=false",
+                  [] { return ablation_wavelet_bench("sym2", false); }},
+        GoldenRow{"ablation_choco_topk", "ablation_choco_compressor", {},
+                  "choco_compressor=topk,choco_gamma=0.5",
+                  [] { return ablation_choco_bench(false); }},
+        GoldenRow{"ablation_choco_qsgd", "ablation_choco_compressor", {},
+                  "choco_compressor=qsgd,choco_gamma=0.2",
+                  [] { return ablation_choco_bench(true); }}),
     [](const ::testing::TestParamInfo<GoldenRow>& info) {
       return std::string(info.param.name);
     });

@@ -197,6 +197,55 @@ TEST(ChocoQsgd, ConvergesOnQuadratics) {
   EXPECT_LT(worst, 0.3f);
 }
 
+// A QSGD body's count sizes the dequantized vector, so the receiver checks it
+// against its own model, and the packed section against the count, before
+// the payload slot is sized from it.
+TEST(ChocoQsgd, RejectsAMismatchedCountBeforeDequantizing) {
+  using testutil::DummyDataset;
+  using testutil::QuadraticModel;
+  const std::size_t dim = 24;
+  const std::uint32_t levels = 15;  // 1 + 4 bits per element
+  DummyDataset dataset;
+  net::Network network(2);
+  core::RoundScratch scratch;
+  const graph::Graph g = graph::complete(2);
+  const graph::MixingWeights weights = graph::metropolis_hastings(g);
+  algo::ChocoNode::Options opt;
+  opt.compressor = algo::ChocoNode::Compressor::kQsgd;
+  opt.qsgd_levels = levels;
+  std::mt19937 irng(3);
+  algo::ChocoNode node(
+      1,
+      std::make_unique<QuadraticModel>(tensor::Tensor({dim}),
+                                       tensor::Tensor::normal({dim}, 0, 1, irng)),
+      data::Sampler(dataset, {0, 1, 2, 3}, 4, 1), algo::TrainConfig{}, opt);
+  auto qsgd_body = [&](std::uint32_t count, std::size_t packed_bytes) {
+    net::ByteWriter body;
+    body.write_f32(1.0f);
+    body.write_u32(levels);
+    body.write_u32(count);
+    body.write_bytes(std::vector<std::uint8_t>(packed_bytes, 0));
+    return std::move(body).take();
+  };
+  auto deliver_and_aggregate = [&](std::vector<std::uint8_t> bytes) {
+    net::Message msg;
+    msg.body = std::move(bytes);
+    network.send(1, msg);
+    node.aggregate(network, g, weights, 0, scratch);
+  };
+
+  const std::vector<std::uint8_t> huge = qsgd_body(1u << 24, 0);
+  ASSERT_EQ(huge.size(), 16u);
+  EXPECT_THROW(deliver_and_aggregate(huge), std::runtime_error);
+  for (std::size_t i = 0; i < scratch.payloads.used(); ++i) {
+    EXPECT_LE(scratch.payloads[i].values.capacity(), dim);
+  }
+  // The model's count, with a packed section one byte short of 24 * 5 bits.
+  EXPECT_THROW(deliver_and_aggregate(qsgd_body(dim, 14)), std::runtime_error);
+  EXPECT_NO_THROW(deliver_and_aggregate(qsgd_body(dim, 15)));
+  EXPECT_EQ(scratch.payloads[0].values.size(), dim);
+}
+
 // -------------------------------------------------------- failure injection
 
 TEST(NetworkDrop, DropsDeterministicFraction) {
