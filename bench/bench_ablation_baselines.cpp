@@ -20,7 +20,8 @@
 
 int main(int argc, char** argv) {
   using namespace jwins;
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {"scenario", "nodes", "rounds", "seed", "threads"});
 
   config::RawScenario raw =
       bench::load_preset(flags, "baselines_powergossip.scenario");

@@ -66,7 +66,7 @@ std::vector<float> random_sparsify(std::span<const float> x, std::size_t k,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"epochs", "budget", "seed"});
   const std::size_t epochs = flags.get("epochs", std::size_t{16});
   const double budget = flags.get("budget", 0.10);
   const std::size_t seed = flags.get("seed", std::size_t{1});

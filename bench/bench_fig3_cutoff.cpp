@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace jwins;
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"nodes", "rounds"});
   const std::size_t nodes = flags.get("nodes", std::size_t{96});
   const std::size_t rounds = flags.get("rounds", std::size_t{800});
 

@@ -22,7 +22,9 @@
 
 int main(int argc, char** argv) {
   using namespace jwins;
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {"scenario", "nodes", "long-rounds", "seed",
+                            "threads", "dataset"});
 
   config::RawScenario raw =
       bench::load_preset(flags, "fig5_convergence.scenario");

@@ -27,7 +27,9 @@ struct DatasetRounds {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {"round-scale", "dataset", "scenario", "nodes",
+                            "seed", "threads"});
   const std::size_t round_scale = flags.get("round-scale", std::size_t{1});
   const std::string only = flags.get("dataset", std::string{});
 

@@ -6,8 +6,10 @@
 // equal-bytes round count); no bench wires an ExperimentConfig by hand.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
@@ -24,7 +26,10 @@ namespace jwins::bench {
 
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  /// Parses every --key[=value] argument. A key outside `known` (the flags
+  /// this bench reads) exits 2 naming it: a stale or misspelt flag would
+  /// otherwise run the defaults without a word.
+  Flags(int argc, char** argv, std::initializer_list<std::string_view> known) {
     for (int i = 1; i < argc; ++i) {
       // string_view parsing (rather than std::string::substr chains, which
       // trip GCC 12's -Wrestrict false positive, GCC PR 105651) keeps
@@ -39,6 +44,16 @@ class Flags {
         values_.insert_or_assign(std::string(body.substr(0, eq)),
                                  std::string(body.substr(eq + 1)));
       }
+    }
+    for (const auto& entry : values_) {
+      if (std::find(known.begin(), known.end(), entry.first) != known.end()) {
+        continue;
+      }
+      std::cerr << "error: --" << entry.first << " is not a flag of this "
+                << "bench (flags:";
+      for (const std::string_view k : known) std::cerr << " --" << k;
+      std::cerr << ")\n";
+      std::exit(2);
     }
   }
 

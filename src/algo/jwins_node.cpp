@@ -21,17 +21,18 @@ void JwinsNode::share(net::Network& network, const graph::Graph& g,
                       const graph::MixingWeights& /*weights*/,
                       std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  flat_params_into(x_tau_);
+  // The model holds x^{t,tau} from here until aggregate() overwrites it.
+  const std::span<const float> x_tau = model().flat_params();
   // Eq. (3): V' = V + T(x^{t,tau} - x^{t,0}).
   const std::span<const float> scores = ranker_.accumulate_round_change(
-      x0_, x_tau_, scratch.arena, scratch.dwt);
+      x0_, x_tau, scratch.arena, scratch.dwt);
   // Randomized cut-off picks this round's sharing fraction independently;
   // the draw is keyed on (seed, rank, round), not on engine call history.
   core::CounterRng rng = round_rng(round);
   last_alpha_ = options_.cutoff.sample(rng);
   const std::size_t coeff_len = ranker_.coeff_length();
   own_coeffs_.resize(coeff_len);
-  ranker_.transform_into(x_tau_, own_coeffs_, scratch.dwt);
+  ranker_.transform_into(x_tau, own_coeffs_, scratch.dwt);
 
   core::PayloadView payload;
   payload.vector_length = static_cast<std::uint32_t>(coeff_len);
@@ -86,19 +87,22 @@ void JwinsNode::aggregate(net::Network& network, const graph::Graph& g,
   // own (through the robust rule when one is configured).
   robust_average(own_coeffs_, weights.self_weight[rank()],
                  scratch.contributions, scratch.arena);
-  // Line 11: invert back to the parameter domain, straight into the model.
-  const std::span<float> x_next = model().flat_params();
+  // Line 11: invert back to the parameter domain. The model still holds
+  // x^{t,tau}, which eq. (4) needs, so the inverse lands in the arena first.
+  const std::span<float> x = model().flat_params();
+  const std::span<float> x_next = scratch.arena.alloc<float>(x.size());
   ranker_.inverse_into(own_coeffs_, x_next, scratch.dwt);
   // Line 12 / eq. (4): fold in the averaging change, reset shared entries.
   if (sent_dense_) {
     const std::span<std::uint32_t> all =
         scratch.arena.alloc<std::uint32_t>(ranker_.coeff_length());
     std::iota(all.begin(), all.end(), 0u);
-    ranker_.finish_round(x_tau_, x_next, all, scratch.arena, scratch.dwt);
+    ranker_.finish_round(x, x_next, all, scratch.arena, scratch.dwt);
   } else {
-    ranker_.finish_round(x_tau_, x_next, sent_indices_, scratch.arena,
+    ranker_.finish_round(x, x_next, sent_indices_, scratch.arena,
                          scratch.dwt);
   }
+  std::ranges::copy(x_next, x.begin());
   x0_.assign(x_next.begin(), x_next.end());
 }
 

@@ -47,10 +47,9 @@ class JwinsNode final : public DlNode {
  private:
   Options options_;
   core::WaveletRanker ranker_;
-  // Round state. x0_ is x^{t,0} (start-of-round model); after share() we also
-  // hold x^{t,tau} and our own wavelet coefficients.
+  // Round state. x0_ is x^{t,0} (start-of-round model); after share() the
+  // model itself holds x^{t,tau}, and own_coeffs_ its wavelet coefficients.
   std::vector<float> x0_;
-  std::vector<float> x_tau_;
   std::vector<float> own_coeffs_;
   std::vector<std::uint32_t> sent_indices_;
   bool sent_dense_ = false;

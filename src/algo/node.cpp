@@ -133,16 +133,12 @@ void DlNode::receive(net::Network& network, const graph::Graph& g,
                      std::size_t expected_length,
                      core::RoundScratch& scratch) {
   network.drain_into(rank_, scratch.inbox);
+  // A body this lane already decoded for an earlier receiver in the pass is
+  // read from the cache; cached references stay valid through aggregate().
   for (const net::Message& msg : scratch.inbox) {
-    core::SparsePayload& payload = scratch.payloads.next();
-    core::decode_payload_into(msg.body, payload, scratch.arena,
-                              expected_length);
-  }
-  // Pool references are stable once every payload is decoded.
-  for (std::size_t i = 0; i < scratch.inbox.size(); ++i) {
     scratch.contributions.push_back(
-        {contribution_weight(g, weights, scratch.inbox[i], round),
-         &scratch.payloads[i]});
+        {contribution_weight(g, weights, msg, round),
+         &scratch.decoded.decode(msg.body, expected_length, scratch.arena)});
   }
 }
 

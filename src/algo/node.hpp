@@ -17,7 +17,8 @@
 // The shared communication steps live here too. broadcast() sends one
 // message to every neighbour and books corrupted sends. receive() is the
 // input side of Algorithm 1, line 10 for every payload algorithm: it drains
-// the inbox, decodes each sparse payload once, checks its length against
+// the inbox, decodes each sparse payload once per aggregation pass (every
+// receiver on the lane reads the same decode), checks its length against
 // the receiver's vector, and weighs it (mixing weight times the staleness
 // decay). The default aggregate() averages those contributions into the
 // model in the parameter domain; JWINS averages them in the wavelet domain
@@ -189,7 +190,8 @@ class DlNode {
                  const net::Message& msg);
 
   /// Drains this node's inbox into scratch.inbox, decodes every message
-  /// into a scratch.payloads slot, and pushes one
+  /// through scratch.decoded (once per body per aggregation pass, however
+  /// many receivers on the lane read it), and pushes one
   /// {contribution_weight(), &payload} per message into
   /// scratch.contributions, in inbox order. Throws, before decoding its
   /// sections, when a payload's vector_length is not `expected_length`

@@ -59,6 +59,13 @@ class SharedBytes {
     return data_ != nullptr && data_ == other.data_;
   }
 
+  /// True when this instance is the body's only holder (no mailbox, inbox
+  /// or other copy still views it). Reliable when true even while other
+  /// threads drop their copies, since no new copy can then appear.
+  bool sole_owner() const noexcept {
+    return data_ != nullptr && data_.use_count() == 1;
+  }
+
  private:
   friend class BufferPool;
   explicit SharedBytes(std::shared_ptr<const std::vector<std::uint8_t>> data)

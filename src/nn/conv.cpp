@@ -357,8 +357,12 @@ Tensor MaxPool2d::forward(const Tensor& input) {
     for (std::size_t cch = 0; cch < ch; ++cch) {
       for (std::size_t r = 0; r < oh; ++r) {
         for (std::size_t c = 0; c < ow; ++c) {
+          // NaN entries never win. The index starts at the window's own
+          // first element, so an all-NaN window (which outputs -inf) routes
+          // its gradient inside itself rather than to input element 0.
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx =
+              ((b * ch + cch) * ih + r * stride_) * iw + c * stride_;
           for (std::size_t kr = 0; kr < kernel_; ++kr) {
             const std::size_t in_r = r * stride_ + kr;
             if (in_r >= ih) continue;

@@ -37,6 +37,8 @@ class Conv2d final : public Module {
 };
 
 /// Max pooling over [B, C, H, W]; remembers argmax positions for backward.
+/// NaN entries never win: an all-NaN window outputs -inf and sends its
+/// gradient to its own first element.
 class MaxPool2d final : public Module {
  public:
   MaxPool2d(std::size_t kernel, std::size_t stride);

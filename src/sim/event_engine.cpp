@@ -209,6 +209,8 @@ ExperimentResult EventEngine::run_barrier() {
       });
       ++stats_.local_steps[i];
     }
+    // The lockstep drain is one aggregation pass, as in the sync loop.
+    exp_.scratch_[0].decoded.flush();
     // The round tail (alpha, budget, eval, target stop) is the
     // synchronous loop's own.
     if (exp_.end_round(t, train_losses, result)) break;
@@ -405,6 +407,10 @@ void EventEngine::process_local_step(const Event& event,
     Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
       exp_.nodes_[i]->aggregate(exp_.network_, tp.graph, tp.weights, r,
                                 exp_.scratch_[0]);
+      // Each local step is its own pass. Keeping entries across steps
+      // would pin bodies parked in stragglers' inboxes, and their decodes,
+      // for as long as the stragglers lag.
+      exp_.scratch_[0].decoded.flush();
     });
     if (cfg.algorithm == Algorithm::kJwins) {
       exp_.alpha_sum_ +=

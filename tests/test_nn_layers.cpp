@@ -212,6 +212,24 @@ TEST(MaxPool2d, ForwardSelectsMaxAndRoutesGradient) {
   EXPECT_FLOAT_EQ(g[0], 0.0f);
 }
 
+TEST(MaxPool2d, AllNanWindowKeepsItsGradientInsideTheWindow) {
+  // The second window (columns 2-3) is all NaN. It outputs -inf, and its
+  // gradient goes to its own first element (index 2), not to element 0,
+  // which belongs to the first window.
+  MaxPool2d pool(2, 2);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x = Tensor::from({1, 1, 2, 4}, {1, 4, nan, nan,
+                                               3, 2, nan, nan});
+  const Tensor y = pool.forward(x);
+  EXPECT_FLOAT_EQ(y[0], 4.0f);
+  EXPECT_EQ(y[1], -std::numeric_limits<float>::infinity());
+  const Tensor g = pool.backward(Tensor::from({1, 1, 1, 2}, {10.0f, 100.0f}));
+  const std::vector<float> expected{0, 10, 100, 0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(g[i], expected[i]) << "element " << i;
+  }
+}
+
 TEST(MaxPool2d, GradCheckOnDistinctValues) {
   // Use well-separated values so the argmax is stable under epsilon nudges.
   MaxPool2d pool(2, 2);
