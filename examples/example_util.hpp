@@ -34,8 +34,10 @@ inline bool match_flag(std::string_view arg, std::string_view key,
 }
 
 /// Loads the example's scenario preset and layers the standard
-/// --nodes/--rounds/--threads overrides on top. Exits with a clean
-/// diagnostic on malformed flags or a broken scenario file.
+/// --nodes/--rounds/--threads overrides on top. Exits 2 with a clean
+/// diagnostic on malformed flags, on any other argument (a stale or
+/// misspelt flag would otherwise run the preset without a word), or on a
+/// broken scenario file.
 inline config::RawScenario load_preset_with_flags(const char* filename,
                                                   int argc, char** argv) {
   try {
@@ -50,6 +52,10 @@ inline config::RawScenario load_preset_with_flags(const char* filename,
         config::set_value(raw, "rounds", std::to_string(value));
       } else if (match_flag(arg, "--threads=", value)) {
         config::set_value(raw, "threads", std::to_string(value));
+      } else {
+        std::cerr << "error: " << arg << ": not a flag of this example "
+                  << "(flags: --nodes= --rounds= --threads=)\n";
+        std::exit(2);
       }
     }
     return raw;

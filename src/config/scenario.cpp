@@ -613,7 +613,8 @@ const std::vector<KeySpec>& key_specs() {
     add({"engine", "enum", "sync", "sync, async",
          "Execution engine: the bulk-synchronous reference loop, or the "
          "discrete-event asynchronous scheduler (with staleness_bound = 0 "
-         "the latter reduces byte-for-byte to the former)"},
+         "on loss-free links the latter ends on the former's final "
+         "models)"},
         [](ScenarioRun& r, const std::string& v) {
           expect_enum("engine", v, {"sync", "async"});
           r.config.engine = v == "async" ? sim::EngineKind::kAsync
@@ -622,7 +623,8 @@ const std::vector<KeySpec>& key_specs() {
     add({"staleness_bound", "uint", "0 (barrier)", "requires engine = async",
          "Bounded-staleness window B: a node may aggregate round r once it "
          "has heard every expected neighbor at round r - B or later (0 = "
-         "barrier mode, the exact synchronous reduction)"},
+         "every live neighbor's round-r message; async_mode = barrier "
+         "only)"},
         [](ScenarioRun& r, const std::string& v) {
           r.config.staleness_bound = parse_uint("staleness_bound", v);
         });
@@ -636,10 +638,11 @@ const std::vector<KeySpec>& key_specs() {
           r.config.stop_at_sim_time = s;
         });
     add({"async_mode", "enum", "barrier", "barrier, free, weighted",
-         "Asynchronous aggregation discipline (engine = async): barrier = "
-         "the bounded-staleness gate, free = aggregate whatever has arrived "
-         "(weights renormalize over heard neighbors), weighted = free with "
-         "contributions faded by staleness_decay^age instead of dropped"},
+         "Asynchronous aggregation discipline (engine = async), all in one "
+         "event loop: barrier = the staleness_bound gate, free = aggregate "
+         "whatever has arrived (weights renormalize over heard neighbors), "
+         "weighted = free with contributions faded by staleness_decay^age "
+         "instead of dropped"},
         [](ScenarioRun& r, const std::string& v) {
           expect_enum("async_mode", v, {"barrier", "free", "weighted"});
           r.config.async_mode = v == "free"       ? sim::AsyncMode::kFree

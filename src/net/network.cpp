@@ -52,8 +52,8 @@ void Network::send(std::uint32_t to, Message msg) {
     time_.count_drop(cause);
     if (cause != DropCause::kNone) {
       // A dropped transfer never delivers, so its edge record retires here
-      // (no-op unless per-transfer retirement is enabled — the synchronous
-      // engine keeps the records for finish_round()'s critical path).
+      // (no-op without a delivery sink — the synchronous engine keeps the
+      // records for finish_round()'s critical path).
       time_.retire_send(msg.sender, to);
     }
   }

@@ -127,7 +127,16 @@ class Network {
   void send(std::uint32_t to, Message msg);
 
   /// Installs (or clears, with nullptr) the delivery interception hook.
-  void set_delivery_sink(DeliverySink* sink) noexcept { sink_ = sink; }
+  /// Installing one also switches the TimeModel to per-transfer edge-record
+  /// retirement for the fabric's lifetime: every send appends its own
+  /// record, and retire_transfer() erases it once the transfer is delivered
+  /// or dropped. The event loop never calls finish_round(), so this bounds
+  /// the records by the in-flight message count on arbitrarily long runs
+  /// (the synchronous engine instead clears them at finish_round()).
+  void set_delivery_sink(DeliverySink* sink) noexcept {
+    sink_ = sink;
+    if (sink != nullptr) time_.set_retire_records(true);
+  }
 
   /// Lands a message in `to`'s mailbox directly: no drop verdict, no
   /// accounting — those already happened in the send() that produced the
@@ -160,16 +169,9 @@ class Network {
   /// "Phase attribution").
   void advance_time(double delta, bool compute);
 
-  /// Switches the TimeModel to per-transfer edge-record retirement: every
-  /// send appends its own record, and retire_transfer() erases it once the
-  /// transfer is delivered or dropped. This bounds the round_edges_ cache by
-  /// the in-flight message count on arbitrarily long asynchronous runs (the
-  /// synchronous engine instead clears records at finish_round()).
-  void enable_transfer_retirement() { time_.set_retire_records(true); }
-
   /// Retires the oldest live edge record of (sender -> receiver); no-op
-  /// unless enable_transfer_retirement() was called. Thread-safe like
-  /// send()'s accounting.
+  /// until a delivery sink has been installed. Thread-safe like send()'s
+  /// accounting.
   void retire_transfer(std::uint32_t sender, std::uint32_t receiver);
 
   const TrafficMeter& traffic() const noexcept { return meter_; }

@@ -39,9 +39,6 @@ std::vector<std::string> check_result(const ExperimentResult& result,
   const ByzantineStats& bz = result.byzantine;
   const bool async = config.engine == EngineKind::kAsync;
   const bool budget = config.stop_at_sim_time > 0.0;
-  // The event engine's exact sync reduction (sim/event_engine.hpp).
-  const bool plain_barrier = config.async_mode == AsyncMode::kBarrier &&
-                             config.staleness_bound == 0;
   const core::RobustAggKind rule = config.robust_agg.kind;
 
   // --- the mode fields mirror the config
@@ -111,7 +108,7 @@ std::vector<std::string> check_result(const ExperimentResult& result,
   }
 
   // --- simulated time: the event loop splits the clock exactly
-  if (async && !plain_barrier) {
+  if (async) {
     if (st.compute_seconds + st.comm_seconds != result.sim_seconds) {
       fail("sim_time.comm_seconds",
            "compute_seconds " + json_number(st.compute_seconds) +
@@ -154,18 +151,16 @@ std::vector<std::string> check_result(const ExperimentResult& result,
                to_string(st.dropped_total) + " + messages_in_flight " +
                to_string(ee.messages_in_flight));
     }
-    // Every applied message is in the histogram once; plain barrier mode
-    // applies every delivery, the event loop may end with some buffered.
+    // Every applied message is in the histogram once; the event loop may
+    // end with some deliveries still buffered.
     const std::uint64_t applied = total(ee.staleness_histogram);
     const std::uint64_t settled = applied + ee.messages_stale_dropped;
-    if (plain_barrier ? settled != ee.messages_delivered
-                      : settled > ee.messages_delivered) {
+    if (settled > ee.messages_delivered) {
       fail("event_engine.messages_delivered",
            "staleness_histogram total " + to_string(applied) +
                " + messages_stale_dropped " +
                to_string(ee.messages_stale_dropped) +
-               (plain_barrier ? " != " : " > ") + "messages_delivered " +
-               to_string(ee.messages_delivered));
+               " > messages_delivered " + to_string(ee.messages_delivered));
     }
     if (config.async_mode == AsyncMode::kBarrier) {
       if (ee.staleness_histogram.size() != config.staleness_bound + 1) {
@@ -227,15 +222,9 @@ std::vector<std::string> check_result(const ExperimentResult& result,
            to_string(ee.local_steps.size()) + " counters for " +
                to_string(nodes) + " nodes");
     }
-    // The barrier steps every alive node once per round; the event loop
-    // ends with the slowest node at rounds_run and none past the cap.
-    if (plain_barrier) {
-      if (ee.local_steps_max() > result.rounds_run) {
-        fail("event_engine.local_steps",
-             "max " + to_string(ee.local_steps_max()) + " exceeds rounds_run " +
-                 to_string(result.rounds_run));
-      }
-    } else if (ee.local_steps_min() != result.rounds_run) {
+    // The event loop ends with the slowest node at rounds_run and none
+    // past the cap.
+    if (ee.local_steps_min() != result.rounds_run) {
       fail("event_engine.local_steps",
            "min " + to_string(ee.local_steps_min()) + " != rounds_run " +
                to_string(result.rounds_run));

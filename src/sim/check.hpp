@@ -20,9 +20,9 @@ namespace jwins::sim {
 ///  * sim_time.dropped_total == edge + burst + crash;
 ///  * async engine: messages_sent == delivered + dropped_total + in_flight
 ///    (the conservation ledger);
-///  * async engine: staleness-histogram total + stale drops <= delivered,
-///    with equality in plain barrier mode (staleness_bound 0); barrier runs
-///    size the histogram to the window and collect no gate-free stats;
+///  * async engine: staleness-histogram total + stale drops <= delivered
+///    (a run may end with deliveries still buffered); barrier runs size
+///    the histogram to the window and collect no gate-free stats;
 ///    free/weighted runs drop nothing for age, force-unblock nothing, and
 ///    their histogram total, sum of k * effective_neighbors[k] and
 ///    contributions_applied agree, as do the histogram's age-weighted total
@@ -32,11 +32,10 @@ namespace jwins::sim {
 ///    reached target; reached_target needs a target it really reached;
 ///  * messages_in_flight == 0 unless the run was cut (a budget or a
 ///    reached target);
-///  * async engine: per-node local steps stay within the run's rounds
-///    (barrier: at most rounds_run; event loop: the slowest node's count is
-///    rounds_run);
-///  * outside plain barrier mode, compute + comm == sim_seconds exactly, run
-///    total and every series point;
+///  * async engine: the slowest node's local-step count is rounds_run, and
+///    none exceeds rounds;
+///  * async engine: compute + comm == sim_seconds exactly, run total and
+///    every series point;
 ///  * byzantine.attackers has byzantine_nodes ascending ranks below the node
 ///    count; no corrupted messages without attackers; trim and clip counters
 ///    stay 0 unless the configured robust rule is the one that moves them;

@@ -105,6 +105,8 @@ void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
       share_time_ + uplink_.enqueue(exp_.network_.time_model(), msg.sender, to,
                                     msg.wire_size());
   const std::uint32_t tag = msg.round;
+  std::int64_t& sent = sent_[to * exp_.nodes_.size() + msg.sender];
+  sent = std::max(sent, static_cast<std::int64_t>(tag));
   queue_.push(arrival, to, EventKind::kMessageArrival, tag, std::move(msg));
 }
 
@@ -118,16 +120,8 @@ ExperimentResult EventEngine::run() {
   // start at size 1 (age 0) and grow to whatever ages actually occur.
   stats_.staleness_histogram.assign(exp_.config_.staleness_bound + 1, 0);
   stats_.local_steps.assign(n, 0);
-  barrier_mode_ =
-      exp_.config_.staleness_bound == 0 && mode_ == AsyncMode::kBarrier;
-  if (!barrier_mode_) {
-    // The event loop never calls finish_round(), so edge records must
-    // retire per transfer or a stop_at_sim_time run accumulates them
-    // forever (the ROADMAP-named leak this engine revision fixes).
-    exp_.network_.enable_transfer_retirement();
-  }
 
-  ExperimentResult result = barrier_mode_ ? run_barrier() : run_event_loop();
+  ExperimentResult result = run_event_loop();
 
   stats_.max_queue_depth = queue_.max_depth();
   stats_.edge_records_high_water =
@@ -137,88 +131,7 @@ ExperimentResult EventEngine::run() {
   return result;
 }
 
-// --- barrier mode (staleness_bound == 0): the exact sync reduction ----------
-
-ExperimentResult EventEngine::run_barrier() {
-  ExperimentResult result;
-  const ExperimentConfig& cfg = exp_.config_;
-  net::Network& network = exp_.network_;
-  const net::TimeModel& tm = network.time_model();
-  const std::size_t n = exp_.nodes_.size();
-  std::vector<float> train_losses(n, 0.0f);
-
-  for (std::size_t t = 0; t < cfg.rounds; ++t) {
-    const graph::Graph& g = exp_.topology_->round_graph(t);
-    if (g.size() != n) {
-      throw std::logic_error("EventEngine: topology size != node count");
-    }
-    const graph::MixingWeights& weights = exp_.mixing_weights(g, t);
-    const double round_start = network.simulated_seconds();
-
-    // Phase events: every alive node finishes its tau local steps at the
-    // simulated compute time its multiplier implies, then its messages
-    // arrive per-edge. All of round t's events drain before the barrier.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!tm.node_alive(i, t)) continue;
-      queue_.push(round_start +
-                      cfg.compute_seconds_per_round * tm.compute_multiplier(i),
-                  i, EventKind::kTrainDone, static_cast<std::uint32_t>(t));
-    }
-    while (!queue_.empty()) {
-      Event event = queue_.pop();
-      ++stats_.events_processed;
-      if (event.kind == EventKind::kTrainDone) {
-        const std::uint32_t i = event.node;
-        Experiment::timed_phase(exp_.wall_.train_seconds, [&] {
-          train_losses[i] = exp_.nodes_[i]->local_train();
-        });
-        uplink_.reset(i);
-        share_time_ = event.time;
-        Experiment::timed_phase(exp_.wall_.share_seconds, [&] {
-          exp_.nodes_[i]->share(network, g, weights, event.round,
-                                exp_.scratch_[0]);
-        });
-      } else {  // kMessageArrival (no LocalStep is queued yet)
-        ++stats_.messages_delivered;
-        ++stats_.staleness_histogram[0];
-        network.deliver(event.node, std::move(event.message));
-      }
-    }
-
-    // The barrier: the same finish_round() call — and therefore the same
-    // clock doubles, in the same addition order — as the synchronous loop.
-    network.finish_round(cfg.compute_seconds_per_round);
-
-    // Every arrival above is provably <= the barrier in exact arithmetic;
-    // the max() guards the event-time invariant against the one-ulp
-    // differences the two summation orders can produce.
-    const double barrier =
-        std::max(network.simulated_seconds(), queue_.last_pop_time());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!tm.node_alive(i, t)) continue;
-      queue_.push(barrier, i, EventKind::kLocalStep,
-                  static_cast<std::uint32_t>(t));
-    }
-    while (!queue_.empty()) {
-      const Event event = queue_.pop();
-      ++stats_.events_processed;
-      const std::uint32_t i = event.node;
-      Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
-        exp_.nodes_[i]->aggregate(network, g, weights, event.round,
-                                  exp_.scratch_[0]);
-      });
-      ++stats_.local_steps[i];
-    }
-    // The lockstep drain is one aggregation pass, as in the sync loop.
-    exp_.scratch_[0].decoded.flush();
-    // The round tail (alpha, budget, eval, target stop) is the
-    // synchronous loop's own.
-    if (exp_.end_round(t, train_losses, result)) break;
-  }
-  return result;
-}
-
-// --- bounded-staleness mode (staleness_bound > 0) ---------------------------
+// --- the event loop ----------------------------------------------------------
 
 const EventEngine::RoundTopo& EventEngine::topo(std::size_t round) {
   auto it = topo_cache_.find(round);
@@ -285,6 +198,9 @@ bool EventEngine::gate_open(std::uint32_t i) {
   const graph::Graph& g = topo(round_[i]).graph;
   for (const std::size_t nb : g.neighbors(i)) {
     if (heard_[i * n + nb] >= min_tag) continue;
+    // A message tagged >= min_tag still on its way opens the gate when it
+    // lands, even if its sender has finished its last round since.
+    if (sent_[i * n + nb] >= min_tag) return false;
     if (may_yet_hear(static_cast<std::uint32_t>(nb), min_tag)) return false;
   }
   return true;
@@ -487,6 +403,7 @@ ExperimentResult EventEngine::run_event_loop() {
   trained_.assign(n, false);
   inbox_.assign(n, {});
   heard_.assign(n * n, -1);
+  sent_.assign(n * n, -1);
 
   for (std::uint32_t i = 0; i < n; ++i) start_round(i, 0.0);
 

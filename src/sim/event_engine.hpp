@@ -20,19 +20,16 @@
 // events resolve by node rank, then by scheduling order. The pop sequence is
 // a pure function of the experiment seed: runs replay bit-identically.
 //
-// Reduction guarantee (the golden-tested contract): with staleness_bound ==
-// 0 the engine runs in *barrier mode* — real events fire at their simulated
-// times, but every node's LocalStep waits for the global round barrier, and
-// the round clock advances through the very same Network::finish_round()
-// call the synchronous loop makes. Every model byte, metric point, and
-// result-JSON byte outside the "event_engine" block is then identical to
-// EngineKind::kSync, under ANY TimeModel (flat or heterogeneous, with or without fault injection).
-// With staleness_bound B > 0 nodes genuinely desynchronize: a node may run
-// up to B rounds ahead of its slowest expected neighbor, messages more than
-// B rounds stale are discarded (counted), and quiescence detection
-// force-unblocks gated nodes whose unblocking message was lost — the engine
-// can never deadlock. docs/SIMULATION.md "Asynchronous engine" is the full
-// specification.
+// Every async_mode runs in this one event loop. Under async_mode = barrier a
+// node aggregates round r once every live neighbor's message tagged r - B or
+// later (B = staleness_bound) has arrived on the event clock; messages more
+// than B rounds stale are discarded (counted), and quiescence detection
+// force-unblocks gated nodes whose unblocking message was lost, so the
+// engine can never deadlock. B = 0 is the tightest gate: on loss-free links
+// every node then ends on the synchronous loop's final model bytes (the
+// tested relation; the series differ, because the event clock and the
+// evaluation instants are the engine's own). docs/SIMULATION.md
+// "Asynchronous engine" is the full specification.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +107,8 @@ class UplinkSerializer {
   /// Seconds of transfer already queued on `sender`'s uplink this round.
   double queued(std::uint32_t sender) const { return queued_.at(sender); }
 
-  /// Starts a fresh round for `sender` (its uplink drained at the barrier /
-  /// by the time it next trains).
+  /// Starts a fresh round for `sender` (its uplink has drained by the time
+  /// it next trains).
   void reset(std::uint32_t sender) { queued_.at(sender) = 0.0; }
 
  private:
@@ -138,11 +135,8 @@ class EventEngine : private net::DeliverySink {
   // survives failure injection, while some node's share() is running.
   void on_deliver(std::uint32_t to, net::Message msg) override;
 
-  ExperimentResult run_barrier();
-  /// The genuine event loop: bounded-staleness barrier aggregation
-  /// (async_mode = barrier, staleness_bound > 0) and the gate-free
-  /// free/weighted modes all run here; only the exact sync reduction
-  /// (barrier with B == 0) takes run_barrier().
+  /// The event loop: the staleness-gated barrier mode and the gate-free
+  /// free/weighted modes all run here.
   ExperimentResult run_event_loop();
 
   // --- bounded-staleness helpers -----------------------------------------
@@ -162,7 +156,8 @@ class EventEngine : private net::DeliverySink {
   void process_local_step(const Event& event, ExperimentResult& result);
   /// True when node i may aggregate its current round under the staleness
   /// bound: every expected neighbor has been heard at round r_i - B or
-  /// later (neighbors that can never produce such a round are exempt).
+  /// later (neighbors with no such message in flight that can never share
+  /// such a round are exempt).
   bool gate_open(std::uint32_t i);
   /// True if `neighbor` may still share a round >= `min_tag` in the future.
   bool may_yet_hear(std::uint32_t neighbor, std::int64_t min_tag) const;
@@ -182,9 +177,6 @@ class EventEngine : private net::DeliverySink {
   /// Share-context: while a node's share() runs, its messages' arrival
   /// times are share_time_ + uplink + latency.
   double share_time_ = 0.0;
-  /// Barrier mode routes arrivals straight to the Network mailbox; bounded
-  /// mode stages them in inbox_ under the staleness rule.
-  bool barrier_mode_ = true;
   /// Aggregation discipline (config mirror): kBarrier gates on the
   /// staleness bound; kFree/kWeighted never gate and apply every arrival.
   AsyncMode mode_ = AsyncMode::kBarrier;
@@ -193,7 +185,7 @@ class EventEngine : private net::DeliverySink {
   /// as communication otherwise (docs/SIMULATION.md "Phase attribution").
   std::size_t training_count_ = 0;
 
-  // Per-node asynchrony state (bounded mode).
+  // Per-node asynchrony state.
   std::vector<std::uint32_t> round_;        ///< current local round
   std::vector<double> round_start_;         ///< when that round began
   std::vector<bool> blocked_;               ///< gated at its staleness bound
@@ -203,6 +195,9 @@ class EventEngine : private net::DeliverySink {
   std::vector<std::vector<net::Message>> inbox_;
   /// heard_[i * n + j]: highest round tag received by i from j (-1 = none).
   std::vector<std::int64_t> heard_;
+  /// sent_[i * n + j]: highest round tag j sent to i that survived failure
+  /// injection (-1 = none). Above heard_, that message is still in flight.
+  std::vector<std::int64_t> sent_;
   std::map<std::size_t, RoundTopo> topo_cache_;
   std::size_t next_eval_round_ = 0;  ///< next 0-based round index to evaluate
   double now_ = 0.0;                 ///< time of the event being processed

@@ -10,8 +10,8 @@
 // — flat link by default, per-edge heterogeneity/stragglers/faults via
 // ExperimentConfig::time; docs/SIMULATION.md). It also owns the
 // cross-cutting protocol knobs — target-accuracy stopping (the
-// Figure 5/6 protocol), learning-rate schedules, fault injection,
-// and the threaded execution engine (a persistent net::ThreadPool whose
+// Figure 5/6 protocol), fault injection, and the threaded execution
+// engine (a persistent net::ThreadPool whose
 // static chunking + counter-based per-node RNG streams keep `threads = N`
 // bit-identical to `threads = 1`; see docs/DESIGN.md "Determinism &
 // threading model"). For a minimal end-to-end use see
@@ -60,11 +60,11 @@ const char* algorithm_name(Algorithm algorithm);
 ///  * kAsync — the discrete-event scheduler (sim/event_engine.hpp): nodes
 ///    are state machines advanced by TrainDone / MessageArrival / LocalStep
 ///    events, messages arrive when their link says they arrive, and slow
-///    nodes genuinely fall behind. With `staleness_bound == 0` (barrier
-///    mode) it reduces EXACTLY — byte-for-byte result JSON outside the
-///    "event_engine" block — to kSync under any TimeModel; a bound B > 0
-///    lets a node run up to B rounds ahead of its neighbors
-///    (docs/SIMULATION.md "Asynchronous engine").
+///    nodes genuinely fall behind. Under async_mode = kBarrier a bound
+///    B = staleness_bound lets a node run up to B rounds ahead of its
+///    neighbors; at B == 0 on loss-free links every node ends on kSync's
+///    final model bytes, while the clock and the evaluation points are the
+///    event loop's own (docs/SIMULATION.md "Asynchronous engine").
 enum class EngineKind { kSync, kAsync };
 
 const char* engine_name(EngineKind kind);
@@ -72,10 +72,10 @@ const char* engine_name(EngineKind kind);
 /// Aggregation discipline of the asynchronous engine — how a node treats the
 /// messages that have (or have not) arrived when its local step fires:
 ///
-///  * kBarrier — the bounded-staleness rule PR 6 shipped: a node waits until
-///    every expected neighbor has been heard within `staleness_bound` rounds
-///    (B == 0 is the exact synchronous reduction). The only mode with a
-///    staleness *gate*.
+///  * kBarrier — the bounded-staleness rule: a node waits until every
+///    expected neighbor has been heard within `staleness_bound` rounds, or
+///    can never be (B == 0 is the tightest gate: every live neighbor's
+///    same-round message). The only mode with a staleness *gate*.
 ///  * kFree — fully asynchronous gossip: no gate, no staleness drops. A node
 ///    aggregates whatever has arrived when its local step completes; mixing
 ///    weights renormalize over the neighbors actually heard (the partial-
@@ -177,7 +177,7 @@ struct ExperimentConfig {
 
   /// Bounded-staleness window B for the asynchronous engine: a node may
   /// aggregate round r once it has heard from every expected neighbor at
-  /// round r - B or later (0 = barrier mode, the exact sync reduction).
+  /// round r - B or later (0 = every live neighbor's round-r message).
   /// Only meaningful with engine = kAsync; validate() rejects it otherwise.
   std::size_t staleness_bound = 0;
 
@@ -188,10 +188,9 @@ struct ExperimentConfig {
   double stop_at_sim_time = 0.0;
 
   /// Aggregation discipline under engine = kAsync (see AsyncMode). The
-  /// default keeps the PR 6 bounded-staleness semantics — and, with
-  /// staleness_bound == 0, the byte-exact synchronous reduction. free and
-  /// weighted require engine = kAsync and drop the staleness gate, so
-  /// staleness_bound must stay 0 under them; validate() enforces both.
+  /// default is the bounded-staleness gate. free and weighted require
+  /// engine = kAsync and drop the staleness gate, so staleness_bound must
+  /// stay 0 under them; validate() enforces both.
   AsyncMode async_mode = AsyncMode::kBarrier;
 
   /// Age-decay base lambda for async_mode = kWeighted: a contribution s
@@ -417,9 +416,9 @@ class Experiment {
   /// is the lane's worker, bound to i before fn and written back after.
   template <class Fn>
   void for_each_alive(std::size_t t, Fn&& fn);
-  /// Round-boundary bookkeeping of the lockstep engines (the sync loop and
-  /// the event engine's barrier mode): rounds_run, JWINS alpha accounting, the sim-time budget, the eval cadence and the
-  /// target stop. Returns true when the run stops after round t.
+  /// Round-boundary bookkeeping of the sync loop: rounds_run, JWINS alpha
+  /// accounting, the sim-time budget, the eval cadence and the target
+  /// stop. Returns true when the run stops after round t.
   bool end_round(std::size_t t, std::span<const float> train_losses,
                  ExperimentResult& result);
   /// Shared end of run under every engine: collect_summary(), then the

@@ -197,6 +197,8 @@ const Base& base(const std::string& name) {
     };
     add("sync", [](ExperimentConfig& c) { add_faults(c); });
     add("attack", add_attack);
+    // B = 0 under edge drops: a lost message keeps its receiver gated until
+    // the sender's next round lands or quiescence overrides the gate.
     add("barrier", [](ExperimentConfig& c) {
       c.engine = EngineKind::kAsync;
       c.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.2, 0.0};
@@ -310,7 +312,8 @@ const Edit kEdits[] = {
      }},
     {"barrier", "staleness_histogram",
      [](ExperimentResult& r, const ExperimentConfig&) {
-       ++r.event_engine.staleness_histogram[0];
+       r.event_engine.staleness_histogram[0] +=
+           r.event_engine.messages_delivered + 1;
      }},
     {"bounded", "messages_stale_dropped",
      [](ExperimentResult& r, const ExperimentConfig&) {
@@ -358,7 +361,7 @@ const Edit kEdits[] = {
     // Local steps.
     {"barrier", "local_steps",
      [](ExperimentResult& r, const ExperimentConfig&) {
-       r.event_engine.local_steps.push_back(0);
+       r.event_engine.local_steps.push_back(r.rounds_run);
      }},
     {"barrier", "local_steps",
      [](ExperimentResult& r, const ExperimentConfig&) {

@@ -9,6 +9,7 @@
 
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/experiment.hpp"
@@ -96,23 +97,6 @@ TEST_P(DeterminismAcrossThreads, ThreadedMatchesSequentialBitForBit) {
   expect_bit_identical(threaded, threaded_again, "threads=4 vs threads=4");
 }
 
-TEST_P(DeterminismAcrossThreads, AsyncBarrierMatchesSyncByteForByte) {
-  // The asynchronous engine's golden reduction (sim/event_engine.hpp):
-  // under staleness_bound = 0 every metric — and the emitted result JSON
-  // outside the engine's own "event_engine" counters, byte for byte — must
-  // equal the synchronous reference.
-  const Scenario& s = GetParam();
-  const auto sync = run_scenario(s, 1, sim::EngineKind::kSync);
-  const auto async = run_scenario(s, 1, sim::EngineKind::kAsync);
-  expect_bit_identical(sync, async, "sync vs async barrier");
-  EXPECT_EQ(testutil::strip_json_block(
-                testutil::deterministic_json(sync, "determinism/reduction"),
-                "event_engine"),
-            testutil::strip_json_block(
-                testutil::deterministic_json(async, "determinism/reduction"),
-                "event_engine"));
-}
-
 TEST_P(DeterminismAcrossThreads, AsyncThreadedMatchesSequential) {
   // The event loop itself is single-threaded; evaluation still uses the
   // pool. threads=N must stay bit-identical to threads=1 under kAsync.
@@ -133,6 +117,12 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{"choco_topk", sim::Algorithm::kChoco},
         Scenario{"choco_qsgd", sim::Algorithm::kChoco, /*choco_qsgd=*/true},
         Scenario{"power_gossip", sim::Algorithm::kPowerGossip},
+        // Lossy links: the async engine is held to its replay across
+        // threads and to check_report only. Under drops the staleness gate
+        // waits for a lost message's sender's next round until quiescence
+        // overrides it, which the sync loop never does, so the two engines'
+        // models differ by design; B = 0 ends on sync's models only on
+        // loss-free links (LosslessBoundZero in test_event_engine.cpp).
         Scenario{"jwins_lossy_links", sim::Algorithm::kJwins,
                  /*choco_qsgd=*/false, /*drop_probability=*/0.15}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
@@ -154,8 +144,14 @@ struct ByzantineCase {
   core::RobustAggKind defense;
 };
 
-sim::ExperimentResult run_byzantine(const ByzantineCase& s, unsigned threads,
-                                    sim::EngineKind engine) {
+/// A byzantine run's result and every node's final parameters.
+struct ByzantineRun {
+  sim::ExperimentResult result;
+  std::vector<std::vector<float>> models;
+};
+
+ByzantineRun run_byzantine(const ByzantineCase& s, unsigned threads,
+                           sim::EngineKind engine) {
   const std::size_t n = 8;
   const sim::Workload w = sim::make_femnist_like(n, 23);
   sim::ExperimentConfig cfg;
@@ -178,9 +174,12 @@ sim::ExperimentResult run_byzantine(const ByzantineCase& s, unsigned threads,
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
                           graph::random_regular(n, 4, topo_rng)));
-  sim::ExperimentResult result = exp.run();
-  EXPECT_EQ(testutil::check_report(result, cfg, n), "");
-  return result;
+  ByzantineRun run{exp.run(), {}};
+  EXPECT_EQ(testutil::check_report(run.result, cfg, n), "");
+  for (std::size_t i = 0; i < n; ++i) {
+    run.models.push_back(exp.node(i).flat_params());
+  }
+  return run;
 }
 
 class ByzantineDeterminism
@@ -188,9 +187,9 @@ class ByzantineDeterminism
 
 TEST_P(ByzantineDeterminism, ThreadedAndReplayMatchBitForBit) {
   const ByzantineCase& s = GetParam();
-  const auto sequential = run_byzantine(s, 1, sim::EngineKind::kSync);
-  const auto threaded = run_byzantine(s, 4, sim::EngineKind::kSync);
-  const auto replay = run_byzantine(s, 4, sim::EngineKind::kSync);
+  const auto sequential = run_byzantine(s, 1, sim::EngineKind::kSync).result;
+  const auto threaded = run_byzantine(s, 4, sim::EngineKind::kSync).result;
+  const auto replay = run_byzantine(s, 4, sim::EngineKind::kSync).result;
   expect_bit_identical(sequential, threaded, "threads=1 vs threads=4");
   expect_bit_identical(threaded, replay, "threads=4 replay");
   EXPECT_EQ(sequential.byzantine.corrupted_messages,
@@ -205,18 +204,21 @@ TEST_P(ByzantineDeterminism, ThreadedAndReplayMatchBitForBit) {
 
 TEST_P(ByzantineDeterminism, EventEngineReplaysBitIdentically) {
   // Corruption happens inside share(), so the event engine sees exactly the
-  // same wire bytes: barrier-mode async must reduce to the sync reference
-  // under attack too, and replay bit-identically across thread counts.
+  // same wire bytes: on these loss-free links the B = 0 gate ends every
+  // node on the sync reference's final model under attack too, and the
+  // event engine replays bit-identically across thread counts.
   const ByzantineCase& s = GetParam();
   const auto sync = run_byzantine(s, 1, sim::EngineKind::kSync);
   const auto async_seq = run_byzantine(s, 1, sim::EngineKind::kAsync);
   const auto async_threaded = run_byzantine(s, 4, sim::EngineKind::kAsync);
-  expect_bit_identical(sync, async_seq, "sync vs async barrier");
-  expect_bit_identical(async_seq, async_threaded,
+  EXPECT_EQ(sync.models, async_seq.models);
+  EXPECT_EQ(async_seq.models, async_threaded.models);
+  expect_bit_identical(async_seq.result, async_threaded.result,
                        "async threads=1 vs threads=4");
-  EXPECT_EQ(
-      testutil::deterministic_json(async_seq, "determinism/byzantine"),
-      testutil::deterministic_json(async_threaded, "determinism/byzantine"));
+  EXPECT_EQ(testutil::deterministic_json(async_seq.result,
+                                         "determinism/byzantine"),
+            testutil::deterministic_json(async_threaded.result,
+                                         "determinism/byzantine"));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,8 @@
 // Discrete-event asynchronous engine (sim/event_engine.hpp): queue
 // invariants on hand-computed schedules, uplink-serialization math against
-// the TimeModel's own numbers, the golden barrier-mode reduction to the
-// synchronous reference under every fault/heterogeneity family, genuine
+// the TimeModel's own numbers, B = 0 on loss-free links ending on the
+// synchronous reference's final models under every heterogeneity and crash
+// family and every algorithm, genuine
 // bounded-staleness behavior (histogram, stale drops, budget divergence,
 // message conservation), and the sub-round crash semantics both engines pin.
 #include "sim/event_engine.hpp"
@@ -15,11 +16,13 @@
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "graph/graph.hpp"
 #include "net/time_model.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
+#include "sim/workloads.hpp"
 #include "test_util.hpp"
 
 namespace jwins::sim {
@@ -296,125 +299,192 @@ std::string json_of(const ExperimentResult& result) {
   return testutil::deterministic_json(result, "t");
 }
 
-/// Runs cfg under both engines on identically-built experiments and demands
-/// byte-identical result JSON outside the "event_engine" counters plus
-/// bit-identical model parameters.
-void expect_golden_reduction(ExperimentConfig cfg, std::size_t n) {
+// ------------------- lossless B = 0: the synchronous loop's final models
+
+/// The femnist-like cell of the per-algorithm rows: 8 nodes on a seeded
+/// 4-regular graph, built once and shared read-only by every row.
+const Workload& femnist8() {
+  static const Workload w = make_femnist_like(8, 23);
+  return w;
+}
+
+std::unique_ptr<Experiment> make_femnist8(const ExperimentConfig& cfg) {
+  const Workload& w = femnist8();
+  std::mt19937 topo_rng(23);
+  return std::make_unique<Experiment>(
+      cfg, w.model_factory, *w.train, w.partition, *w.test,
+      std::make_unique<graph::StaticTopology>(
+          graph::random_regular(8, 4, topo_rng)));
+}
+
+/// One row of the relation: a config (its engine is set by the test) on
+/// loss-free links, and the node count of the experiment it builds (the
+/// mini quadratic cell, or femnist8() when `femnist` is set).
+struct LosslessCase {
+  const char* name;
+  std::size_t nodes;
+  ExperimentConfig (*config)();
+  bool femnist = false;
+};
+
+void PrintTo(const LosslessCase& c, std::ostream* os) { *os << c.name; }
+
+ExperimentConfig femnist_config(Algorithm algorithm) {
+  ExperimentConfig cfg;
+  cfg.algorithm = algorithm;
+  cfg.rounds = 6;
+  cfg.local_steps = 2;
+  cfg.sgd.learning_rate = 0.05f;
+  cfg.eval_every = 2;
+  cfg.eval_sample_limit = 64;
+  cfg.seed = 23;
+  cfg.time.bandwidth_dist = {net::LinkDist::Kind::kLognormal, 12.5e6, 0.75};
+  cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.002, 0.040};
+  cfg.time.straggler_fraction = 0.3;
+  cfg.time.straggler_slowdown = 4.0;
+  return cfg;
+}
+
+const LosslessCase kLosslessCases[] = {
+    {"flat", 4, [] { return mini_config(6); }},
+    {"eval_schedule", 4,
+     [] {
+       ExperimentConfig cfg = mini_config(9);
+       cfg.eval_every = 2;
+       return cfg;
+     }},
+    {"heterogeneous_links", 6,
+     [] {
+       ExperimentConfig cfg = mini_config(6);
+       cfg.time.bandwidth_dist = {net::LinkDist::Kind::kLognormal, 12.5e6,
+                                  0.75};
+       cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.002, 0.040};
+       return cfg;
+     }},
+    {"stragglers", 6,
+     [] {
+       ExperimentConfig cfg = mini_config(6);
+       cfg.time.straggler_fraction = 0.4;
+       cfg.time.straggler_slowdown = 5.0;
+       return cfg;
+     }},
+    {"crash_and_rejoin", 6,
+     [] {
+       ExperimentConfig cfg = mini_config(10);
+       cfg.time.crash_nodes = 2;
+       cfg.time.crash_at = 3;
+       cfg.time.rejoin_at = 7;
+       return cfg;
+     }},
+    {"permanent_crash", 4,
+     [] {
+       ExperimentConfig cfg = mini_config(8);
+       cfg.time.crash_nodes = 1;
+       cfg.time.crash_at = 2;
+       cfg.time.rejoin_at = 0;  // never rejoins
+       return cfg;
+     }},
+    // Every message of a burst round is lost, on both engines alike: the
+    // gated nodes' quiescence override aggregates exactly what sync does.
+    {"burst_outages", 4,
+     [] {
+       ExperimentConfig cfg = mini_config(9);
+       cfg.time.burst_every = 3;
+       cfg.time.burst_length = 1;
+       cfg.time.burst_drop = 1.0;
+       return cfg;
+     }},
+    {"links_stragglers_crash", 6,
+     [] {
+       ExperimentConfig cfg = mini_config(12);
+       cfg.eval_every = 3;
+       cfg.time.bandwidth_dist = {net::LinkDist::Kind::kUniform, 2e6, 20e6};
+       cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.001, 0.030};
+       cfg.time.straggler_fraction = 0.3;
+       cfg.time.straggler_slowdown = 3.0;
+       cfg.time.crash_nodes = 1;
+       cfg.time.crash_at = 4;
+       cfg.time.rejoin_at = 8;
+       return cfg;
+     }},
+    {"target_stop", 4,
+     [] {
+       ExperimentConfig cfg = mini_config(60);
+       cfg.eval_every = 1;
+       cfg.target_accuracy = 0.5;  // reachable: accuracy = 1/(1+loss)
+       return cfg;
+     }},
+    {"femnist_full_sharing", 8,
+     [] { return femnist_config(Algorithm::kFullSharing); }, true},
+    {"femnist_random_sampling", 8,
+     [] { return femnist_config(Algorithm::kRandomSampling); }, true},
+    {"femnist_jwins", 8, [] { return femnist_config(Algorithm::kJwins); },
+     true},
+    {"femnist_choco_topk", 8, [] { return femnist_config(Algorithm::kChoco); },
+     true},
+    {"femnist_choco_qsgd", 8,
+     [] {
+       ExperimentConfig cfg = femnist_config(Algorithm::kChoco);
+       cfg.choco.compressor = algo::ChocoNode::Compressor::kQsgd;
+       return cfg;
+     },
+     true},
+    {"femnist_power_gossip", 8,
+     [] { return femnist_config(Algorithm::kPowerGossip); }, true},
+    // Corruption happens inside share(), so both engines carry the same
+    // wire bytes, and trimmed mean sees the same contributions.
+    {"femnist_jwins_attacked_trimmed", 8,
+     [] {
+       ExperimentConfig cfg = femnist_config(Algorithm::kJwins);
+       cfg.byzantine_nodes = 2;
+       cfg.byzantine_mode = algo::ByzantineMode::kSignFlip;
+       cfg.robust_agg.kind = core::RobustAggKind::kTrimmedMean;
+       cfg.robust_agg.trim_fraction = 0.25;
+       return cfg;
+     },
+     true},
+};
+
+class LosslessBoundZero : public ::testing::TestWithParam<LosslessCase> {};
+
+/// Under async_mode = barrier with staleness_bound = 0, a node aggregates
+/// round r once every live neighbor's round-r message has arrived, so on
+/// loss-free links it mixes exactly the contributions the synchronous round
+/// does and every node ends on sync's final model bytes. The relation is
+/// on models, not series: the event clock and the instants at which the
+/// engine evaluates are its own. Lossy links are not rows: there the gate
+/// waits for a lost message's sender's next round until quiescence
+/// overrides it, which sync never does, so the models differ by design.
+TEST_P(LosslessBoundZero, EndsOnSyncFinalModels) {
+  const LosslessCase& c = GetParam();
+  ExperimentConfig cfg = c.config();
+  const auto make = [&](const ExperimentConfig& run_cfg) {
+    return c.femnist ? make_femnist8(run_cfg) : make_mini(run_cfg, c.nodes);
+  };
   cfg.engine = EngineKind::kSync;
-  auto sync = make_mini(cfg, n);
+  auto sync = make(cfg);
   const ExperimentResult rs = sync->run();
-  EXPECT_EQ(testutil::check_report(rs, cfg, n), "");
+  EXPECT_EQ(testutil::check_report(rs, cfg, c.nodes), "");
   cfg.engine = EngineKind::kAsync;
-  auto async = make_mini(cfg, n);
+  ASSERT_EQ(cfg.async_mode, AsyncMode::kBarrier);
+  ASSERT_EQ(cfg.staleness_bound, 0u);
+  auto async = make(cfg);
   const ExperimentResult ra = async->run();
-  EXPECT_EQ(testutil::check_report(ra, cfg, n), "");
-  EXPECT_EQ(testutil::strip_json_block(json_of(rs), "event_engine"),
-            testutil::strip_json_block(json_of(ra), "event_engine"));
-  for (std::size_t i = 0; i < n; ++i) {
+  EXPECT_EQ(testutil::check_report(ra, cfg, c.nodes), "");
+  EXPECT_EQ(ra.event_engine.messages_stale_dropped, 0u);
+  for (std::size_t i = 0; i < c.nodes; ++i) {
     EXPECT_EQ(sync->node(i).flat_params(), async->node(i).flat_params())
         << "node " << i;
   }
-  EXPECT_FALSE(rs.event_engine.enabled);
-  EXPECT_TRUE(ra.event_engine.enabled);
 }
 
-// --------------------------------- barrier mode: the exact sync reduction
+INSTANTIATE_TEST_SUITE_P(Rows, LosslessBoundZero,
+                         ::testing::ValuesIn(kLosslessCases),
+                         [](const ::testing::TestParamInfo<LosslessCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
-TEST(EventEngineBarrier, MatchesSyncOnFlatModel) {
-  expect_golden_reduction(mini_config(6), 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithEvaluationSchedule) {
-  ExperimentConfig cfg = mini_config(9);
-  cfg.eval_every = 2;
-  expect_golden_reduction(cfg, 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithHeterogeneousLinks) {
-  ExperimentConfig cfg = mini_config(6);
-  cfg.time.bandwidth_dist = {net::LinkDist::Kind::kLognormal, 12.5e6, 0.75};
-  cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.002, 0.040};
-  expect_golden_reduction(cfg, 6);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithStragglers) {
-  ExperimentConfig cfg = mini_config(6);
-  cfg.time.straggler_fraction = 0.4;
-  cfg.time.straggler_slowdown = 5.0;
-  expect_golden_reduction(cfg, 6);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithIidDrop) {
-  // Every message draws its own drop decision at one fixed probability.
-  ExperimentConfig cfg = mini_config(8);
-  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.3, 0.0};
-  expect_golden_reduction(cfg, 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithEdgeDrop) {
-  ExperimentConfig cfg = mini_config(8);
-  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kUniform, 0.1, 0.5};
-  expect_golden_reduction(cfg, 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithBurstOutages) {
-  ExperimentConfig cfg = mini_config(9);
-  cfg.time.burst_every = 3;
-  cfg.time.burst_length = 1;
-  cfg.time.burst_drop = 1.0;
-  expect_golden_reduction(cfg, 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithCrashAndRejoin) {
-  ExperimentConfig cfg = mini_config(10);
-  cfg.time.crash_nodes = 2;
-  cfg.time.crash_at = 3;
-  cfg.time.rejoin_at = 7;
-  expect_golden_reduction(cfg, 6);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithPermanentCrash) {
-  ExperimentConfig cfg = mini_config(8);
-  cfg.time.crash_nodes = 1;
-  cfg.time.crash_at = 2;
-  cfg.time.rejoin_at = 0;  // never rejoins
-  expect_golden_reduction(cfg, 4);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithEverythingAtOnce) {
-  ExperimentConfig cfg = mini_config(12);
-  cfg.eval_every = 3;
-  cfg.time.bandwidth_dist = {net::LinkDist::Kind::kUniform, 2e6, 20e6};
-  cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.001, 0.030};
-  cfg.time.straggler_fraction = 0.3;
-  cfg.time.straggler_slowdown = 3.0;
-  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.15, 0.0};
-  cfg.time.crash_nodes = 1;
-  cfg.time.crash_at = 4;
-  cfg.time.rejoin_at = 8;
-  expect_golden_reduction(cfg, 6);
-}
-
-TEST(EventEngineBarrier, MatchesSyncWithSimTimeBudget) {
-  ExperimentConfig cfg = mini_config(50);
-  cfg.eval_every = 5;
-  cfg.stop_at_sim_time = 0.4;  // cuts the run well before 50 rounds
-  cfg.engine = EngineKind::kSync;
-  auto sync = make_mini(cfg, 4);
-  const ExperimentResult rs = sync->run();
-  EXPECT_LT(rs.rounds_run, 50u);
-  cfg.engine = EngineKind::kAsync;
-  auto async = make_mini(cfg, 4);
-  const ExperimentResult ra = async->run();
-  // Both engines stop after the round that crossed 0.4 simulated seconds.
-  EXPECT_EQ(rs.rounds_run, ra.rounds_run);
-  EXPECT_EQ(rs.sim_seconds, ra.sim_seconds);
-  EXPECT_EQ(rs.final_accuracy, ra.final_accuracy);
-  EXPECT_EQ(rs.total_traffic.bytes_sent, ra.total_traffic.bytes_sent);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(sync->node(i).flat_params(), async->node(i).flat_params());
-  }
-}
+// ------------------------------------------- barrier mode at B = 0
 
 TEST(EventEngineBarrier, StatsAndConservation) {
   ExperimentConfig cfg = mini_config(5);
@@ -430,17 +500,12 @@ TEST(EventEngineBarrier, StatsAndConservation) {
   EXPECT_EQ(ee.messages_stale_dropped, 0u);
   EXPECT_EQ(ee.staleness_overrides, 0u);
   // Conservation, nothing in flight, and the one-bucket histogram holding
-  // every delivery: the barrier's ledger identities.
+  // every delivery: the gate applied every message.
   EXPECT_EQ(testutil::check_report(r, cfg, 4), "");
+  EXPECT_EQ(ee.staleness_histogram,
+            std::vector<std::uint64_t>{ee.messages_delivered});
   EXPECT_EQ(ee.local_steps_min(), 5u);
   EXPECT_EQ(ee.local_steps_max(), 5u);
-}
-
-TEST(EventEngineBarrier, TargetAccuracyStopMatchesSync) {
-  ExperimentConfig cfg = mini_config(60);
-  cfg.eval_every = 1;
-  cfg.target_accuracy = 0.5;  // reachable: quadratic accuracy = 1/(1+loss)
-  expect_golden_reduction(cfg, 4);
 }
 
 TEST(EventEngineBarrier, ValidationRejectsStalenessUnderSync) {
@@ -593,16 +658,27 @@ TEST(EventEngineBounded, PermanentCrashDoesNotDeadlock) {
   EXPECT_EQ(r.event_engine.messages_in_flight, 0u);
 }
 
-TEST(EventEngineBounded, HighLatencyProducesStaleMessages) {
+TEST(EventEngineBounded, HighLatencyWaitsForMessagesInFlight) {
   ExperimentConfig cfg = bounded_config(20, 1);
   cfg.compute_seconds_per_round = 0.005;
   cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.020, 0.080};
   auto exp = make_mini(cfg, 4);
   const ExperimentResult r = exp->run();
-  // Links many compute-rounds long: some messages arrive after their
-  // receiver's staleness window has passed them.
-  EXPECT_GT(r.event_engine.messages_stale_dropped, 0u);
+  EXPECT_EQ(testutil::check_report(r, cfg, 4), "");
   EXPECT_EQ(r.total_traffic.messages_sent, r.event_engine.messages_delivered);
+  // Links many compute-rounds long, so a neighbor's message is often still
+  // in flight after the neighbor has finished its last round. The gate
+  // waits for it instead of exempting the finished neighbor, so no message
+  // lands past its receiver's window.
+  EXPECT_EQ(r.event_engine.messages_stale_dropped, 0u);
+  // Every other delivery is applied, except final-round messages that land
+  // after their receiver's own last step: B = 1 lets that step go ahead on
+  // the round before. At most one per (receiver, neighbor): 4 nodes x 2.
+  const std::vector<std::uint64_t>& ages = r.event_engine.staleness_histogram;
+  const std::uint64_t applied =
+      std::accumulate(ages.begin(), ages.end(), std::uint64_t{0});
+  EXPECT_LE(applied, r.event_engine.messages_delivered);
+  EXPECT_LE(r.event_engine.messages_delivered - applied, 8u);
 }
 
 TEST(EventEngineBounded, ExtendedJsonBlockPresent) {
@@ -986,17 +1062,6 @@ TEST(AsyncAccounting, EdgeRecordsRetireAndStayBounded) {
             tm.edge_records_high_water());
 }
 
-TEST(AsyncAccounting, BarrierKeepsLegacyRecordPath) {
-  // Plain barrier runs keep the legacy merge-at-round-boundary path (and
-  // their sync-identical results): retirement stays off.
-  ExperimentConfig cfg = mini_config(5);
-  cfg.engine = EngineKind::kAsync;
-  auto exp = make_mini(cfg, 4);
-  (void)exp->run();
-  EXPECT_FALSE(exp->network().time_model().retire_records());
-  EXPECT_EQ(exp->network().time_model().edge_records_high_water(), 0u);
-}
-
 // ------------------------------ sub-round crash semantics (both engines)
 
 /// The seeded crash-victim choice, reconstructed exactly as the Experiment
@@ -1071,7 +1136,10 @@ TEST(CrashSemantics, SyncVictimSendsNothingWhileDown) {
             rb.total_traffic.messages_sent);
 }
 
-TEST(CrashSemantics, AsyncBarrierFreezesTheSameBytes) {
+TEST(CrashSemantics, BoundZeroVictimFreezesTheSameBytes) {
+  // Messages to and from the victim die on both engines alike, and the
+  // gate exempts a neighbor that is down for the round: at B = 0 the
+  // victim ends on sync's bytes.
   ExperimentConfig cfg = mini_config(6);
   cfg.time.crash_nodes = 1;
   cfg.time.crash_at = 2;
