@@ -22,10 +22,11 @@
 //   --shard i/N       Execute only grid cells with index % N == i and write
 //                     their JSON + CSV, no grid.json (run all N shards — any
 //                     machines — into one DIR, then --resume)
-//   --resume          Keep runs whose complete jwins.result/3 JSON already
+//   --resume          Keep runs whose complete jwins.result/4 JSON already
 //                     exists under their spec-digested file name and rebuild
-//                     their grid entries from it; execute the rest. Over the
-//                     shards' output it writes the unsharded grid.json
+//                     their grid entries from it; execute the rest (older
+//                     jwins.result/3 files re-run). Over the shards' output
+//                     it writes the unsharded grid.json
 //   --list-keys       Print the scenario key reference and exit
 //
 // Exit codes: 0 success, 2 usage/spec error (message: `error: <key>: <why>`),

@@ -3,7 +3,7 @@
 // the wavelet domain before inverting back to parameters.
 //
 // The three ablation arms of Figure 8 are configuration, not code:
-//  * without wavelet      -> Options::ranker.use_wavelet = false
+//  * without wavelet      -> Options::ranker.wavelet = "identity"
 //  * without accumulation -> Options::ranker.use_accumulation = false
 //  * without random cut-off -> Options::cutoff = RandomizedCutoff::fixed(E[alpha])
 #pragma once

@@ -693,22 +693,13 @@ const std::vector<KeySpec>& key_specs() {
           r.config.random_sampling_fraction = parse_double_in(
               "random_sampling_fraction", v, 0.0, 1.0, true, "(0, 1]");
         });
-    add({"jwins_wavelet", "enum", "sym2", "haar, db2, sym2, db4",
-         "Wavelet family for the JWINS ranking transform"},
+    add({"jwins_wavelet", "enum", "sym2", "haar, db2, sym2, db4, identity",
+         "Wavelet family for the JWINS ranking transform (4 levels); "
+         "identity = rank in the raw parameter domain (the Fig. 8 ablation)"},
         [](ScenarioRun& r, const std::string& v) {
-          expect_enum("jwins_wavelet", v, {"haar", "db2", "sym2", "db4"});
+          expect_enum("jwins_wavelet", v,
+                      {"haar", "db2", "sym2", "db4", "identity"});
           r.config.jwins.ranker.wavelet = v;
-        });
-    add({"jwins_levels", "uint", "4", ">= 1",
-         "Wavelet decomposition levels (paper: 4)"},
-        [](ScenarioRun& r, const std::string& v) {
-          r.config.jwins.ranker.levels = parse_uint("jwins_levels", v, 1);
-        });
-    add({"jwins_use_wavelet", "bool", "true", "true, false",
-         "false = rank in the raw parameter domain (the Fig. 8 ablation)"},
-        [](ScenarioRun& r, const std::string& v) {
-          r.config.jwins.ranker.use_wavelet =
-              parse_bool("jwins_use_wavelet", v);
         });
     add({"jwins_use_accumulation", "bool", "true", "true, false",
          "false = clear importance scores every round (the Fig. 8 ablation)"},

@@ -10,9 +10,9 @@ WaveletRanker::WaveletRanker(std::size_t model_size, Options options)
   if (model_size == 0) {
     throw std::invalid_argument("WaveletRanker: empty model");
   }
-  if (options_.use_wavelet) {
+  if (options_.wavelet != kIdentity) {
     plan_.emplace(dwt::wavelet_by_name(options_.wavelet), model_size,
-                  options_.levels);
+                  kLevels);
   }
   scores_.assign(coeff_length(), 0.0f);
 }

@@ -2,8 +2,8 @@
 // the wavelet-frequency domain and accumulated into an importance score
 // vector V. TopK on |V| picks the coefficients to share.
 //
-// The ablation variants map onto two switches:
-//  * use_wavelet = false  -> identity transform (scores live in the raw
+// The ablation variants map onto two options:
+//  * wavelet = "identity" -> no transform (scores live in the raw
 //    parameter domain; this is "JWINS without wavelet" ~= TopK).
 //  * use_accumulation = false -> V is cleared every round, so only the
 //    current round's change ranks parameters.
@@ -21,10 +21,13 @@ namespace jwins::core {
 
 class WaveletRanker {
  public:
+  /// The `wavelet` family that ranks in the raw parameter domain.
+  static constexpr const char* kIdentity = "identity";
+  /// Decomposition levels of every wavelet family (the paper's four).
+  static constexpr std::size_t kLevels = 4;
+
   struct Options {
-    std::string wavelet = "sym2";
-    std::size_t levels = 4;  ///< the paper's four-level decomposition
-    bool use_wavelet = true;
+    std::string wavelet = "sym2";  ///< a dwt family name, or kIdentity
     bool use_accumulation = true;
   };
 
@@ -73,7 +76,7 @@ class WaveletRanker {
  private:
   Options options_;
   std::size_t model_size_;
-  std::optional<dwt::DwtPlan> plan_;  // nullopt when use_wavelet == false
+  std::optional<dwt::DwtPlan> plan_;  // nullopt for kIdentity
   std::vector<float> scores_;         // the accumulation vector V
 };
 

@@ -41,21 +41,15 @@ void Network::send(std::uint32_t to, Message msg) {
   if (msg.sender >= mailboxes_.size()) {
     throw std::out_of_range("Network::send: sender out of range");
   }
-  const std::size_t wire = msg.wire_size();
   // Failure-injection verdict: pure (hashes logical coordinates only), so
   // drop decisions are deterministic and independent of thread scheduling.
   const DropCause cause = time_.drop_cause(msg.sender, to, msg.round);
   {
     std::lock_guard<std::mutex> lock(meter_lock_);
     meter_.record_send(msg.sender, msg);
-    time_.record_send(msg.sender, to, wire);
+    // Edge records feed finish_round(), which a delivery sink never calls.
+    if (sink_ == nullptr) time_.record_send(msg.sender, to, msg.wire_size());
     time_.count_drop(cause);
-    if (cause != DropCause::kNone) {
-      // A dropped transfer never delivers, so its edge record retires here
-      // (no-op without a delivery sink — the synchronous engine keeps the
-      // records for finish_round()'s critical path).
-      time_.retire_send(msg.sender, to);
-    }
   }
   if (cause != DropCause::kNone) {
     return;  // the bytes left the sender but never arrive
@@ -120,11 +114,6 @@ void Network::advance_time(double delta, bool compute) {
   // advance: compute + comm == total bit-exactly, and all three clocks are
   // monotone (non-negative increments, correctly rounded addition).
   sim_seconds_ = sim_compute_seconds_ + sim_comm_seconds_;
-}
-
-void Network::retire_transfer(std::uint32_t sender, std::uint32_t receiver) {
-  std::lock_guard<std::mutex> lock(meter_lock_);
-  time_.retire_send(sender, receiver);
 }
 
 }  // namespace jwins::net

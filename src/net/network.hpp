@@ -77,9 +77,9 @@ class TrafficMeter {
 /// Interception point for the discrete-event engine (sim/event_engine.hpp):
 /// when a sink is installed, send() hands every *non-dropped* message to the
 /// sink instead of the destination mailbox, so delivery can be deferred to
-/// the message's simulated arrival time. Drop verdicts, traffic accounting,
-/// and the per-round byte bookkeeping all still happen inside send() — the
-/// sink only sees messages that survive failure injection.
+/// the message's simulated arrival time. Drop verdicts and traffic
+/// accounting still happen inside send() — the sink only sees messages that
+/// survive failure injection.
 ///
 /// Contract: sink callbacks run inside send() on the sending thread; an
 /// installed sink requires single-threaded senders (the event loop is
@@ -127,16 +127,10 @@ class Network {
   void send(std::uint32_t to, Message msg);
 
   /// Installs (or clears, with nullptr) the delivery interception hook.
-  /// Installing one also switches the TimeModel to per-transfer edge-record
-  /// retirement for the fabric's lifetime: every send appends its own
-  /// record, and retire_transfer() erases it once the transfer is delivered
-  /// or dropped. The event loop never calls finish_round(), so this bounds
-  /// the records by the in-flight message count on arbitrarily long runs
-  /// (the synchronous engine instead clears them at finish_round()).
-  void set_delivery_sink(DeliverySink* sink) noexcept {
-    sink_ = sink;
-    if (sink != nullptr) time_.set_retire_records(true);
-  }
+  /// While one is installed, send() keeps no TimeModel edge records: the
+  /// sink prices each transfer itself and never calls finish_round(), so
+  /// the records would only accumulate.
+  void set_delivery_sink(DeliverySink* sink) noexcept { sink_ = sink; }
 
   /// Lands a message in `to`'s mailbox directly: no drop verdict, no
   /// accounting — those already happened in the send() that produced the
@@ -168,11 +162,6 @@ class Network {
   /// every instant, and all three clocks are monotone (docs/SIMULATION.md
   /// "Phase attribution").
   void advance_time(double delta, bool compute);
-
-  /// Retires the oldest live edge record of (sender -> receiver); no-op
-  /// until a delivery sink has been installed. Thread-safe like send()'s
-  /// accounting.
-  void retire_transfer(std::uint32_t sender, std::uint32_t receiver);
 
   const TrafficMeter& traffic() const noexcept { return meter_; }
   double simulated_seconds() const noexcept { return sim_seconds_; }

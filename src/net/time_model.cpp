@@ -237,16 +237,6 @@ DropCause TimeModel::drop_cause(std::uint32_t sender, std::uint32_t receiver,
 void TimeModel::record_send(std::uint32_t sender, std::uint32_t receiver,
                             std::uint64_t wire_bytes) {
   auto& edges = round_edges_.at(sender);
-  if (retire_records_) {
-    // Retirement mode (asynchronous engine): one record per transfer, never
-    // merged, so retire_send() can erase exactly one when the transfer
-    // delivers or drops and the live count tracks in-flight transfers.
-    edges.emplace_back(receiver, wire_bytes);
-    ++edge_record_count_;
-    edge_records_high_water_ =
-        std::max(edge_records_high_water_, edge_record_count_);
-    return;
-  }
   for (auto& [to, bytes] : edges) {
     if (to == receiver) {
       bytes += wire_bytes;
@@ -254,18 +244,6 @@ void TimeModel::record_send(std::uint32_t sender, std::uint32_t receiver,
     }
   }
   edges.emplace_back(receiver, wire_bytes);
-}
-
-void TimeModel::retire_send(std::uint32_t sender, std::uint32_t receiver) {
-  if (!retire_records_) return;
-  auto& edges = round_edges_.at(sender);
-  for (auto it = edges.begin(); it != edges.end(); ++it) {
-    if (it->first == receiver) {
-      edges.erase(it);  // oldest live transfer on this edge retires first
-      --edge_record_count_;
-      return;
-    }
-  }
 }
 
 void TimeModel::count_drop(DropCause cause) {

@@ -180,26 +180,6 @@ class TimeModel {
                    std::uint64_t wire_bytes);
   void count_drop(DropCause cause);
 
-  /// Per-transfer edge-record retirement — the asynchronous engine's fix
-  /// for the unbounded round_edges_ growth on long stop_at_sim_time runs:
-  /// with retirement on, record_send() appends one record per send (never
-  /// merging into an earlier one) and retire_send() erases it again once
-  /// the transfer is delivered or dropped, so live records are bounded by
-  /// the in-flight message count instead of accumulating until a
-  /// finish_round() that genuine asynchrony never calls.
-  void set_retire_records(bool on) noexcept { retire_records_ = on; }
-  bool retire_records() const noexcept { return retire_records_; }
-  /// Erases the oldest live (sender -> receiver) record; no-op with
-  /// retirement off. Same serialization contract as record_send().
-  void retire_send(std::uint32_t sender, std::uint32_t receiver);
-  /// Live edge records right now (retirement mode only; 0 once every
-  /// transfer has been delivered or dropped).
-  std::size_t edge_record_count() const noexcept { return edge_record_count_; }
-  /// High-water mark of edge_record_count() over the model's lifetime.
-  std::size_t edge_records_high_water() const noexcept {
-    return edge_records_high_water_;
-  }
-
   /// One round of simulated time, split into phases (the Network adds
   /// compute + comm to its clock; the report keeps the split). Resets the
   /// per-round byte accounting and advances the internal round cursor used
@@ -247,9 +227,6 @@ class TimeModel {
   std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
       round_edges_;
   std::size_t round_cursor_ = 0;
-  bool retire_records_ = false;  ///< per-transfer retirement (async engine)
-  std::size_t edge_record_count_ = 0;
-  std::size_t edge_records_high_water_ = 0;
 
   std::uint64_t dropped_edge_ = 0;
   std::uint64_t dropped_burst_ = 0;

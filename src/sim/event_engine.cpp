@@ -105,8 +105,10 @@ void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
       share_time_ + uplink_.enqueue(exp_.network_.time_model(), msg.sender, to,
                                     msg.wire_size());
   const std::uint32_t tag = msg.round;
-  std::int64_t& sent = sent_[to * exp_.nodes_.size() + msg.sender];
-  sent = std::max(sent, static_cast<std::int64_t>(tag));
+  if (mode_ == AsyncMode::kBarrier) {
+    std::int64_t& sent = sent_[to * exp_.nodes_.size() + msg.sender];
+    sent = std::max(sent, static_cast<std::int64_t>(tag));
+  }
   queue_.push(arrival, to, EventKind::kMessageArrival, tag, std::move(msg));
 }
 
@@ -124,8 +126,6 @@ ExperimentResult EventEngine::run() {
   ExperimentResult result = run_event_loop();
 
   stats_.max_queue_depth = queue_.max_depth();
-  stats_.edge_records_high_water =
-      exp_.network_.time_model().edge_records_high_water();
   result.event_engine = stats_;
   exp_.finish_run(run_start, result);
   return result;
@@ -134,30 +134,23 @@ ExperimentResult EventEngine::run() {
 // --- the event loop ----------------------------------------------------------
 
 const EventEngine::RoundTopo& EventEngine::topo(std::size_t round) {
-  auto it = topo_cache_.find(round);
+  const std::size_t epoch = exp_.topology_->round_epoch(round);
+  auto it = topo_cache_.find(epoch);
   if (it == topo_cache_.end()) {
     // round_graph() references die on the next call, and nodes occupy
-    // different local rounds concurrently — so cache a copy per round.
+    // different local rounds concurrently — so cache a copy per epoch.
     const graph::Graph& g = exp_.topology_->round_graph(round);
     if (g.size() != exp_.nodes_.size()) {
       throw std::logic_error("EventEngine: topology size != node count");
     }
     RoundTopo entry{g, graph::metropolis_hastings(g)};
-    it = topo_cache_.emplace(round, std::move(entry)).first;
+    it = topo_cache_.emplace(epoch, std::move(entry)).first;
   }
   return it->second;
 }
 
-void EventEngine::evict_topo_below(std::size_t round) {
-  topo_cache_.erase(topo_cache_.begin(), topo_cache_.lower_bound(round));
-}
-
 void EventEngine::start_round(std::uint32_t i, double now) {
-  if (round_[i] >= exp_.config_.rounds) {
-    done_[i] = true;
-    return;
-  }
-  round_start_[i] = now;
+  if (round_[i] >= exp_.config_.rounds) return;
   const net::TimeModel& tm = exp_.network_.time_model();
   const double duration =
       exp_.config_.compute_seconds_per_round * tm.compute_multiplier(i);
@@ -207,6 +200,7 @@ bool EventEngine::gate_open(std::uint32_t i) {
 }
 
 void EventEngine::unblock_ready(double now) {
+  if (mode_ != AsyncMode::kBarrier) return;  // nothing is ever gated
   // Gates open on arrivals AND on neighbor round progress (a neighbor that
   // finished all its rounds can never send again, exempting it), so re-check
   // every blocked node after each state change — in rank order, so the
@@ -243,26 +237,22 @@ void EventEngine::process_train_done(const Event& event) {
 void EventEngine::process_arrival(Event& event) {
   ++stats_.messages_delivered;
   const std::uint32_t j = event.node;
-  const std::uint32_t sender = event.message.sender;
-  const std::uint32_t tag = event.message.round;
-  // The transfer completed: its TimeModel edge record retires here, keeping
-  // the live-record count bounded by the in-flight message count.
-  exp_.network_.retire_transfer(sender, j);
-  const std::size_t n = exp_.nodes_.size();
-  heard_[j * n + sender] =
-      std::max(heard_[j * n + sender], static_cast<std::int64_t>(tag));
-  const std::int64_t min_tag =
-      static_cast<std::int64_t>(round_[j]) -
-      static_cast<std::int64_t>(exp_.config_.staleness_bound);
-  if (mode_ == AsyncMode::kBarrier &&
-      static_cast<std::int64_t>(tag) < min_tag) {
-    // Arrived after the receiver's staleness window already passed it.
-    // Free/weighted modes never drop on age — every arrival is applied
-    // (weighted merely fades it by lambda^staleness at aggregation).
-    ++stats_.messages_stale_dropped;
-  } else {
-    inbox_[j].push_back(std::move(event.message));
+  // Free/weighted modes never drop on age — every arrival is applied
+  // (weighted merely fades it by lambda^staleness at aggregation).
+  bool stale = false;
+  if (mode_ == AsyncMode::kBarrier) {
+    const std::int64_t tag = event.message.round;
+    std::int64_t& heard = heard_[j * exp_.nodes_.size() + event.message.sender];
+    heard = std::max(heard, tag);
+    // Arrived after the receiver's staleness window already passed it?
+    stale = tag < static_cast<std::int64_t>(round_[j]) -
+                      static_cast<std::int64_t>(exp_.config_.staleness_bound);
   }
+  if (stale) {
+    ++stats_.messages_stale_dropped;
+  } else if (round_[j] < exp_.config_.rounds) {
+    inbox_[j].push_back(std::move(event.message));
+  }  // else j has taken its last step: nothing will read its inbox again
   unblock_ready(event.time);
 }
 
@@ -334,13 +324,15 @@ void EventEngine::process_local_step(const Event& event,
       ++exp_.alpha_samples_;
     }
   }
-  ++round_[i];
   ++stats_.local_steps[i];
-  std::size_t min_round = round_[0];
-  for (const std::uint32_t rr : round_) {
-    min_round = std::min<std::size_t>(min_round, rr);
-  }
-  evict_topo_below(min_round);
+  --at_round_[round_[i]];
+  if (++round_[i] == at_round_.size()) at_round_.push_back(0);
+  ++at_round_[round_[i]];
+  while (at_round_[min_round_] == 0) ++min_round_;
+  // No node will ask for an epoch below the lowest round's again.
+  topo_cache_.erase(topo_cache_.begin(),
+                    topo_cache_.lower_bound(
+                        exp_.topology_->round_epoch(min_round_)));
   if (maybe_evaluate(result)) return;  // target reached
   start_round(i, event.time);
   unblock_ready(event.time);
@@ -349,13 +341,9 @@ void EventEngine::process_local_step(const Event& event,
 bool EventEngine::maybe_evaluate(ExperimentResult& result) {
   const ExperimentConfig& cfg = exp_.config_;
   while (next_eval_round_ < cfg.rounds) {
-    std::uint64_t min_completed = round_[0];
-    for (const std::uint32_t r : round_) {
-      min_completed = std::min<std::uint64_t>(min_completed, r);
-    }
     // Global evaluation point: every node has finished round index
     // next_eval_round_ (mirroring the sync schedule t = 0, eval_every, ...).
-    if (min_completed < next_eval_round_ + 1) return false;
+    if (min_round_ < next_eval_round_ + 1) return false;
     const double mean_train_loss = Experiment::mean_loss_over(
         train_losses_,
         exp_.metric_population(next_eval_round_ + 1),
@@ -380,13 +368,10 @@ bool EventEngine::maybe_evaluate(ExperimentResult& result) {
 void EventEngine::cut_queue() {
   // Whatever is still queued when the loop stops early (budget cut or target
   // stop) never happens. Arrivals among it are the in-flight messages of the
-  // conservation ledger; their edge records retire too, so every record is
-  // accounted for (delivered, dropped, or cut) by the time the run ends.
+  // conservation ledger.
   while (!queue_.empty()) {
-    const Event cut = queue_.pop();
-    if (cut.kind == EventKind::kMessageArrival) {
+    if (queue_.pop().kind == EventKind::kMessageArrival) {
       ++stats_.messages_in_flight;
-      exp_.network_.retire_transfer(cut.message.sender, cut.node);
     }
   }
 }
@@ -396,14 +381,15 @@ ExperimentResult EventEngine::run_event_loop() {
   const ExperimentConfig& cfg = exp_.config_;
   const std::size_t n = exp_.nodes_.size();
   round_.assign(n, 0);
-  round_start_.assign(n, 0.0);
+  at_round_.assign(1, static_cast<std::uint32_t>(n));
   blocked_.assign(n, false);
-  done_.assign(n, false);
   train_losses_.assign(n, 0.0f);
   trained_.assign(n, false);
   inbox_.assign(n, {});
-  heard_.assign(n * n, -1);
-  sent_.assign(n * n, -1);
+  if (mode_ == AsyncMode::kBarrier) {
+    heard_.assign(n * n, -1);
+    sent_.assign(n * n, -1);
+  }
 
   for (std::uint32_t i = 0; i < n; ++i) start_round(i, 0.0);
 
@@ -439,9 +425,7 @@ ExperimentResult EventEngine::run_event_loop() {
     }
     if (result.reached_target) break;
     if (queue_.empty()) {
-      bool all_done = true;
-      for (const bool d : done_) all_done = all_done && d;
-      if (all_done) break;
+      if (min_round_ >= cfg.rounds) break;  // every node reached the cap
       // Quiescence: nothing can happen, yet nodes are still gated — the
       // messages that would open their gates were lost to failure
       // injection. Force-unblock them (counted) rather than deadlock.
@@ -463,11 +447,7 @@ ExperimentResult EventEngine::run_event_loop() {
 
   cut_queue();
 
-  std::uint64_t min_completed = round_.empty() ? 0 : round_[0];
-  for (const std::uint32_t r : round_) {
-    min_completed = std::min<std::uint64_t>(min_completed, r);
-  }
-  result.rounds_run = static_cast<std::size_t>(min_completed);
+  result.rounds_run = min_round_;
   if (result.series.empty() ||
       result.series.back().round < result.rounds_run) {
     const double mean_train_loss = Experiment::mean_loss_over(

@@ -144,11 +144,10 @@ class EventEngine : private net::DeliverySink {
     graph::Graph graph;
     graph::MixingWeights weights;
   };
-  /// Topology of local round `round`, cached per round (round_graph()
-  /// references die on the next call, and nodes occupy different rounds).
+  /// Topology of local round `round`, cached per TopologyProvider epoch
+  /// (round_graph() references die on the next call, and nodes occupy
+  /// different rounds).
   const RoundTopo& topo(std::size_t round);
-  /// Drops cache entries below the lowest live local round.
-  void evict_topo_below(std::size_t round);
 
   void start_round(std::uint32_t i, double now);
   void process_train_done(const Event& event);
@@ -162,6 +161,7 @@ class EventEngine : private net::DeliverySink {
   /// True if `neighbor` may still share a round >= `min_tag` in the future.
   bool may_yet_hear(std::uint32_t neighbor, std::int64_t min_tag) const;
   /// Re-checks blocked nodes after progress; schedules their LocalStep.
+  /// No-op outside barrier mode, where no node is ever gated.
   void unblock_ready(double now);
   /// Emits due global evaluations (all nodes past the eval round) and the
   /// target-accuracy stop. Returns true when the run should terminate.
@@ -187,17 +187,21 @@ class EventEngine : private net::DeliverySink {
 
   // Per-node asynchrony state.
   std::vector<std::uint32_t> round_;        ///< current local round
-  std::vector<double> round_start_;         ///< when that round began
+  /// at_round_[r]: nodes whose current local round is r.
+  std::vector<std::uint32_t> at_round_;
+  /// Lowest current local round of any node; only ever moves up.
+  std::size_t min_round_ = 0;
   std::vector<bool> blocked_;               ///< gated at its staleness bound
-  std::vector<bool> done_;                  ///< reached the rounds cap
   std::vector<float> train_losses_;
   std::vector<bool> trained_;               ///< has >= 1 completed train
   std::vector<std::vector<net::Message>> inbox_;
+  // Gate state, allocated under async_mode = barrier only.
   /// heard_[i * n + j]: highest round tag received by i from j (-1 = none).
   std::vector<std::int64_t> heard_;
   /// sent_[i * n + j]: highest round tag j sent to i that survived failure
   /// injection (-1 = none). Above heard_, that message is still in flight.
   std::vector<std::int64_t> sent_;
+  /// Topology per TopologyProvider epoch, from the lowest live round's on.
   std::map<std::size_t, RoundTopo> topo_cache_;
   std::size_t next_eval_round_ = 0;  ///< next 0-based round index to evaluate
   double now_ = 0.0;                 ///< time of the event being processed

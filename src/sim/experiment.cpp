@@ -132,14 +132,13 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   for (std::string& e : time.validate()) errors.push_back(std::move(e));
   require(random_sampling_fraction > 0.0 && random_sampling_fraction <= 1.0,
           "random_sampling_fraction: must be in (0, 1]");
-  if (jwins.ranker.use_wavelet) {
-    require(jwins.ranker.levels >= 1, "jwins_levels: must be >= 1");
+  if (jwins.ranker.wavelet != core::WaveletRanker::kIdentity) {
     try {
       dwt::wavelet_by_name(jwins.ranker.wavelet);
     } catch (const std::exception&) {
       errors.push_back("jwins_wavelet: unknown wavelet \"" +
                        jwins.ranker.wavelet +
-                       "\" (valid: haar, db2, sym2, db4)");
+                       "\" (valid: haar, db2, sym2, db4, identity)");
     }
   }
   require(choco.gamma > 0.0 && choco.gamma <= 1.0,

@@ -308,11 +308,6 @@ struct EventEngineStats {
   /// yields mean_contribution_age(). Free/weighted modes only.
   std::uint64_t contribution_age_sum = 0;
   std::uint64_t contributions_applied = 0;
-  /// High-water mark of live per-sender transfer records inside
-  /// net::TimeModel (the round_edges_ cache). Records retire as their
-  /// transfers deliver or drop, so this stays bounded by the in-flight
-  /// message count no matter how long a stop_at_sim_time run gets.
-  std::size_t edge_records_high_water = 0;
   /// Local rounds completed per node; under stragglers + a budget these
   /// genuinely diverge (the paper-motivating asynchrony signal).
   std::vector<std::uint64_t> local_steps;

@@ -140,8 +140,6 @@ void write_result_json(std::ostream& os, const std::string& label,
   os << "],\n";
   os << "    \"mean_contribution_age\": "
      << json_number(ee.mean_contribution_age()) << ",\n";
-  os << "    \"edge_records_high_water\": " << ee.edge_records_high_water
-     << ",\n";
   os << "    \"local_steps\": {\"min\": " << ee.local_steps_min()
      << ", \"max\": " << ee.local_steps_max()
      << ", \"mean\": " << json_number(ee.local_steps_mean()) << "}\n";

@@ -33,7 +33,7 @@ std::string json_string(const std::string& s);
 
 /// Identifies the result-JSON shape: the first key of every document
 /// write_result_json emits (docs/SIMULATION.md "Result JSON").
-inline constexpr const char* kResultSchema = "jwins.result/3";
+inline constexpr const char* kResultSchema = "jwins.result/4";
 
 /// Machine-readable result for downstream plotting (the jwins_run CLI's
 /// output format). Every run emits the same blocks in the same order: the

@@ -1,4 +1,4 @@
-#include "nn/gradcheck.hpp"
+#include "gradcheck.hpp"
 
 #include <cmath>
 

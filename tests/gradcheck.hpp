@@ -1,5 +1,5 @@
-// Central-difference gradient checking for layers and models. Used by the
-// test suite to validate every hand-written backward pass.
+// Central-difference gradient checking for layers and models: the test
+// suite's check of every hand-written backward pass.
 #pragma once
 
 #include <functional>

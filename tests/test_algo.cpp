@@ -199,7 +199,6 @@ TEST(RandomSampling, MetadataIsOnlyTheSeed) {
 JwinsNode::Options jwins_options() {
   JwinsNode::Options opt;
   opt.ranker.wavelet = "sym2";
-  opt.ranker.levels = 4;
   return opt;
 }
 
@@ -307,7 +306,7 @@ TEST(Jwins, AblationVariantsRun) {
     Cluster cluster(n);
     for (std::size_t r = 0; r < n; ++r) {
       auto opt = jwins_options();
-      if (variant == 0) opt.ranker.use_wavelet = false;
+      if (variant == 0) opt.ranker.wavelet = core::WaveletRanker::kIdentity;
       if (variant == 1) opt.ranker.use_accumulation = false;
       if (variant == 2) opt.cutoff = core::RandomizedCutoff::fixed(0.34);
       cluster.nodes.push_back(std::make_unique<JwinsNode>(

@@ -557,21 +557,37 @@ TEST(ArenaDeterminism, EngineJsonByteIdenticalAcrossThreadCounts) {
 namespace {
 std::atomic<std::uint64_t> g_test_alloc_count{0};
 // Net bytes currently held through this hook (usable size, so it matches
-// what the heap actually charges). test_scale.cpp's per-node memory pin
-// reads it through testutil::live_heap_bytes().
+// what the heap actually charges), and their high-water mark since the last
+// reset. test_scale.cpp's per-node memory pins read them through
+// testutil::live_heap_bytes() and testutil::peak_heap_bytes().
 std::atomic<std::int64_t> g_test_live_bytes{0};
+std::atomic<std::int64_t> g_test_peak_bytes{0};
 }  // namespace
 
 std::int64_t jwins::testutil::live_heap_bytes() noexcept {
   return g_test_live_bytes.load(std::memory_order_relaxed);
 }
 
+std::int64_t jwins::testutil::peak_heap_bytes() noexcept {
+  return g_test_peak_bytes.load(std::memory_order_relaxed);
+}
+
+void jwins::testutil::reset_peak_heap_bytes() noexcept {
+  g_test_peak_bytes.store(g_test_live_bytes.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+}
+
 void* operator new(std::size_t size) {
   g_test_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
-    g_test_live_bytes.fetch_add(
-        static_cast<std::int64_t>(malloc_usable_size(p)),
-        std::memory_order_relaxed);
+    const auto usable = static_cast<std::int64_t>(malloc_usable_size(p));
+    const std::int64_t live =
+        g_test_live_bytes.fetch_add(usable, std::memory_order_relaxed) +
+        usable;
+    std::int64_t peak = g_test_peak_bytes.load(std::memory_order_relaxed);
+    while (live > peak && !g_test_peak_bytes.compare_exchange_weak(
+                              peak, live, std::memory_order_relaxed)) {
+    }
     return p;
   }
   throw std::bad_alloc();
@@ -740,5 +756,7 @@ TEST(CompactArena, SteadyStateNodeRoundAllocationBound) {
 #else  // !JWINS_TEST_ALLOC_HOOK
 
 std::int64_t jwins::testutil::live_heap_bytes() noexcept { return -1; }
+std::int64_t jwins::testutil::peak_heap_bytes() noexcept { return -1; }
+void jwins::testutil::reset_peak_heap_bytes() noexcept {}
 
 #endif  // JWINS_TEST_ALLOC_HOOK

@@ -216,8 +216,8 @@ TEST(ScenarioDiagnostics, MalformedNumbers) {
   expect_error_contains("rounds = -3\n", "rounds: \"-3\" is not an unsigned");
   expect_error_contains("rounds = 5x\n", "rounds: \"5x\" is not an unsigned");
   expect_error_contains("scale = tiny\n", "scale: \"tiny\" is not a finite");
-  expect_error_contains("jwins_use_wavelet = yep\n",
-                        "jwins_use_wavelet: \"yep\" is not a bool");
+  expect_error_contains("jwins_use_accumulation = yep\n",
+                        "jwins_use_accumulation: \"yep\" is not a bool");
 }
 
 TEST(ScenarioDiagnostics, OutOfRangeValues) {
@@ -666,7 +666,7 @@ sim::ExperimentResult fig8_bench(const Fig8Variant& v, bool budgeted,
   cfg.eval_node_limit = std::min<std::size_t>(nodes, 8);
   cfg.threads = threads;
   cfg.seed = run_seed;
-  cfg.jwins.ranker.use_wavelet = v.wavelet;
+  if (!v.wavelet) cfg.jwins.ranker.wavelet = core::WaveletRanker::kIdentity;
   cfg.jwins.ranker.use_accumulation = v.accumulation;
   core::RandomizedCutoff base =
       budgeted ? core::RandomizedCutoff::two_point(alpha_low, p_full)
@@ -748,14 +748,13 @@ sim::ExperimentResult fig10_bench(sim::Algorithm algorithm) {
   return run_hand_wired(cfg, w, n, seed);
 }
 
-// bench_ablation_design: its run_jwins(wavelet, 4, use_wavelet) lambda.
-sim::ExperimentResult ablation_wavelet_bench(const std::string& wavelet,
-                                             bool use_wavelet) {
+// bench_ablation_design: its run_jwins(wavelet, 4 levels) lambda, where the
+// identity arm was use_wavelet = false.
+sim::ExperimentResult ablation_wavelet_bench(const std::string& wavelet) {
   const std::size_t nodes = kGoldenNodes;
   const std::size_t rounds = kGoldenRounds;
   const std::size_t seed = 1;
   const unsigned threads = 1;
-  const std::size_t levels = 4;
   const sim::Workload w =
       sim::make_cifar_like(nodes, static_cast<std::uint32_t>(seed));
   sim::ExperimentConfig cfg;
@@ -769,8 +768,6 @@ sim::ExperimentResult ablation_wavelet_bench(const std::string& wavelet,
   cfg.threads = threads;
   cfg.seed = seed;
   cfg.jwins.ranker.wavelet = wavelet;
-  cfg.jwins.ranker.levels = levels;
-  cfg.jwins.ranker.use_wavelet = use_wavelet;
   return run_hand_wired(cfg, w, nodes, seed);
 }
 
@@ -889,19 +886,19 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenRow{"fig6_10_choco", "fig6_choco_10", {}, "algorithm=choco",
                   [] { return fig6_bench(sim::Algorithm::kChoco, kFig6Budget10); }},
         GoldenRow{"fig8_no_wavelet", "fig8_ablation", {},
-                  "jwins_cutoff=paper,jwins_use_wavelet=false,"
+                  "jwins_cutoff=paper,jwins_wavelet=identity,"
                   "jwins_use_accumulation=true,seed=2",
                   [] { return fig8_bench(kNoWavelet, false, 2); }},
         GoldenRow{"fig8_no_accumulation", "fig8_ablation", {},
-                  "jwins_cutoff=two-point:0.10:0.10,jwins_use_wavelet=true,"
+                  "jwins_cutoff=two-point:0.10:0.10,jwins_wavelet=sym2,"
                   "jwins_use_accumulation=false,seed=3",
                   [] { return fig8_bench(kNoAccumulation, true, 3); }},
         GoldenRow{"fig8_fixed_paper", "fig8_ablation", {},
                   "jwins_cutoff=fixed:0.34285714285714286,"
-                  "jwins_use_wavelet=true,jwins_use_accumulation=true,seed=1",
+                  "jwins_wavelet=sym2,jwins_use_accumulation=true,seed=1",
                   [] { return fig8_bench(kNoRandomCutoff, false, 1); }},
         GoldenRow{"fig8_fixed_20", "fig8_ablation", {},
-                  "jwins_cutoff=fixed:0.19,jwins_use_wavelet=true,"
+                  "jwins_cutoff=fixed:0.19,jwins_wavelet=sym2,"
                   "jwins_use_accumulation=true,seed=1",
                   [] { return fig8_bench(kNoRandomCutoff, true, 1); }},
         GoldenRow{"fig9_raw", "fig9_metadata", {}, "index_encoding=raw",
@@ -918,14 +915,15 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenRow{"fig10_jwins", "fig10_scalability", {}, "algorithm=jwins",
                   [] { return fig10_bench(sim::Algorithm::kJwins); }},
         GoldenRow{"ablation_wavelet_haar", "ablation_wavelet", {},
-                  "jwins_wavelet=haar,jwins_use_wavelet=true",
-                  [] { return ablation_wavelet_bench("haar", true); }},
+                  "jwins_wavelet=haar",
+                  [] { return ablation_wavelet_bench("haar"); }},
         GoldenRow{"ablation_wavelet_db4", "ablation_wavelet", {},
-                  "jwins_wavelet=db4,jwins_use_wavelet=true",
-                  [] { return ablation_wavelet_bench("db4", true); }},
+                  "jwins_wavelet=db4",
+                  [] { return ablation_wavelet_bench("db4"); }},
         GoldenRow{"ablation_wavelet_identity", "ablation_wavelet", {},
-                  "jwins_wavelet=sym2,jwins_use_wavelet=false",
-                  [] { return ablation_wavelet_bench("sym2", false); }},
+                  "jwins_wavelet=identity",
+                  [] { return ablation_wavelet_bench(
+                               core::WaveletRanker::kIdentity); }},
         GoldenRow{"ablation_choco_topk", "ablation_choco_compressor", {},
                   "choco_compressor=topk,choco_gamma=0.5",
                   [] { return ablation_choco_bench(false); }},
@@ -988,20 +986,19 @@ void expect_event_engine(const sim::ExperimentResult& r,
                       "max_queue_depth", "messages_delivered",
                       "messages_in_flight", "messages_stale_dropped",
                       "staleness_overrides", "staleness_histogram",
-                      "edge_records_high_water", "local_steps"});
+                      "local_steps"});
   EXPECT_NE(block.find("\"local_steps\": {\"min\": "), std::string::npos);
   expect_keys(block, {"max", "mean"});
   EXPECT_GT(r.event_engine.events_processed, 0u);
 }
 
-/// free/weighted: the per-mode block, and edge records retired from a peak.
+/// free/weighted: the per-mode block.
 void expect_gate_free(sim::AsyncMode mode, const sim::ExperimentResult& r,
                       const std::string& json) {
   expect_event_engine(r, json);
   expect_keys(json_block(json, "event_engine"),
               {"effective_neighbors", "mean_contribution_age"});
   EXPECT_EQ(r.event_engine.mode, mode);
-  EXPECT_GT(r.event_engine.edge_records_high_water, 0u);
 }
 
 void expect_attacked(const ScenarioRun& run, const sim::ExperimentResult& r,
@@ -1211,7 +1208,7 @@ std::vector<std::string> key_paths(const std::string& json) {
 }
 
 TEST(ResultShape, SyncBenignAndAsyncAttackedRunsEmitTheSameKeyPaths) {
-  // jwins.result/3 has one shape: a sync run on the flat link model with no
+  // jwins.result/4 has one shape: a sync run on the flat link model with no
   // attack and an async free-mode run on heterogeneous links under attack
   // emit the same key paths in the same order; only the values differ.
   const std::string base =
@@ -1236,7 +1233,7 @@ TEST(ResultShape, SyncBenignAndAsyncAttackedRunsEmitTheSameKeyPaths) {
            "straggler_fraction = 0.3\nstraggler_slowdown = 4\n"
            "byzantine_nodes = 1\nrobust_agg = trimmed_mean:0.25\n");
   for (const std::string& json : {plain, attacked}) {
-    EXPECT_EQ(json.rfind("{\n  \"schema\": \"jwins.result/3\",\n", 0), 0u);
+    EXPECT_EQ(json.rfind("{\n  \"schema\": \"jwins.result/4\",\n", 0), 0u);
     for (const char* block :
          {"traffic", "sim_time", "event_engine", "byzantine", "wall_seconds"}) {
       EXPECT_NE(json_block(json, block), "") << block;

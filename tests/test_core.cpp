@@ -60,7 +60,7 @@ TEST(RandomizedCutoff, ValidatesInputs) {
 
 WaveletRanker::Options identity_options() {
   WaveletRanker::Options opt;
-  opt.use_wavelet = false;
+  opt.wavelet = WaveletRanker::kIdentity;
   return opt;
 }
 

@@ -277,9 +277,12 @@ ExperimentConfig mini_config(std::size_t rounds) {
   return cfg;
 }
 
+/// The mini quadratic cell on a seeded `degree`-regular graph, static, or
+/// redrawn every `rewire_every` rounds when that is non-zero.
 std::unique_ptr<Experiment> make_mini(const ExperimentConfig& cfg,
                                       std::size_t n, std::size_t degree = 2,
-                                      unsigned topo_seed = 7) {
+                                      unsigned topo_seed = 7,
+                                      std::size_t rewire_every = 0) {
   data::Partition partition(n, {0, 1, 2, 3});
   auto counter = std::make_shared<std::size_t>(0);
   nn::ModelFactory factory =
@@ -287,12 +290,18 @@ std::unique_ptr<Experiment> make_mini(const ExperimentConfig& cfg,
     const std::size_t r = (*counter)++;
     return std::make_unique<QuadraticModel>(node_target(r), node_init(r));
   };
-  std::mt19937 rng(topo_seed);
-  graph::Graph g =
-      n >= 4 ? graph::random_regular(n, degree, rng) : graph::complete(n);
-  return std::make_unique<Experiment>(
-      cfg, factory, dummy_dataset(), partition, dummy_dataset(),
-      std::make_unique<graph::StaticTopology>(g));
+  std::unique_ptr<graph::TopologyProvider> topology;
+  if (rewire_every > 0) {
+    topology = std::make_unique<graph::DynamicRegularTopology>(
+        n, degree, topo_seed, rewire_every);
+  } else {
+    std::mt19937 rng(topo_seed);
+    topology = std::make_unique<graph::StaticTopology>(
+        n >= 4 ? graph::random_regular(n, degree, rng) : graph::complete(n));
+  }
+  return std::make_unique<Experiment>(cfg, factory, dummy_dataset(),
+                                      partition, dummy_dataset(),
+                                      std::move(topology));
 }
 
 std::string json_of(const ExperimentResult& result) {
@@ -319,13 +328,26 @@ std::unique_ptr<Experiment> make_femnist8(const ExperimentConfig& cfg) {
 
 /// One row of the relation: a config (its engine is set by the test) on
 /// loss-free links, and the node count of the experiment it builds (the
-/// mini quadratic cell, or femnist8() when `femnist` is set).
+/// mini quadratic cell, or femnist8() when `femnist` is set). A non-zero
+/// `rewire_every` runs the mini cell on a graph redrawn that often.
 struct LosslessCase {
   const char* name;
   std::size_t nodes;
   ExperimentConfig (*config)();
   bool femnist = false;
+  std::size_t rewire_every = 0;
 };
+
+/// Stragglers and spread latencies, so the nodes of a churn row occupy
+/// different rounds, and so different graphs, at once.
+ExperimentConfig churn_config() {
+  ExperimentConfig cfg = mini_config(9);
+  cfg.eval_every = 3;
+  cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.002, 0.040};
+  cfg.time.straggler_fraction = 0.4;
+  cfg.time.straggler_slowdown = 5.0;
+  return cfg;
+}
 
 void PrintTo(const LosslessCase& c, std::ostream* os) { *os << c.name; }
 
@@ -407,6 +429,8 @@ const LosslessCase kLosslessCases[] = {
        cfg.time.rejoin_at = 8;
        return cfg;
      }},
+    {"churn_every_round", 6, churn_config, false, 1},
+    {"churn_every_3_rounds", 6, churn_config, false, 3},
     {"target_stop", 4,
      [] {
        ExperimentConfig cfg = mini_config(60);
@@ -459,7 +483,8 @@ TEST_P(LosslessBoundZero, EndsOnSyncFinalModels) {
   const LosslessCase& c = GetParam();
   ExperimentConfig cfg = c.config();
   const auto make = [&](const ExperimentConfig& run_cfg) {
-    return c.femnist ? make_femnist8(run_cfg) : make_mini(run_cfg, c.nodes);
+    return c.femnist ? make_femnist8(run_cfg)
+                     : make_mini(run_cfg, c.nodes, 2, 7, c.rewire_every);
   };
   cfg.engine = EngineKind::kSync;
   auto sync = make(cfg);
@@ -872,7 +897,6 @@ TEST(AsyncFree, JsonCarriesPerModeBlock) {
   EXPECT_NE(json.find("\"async_mode\": \"free\""), std::string::npos);
   EXPECT_NE(json.find("\"effective_neighbors\""), std::string::npos);
   EXPECT_NE(json.find("\"mean_contribution_age\""), std::string::npos);
-  EXPECT_NE(json.find("\"edge_records_high_water\""), std::string::npos);
 }
 
 TEST(AsyncWeighted, DecayOneMatchesFreeBitForBit) {
@@ -1036,30 +1060,6 @@ TEST(AsyncAccounting, FreeModeSplitAlsoSums) {
   const ExperimentResult r = exp->run();
   EXPECT_EQ(testutil::check_report(r, cfg, 4), "");
   EXPECT_GT(r.sim_seconds, 0.0);
-}
-
-TEST(AsyncAccounting, EdgeRecordsRetireAndStayBounded) {
-  // The leak fix: a long stop_at_sim_time run must not accumulate edge
-  // records — each retires when its transfer is delivered, dropped, or cut,
-  // so the live count ends at zero and the high-water mark stays near the
-  // in-flight ceiling instead of the total message count.
-  ExperimentConfig cfg = mode_config(400, AsyncMode::kFree);
-  add_heterogeneity(cfg);
-  cfg.eval_every = 100;
-  cfg.stop_at_sim_time = 0.6;
-  auto exp = make_mini(cfg, 6, 4);
-  const ExperimentResult r = exp->run();
-  const net::TimeModel& tm = exp->network().time_model();
-  EXPECT_TRUE(tm.retire_records());
-  EXPECT_EQ(tm.edge_record_count(), 0u);
-  EXPECT_GT(tm.edge_records_high_water(), 0u);
-  // Bounded: far below the total send count a leak would accumulate.
-  EXPECT_GT(r.total_traffic.messages_sent, 100u);
-  EXPECT_LT(tm.edge_records_high_water(),
-            r.total_traffic.messages_sent / 2);
-  // The stat is surfaced in the result block too.
-  EXPECT_EQ(r.event_engine.edge_records_high_water,
-            tm.edge_records_high_water());
 }
 
 // ------------------------------ sub-round crash semantics (both engines)

@@ -369,7 +369,7 @@ TEST(JwinsBandStats, IdentityTransformHasOneBand) {
   using testutil::QuadraticModel;
   DummyDataset dataset;
   algo::JwinsNode::Options opt;
-  opt.ranker.use_wavelet = false;
+  opt.ranker.wavelet = core::WaveletRanker::kIdentity;
   algo::TrainConfig tc;
   std::mt19937 irng(3);
   algo::JwinsNode node(0,

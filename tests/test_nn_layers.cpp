@@ -5,8 +5,8 @@
 #include <limits>
 #include <random>
 
+#include "gradcheck.hpp"
 #include "nn/conv.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
 #include "nn/rnn.hpp"

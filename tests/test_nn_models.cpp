@@ -5,7 +5,7 @@
 #include <random>
 
 #include "algo/full_sharing.hpp"
-#include "nn/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"

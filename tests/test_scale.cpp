@@ -584,6 +584,58 @@ TEST(ScaleMemory, CompactPerNodeHeapBytesUnderCeiling) {
          "several KiB/node)";
 }
 
+/// Peak heap bytes per node of one free-mode event-engine run on the scale
+/// workload over a ring, stragglers included, measured from after the
+/// workload is built to the end of the run.
+std::int64_t event_engine_peak_per_node(std::size_t nodes,
+                                        std::size_t rounds) {
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kRandomSampling;
+  cfg.engine = sim::EngineKind::kAsync;
+  cfg.async_mode = sim::AsyncMode::kFree;
+  cfg.rounds = rounds;
+  cfg.local_steps = 1;
+  cfg.eval_every = rounds;
+  cfg.eval_sample = 64;
+  cfg.eval_sample_limit = 32;
+  cfg.time.straggler_fraction = 0.3;
+  cfg.time.straggler_slowdown = 4.0;
+  cfg.threads = 1;
+  cfg.seed = 7;
+  const std::int64_t before = testutil::live_heap_bytes();
+  testutil::reset_peak_heap_bytes();
+  {
+    sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
+                        std::make_unique<graph::StaticTopology>(
+                            graph::ring(nodes)));
+    (void)exp.run();
+  }
+  return (testutil::peak_heap_bytes() - before) /
+         static_cast<std::int64_t>(nodes);
+}
+
+// The event loop keeps O(1) state per node in the gate-free modes: its peak
+// heap per node grows neither with the node count nor with the run length.
+// The 10 % margin is far below what each known growth adds: n x n int64
+// gate arrays (16 * n bytes per node), a topology copy per live local round
+// (~100 bytes per node per round the stragglers lag), and arrivals held in
+// the inboxes of nodes that have taken their last step.
+TEST(ScaleMemory, EventEngineFreeModeHeapIsFlat) {
+  if (testutil::live_heap_bytes() < 0) {
+    GTEST_SKIP() << "allocator hook compiled out (sanitized build)";
+  }
+  const std::int64_t base = event_engine_peak_per_node(500, 16);
+  ASSERT_GT(base, 0);
+  const double margin = 0.10 * static_cast<double>(base);
+  EXPECT_NEAR(static_cast<double>(event_engine_peak_per_node(2000, 16)),
+              static_cast<double>(base), margin)
+      << "peak heap per node grows with the node count";
+  EXPECT_NEAR(static_cast<double>(event_engine_peak_per_node(500, 64)),
+              static_cast<double>(base), margin)
+      << "peak heap per node grows with the run length";
+}
+
 // --- 3. Sharded sweeps -------------------------------------------------------
 
 TEST(Sweep, ShardSpecParsing) {

@@ -118,6 +118,11 @@ inline std::uint64_t model_digest(sim::Experiment& exp, std::size_t n) {
 /// pin tests must GTEST_SKIP on that value.
 std::int64_t live_heap_bytes() noexcept;
 
+/// High-water mark of live_heap_bytes() since the last
+/// reset_peak_heap_bytes() (-1 when the hook is compiled out).
+std::int64_t peak_heap_bytes() noexcept;
+void reset_peak_heap_bytes() noexcept;
+
 /// f_i(x) = 0.5 ||x - c_i||^2. The global objective (1/n) sum f_i is
 /// minimized at mean(c_i), so D-PSGD variants can be checked for convergence
 /// to a known point.
