@@ -133,12 +133,12 @@ void DlNode::receive(net::Network& network, const graph::Graph& g,
                      std::size_t expected_length,
                      core::RoundScratch& scratch) {
   network.drain_into(rank_, scratch.inbox);
-  // A body this lane already decoded for an earlier receiver in the pass is
-  // read from the cache; cached references stay valid through aggregate().
+  // A body another receiver already decoded is read, not decoded again; the
+  // inbox holds the bodies, and so their payloads, through aggregate().
   for (const net::Message& msg : scratch.inbox) {
     scratch.contributions.push_back(
         {contribution_weight(g, weights, msg, round),
-         &scratch.decoded.decode(msg.body, expected_length, scratch.arena)});
+         &core::decoded_payload(msg.body, expected_length, scratch.arena)});
   }
 }
 

@@ -190,8 +190,8 @@ class DlNode {
                  const net::Message& msg);
 
   /// Drains this node's inbox into scratch.inbox, decodes every message
-  /// through scratch.decoded (once per body per aggregation pass, however
-  /// many receivers on the lane read it), and pushes one
+  /// through core::decoded_payload (once per body, however many receivers
+  /// on any lane read it), and pushes one
   /// {contribution_weight(), &payload} per message into
   /// scratch.contributions, in inbox order. Throws, before decoding its
   /// sections, when a payload's vector_length is not `expected_length`

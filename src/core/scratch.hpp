@@ -8,9 +8,8 @@
 //    everything handed out by the arena or the pools is dead after the call
 //    returns. Cross-call state (accumulation vectors, error feedback, the
 //    indices a node must remember until aggregate()) stays in node members.
-//  * The one exception is the decode cache: it lives for one aggregation
-//    pass, so every receiver on the lane reads a body decoded once, and the
-//    engine flushes it when the pass ends (core/decode_cache.hpp).
+//    A received body's decoded payload is not scratch: it lives on the body
+//    (core::decoded_payload), which the inbox holds until the next reset().
 //  * Scratches are never shared between concurrently running calls — lanes
 //    are the unit of exclusivity (net::ThreadPool's static chunking).
 //
@@ -28,7 +27,6 @@
 #include "compress/quantize.hpp"
 #include "core/arena.hpp"
 #include "core/averaging.hpp"
-#include "core/decode_cache.hpp"
 #include "core/sparse_payload.hpp"
 #include "dwt/dwt.hpp"
 #include "net/network.hpp"
@@ -66,7 +64,6 @@ struct RoundScratch {
   dwt::DwtWorkspace dwt;     ///< wavelet transform ping-pong buffers
   compress::BitWriter bits;  ///< Elias/XOR bitstream staging
   PayloadPool payloads;      ///< decoded neighbor payloads (CHOCO's QSGD)
-  DecodeCache decoded;       ///< sparse payloads, decoded once per pass
   std::vector<net::Message> inbox;  ///< drain_into target (capacity circulates
                                     ///< with the mailbox)
   std::vector<WeightedContribution> contributions;  ///< partial_average input
@@ -76,14 +73,11 @@ struct RoundScratch {
   /// Called by a node at the top of each share()/aggregate(): invalidates
   /// all arena spans and pool slots from the previous call, keeps capacity.
   /// Clearing the inbox here also releases the previous round's message
-  /// bodies back to the network's BufferPool before new sends acquire. The
-  /// decode cache is not cleared: it only drops the entries the previous
-  /// receiver read that no one else holds any more.
+  /// bodies back to the network's BufferPool before new sends acquire.
   void reset() {
     arena.reset();
     payloads.reset();
     inbox.clear();
-    decoded.release_unshared();
     contributions.clear();
   }
 

@@ -1,5 +1,6 @@
 #include "core/sparse_payload.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 #include "compress/elias.hpp"
@@ -8,6 +9,10 @@
 #include "net/serializer.hpp"
 
 namespace jwins::core {
+
+namespace {
+std::atomic<std::uint64_t> g_decoded_payloads{0};
+}  // namespace
 
 std::size_t encode_payload_into(const PayloadView& payload,
                                 const PayloadOptions& options,
@@ -150,6 +155,26 @@ void decode_payload_into(std::span<const std::uint8_t> body,
   if (out.values.size() != count) {
     throw std::runtime_error("decode_payload: value count mismatch");
   }
+}
+
+const SparsePayload& decoded_payload(const net::SharedBytes& body,
+                                     std::size_t expected_length,
+                                     Arena& arena) {
+  const SparsePayload& payload = body.decoded(
+      [&](std::span<const std::uint8_t> bytes, SparsePayload& out) {
+        g_decoded_payloads.fetch_add(1, std::memory_order_relaxed);
+        decode_payload_into(bytes, out, arena, expected_length);
+      });
+  // Another reader may have decoded it for its own length. Compare only: at
+  // threads > 1 other lanes may be reading the payload.
+  if (payload.vector_length != expected_length) {
+    throw std::runtime_error("decode_payload: vector length mismatch");
+  }
+  return payload;
+}
+
+std::uint64_t decoded_payload_count() noexcept {
+  return g_decoded_payloads.load(std::memory_order_relaxed);
 }
 
 net::Message make_message(std::uint32_t sender, std::uint32_t round,

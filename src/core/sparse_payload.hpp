@@ -47,13 +47,10 @@ enum class ValueEncoding : std::uint8_t {
   kRaw = 1,       ///< 4 bytes per value
 };
 
-struct SparsePayload {
-  std::uint32_t vector_length = 0;
-  std::vector<std::uint32_t> indices;  ///< ascending; empty when dense
-  std::vector<float> values;           ///< aligned with indices (or dense)
-
-  bool dense() const noexcept { return indices.empty(); }
-};
+/// A decoded payload: vector_length, ascending indices (empty when dense)
+/// and the values aligned with them. Defined beside the body that carries
+/// it (net/buffer.hpp).
+using net::SparsePayload;
 
 /// Non-owning view of a payload — what the zero-copy encoder consumes. A
 /// sender points this at whatever already holds the data (node members,
@@ -106,6 +103,20 @@ std::size_t encode_payload_into(const PayloadView& payload,
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena,
                          std::optional<std::size_t> expected_length = {});
+
+/// The payload decoded from `body`, decoded once for every holder of the
+/// body (net::SharedBytes::decoded): the first reader runs
+/// decode_payload_into(body, ..., arena, expected_length), and every other
+/// reader gets the same payload, alive as long as the body. A payload whose
+/// vector_length is not `expected_length` is rejected as a first decode
+/// would reject it, and stays intact for the readers that expect it.
+const SparsePayload& decoded_payload(const net::SharedBytes& body,
+                                     std::size_t expected_length,
+                                     Arena& arena);
+
+/// decode_payload_into calls made by decoded_payload() in this process so
+/// far, rejected ones included.
+std::uint64_t decoded_payload_count() noexcept;
 
 /// Encodes `payload` into a network message whose body is a buffer from
 /// `pool`, so its storage is recycled round over round and fan-out to d

@@ -2,6 +2,15 @@
 
 namespace jwins::net {
 
+SharedBytes::Block::~Block() {
+  // The pool is tracked weakly: bodies that outlive it simply free their
+  // storage instead of recycling into a dead free list.
+  if (auto state = pool.lock()) {
+    std::lock_guard<std::mutex> lock(state->mutex);
+    state->free.push_back(std::move(bytes));
+  }
+}
+
 std::vector<std::uint8_t> BufferPool::acquire() {
   std::lock_guard<std::mutex> lock(state_->mutex);
   if (state_->free.empty()) return {};
@@ -23,19 +32,8 @@ SharedBytes BufferPool::adopt(std::vector<std::uint8_t>&& bytes) {
     release(std::move(bytes));
     return SharedBytes();
   }
-  // The deleter tracks the pool state weakly: bodies that outlive the pool
-  // simply free their storage instead of recycling into a dead free list.
-  std::weak_ptr<State> weak_state = state_;
-  auto deleter = [weak_state](std::vector<std::uint8_t>* v) {
-    if (auto state = weak_state.lock()) {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->free.push_back(std::move(*v));
-    }
-    delete v;
-  };
-  std::shared_ptr<const std::vector<std::uint8_t>> shared(
-      new std::vector<std::uint8_t>(std::move(bytes)), std::move(deleter));
-  return SharedBytes(std::move(shared));
+  return SharedBytes(std::make_shared<SharedBytes::Block>(std::move(bytes),
+                                                          state_));
 }
 
 std::size_t BufferPool::idle_count() const {

@@ -313,10 +313,6 @@ void EventEngine::process_local_step(const Event& event,
     Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
       exp_.nodes_[i]->aggregate(exp_.network_, tp.graph, tp.weights, r,
                                 exp_.scratch_[0]);
-      // Each local step is its own pass. Keeping entries across steps
-      // would pin bodies parked in stragglers' inboxes, and their decodes,
-      // for as long as the stragglers lag.
-      exp_.scratch_[0].decoded.flush();
     });
     if (cfg.algorithm == Algorithm::kJwins) {
       exp_.alpha_sum_ +=

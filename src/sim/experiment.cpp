@@ -534,9 +534,6 @@ ExperimentResult Experiment::run() {
       for_each_alive(t, [&](algo::DlNode& node, unsigned lane, std::size_t) {
         node.aggregate(network_, g, weights, round, scratch_[lane]);
       });
-      // The pass is over: the cached decodes release their bodies to the
-      // pool before the next share() acquires send buffers.
-      for (core::RoundScratch& s : scratch_) s.decoded.flush();
     });
     network_.finish_round(config_.compute_seconds_per_round);
     if (end_round(t, train_losses, result)) break;

@@ -742,10 +742,11 @@ TEST(CompactArena, SteadyStateNodeRoundAllocationBound) {
   const std::uint64_t three = compact_run_allocations(kNodes, 3);
   ASSERT_GT(three, two);
   const std::uint64_t per_node_round = (three - two) / kNodes;
-  // Measured 32 (glibc 2.36, libstdc++ 12), down from 86 when every bind,
+  // Measured 33 (glibc 2.36, libstdc++ 12), down from 86 when every bind,
   // writeback, share, aggregate and zero_grad rebuilt the model's tensor
   // lists and copied it tensor by tensor. What is left is the per-call
-  // return tensors of the Module interface, the batch, and the message.
+  // return tensors of the Module interface, the batch, the message's block,
+  // and the two vectors of its one decode.
   EXPECT_LE(per_node_round, 40u)
       << "compact node-round allocation churn regressed";
 }

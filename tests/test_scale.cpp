@@ -636,6 +636,53 @@ TEST(ScaleMemory, EventEngineFreeModeHeapIsFlat) {
       << "peak heap per node grows with the run length";
 }
 
+/// Peak heap bytes of a 192-node, 5-regular JWINS cell on the movielens
+/// workload (the movielens192_jwins benchmark, shortened) at `threads`,
+/// measured from before the experiment is built to the end of its run.
+/// `params` receives the model's parameter count.
+std::int64_t jwins_cell_peak_heap(unsigned threads, std::size_t& params) {
+  const config::ScenarioRun run =
+      config::expand_grid(
+          config::parse_scenario_text(
+              "workload = movielens\nalgorithm = jwins\nnodes = 192\n"
+              "topology = regular\ntopology_degree = 5\nrounds = 4\n"
+              "seed = 1\neval_every = 4\neval_node_limit = 8\nthreads = " +
+              std::to_string(threads) + "\n"))
+          .front();
+  const sim::Workload w = config::make_run_workload(run);
+  const sim::ExperimentConfig cfg = config::resolve_config(run, w);
+  const std::int64_t before = testutil::live_heap_bytes();
+  testutil::reset_peak_heap_bytes();
+  {
+    sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
+                        config::make_run_topology(run));
+    (void)exp.run();
+    params = exp.node(0).param_count();
+  }
+  return testutil::peak_heap_bytes() - before;
+}
+
+// A decoded payload lives on its body, so it is held once whichever lanes
+// read it: more lanes add their own scratch to the peak heap and nothing
+// else. A decode held per lane until the pass ends holds every body's
+// payload up to once per lane, and overshoots the 10 % margin.
+TEST(ScaleMemory, ThreadedPeakHeapIsTheSequentialOnePlusLaneScratch) {
+  if (testutil::live_heap_bytes() < 0) {
+    GTEST_SKIP() << "allocator hook compiled out (sanitized build)";
+  }
+  std::size_t params = 0;
+  const std::int64_t sequential = jwins_cell_peak_heap(1, params);
+  ASSERT_GT(sequential, 0);
+  const std::int64_t threaded = jwins_cell_peak_heap(4, params);
+  // The arena each extra lane reserves (core::RoundScratch::
+  // reserve_for_model).
+  const double lane_scratch = 3.0 * (48.0 * static_cast<double>(params) + 4096);
+  EXPECT_LE(static_cast<double>(threaded),
+            1.10 * static_cast<double>(sequential) + lane_scratch)
+      << "threads = 1 peaks at " << sequential << " B, threads = 4 at "
+      << threaded << " B, with " << params << " parameters per model";
+}
+
 // --- 3. Sharded sweeps -------------------------------------------------------
 
 TEST(Sweep, ShardSpecParsing) {

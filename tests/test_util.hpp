@@ -21,8 +21,7 @@
 namespace jwins::sim {
 
 /// White-box access to an Experiment's node-state layout and, under compact
-/// state, its lane workers, state store and metric round, and to the lanes'
-/// decode caches.
+/// state, its lane workers, state store and metric round.
 struct ExperimentTestPeer {
   static algo::DlNode& worker(Experiment& e, unsigned lane) {
     return *e.workers_.at(lane);
@@ -34,21 +33,6 @@ struct ExperimentTestPeer {
   static bool compact(const Experiment& e) { return e.compact(); }
   static MetricPoint evaluate(Experiment& e, std::size_t round) {
     return e.evaluate(round, 0.0);
-  }
-  /// Sparse decodes made so far, summed over every lane's decode cache.
-  static std::uint64_t decodes(const Experiment& e) {
-    std::uint64_t total = 0;
-    for (const core::RoundScratch& s : e.scratch_) total += s.decoded.decodes();
-    return total;
-  }
-  /// Entries still live in any lane's decode cache (0 after a flush).
-  static std::size_t cached_entries(const Experiment& e) {
-    std::size_t total = 0;
-    for (const core::RoundScratch& s : e.scratch_) total += s.decoded.size();
-    return total;
-  }
-  static unsigned lanes(const Experiment& e) {
-    return static_cast<unsigned>(e.scratch_.size());
   }
 };
 
