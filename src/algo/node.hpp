@@ -17,10 +17,10 @@
 // The shared communication steps live here too. broadcast() sends one
 // message to every neighbour and books corrupted sends. receive() is the
 // input side of Algorithm 1, line 10 for every payload algorithm: it drains
-// the inbox, decodes each sparse payload once per aggregation pass (every
-// receiver on the lane reads the same decode), checks its length against
-// the receiver's vector, and weighs it (mixing weight times the staleness
-// decay). The default aggregate() averages those contributions into the
+// the inbox, reads each body's sparse payload (decoded once per body,
+// whichever lane or pass reads it first; every other reader shares that
+// decode), checks its length against the receiver's vector, and weighs it
+// (mixing weight times the staleness decay). The default aggregate() averages those contributions into the
 // model in the parameter domain; JWINS averages them in the wavelet domain
 // and CHOCO accumulates them as diffs.
 #pragma once

@@ -15,6 +15,15 @@
 // docs/EXPERIMENTS.md documents exactly that table (a test enforces the
 // correspondence) and `jwins_run --list-keys` prints it.
 //
+// Each rule has one home. The per-key appliers check syntax only (numbers,
+// bools, enum values, the colon grammars, integer-field widths) plus the
+// keys no config field holds (nodes, scale, topology, churn, and
+// target_accuracy's off-or-positive form). Every value range and
+// cross-field rule of the config fields lives in
+// sim::ExperimentConfig::validate() (which folds in
+// net::TimeModelConfig::validate()), run for every grid cell, so scenario
+// files and C++ callers meet the same rules with the same messages.
+//
 // All diagnostics are thrown as ScenarioError with a "<key>: <why>" (or
 // "line N: <why>") message; callers prepend "error: ".
 #pragma once

@@ -1,6 +1,7 @@
 #include "core/averaging.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace jwins::core {
@@ -143,6 +144,38 @@ std::size_t trim_count(double fraction, std::size_t m) {
   return m == 0 ? 0 : std::min(t, (m - 1) / 2);
 }
 
+/// The order-statistic combine of one coordinate's m >= 1 suppliers: sorts
+/// the slice by value, tallies the entries the rule discards, and returns
+/// the median or the weighted trimmed mean — nothing when the trimmed
+/// survivors carry no weight (the caller leaves the coordinate as it is).
+std::optional<double> combine_coordinate(const RobustAggConfig& config,
+                                         RobustEntry* slice, std::size_t m,
+                                         RobustAggCounters* counters) {
+  sort_entries_by_value(slice, m);
+  if (config.kind == RobustAggKind::kMedian) {
+    if (counters != nullptr) {
+      // The median discards every entry but the middle one (two, for even
+      // m) — tally them so the JSON shows the rule engaged.
+      counters->trimmed_entries += m - (m % 2 == 1 ? 1 : 2);
+    }
+    return m % 2 == 1 ? static_cast<double>(slice[m / 2].value)
+                      : 0.5 * (static_cast<double>(slice[m / 2 - 1].value) +
+                               static_cast<double>(slice[m / 2].value));
+  }
+  const std::size_t t = trim_count(config.trim_fraction, m);
+  if (counters != nullptr) {
+    counters->trimmed_entries += 2 * static_cast<std::uint64_t>(t);
+  }
+  double numerator = 0.0;
+  double denominator = 0.0;
+  for (std::size_t j = t; j < m - t; ++j) {
+    numerator += slice[j].weight * static_cast<double>(slice[j].value);
+    denominator += slice[j].weight;
+  }
+  if (denominator <= 0.0) return std::nullopt;
+  return numerator / denominator;
+}
+
 /// Per-contribution radial shrink factors for norm_clip: min(1, c/||z-ref||)
 /// with the deviation measured over the indices the contribution supplies.
 /// `ref` may be empty (diff payloads deviate from zero).
@@ -255,33 +288,8 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];
         if (m <= 1) continue;  // own only: nothing to combine
-        sort_entries_by_value(slice, m);
-        if (config.kind == RobustAggKind::kMedian) {
-          const double mid =
-              m % 2 == 1 ? static_cast<double>(slice[m / 2].value)
-                         : 0.5 * (static_cast<double>(slice[m / 2 - 1].value) +
-                                  static_cast<double>(slice[m / 2].value));
-          own[i] = static_cast<float>(mid);
-          if (counters != nullptr) {
-            // The median discards every entry but the middle one (two, for
-            // even m) — tally them so the JSON shows the rule engaged.
-            counters->trimmed_entries += m - (m % 2 == 1 ? 1 : 2);
-          }
-        } else {
-          const std::size_t t = trim_count(config.trim_fraction, m);
-          if (counters != nullptr) {
-            counters->trimmed_entries += 2 * static_cast<std::uint64_t>(t);
-          }
-          double numerator = 0.0;
-          double denominator = 0.0;
-          for (std::size_t j = t; j < m - t; ++j) {
-            numerator += slice[j].weight * static_cast<double>(slice[j].value);
-            denominator += slice[j].weight;
-          }
-          if (denominator > 0.0) {
-            own[i] = static_cast<float>(numerator / denominator);
-          }
-        }
+        const auto robust = combine_coordinate(config, slice, m, counters);
+        if (robust) own[i] = static_cast<float>(*robust);
       }
       return;
     }
@@ -341,33 +349,12 @@ void robust_accumulate_diffs(const RobustAggConfig& config,
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];
         if (m == 0) continue;
-        sort_entries_by_value(slice, m);
+        const auto robust = combine_coordinate(config, slice, m, counters);
+        if (!robust) continue;
+        // Summed over the sorted slice, as the combine left it.
         double supplied_weight = 0.0;
         for (std::size_t j = 0; j < m; ++j) supplied_weight += slice[j].weight;
-        double robust = 0.0;
-        if (config.kind == RobustAggKind::kMedian) {
-          robust =
-              m % 2 == 1 ? static_cast<double>(slice[m / 2].value)
-                         : 0.5 * (static_cast<double>(slice[m / 2 - 1].value) +
-                                  static_cast<double>(slice[m / 2].value));
-          if (counters != nullptr) {
-            counters->trimmed_entries += m - (m % 2 == 1 ? 1 : 2);
-          }
-        } else {
-          const std::size_t t = trim_count(config.trim_fraction, m);
-          if (counters != nullptr) {
-            counters->trimmed_entries += 2 * static_cast<std::uint64_t>(t);
-          }
-          double numerator = 0.0;
-          double denominator = 0.0;
-          for (std::size_t j = t; j < m - t; ++j) {
-            numerator += slice[j].weight * static_cast<double>(slice[j].value);
-            denominator += slice[j].weight;
-          }
-          if (denominator <= 0.0) continue;
-          robust = numerator / denominator;
-        }
-        acc[i] += static_cast<float>(supplied_weight * robust);
+        acc[i] += static_cast<float>(supplied_weight * *robust);
       }
       return;
     }

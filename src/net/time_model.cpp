@@ -46,20 +46,31 @@ std::vector<std::string> TimeModelConfig::validate() const {
   auto require = [&](bool ok, const char* message) {
     if (!ok) errors.emplace_back(message);
   };
-  auto check_dist = [&](const LinkDist& d, const char* key, bool allow_zero) {
+  // One message per distribution: the first rule it breaks.
+  auto check_dist = [&](const LinkDist& d, const std::string& key,
+                        bool allow_zero) {
+    const auto finite_non_negative = [](double v) {
+      return std::isfinite(v) && v >= 0.0;
+    };
+    const char* why = nullptr;
     if (d.kind == LinkDist::Kind::kUniform) {
-      const bool lo_ok = allow_zero ? d.a >= 0.0 : d.a > 0.0;
-      if (!(lo_ok && d.b >= d.a && std::isfinite(d.b))) {
-        errors.emplace_back(std::string(key) + ": uniform needs " +
-                            (allow_zero ? "0 <= lo <= hi" : "0 < lo <= hi"));
+      if (!finite_non_negative(d.a)) {
+        why = "lo must be a non-negative number";
+      } else if (!finite_non_negative(d.b)) {
+        why = "hi must be a non-negative number";
+      } else if (d.b < d.a) {
+        why = "uniform needs lo <= hi";
+      } else if (!allow_zero && d.a == 0.0) {
+        why = "uniform lo must be > 0";
       }
     } else if (d.kind == LinkDist::Kind::kLognormal) {
-      if (!(d.a > 0.0 && d.b >= 0.0 && std::isfinite(d.a) &&
-            std::isfinite(d.b))) {
-        errors.emplace_back(std::string(key) +
-                            ": lognormal needs median > 0 and sigma >= 0");
+      if (!(std::isfinite(d.a) && d.a > 0.0)) {
+        why = "lognormal median must be > 0";
+      } else if (!finite_non_negative(d.b)) {
+        why = "sigma must be a non-negative number";
       }
     }
+    if (why != nullptr) errors.push_back(key + ": " + why);
   };
   check_dist(bandwidth_dist, "bandwidth_dist", /*allow_zero=*/false);
   check_dist(latency_dist, "latency_dist", /*allow_zero=*/true);
@@ -67,13 +78,18 @@ std::vector<std::string> TimeModelConfig::validate() const {
           "straggler_fraction: must be in [0, 1)");
   require(straggler_slowdown >= 1.0,
           "straggler_slowdown: must be >= 1 (a compute-time multiplier)");
+  const auto probability = [](double p) { return p >= 0.0 && p < 1.0; };
   if (edge_drop.kind == EdgeDropDist::Kind::kFixed) {
-    require(edge_drop.a >= 0.0 && edge_drop.a < 1.0,
-            "edge_drop: fixed probability must be in [0, 1)");
+    require(probability(edge_drop.a),
+            "edge_drop: fixed:<p> p must be a probability in [0, 1)");
   } else if (edge_drop.kind == EdgeDropDist::Kind::kUniform) {
-    require(edge_drop.a >= 0.0 && edge_drop.b >= edge_drop.a &&
-                edge_drop.b < 1.0,
-            "edge_drop: uniform needs 0 <= lo <= hi < 1");
+    if (!probability(edge_drop.a) || !probability(edge_drop.b)) {
+      errors.emplace_back(
+          "edge_drop: uniform:<lo>:<hi> bounds must be probabilities in "
+          "[0, 1)");
+    } else {
+      require(edge_drop.a <= edge_drop.b, "edge_drop: uniform needs lo <= hi");
+    }
   }
   require(rejoin_at == 0 || rejoin_at > crash_at,
           "rejoin_at: must be 0 (never) or > crash_at");

@@ -115,8 +115,9 @@ struct TimeModelConfig {
   /// model (jwins_run then prints the time-model and drop summary lines).
   bool extended() const noexcept { return heterogeneous_time() || any_faults(); }
 
-  /// Cross-field sanity checks, one "<scenario key>: <why>" per violation
-  /// (empty = valid); folded into sim::ExperimentConfig::validate().
+  /// Every value-range rule of these fields, one "<scenario key>: <why>" per
+  /// violation (empty = valid); folded into sim::ExperimentConfig::validate(),
+  /// so scenario files and C++ callers meet the same rules.
   std::vector<std::string> validate() const;
 };
 

@@ -40,22 +40,6 @@ const char* async_mode_name(AsyncMode mode) {
   return "unknown";
 }
 
-const char* node_state_name(NodeState state) {
-  switch (state) {
-    case NodeState::kFull: return "full";
-    case NodeState::kCompact: return "compact";
-  }
-  return "unknown";
-}
-
-const char* batch_sampler_name(BatchSampler sampler) {
-  switch (sampler) {
-    case BatchSampler::kShuffle: return "shuffle";
-    case BatchSampler::kCounter: return "counter";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Stream tag separating each node's mini-batch sampler from its other
@@ -79,10 +63,12 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   };
   require(rounds >= 1, "rounds: must be >= 1");
   require(local_steps >= 1, "local_steps: must be >= 1");
-  require(std::isfinite(sgd.learning_rate) && sgd.learning_rate > 0.0f,
-          "learning_rate: must be > 0");
+  require(std::isfinite(sgd.learning_rate) && sgd.learning_rate > 0.0f &&
+              sgd.learning_rate <= 1e3f,
+          "learning_rate: must be in (0, 1e3]");
   require(target_accuracy <= 1.0,
-          "target_accuracy: must be <= 1 (a fraction, not a percentage)");
+          "target_accuracy: must be in (0, 1] (a fraction, not a percentage; "
+          "<= 0 = off)");
   require(eval_every >= 1,
           "eval_every: must be >= 1 (0 would divide by zero in the round loop)");
   require(eval_sample_limit >= 1, "eval_sample_limit: must be >= 1");
@@ -127,8 +113,11 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   require(std::isfinite(stop_at_sim_time) && stop_at_sim_time >= 0.0,
           "stop_at_sim_time: must be >= 0 (seconds of simulated time; 0 = "
           "off)");
-  require(link.bandwidth_bytes_per_sec > 0.0, "bandwidth: must be > 0");
-  require(link.latency_sec >= 0.0, "latency: must be >= 0");
+  require(link.bandwidth_bytes_per_sec > 0.0 &&
+              link.bandwidth_bytes_per_sec <= 1e9 * 1e6 / 8.0,
+          "bandwidth_mbit: must be in (0, 1e9]");
+  require(std::isfinite(link.latency_sec) && link.latency_sec >= 0.0,
+          "latency_ms: must be >= 0");
   for (std::string& e : time.validate()) errors.push_back(std::move(e));
   require(random_sampling_fraction > 0.0 && random_sampling_fraction <= 1.0,
           "random_sampling_fraction: must be in (0, 1]");
@@ -136,7 +125,7 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
     try {
       dwt::wavelet_by_name(jwins.ranker.wavelet);
     } catch (const std::exception&) {
-      errors.push_back("jwins_wavelet: unknown wavelet \"" +
+      errors.push_back("jwins_wavelet: unknown value \"" +
                        jwins.ranker.wavelet +
                        "\" (valid: haar, db2, sym2, db4, identity)");
     }
@@ -146,22 +135,28 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
   require(choco.fraction > 0.0 && choco.fraction <= 1.0,
           "choco_fraction: must be in (0, 1]");
   require(choco.qsgd_levels >= 1, "choco_qsgd_levels: must be >= 1");
-  require(power_gossip.gamma > 0.0, "power_gossip_gamma: must be > 0");
+  require(power_gossip.gamma > 0.0 && power_gossip.gamma <= 1e3,
+          "power_gossip_gamma: must be in (0, 1e3]");
   require(std::isfinite(byzantine_scale),
           "byzantine_mode: scale multiplier must be finite");
   require(robust_agg.trim_fraction >= 0.0 && robust_agg.trim_fraction < 0.5,
-          "robust_agg: trim fraction must be in [0, 0.5) (trimming half or "
-          "more leaves no survivors)");
+          "robust_agg: trimmed_mean:<f> trim fraction must be in [0, 0.5) "
+          "(trimming half or more leaves no survivors)");
   require(robust_agg.kind != core::RobustAggKind::kNormClip ||
               (std::isfinite(robust_agg.clip_norm) &&
                robust_agg.clip_norm > 0.0),
-          "robust_agg: clip norm must be > 0");
+          "robust_agg: norm_clip:<c> clip norm must be > 0");
   require(algorithm != Algorithm::kPowerGossip ||
               (robust_agg.kind != core::RobustAggKind::kTrimmedMean &&
                robust_agg.kind != core::RobustAggKind::kMedian),
           "robust_agg: trimmed_mean/median are undefined for power-gossip "
           "(per-edge rank-1 payloads have no coordinate-wise aggregate); "
           "use none or norm_clip");
+  if (nodes > 0 && time.crash_nodes >= nodes) {
+    errors.push_back("crash_nodes: must leave at least one node alive (got "
+                     "crash_nodes=" + std::to_string(time.crash_nodes) +
+                     ", nodes=" + std::to_string(nodes) + ")");
+  }
   if (nodes > 0 && byzantine_nodes > 0) {
     if (byzantine_nodes >= nodes) {
       errors.push_back("byzantine_nodes: must leave at least one honest node "

@@ -103,8 +103,6 @@ const char* async_mode_name(AsyncMode mode);
 ///    byte-identical to kFull at any thread count.
 enum class NodeState { kFull, kCompact };
 
-const char* node_state_name(NodeState state);
-
 /// Mini-batch sampling discipline (data::Sampler::Mode):
 ///  * kShuffle — per-epoch reshuffle of the node's shard (the legacy
 ///    stateful loop; every pre-existing result used it);
@@ -113,8 +111,6 @@ const char* node_state_name(NodeState state);
 ///    NodeState::kCompact; also valid under kFull (same stream, so full and
 ///    compact runs of the same config match byte for byte).
 enum class BatchSampler { kShuffle, kCounter };
-
-const char* batch_sampler_name(BatchSampler sampler);
 
 struct ExperimentConfig {
   Algorithm algorithm = Algorithm::kJwins;
@@ -220,14 +216,15 @@ struct ExperimentConfig {
   algo::ChocoNode::Options choco;
   algo::PowerGossipNode::Options power_gossip;
 
-  /// Cross-field sanity checks. Returns one "<field>: <why>" message per
-  /// violation (empty = valid). Experiment's constructor throws on any
-  /// violation; config::expand_grid and the jwins_run CLI report them as
+  /// The one home of every value-range and cross-field rule (`time`'s own
+  /// included). Returns one "<scenario key>: <why>" message per violation
+  /// (empty = valid). Experiment's constructor throws on any violation;
+  /// config::expand_grid and the jwins_run CLI report them as
   /// `error: <key>: <why>` diagnostics before anything runs.
   ///
-  /// `nodes` enables the checks that need the node count (byzantine_nodes
-  /// bounds and the crash/byzantine victim-set overlap); 0 skips them (for
-  /// callers that validate before the topology is known).
+  /// `nodes` enables the checks that need the node count (crash_nodes and
+  /// byzantine_nodes bounds, the crash/byzantine victim-set overlap); 0
+  /// skips them (for callers that validate before the topology is known).
   std::vector<std::string> validate(std::size_t nodes = 0) const;
 };
 

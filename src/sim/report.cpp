@@ -45,19 +45,6 @@ void print_series_csv(std::ostream& os, const std::string& label,
   }
 }
 
-void print_summary_row(std::ostream& os, const std::string& dataset,
-                       const std::string& algorithm,
-                       const ExperimentResult& result) {
-  const double avg_bytes =
-      result.series.empty() ? 0.0 : result.series.back().avg_bytes_per_node;
-  os << std::left << std::setw(14) << dataset << std::setw(18) << algorithm
-     << std::right << "acc=" << std::fixed << std::setprecision(1)
-     << result.final_accuracy * 100.0 << "%  loss=" << std::setprecision(3)
-     << result.final_loss << "  rounds=" << result.rounds_run
-     << "  data/node=" << format_bytes(avg_bytes)
-     << "  sim-time=" << format_seconds(result.sim_seconds) << "\n";
-}
-
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];

@@ -19,11 +19,6 @@ std::string format_seconds(double seconds);
 void print_series_csv(std::ostream& os, const std::string& label,
                       const ExperimentResult& result);
 
-/// One Table-I style summary row.
-void print_summary_row(std::ostream& os, const std::string& dataset,
-                       const std::string& algorithm,
-                       const ExperimentResult& result);
-
 /// Round-trip-exact, locale-independent JSON number (%.17g). Non-finite
 /// values have no JSON representation and become null.
 std::string json_number(double v);

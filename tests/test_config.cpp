@@ -333,6 +333,115 @@ TEST(ScenarioDiagnostics, MissingFile) {
   EXPECT_THROW(load_scenario_file("/nonexistent/x.scenario"), ScenarioError);
 }
 
+// --- one home per range rule ------------------------------------------------
+
+TEST(ConfigRanges, OneRuleTwoEntryPoints) {
+  // Every value-range rule of a config field lives in the validators, so a
+  // scenario file and a C++ caller that builds the config directly meet
+  // the same rule with the same message.
+  using Set = std::function<void(sim::ExperimentConfig&)>;
+  struct Row {
+    const char* key;
+    const char* value;
+    const char* want;
+    Set set;
+  };
+  constexpr double kMbit = 1e6 / 8.0;
+  const auto uniform = [](double lo, double hi) {
+    return net::LinkDist{net::LinkDist::Kind::kUniform, lo, hi};
+  };
+  const std::vector<Row> rows = {
+      {"rounds", "0", "must be >= 1", [](auto& c) { c.rounds = 0; }},
+      {"local_steps", "0", "must be >= 1", [](auto& c) { c.local_steps = 0; }},
+      {"learning_rate", "0", "must be in (0, 1e3]",
+       [](auto& c) { c.sgd.learning_rate = 0.0f; }},
+      {"learning_rate", "1e4", "must be in (0, 1e3]",
+       [](auto& c) { c.sgd.learning_rate = 1e4f; }},
+      {"target_accuracy", "1.5", "must be in (0, 1]",
+       [](auto& c) { c.target_accuracy = 1.5; }},
+      {"eval_every", "0", "must be >= 1", [](auto& c) { c.eval_every = 0; }},
+      {"eval_sample_limit", "0", "must be >= 1",
+       [](auto& c) { c.eval_sample_limit = 0; }},
+      {"compute_seconds_per_round", "-1", "must be >= 0",
+       [](auto& c) { c.compute_seconds_per_round = -1.0; }},
+      {"bandwidth_mbit", "0", "must be in (0, 1e9]",
+       [](auto& c) { c.link.bandwidth_bytes_per_sec = 0.0; }},
+      {"bandwidth_mbit", "1e10", "must be in (0, 1e9]",
+       [&](auto& c) { c.link.bandwidth_bytes_per_sec = 1e10 * kMbit; }},
+      {"latency_ms", "-1", "must be >= 0",
+       [](auto& c) { c.link.latency_sec = -1e-3; }},
+      {"bandwidth_dist", "uniform:100:10", "uniform needs lo <= hi",
+       [&](auto& c) {
+         c.time.bandwidth_dist = uniform(100 * kMbit, 10 * kMbit);
+       }},
+      {"bandwidth_dist", "uniform:0:10", "uniform lo must be > 0",
+       [&](auto& c) { c.time.bandwidth_dist = uniform(0.0, 10 * kMbit); }},
+      {"bandwidth_dist", "lognormal:0:1", "lognormal median must be > 0",
+       [](auto& c) {
+         c.time.bandwidth_dist = {net::LinkDist::Kind::kLognormal, 0.0, 1.0};
+       }},
+      {"latency_dist", "uniform:-1:10", "lo must be a non-negative number",
+       [&](auto& c) { c.time.latency_dist = uniform(-1e-3, 10e-3); }},
+      {"straggler_fraction", "1", "must be in [0, 1)",
+       [](auto& c) { c.time.straggler_fraction = 1.0; }},
+      {"straggler_slowdown", "0.5", "must be >= 1",
+       [](auto& c) { c.time.straggler_slowdown = 0.5; }},
+      {"edge_drop", "fixed:1", "fixed:<p> p must be a probability",
+       [](auto& c) {
+         c.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 1.0, 0.0};
+       }},
+      {"edge_drop", "uniform:0.5:0.1", "uniform needs lo <= hi",
+       [](auto& c) {
+         c.time.edge_drop = {net::EdgeDropDist::Kind::kUniform, 0.5, 0.1};
+       }},
+      {"crash_nodes", "16", "must leave at least one node alive",
+       [](auto& c) { c.time.crash_nodes = 16; }},
+      {"burst_length", "0", "must be >= 1",
+       [](auto& c) { c.time.burst_length = 0; }},
+      {"burst_drop", "0", "must be in (0, 1]",
+       [](auto& c) { c.time.burst_drop = 0.0; }},
+      {"stop_at_sim_time", "-1", "must be >= 0",
+       [](auto& c) { c.stop_at_sim_time = -1.0; }},
+      {"staleness_decay", "1.5", "must be in (0, 1]",
+       [](auto& c) { c.staleness_decay = 1.5; }},
+      {"robust_agg", "trimmed_mean:0.5",
+       "trimmed_mean:<f> trim fraction must be in [0, 0.5)",
+       [](auto& c) {
+         c.robust_agg = {core::RobustAggKind::kTrimmedMean, 0.5, 0.0};
+       }},
+      {"robust_agg", "norm_clip:0", "norm_clip:<c> clip norm must be > 0",
+       [](auto& c) {
+         c.robust_agg = {core::RobustAggKind::kNormClip, 0.0, 0.0};
+       }},
+      {"random_sampling_fraction", "0", "must be in (0, 1]",
+       [](auto& c) { c.random_sampling_fraction = 0.0; }},
+      {"jwins_wavelet", "sym9", "unknown value",
+       [](auto& c) { c.jwins.ranker.wavelet = "sym9"; }},
+      {"choco_gamma", "0", "must be in (0, 1]",
+       [](auto& c) { c.choco.gamma = 0.0; }},
+      {"choco_fraction", "1.2", "must be in (0, 1]",
+       [](auto& c) { c.choco.fraction = 1.2; }},
+      {"choco_qsgd_levels", "0", "must be >= 1",
+       [](auto& c) { c.choco.qsgd_levels = 0; }},
+      {"power_gossip_gamma", "0", "must be in (0, 1e3]",
+       [](auto& c) { c.power_gossip.gamma = 0.0; }},
+      {"power_gossip_gamma", "1e4", "must be in (0, 1e3]",
+       [](auto& c) { c.power_gossip.gamma = 1e4; }},
+  };
+  for (const Row& row : rows) {
+    const std::string spec = std::string(row.key) + " = " + row.value;
+    const std::string want = std::string(row.key) + ": " + row.want;
+    const std::string scenario = expand_error(spec + "\n");
+    EXPECT_EQ(scenario.rfind(want, 0), 0u)
+        << spec << "\nscenario: " << scenario;
+
+    sim::ExperimentConfig config;
+    row.set(config);
+    EXPECT_EQ(config.validate(/*nodes=*/16), std::vector<std::string>{scenario})
+        << spec;
+  }
+}
+
 // --- sweep expansion ------------------------------------------------------
 
 TEST(ScenarioSweep, CountAndOdometerOrder) {
