@@ -48,21 +48,6 @@ std::uint64_t elias_gamma_decode(BitReader& reader) {
   return value;
 }
 
-void elias_delta_encode(BitWriter& writer, std::uint64_t value) {
-  if (value == 0) throw std::invalid_argument("elias delta cannot encode 0");
-  const unsigned n = bit_width_u64(value);
-  elias_gamma_encode(writer, n);
-  if (n > 1) writer.write_bits(value & ((std::uint64_t{1} << (n - 1)) - 1), n - 1);
-}
-
-std::uint64_t elias_delta_decode(BitReader& reader) {
-  const auto n = static_cast<unsigned>(elias_gamma_decode(reader));
-  if (n == 0 || n > 64) throw std::runtime_error("elias delta: malformed length");
-  std::uint64_t value = std::uint64_t{1} << (n - 1);
-  if (n > 1) value |= reader.read_bits(n - 1);
-  return value;
-}
-
 void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
                        BitWriter& writer) {
   std::uint32_t prev = 0;

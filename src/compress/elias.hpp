@@ -19,10 +19,6 @@ void elias_gamma_encode(BitWriter& writer, std::uint64_t value);
 /// Decodes one Elias gamma codeword.
 std::uint64_t elias_gamma_decode(BitReader& reader);
 
-/// Elias delta code (gamma-coded length prefix); better for large values.
-void elias_delta_encode(BitWriter& writer, std::uint64_t value);
-std::uint64_t elias_delta_decode(BitReader& reader);
-
 /// Encodes a strictly-increasing index array as Elias-gamma coded gaps,
 /// appended to `writer` (not cleared), so a reused BitWriter makes the
 /// encode allocation-free in steady state. The first element is encoded as

@@ -224,17 +224,4 @@ void gather_into(std::span<const float> values,
   }
 }
 
-void scatter(std::span<float> dense, std::span<const std::uint32_t> indices,
-             std::span<const float> sparse) {
-  if (indices.size() != sparse.size()) {
-    throw std::invalid_argument("scatter: indices/values size mismatch");
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= dense.size()) {
-      throw std::out_of_range("scatter: index out of range");
-    }
-    dense[indices[i]] = sparse[i];
-  }
-}
-
 }  // namespace jwins::compress

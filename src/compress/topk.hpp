@@ -57,8 +57,4 @@ void gather_into(std::span<const float> values,
 void gather_into(std::span<const float> values,
                  std::span<const std::uint32_t> indices, std::span<float> out);
 
-/// Scatters `sparse[i]` into `dense[indices[i]]`.
-void scatter(std::span<float> dense, std::span<const std::uint32_t> indices,
-             std::span<const float> sparse);
-
 }  // namespace jwins::compress

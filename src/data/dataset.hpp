@@ -60,7 +60,6 @@ class Sampler {
   /// mode: the step_-keyed with-replacement draw, then step_ advances.
   Batch next();
 
-  std::size_t sample_count() const noexcept { return indices_.size(); }
   std::size_t batch_size() const noexcept { return batch_size_; }
   Mode mode() const noexcept { return mode_; }
 

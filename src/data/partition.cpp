@@ -8,20 +8,6 @@
 
 namespace jwins::data {
 
-Partition iid_partition(const Dataset& dataset, std::size_t nodes,
-                        std::uint64_t seed) {
-  if (nodes == 0) throw std::invalid_argument("iid_partition: nodes must be positive");
-  std::vector<std::size_t> all(dataset.size());
-  std::iota(all.begin(), all.end(), 0u);
-  std::mt19937_64 rng(seed);
-  std::shuffle(all.begin(), all.end(), rng);
-  Partition out(nodes);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    out[i % nodes].push_back(all[i]);
-  }
-  return out;
-}
-
 Partition shard_partition(const Dataset& dataset, std::size_t nodes,
                           std::size_t shards_per_node, std::uint64_t seed) {
   if (nodes == 0 || shards_per_node == 0) {

@@ -1,11 +1,12 @@
-// Non-IID data partitioners (paper §IV-B d).
+// Data partitioners (paper §IV-B d).
 //
 // * shard_partition — the CIFAR-10 scheme: sort by label, cut into
 //   nodes*shards_per_node contiguous shards, deal shards_per_node random
 //   shards to each node. With 2 shards/node each node sees at most 4 classes.
 // * client_partition — the LEAF scheme: samples are grouped by the client
 //   that produced them; clients are dealt evenly across nodes.
-// * iid_partition — control condition.
+// * cyclic_partition — a deterministic strided split for the synthetic
+//   scale workload, where shuffling partitioners would dominate setup.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +17,6 @@
 namespace jwins::data {
 
 using Partition = std::vector<std::vector<std::size_t>>;
-
-/// Random equal split of [0, dataset.size()).
-Partition iid_partition(const Dataset& dataset, std::size_t nodes,
-                        std::uint64_t seed);
 
 /// Sort-by-label sharding. Requires dataset.label_of() >= 0 for all samples.
 Partition shard_partition(const Dataset& dataset, std::size_t nodes,

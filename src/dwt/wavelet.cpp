@@ -45,7 +45,7 @@ Wavelet db4() {
 }
 
 Wavelet wavelet_by_name(const std::string& name) {
-  if (name == "haar" || name == "db1") return haar();
+  if (name == "haar") return haar();
   if (name == "db2") return db2();
   if (name == "sym2") return sym2();
   if (name == "db4") return db4();

@@ -60,7 +60,6 @@ class TrafficMeter {
   void record_send(std::uint32_t sender, const Message& msg);
 
   const NodeTraffic& node(std::size_t i) const { return per_node_.at(i); }
-  std::size_t node_count() const noexcept { return per_node_.size(); }
 
   NodeTraffic total() const;
 
@@ -109,13 +108,6 @@ class Network {
   }
 
   std::size_t size() const noexcept { return mailboxes_.size(); }
-
-  /// Messages discarded by failure injection so far (all causes: per-edge,
-  /// burst, crash; the TimeModel keeps the per-cause split). Dropped
-  /// messages still count as sent bytes — the sender paid for them.
-  std::uint64_t messages_dropped() const noexcept {
-    return time_.dropped_total();
-  }
 
   /// The simulated clock & fault oracle (per-edge attributes, crash
   /// schedules, drop statistics).

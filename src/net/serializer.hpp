@@ -33,11 +33,9 @@ class ByteWriter {
   void clear() noexcept { buffer_.clear(); }
 
   void write_u8(std::uint8_t v) { buffer_.push_back(v); }
-  void write_u16(std::uint16_t v) { write_raw(&v, sizeof v); }
   void write_u32(std::uint32_t v) { write_raw(&v, sizeof v); }
   void write_u64(std::uint64_t v) { write_raw(&v, sizeof v); }
   void write_f32(float v) { write_raw(&v, sizeof v); }
-  void write_f64(double v) { write_raw(&v, sizeof v); }
 
   /// Length-prefixed (u32) byte blob.
   void write_bytes(std::span<const std::uint8_t> bytes);
@@ -72,23 +70,17 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::uint8_t read_u8() { return read_pod<std::uint8_t>(); }
-  std::uint16_t read_u16() { return read_pod<std::uint16_t>(); }
   std::uint32_t read_u32() { return read_pod<std::uint32_t>(); }
   std::uint64_t read_u64() { return read_pod<std::uint64_t>(); }
   float read_f32() { return read_pod<float>(); }
-  double read_f64() { return read_pod<double>(); }
 
-  std::vector<std::uint8_t> read_bytes();
-  std::vector<float> read_f32_array();
-  std::vector<std::uint32_t> read_u32_array();
-
-  /// Zero-copy variant of read_bytes(): a view into the underlying buffer,
-  /// valid as long as the buffer outlives the reader (message bodies do —
-  /// they are refcounted net::SharedBytes).
+  /// Length-prefixed byte blob, zero-copy: a view into the underlying
+  /// buffer, valid as long as the buffer outlives the reader (message bodies
+  /// do — they are refcounted net::SharedBytes).
   std::span<const std::uint8_t> view_bytes();
 
-  /// Reuse variants: decode into a caller-owned vector (cleared first), so a
-  /// warmed buffer makes the read allocation-free.
+  /// Length-prefixed arrays, decoded into a caller-owned vector (resized to
+  /// the stored length), so a warmed buffer makes the read allocation-free.
   void read_f32_array_into(std::vector<float>& out);
   void read_u32_array_into(std::vector<std::uint32_t>& out);
 

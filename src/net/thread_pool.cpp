@@ -7,8 +7,8 @@ namespace jwins::net {
 namespace {
 
 // Set while a thread (worker or caller) is executing a chunk body; a
-// parallel_for issued from inside runs inline instead of deadlocking on the
-// pool's single job slot.
+// parallel_for_lane issued from inside runs inline instead of deadlocking on
+// the pool's single job slot.
 thread_local bool tls_in_parallel_region = false;
 
 // Lane of the chunk this thread is currently executing. Nested (inline)

@@ -7,9 +7,10 @@
 // function pointer + context pointer into the caller's stack frame).
 //
 // Determinism contract:
-//  * parallel_for splits [0, n) into one contiguous chunk per thread using
-//    only (n, thread_count) — no atomic work-stealing, so which thread runs
-//    which index never depends on scheduling. Each index runs exactly once.
+//  * parallel_for_lane splits [0, n) into one contiguous chunk per thread
+//    using only (n, thread_count) — no atomic work-stealing, so which thread
+//    runs which index never depends on scheduling. Each index runs exactly
+//    once.
 //  * parallel_reduce materializes map(lane, i) per index and folds them in
 //    index order on the calling thread, so floating-point reductions are
 //    bit-identical to a sequential std::accumulate at any thread count.
@@ -20,13 +21,13 @@
 //  * Nested calls execute inline sequentially on the calling thread —
 //    documented behavior, not an error, so library code can use the pool
 //    without caring who called it. The guard is process-wide (a thread_local
-//    flag, not per-pool): a parallel_for on ANY pool from inside ANY pool's
-//    region runs inline. That is deliberate — it also stops an outer pool's
-//    workers from driving an inner pool from several threads at once, which
-//    the single-orchestrator contract below forbids.
+//    flag, not per-pool): a parallel_for_lane on ANY pool from inside ANY
+//    pool's region runs inline. That is deliberate — it also stops an outer
+//    pool's workers from driving an inner pool from several threads at once,
+//    which the single-orchestrator contract below forbids.
 //
-// One orchestrating thread drives the pool; concurrent parallel_for calls
-// from different external threads on the same pool are not supported.
+// One orchestrating thread drives the pool; concurrent parallel_for_lane
+// calls from different external threads on the same pool are not supported.
 #pragma once
 
 #include <algorithm>
@@ -68,25 +69,14 @@ class ThreadPool {
     return hw == 0 ? 1 : std::min(hw, kMaxThreads);
   }
 
-  /// Runs fn(i) for every i in [0, n), statically chunked across threads.
-  template <class Fn>
-  void parallel_for(std::size_t n, Fn&& fn) {
-    using Body = std::remove_reference_t<Fn>;
-    run_job(n,
-            [](void* ctx, unsigned, std::size_t begin, std::size_t end) {
-              Body& body = *static_cast<Body*>(ctx);
-              for (std::size_t i = begin; i < end; ++i) body(i);
-            },
-            &fn);
-  }
-
-  /// Lane-aware variant: runs fn(lane, i), where `lane` identifies the
-  /// execution lane in [0, thread_count()). Two invocations running
-  /// concurrently always see different lanes, so per-lane scratch state
-  /// (e.g. sim::Experiment's core::RoundScratch arenas) is race-free by
-  /// construction. Lane assignment is as deterministic as the chunking: it
-  /// depends only on (n, thread_count), never on scheduling. Nested calls
-  /// run inline on the caller's current lane.
+  /// Runs fn(lane, i) for every i in [0, n), statically chunked across
+  /// threads; `lane` identifies the execution lane in [0, thread_count()).
+  /// Two invocations running concurrently always see different lanes, so
+  /// per-lane scratch state (e.g. sim::Experiment's core::RoundScratch
+  /// arenas) is race-free by construction. Lane assignment is as
+  /// deterministic as the chunking: it depends only on (n, thread_count),
+  /// never on scheduling. Nested calls run inline on the caller's current
+  /// lane.
   template <class Fn>
   void parallel_for_lane(std::size_t n, Fn&& fn) {
     using Body = std::remove_reference_t<Fn>;

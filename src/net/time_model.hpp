@@ -192,6 +192,8 @@ class TimeModel {
   RoundTime finish_round(double compute_seconds);
 
   // --- fault bookkeeping ---------------------------------------------------
+  /// Messages discarded so far, all causes. A dropped message still counts
+  /// as sent bytes: the sender paid for it.
   std::uint64_t dropped_total() const noexcept {
     return dropped_edge_ + dropped_burst_ + dropped_crash_;
   }

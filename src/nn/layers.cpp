@@ -25,8 +25,9 @@ Tensor Linear::forward(const Tensor& input) {
                                 tensor::to_string(input.shape()));
   }
   cached_input_ = input;
-  Tensor out = tensor::matmul_nt(input, weight_);  // [B, out]
   const std::size_t batch = input.dim(0);
+  Tensor out({batch, out_});
+  tensor::matmul_nt_into(out, input, weight_);
   float* y = out.raw();
   const float* bias = bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
@@ -37,7 +38,9 @@ Tensor Linear::forward(const Tensor& input) {
 
 Tensor Linear::backward(const Tensor& grad_output) {
   accumulate_grads(grad_output);
-  return tensor::matmul(grad_output, weight_);  // dX = dY · W
+  Tensor grad_input({grad_output.dim(0), in_});
+  tensor::matmul_into(grad_input, grad_output, weight_);  // dX = dY · W
+  return grad_input;
 }
 
 void Linear::accumulate_grads(const Tensor& grad_output) {
@@ -47,7 +50,8 @@ void Linear::accumulate_grads(const Tensor& grad_output) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
   // dW += dYᵀ · X ; db += column sums of dY.
-  grad_weight_ += tensor::matmul_tn(grad_output, cached_input_);
+  tensor::matmul_tn_into(gw_tmp_, grad_output, cached_input_);
+  grad_weight_ += gw_tmp_;
   const float* gy = grad_output.raw();
   float* gb = grad_bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {

@@ -23,14 +23,12 @@ class Linear final : public Module {
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
 
-  std::size_t in_features() const noexcept { return in_; }
-  std::size_t out_features() const noexcept { return out_; }
-
  private:
   std::size_t in_, out_;
   Tensor weight_, bias_;
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;
+  Tensor gw_tmp_;  ///< dYᵀ · X before it is added to grad_weight_
 };
 
 /// max(x, 0).

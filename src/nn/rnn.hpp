@@ -43,8 +43,6 @@ class Lstm final : public Module {
     return {&grad_w_x_, &grad_w_h_, &grad_bias_};
   }
 
-  std::size_t hidden_size() const noexcept { return hidden_; }
-
  private:
   std::size_t input_dim_, hidden_;
   // Gate order within the 4H axis: input, forget, cell(g), output.

@@ -11,15 +11,6 @@
 
 namespace jwins::sim {
 
-const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kTrainDone: return "train-done";
-    case EventKind::kMessageArrival: return "message-arrival";
-    case EventKind::kLocalStep: return "local-step";
-  }
-  return "unknown";
-}
-
 // --- EventQueue -------------------------------------------------------------
 
 namespace {

@@ -44,8 +44,6 @@ namespace jwins::sim {
 
 enum class EventKind : std::uint8_t { kTrainDone, kMessageArrival, kLocalStep };
 
-const char* event_kind_name(EventKind kind);
-
 /// One scheduled event. `round` is the local round the event concerns (the
 /// message's round tag for arrivals); `message` is only populated for
 /// kMessageArrival.

@@ -360,7 +360,6 @@ class Experiment {
   /// Direct access for tests and probes. node() requires the full node-state
   /// layout (compact runs keep no per-node DlNode objects).
   algo::DlNode& node(std::size_t i) { return *nodes_.at(i); }
-  std::size_t node_count() const noexcept { return n_; }
   const net::Network& network() const noexcept { return network_; }
 
   /// The seeded eval-subset draw: k distinct node indices for metric round

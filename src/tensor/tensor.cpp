@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -138,14 +136,6 @@ Tensor Tensor::from(Shape shape, std::initializer_list<float> values) {
   return Tensor(std::move(shape), std::vector<float>(values));
 }
 
-Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
-
-Tensor Tensor::ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
-
-Tensor Tensor::full(Shape shape, float value) {
-  return Tensor(std::move(shape), value);
-}
-
 Tensor Tensor::uniform(Shape shape, float lo, float hi, std::mt19937& rng) {
   Tensor t(std::move(shape));
   std::uniform_real_distribution<float> dist(lo, hi);
@@ -241,50 +231,15 @@ void Tensor::ensure_shape(std::size_t rows, std::size_t cols) {
   shape_[1] = cols;
 }
 
-Tensor Tensor::transposed() const {
-  if (rank() != 2) {
-    throw std::invalid_argument("transposed() requires a rank-2 tensor, got " +
-                                to_string(shape_));
-  }
-  const std::size_t rows = shape_[0], cols = shape_[1];
-  Tensor out({cols, rows});
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      out.data_[c * rows + r] = data_[r * cols + c];
-  return out;
-}
-
 Tensor& Tensor::operator+=(const Tensor& rhs) {
   check_same_shape(*this, rhs, "+=");
   for (std::size_t i = 0; i < size_; ++i) data_[i] += rhs.data_[i];
   return *this;
 }
 
-Tensor& Tensor::operator-=(const Tensor& rhs) {
-  check_same_shape(*this, rhs, "-=");
-  for (std::size_t i = 0; i < size_; ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator*=(const Tensor& rhs) {
-  check_same_shape(*this, rhs, "*=");
-  for (std::size_t i = 0; i < size_; ++i) data_[i] *= rhs.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator+=(float scalar) {
-  for (float& v : data()) v += scalar;
-  return *this;
-}
-
 Tensor& Tensor::operator*=(float scalar) {
   for (float& v : data()) v *= scalar;
   return *this;
-}
-
-void Tensor::axpy(float alpha, const Tensor& rhs) {
-  check_same_shape(*this, rhs, "axpy");
-  for (std::size_t i = 0; i < size_; ++i) data_[i] += alpha * rhs.data_[i];
 }
 
 void Tensor::zero() noexcept { std::fill_n(data_, size_, 0.0f); }
@@ -297,73 +252,8 @@ float Tensor::sum() const noexcept {
   return static_cast<float>(acc);
 }
 
-float Tensor::mean() const noexcept {
-  return size_ == 0 ? 0.0f : sum() / static_cast<float>(size_);
-}
-
-float Tensor::min() const {
-  if (size_ == 0) throw std::logic_error("min() of empty tensor");
-  return *std::min_element(data_, data_ + size_);
-}
-
-float Tensor::max() const {
-  if (size_ == 0) throw std::logic_error("max() of empty tensor");
-  return *std::max_element(data_, data_ + size_);
-}
-
-float Tensor::abs_max() const noexcept {
-  float m = 0.0f;
-  for (float v : data()) m = std::max(m, std::fabs(v));
-  return m;
-}
-
-float Tensor::squared_norm() const noexcept {
-  double acc = 0.0;
-  for (float v : data()) acc += static_cast<double>(v) * v;
-  return static_cast<float>(acc);
-}
-
-float Tensor::norm() const noexcept {
-  return std::sqrt(squared_norm());
-}
-
-std::size_t Tensor::argmax() const {
-  if (size_ == 0) throw std::logic_error("argmax() of empty tensor");
-  return static_cast<std::size_t>(std::max_element(data_, data_ + size_) -
-                                  data_);
-}
-
-void Tensor::apply(const std::function<float(float)>& fn) {
-  for (float& v : data()) v = fn(v);
-}
-
 bool Tensor::same_shape(const Tensor& other) const noexcept {
   return shape_ == other.shape_;
-}
-
-Tensor operator+(Tensor lhs, const Tensor& rhs) {
-  lhs += rhs;
-  return lhs;
-}
-
-Tensor operator-(Tensor lhs, const Tensor& rhs) {
-  lhs -= rhs;
-  return lhs;
-}
-
-Tensor operator*(Tensor lhs, const Tensor& rhs) {
-  lhs *= rhs;
-  return lhs;
-}
-
-Tensor operator*(Tensor lhs, float scalar) {
-  lhs *= scalar;
-  return lhs;
-}
-
-Tensor operator*(float scalar, Tensor rhs) {
-  rhs *= scalar;
-  return rhs;
 }
 
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
@@ -385,15 +275,6 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
       for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul");
-  }
-  Tensor out({a.dim(0), b.dim(1)});  // single allocation, already zeroed
-  matmul_into(out, a, b);
-  return out;
 }
 
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
@@ -418,15 +299,6 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
   }
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(0) != b.dim(0)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul_tn");
-  }
-  Tensor out({a.dim(1), b.dim(1)});
-  matmul_tn_into(out, a, b);
-  return out;
-}
-
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(1)) {
     throw_shape_mismatch(a.shape(), b.shape(), "matmul_nt");
@@ -447,53 +319,12 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   }
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(1)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul_nt");
-  }
-  Tensor out({a.dim(0), b.dim(0)});
-  matmul_nt_into(out, a, b);
-  return out;
-}
-
-float dot(const Tensor& a, const Tensor& b) {
-  if (a.size() != b.size()) throw_shape_mismatch(a.shape(), b.shape(), "dot");
-  double acc = 0.0;
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<double>(pa[i]) * pb[i];
-  return static_cast<float>(acc);
-}
-
-float mse(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mse");
-  if (a.size() == 0) return 0.0f;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    acc += d * d;
-  }
-  return static_cast<float>(acc / static_cast<double>(a.size()));
-}
-
 bool allclose(const Tensor& a, const Tensor& b, float atol) {
   if (!a.same_shape(b)) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::fabs(a[i] - b[i]) > atol) return false;
   }
   return true;
-}
-
-std::ostream& operator<<(std::ostream& os, const Tensor& t) {
-  os << "Tensor" << to_string(t.shape()) << "{";
-  const std::size_t show = std::min<std::size_t>(t.size(), 8);
-  for (std::size_t i = 0; i < show; ++i) {
-    if (i) os << ", ";
-    os << t[i];
-  }
-  if (t.size() > show) os << ", ...";
-  return os << "}";
 }
 
 }  // namespace jwins::tensor

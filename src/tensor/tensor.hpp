@@ -9,15 +9,14 @@
 //    copy, assigning into a view writes through, and a view never
 //    reallocates (changing its element count throws).
 //  * Shapes are small vectors of std::size_t; rank is dynamic.
-//  * Ops needed by the reproduction are provided directly (elementwise
-//    arithmetic, matmul, reductions, random fills); no lazy evaluation.
+//  * Only the ops the layers run are provided: in-place elementwise
+//    arithmetic, the three matmul kernels into a workspace, a sum and random
+//    fills; no lazy evaluation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
-#include <iosfwd>
 #include <random>
 #include <span>
 #include <string>
@@ -65,11 +64,6 @@ class Tensor {
 
   /// Tensor of the given shape filled from a flat initializer list.
   static Tensor from(Shape shape, std::initializer_list<float> values);
-
-  /// Zeros/ones/constant factories.
-  static Tensor zeros(Shape shape);
-  static Tensor ones(Shape shape);
-  static Tensor full(Shape shape, float value);
 
   /// I.i.d. uniform [lo, hi) fill using the caller's RNG.
   static Tensor uniform(Shape shape, float lo, float hi, std::mt19937& rng);
@@ -122,18 +116,9 @@ class Tensor {
   /// hot path for matmul workspaces — keeps warm reuse truly allocation-free).
   void ensure_shape(std::size_t rows, std::size_t cols);
 
-  /// Returns a transposed copy of a rank-2 tensor.
-  Tensor transposed() const;
-
   // -- In-place arithmetic ---------------------------------------------------
   Tensor& operator+=(const Tensor& rhs);
-  Tensor& operator-=(const Tensor& rhs);
-  Tensor& operator*=(const Tensor& rhs);  // elementwise
-  Tensor& operator+=(float scalar);
   Tensor& operator*=(float scalar);
-
-  /// this += alpha * rhs (BLAS axpy); shapes must match.
-  void axpy(float alpha, const Tensor& rhs);
 
   /// Sets every element to zero without reallocating.
   void zero() noexcept;
@@ -141,21 +126,8 @@ class Tensor {
   /// Sets every element to `value`.
   void fill(float value) noexcept;
 
-  // -- Reductions ------------------------------------------------------------
+  /// Sum of all elements, accumulated in double.
   float sum() const noexcept;
-  float mean() const noexcept;
-  float min() const;
-  float max() const;
-  float abs_max() const noexcept;
-  /// Squared L2 norm (sum of squares).
-  float squared_norm() const noexcept;
-  /// L2 norm.
-  float norm() const noexcept;
-  /// Index of the maximum element (first on ties).
-  std::size_t argmax() const;
-
-  /// Applies `fn` to every element in place.
-  void apply(const std::function<float(float)>& fn);
 
   bool same_shape(const Tensor& other) const noexcept;
 
@@ -176,38 +148,20 @@ class Tensor {
   bool view_ = false;
 };
 
-// -- Free-function arithmetic (value results) ---------------------------------
-Tensor operator+(Tensor lhs, const Tensor& rhs);
-Tensor operator-(Tensor lhs, const Tensor& rhs);
-Tensor operator*(Tensor lhs, const Tensor& rhs);  // elementwise
-Tensor operator*(Tensor lhs, float scalar);
-Tensor operator*(float scalar, Tensor rhs);
+// -- Matrix products ----------------------------------------------------------
+// Each computes into `out`, reshaped via ensure_shape, so a warm workspace
+// makes the call allocation-free; `out` must not alias an operand.
 
-/// Row-major matrix product: a is [m,k], b is [k,n], result is [m,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// matmul with the first operand transposed: aᵀ·b where a is [k,m].
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// matmul with the second operand transposed: a·bᵀ where b is [n,k].
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// Scratch variants: compute into `out` (reshaped via ensure_shape, so a
-/// warm workspace makes the call allocation-free). Bit-identical to the
-/// value-returning forms; `out` must not alias an operand.
+/// Row-major matrix product: a is [m,k], b is [k,n], out is [m,n].
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
+
+/// Product with the first operand transposed: aᵀ·b where a is [k,m].
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
+
+/// Product with the second operand transposed: a·bᵀ where b is [n,k].
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b);
-
-/// Dot product of two same-sized tensors viewed as flat vectors.
-float dot(const Tensor& a, const Tensor& b);
-
-/// Mean squared error between two same-shaped tensors.
-float mse(const Tensor& a, const Tensor& b);
 
 /// True if all elements differ by at most `atol`.
 bool allclose(const Tensor& a, const Tensor& b, float atol = 1e-5f);
-
-std::ostream& operator<<(std::ostream& os, const Tensor& t);
 
 }  // namespace jwins::tensor

@@ -417,6 +417,8 @@ TEST(ConfigRanges, OneRuleTwoEntryPoints) {
        [](auto& c) { c.random_sampling_fraction = 0.0; }},
       {"jwins_wavelet", "sym9", "unknown value",
        [](auto& c) { c.jwins.ranker.wavelet = "sym9"; }},
+      {"jwins_wavelet", "db1", "unknown value",
+       [](auto& c) { c.jwins.ranker.wavelet = "db1"; }},
       {"choco_gamma", "0", "must be in (0, 1]",
        [](auto& c) { c.choco.gamma = 0.0; }},
       {"choco_fraction", "1.2", "must be in (0, 1]",

@@ -188,18 +188,6 @@ TEST(SyntheticText, ClientStyleZeroMakesClientsStatisticallySimilar) {
 
 // ------------------------------------------------------------- partitions
 
-TEST(IidPartition, EqualSizesCoverAll) {
-  const SyntheticImages ds(small_images());
-  const Partition p = iid_partition(ds, 8, 1);
-  EXPECT_EQ(p.size(), 8u);
-  std::set<std::size_t> all;
-  for (const auto& shard : p) {
-    EXPECT_EQ(shard.size(), ds.size() / 8);
-    all.insert(shard.begin(), shard.end());
-  }
-  EXPECT_EQ(all.size(), ds.size());
-}
-
 TEST(ShardPartition, LimitsClassesPerNode) {
   // 2 shards per node over label-sorted data -> each node sees <= 2*shards
   // label runs; with 2 shards that is at most 4 classes (paper §IV-B d).

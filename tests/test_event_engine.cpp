@@ -162,12 +162,6 @@ TEST(EventQueue, InterleavedPushesStaySorted) {
   EXPECT_EQ(q.pop().time, 3.0);
 }
 
-TEST(EventKindName, AllDistinct) {
-  EXPECT_STREQ(event_kind_name(EventKind::kTrainDone), "train-done");
-  EXPECT_STREQ(event_kind_name(EventKind::kMessageArrival), "message-arrival");
-  EXPECT_STREQ(event_kind_name(EventKind::kLocalStep), "local-step");
-}
-
 // ------------------------------------------------------- UplinkSerializer
 
 net::TimeModel flat_model(std::size_t n) {

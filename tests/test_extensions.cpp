@@ -274,7 +274,7 @@ TEST(NetworkDrop, DropsDeterministicFraction) {
   EXPECT_EQ(delivered_a, delivered_b);  // deterministic given seed
   const double drop_rate = 1.0 - static_cast<double>(delivered_a) / 800.0;
   EXPECT_NEAR(drop_rate, 0.3, 0.06);
-  EXPECT_EQ(a.messages_dropped(), 800 - delivered_a);
+  EXPECT_EQ(a.time_model().dropped_total(), 800 - delivered_a);
   // Dropped messages still count as sent (the bytes left the sender).
   EXPECT_EQ(a.traffic().total().messages_sent, 800u);
 }
@@ -317,7 +317,7 @@ TEST(ExperimentDrop, JwinsToleratesLossyLinks) {
                           graph::random_regular(n, 4, rng)));
   const auto result = exp.run();
   EXPECT_GT(result.final_accuracy, 0.4);  // well above 10-class chance
-  EXPECT_GT(exp.network().messages_dropped(), 0u);
+  EXPECT_GT(exp.network().time_model().dropped_total(), 0u);
 }
 
 // ----------------------------------------------------------- band stats

@@ -20,7 +20,7 @@ namespace {
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   ThreadPool pool(4);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
+  pool.parallel_for_lane(0, [&](unsigned, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -34,21 +34,25 @@ TEST(ThreadPool, ThreadCountClampedToAtLeastOne) {
 TEST(ThreadPool, FewerIterationsThanWorkersCoversAllOnce) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.parallel_for(3, [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_lane(
+      3, [&](unsigned, std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ManyIterationsCoverAllOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_lane(
+      hits.size(), [&](unsigned, std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SequentialOrderWhenOneThread) {
   ThreadPool pool(1);
   std::vector<int> order;
-  pool.parallel_for(10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  pool.parallel_for_lane(10, [&](unsigned, std::size_t i) {
+    order.push_back(static_cast<int>(i));
+  });
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
@@ -62,7 +66,7 @@ TEST(ThreadPool, ChunksAreContiguousAndInIndexOrderPerThread) {
   std::vector<std::thread::id> owner(n);
   std::vector<std::atomic<int>> seq(n);
   std::atomic<int> ticket{0};
-  pool.parallel_for(n, [&](std::size_t i) {
+  pool.parallel_for_lane(n, [&](unsigned, std::size_t i) {
     owner[i] = std::this_thread::get_id();
     seq[i] = ticket.fetch_add(1);
   });
@@ -74,14 +78,16 @@ TEST(ThreadPool, ChunksAreContiguousAndInIndexOrderPerThread) {
 }
 
 TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock) {
-  // Documented behavior: a parallel_for issued from inside a worker body
-  // executes inline sequentially on that thread (no re-entrant dispatch).
+  // Documented behavior: a parallel_for_lane issued from inside a worker
+  // body executes inline sequentially on that thread (no re-entrant
+  // dispatch).
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(16 * 8);
-  pool.parallel_for(16, [&](std::size_t outer) {
+  pool.parallel_for_lane(16, [&](unsigned outer_lane, std::size_t outer) {
     const auto self = std::this_thread::get_id();
-    pool.parallel_for(8, [&](std::size_t inner) {
+    pool.parallel_for_lane(8, [&](unsigned inner_lane, std::size_t inner) {
       EXPECT_EQ(std::this_thread::get_id(), self);
+      EXPECT_EQ(inner_lane, outer_lane);
       hits[outer * 8 + inner].fetch_add(1);
     });
   });
@@ -92,7 +98,7 @@ TEST(ThreadPool, ExceptionPropagatesExactlyOnce) {
   ThreadPool pool(4);
   int caught = 0;
   try {
-    pool.parallel_for(64, [&](std::size_t i) {
+    pool.parallel_for_lane(64, [&](unsigned, std::size_t i) {
       if (i == 17) throw std::runtime_error("boom");
     });
   } catch (const std::runtime_error& e) {
@@ -102,7 +108,7 @@ TEST(ThreadPool, ExceptionPropagatesExactlyOnce) {
   EXPECT_EQ(caught, 1);
   // The pool must stay usable after a failed job.
   std::atomic<int> ok{0};
-  pool.parallel_for(8, [&](std::size_t) { ok.fetch_add(1); });
+  pool.parallel_for_lane(8, [&](unsigned, std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 8);
 }
 
@@ -113,7 +119,7 @@ TEST(ThreadPool, FirstErrorSemanticsMatchSequential) {
     ThreadPool pool(threads);
     std::string what;
     try {
-      pool.parallel_for(100, [&](std::size_t i) {
+      pool.parallel_for_lane(100, [&](unsigned, std::size_t i) {
         if (i >= 10) throw std::runtime_error(std::to_string(i));
       });
     } catch (const std::runtime_error& e) {
@@ -168,7 +174,7 @@ TEST(ThreadPoolStress, DispatchChurnIsClean) {
   ThreadPool pool(4);
   std::atomic<long> total{0};
   for (int iter = 0; iter < 500; ++iter) {
-    pool.parallel_for(64, [&](std::size_t i) {
+    pool.parallel_for_lane(64, [&](unsigned, std::size_t i) {
       total.fetch_add(static_cast<long>(i));
     });
   }
@@ -183,7 +189,8 @@ TEST(ThreadPoolStress, ConstructionChurnIsClean) {
       ThreadPool pool(threads);
       if (iter % 3 == 0) continue;  // destroy without dispatching
       std::atomic<int> hits{0};
-      pool.parallel_for(17, [&](std::size_t) { hits.fetch_add(1); });
+      pool.parallel_for_lane(17,
+                             [&](unsigned, std::size_t) { hits.fetch_add(1); });
       EXPECT_EQ(hits.load(), 17);
     }
   }

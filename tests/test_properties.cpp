@@ -219,11 +219,13 @@ TEST(SerializerProperty, InterleavedSequencesRoundTrip) {
     }
     net::ByteReader r(w.buffer());
     std::size_t ii = 0, ai = 0;
+    std::vector<float> got;  // one reused buffer across every array read
     for (int kind : script) {
       if (kind == 0) {
         EXPECT_EQ(r.read_u64(), ints[ii++]);
       } else {
-        EXPECT_EQ(r.read_f32_array(), arrays[ai++]);
+        r.read_f32_array_into(got);
+        EXPECT_EQ(got, arrays[ai++]);
       }
     }
     EXPECT_TRUE(r.exhausted());

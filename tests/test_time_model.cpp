@@ -501,7 +501,7 @@ TEST(TimeModelNetwork, DropCausesAreCounted) {
   send(2);  // burst window
   send(3);  // delivered
   send(4);  // burst window
-  EXPECT_EQ(network.messages_dropped(), 2u);
+  EXPECT_EQ(network.time_model().dropped_total(), 2u);
   EXPECT_EQ(network.time_model().dropped_burst(), 2u);
   EXPECT_EQ(network.time_model().dropped_edge(), 0u);
   std::vector<net::Message> inbox;
