@@ -5,35 +5,6 @@
 
 namespace jwins::net {
 
-void TrafficMeter::record_send(std::uint32_t sender, const Message& msg) {
-  NodeTraffic& t = per_node_.at(sender);
-  t.messages_sent += 1;
-  t.bytes_sent += msg.wire_size();
-  t.payload_bytes_sent += msg.payload_bytes();
-  t.metadata_bytes_sent += msg.metadata_bytes;
-}
-
-NodeTraffic TrafficMeter::total() const {
-  NodeTraffic sum;
-  for (const NodeTraffic& t : per_node_) {
-    sum.messages_sent += t.messages_sent;
-    sum.bytes_sent += t.bytes_sent;
-    sum.payload_bytes_sent += t.payload_bytes_sent;
-    sum.metadata_bytes_sent += t.metadata_bytes_sent;
-  }
-  return sum;
-}
-
-double TrafficMeter::average_bytes_per_node() const {
-  if (per_node_.empty()) return 0.0;
-  return static_cast<double>(total().bytes_sent) /
-         static_cast<double>(per_node_.size());
-}
-
-void TrafficMeter::reset() {
-  std::fill(per_node_.begin(), per_node_.end(), NodeTraffic{});
-}
-
 void Network::send(std::uint32_t to, Message msg) {
   if (to >= mailboxes_.size()) {
     throw std::out_of_range("Network::send: destination out of range");
@@ -44,11 +15,14 @@ void Network::send(std::uint32_t to, Message msg) {
   // Failure-injection verdict: pure (hashes logical coordinates only), so
   // drop decisions are deterministic and independent of thread scheduling.
   const DropCause cause = time_.drop_cause(msg.sender, to, msg.round);
+  double offset = 0.0;
   {
-    std::lock_guard<std::mutex> lock(meter_lock_);
-    meter_.record_send(msg.sender, msg);
-    // Edge records feed finish_round(), which a delivery sink never calls.
-    if (sink_ == nullptr) time_.record_send(msg.sender, to, msg.wire_size());
+    std::lock_guard<std::mutex> lock(traffic_lock_);
+    traffic_.messages_sent += 1;
+    traffic_.bytes_sent += msg.wire_size();
+    traffic_.payload_bytes_sent += msg.payload_bytes();
+    traffic_.metadata_bytes_sent += msg.metadata_bytes;
+    offset = time_.record_send(msg.sender, to, msg.round, msg.wire_size());
     time_.count_drop(cause);
   }
   if (cause != DropCause::kNone) {
@@ -57,7 +31,7 @@ void Network::send(std::uint32_t to, Message msg) {
   if (sink_ != nullptr) {
     // Event-engine interception: the message survived failure injection and
     // was fully accounted; the sink decides *when* it lands (deliver()).
-    sink_->on_deliver(to, std::move(msg));
+    sink_->on_deliver(to, std::move(msg), offset);
     return;
   }
   std::lock_guard<std::mutex> lock(mailbox_lock(to));

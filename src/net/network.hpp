@@ -1,15 +1,15 @@
 // In-process simulated message-passing network with byte accounting.
 //
 // Substitution for the paper's ZeroMQ-over-TCP deployment: nodes exchange
-// fully serialized byte buffers through per-node mailboxes; a TrafficMeter
-// records payload vs. metadata bytes per node (the split behind Figures 4/9),
-// and a net::TimeModel (net/time_model.hpp) converts per-round byte volumes
-// into simulated wall-clock time — the basis of the paper's time-to-accuracy
-// comparisons. The TimeModel also owns failure injection (per-edge message
-// drop, node crash/rejoin, burst outages) and per-edge
-// bandwidth/latency heterogeneity; its default configuration is the flat
-// LinkModel every result before the time-model subsystem was computed under
-// (see docs/SIMULATION.md).
+// fully serialized byte buffers through per-node mailboxes; one traffic
+// total records payload vs. metadata bytes (the split behind Figures 4/9),
+// and a net::TimeModel (net/time_model.hpp) prices every message on its
+// sender's uplink and turns each round into simulated wall-clock time — the
+// basis of the paper's time-to-accuracy comparisons. The TimeModel also owns
+// failure injection (per-edge message drop, node crash/rejoin, burst
+// outages) and per-edge bandwidth/latency heterogeneity; its default
+// configuration is the flat LinkModel every result before the time-model
+// subsystem was computed under (see docs/SIMULATION.md).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@ struct Message {
   }
 };
 
-/// Per-node cumulative traffic counters.
+/// Cumulative traffic counters, summed over every sender.
 struct NodeTraffic {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;           ///< wire bytes including envelope
@@ -50,35 +50,13 @@ struct NodeTraffic {
   std::uint64_t metadata_bytes_sent = 0;  ///< index/seed metadata bytes
 };
 
-/// Aggregates traffic across nodes and rounds. The engine updates node i's
-/// counters only from the thread driving node i, so no locking is needed on
-/// the hot path; totals are computed on demand.
-class TrafficMeter {
- public:
-  explicit TrafficMeter(std::size_t n) : per_node_(n) {}
-
-  void record_send(std::uint32_t sender, const Message& msg);
-
-  const NodeTraffic& node(std::size_t i) const { return per_node_.at(i); }
-
-  NodeTraffic total() const;
-
-  /// Average wire bytes sent per node (the y-axis of the paper's
-  /// "average cumulative data sent per node" plots).
-  double average_bytes_per_node() const;
-
-  void reset();
-
- private:
-  std::vector<NodeTraffic> per_node_;
-};
-
 /// Interception point for the discrete-event engine (sim/event_engine.hpp):
 /// when a sink is installed, send() hands every *non-dropped* message to the
-/// sink instead of the destination mailbox, so delivery can be deferred to
-/// the message's simulated arrival time. Drop verdicts and traffic
-/// accounting still happen inside send() — the sink only sees messages that
-/// survive failure injection.
+/// sink instead of the destination mailbox, with its delivery offset from
+/// TimeModel::record_send(), so delivery can be deferred to the message's
+/// simulated arrival time. Drop verdicts, uplink pricing and traffic
+/// accounting still happen inside send() for every message — the sink only
+/// sees messages that survive failure injection.
 ///
 /// Contract: sink callbacks run inside send() on the sending thread; an
 /// installed sink requires single-threaded senders (the event loop is
@@ -86,7 +64,8 @@ class TrafficMeter {
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
-  virtual void on_deliver(std::uint32_t to, Message msg) = 0;
+  /// `offset`: seconds from the send instant to the message's arrival.
+  virtual void on_deliver(std::uint32_t to, Message msg, double offset) = 0;
 };
 
 /// Synchronous mailbox fabric: all sends in round t are visible to receivers
@@ -100,7 +79,7 @@ class Network {
   /// Fabric over a full time model (heterogeneous links, stragglers,
   /// crash/burst fault injection — see net/time_model.hpp).
   Network(std::size_t n, TimeModel time)
-      : mailboxes_(n), meter_(n), time_(std::move(time)) {
+      : mailboxes_(n), time_(std::move(time)) {
     if (time_.size() != n) {
       throw std::invalid_argument("Network: time model sized for a different "
                                   "node count");
@@ -113,15 +92,13 @@ class Network {
   /// schedules, drop statistics).
   const TimeModel& time_model() const noexcept { return time_; }
 
-  /// Queues `msg` for `to` and records traffic against msg.sender.
-  /// Thread-safe across concurrent senders (unless a DeliverySink is
-  /// installed, which restricts sends to one thread — see DeliverySink).
+  /// Queues `msg` for `to`, prices it on msg.sender's uplink and adds it to
+  /// the traffic total. Thread-safe across concurrent senders (unless a
+  /// DeliverySink is installed, which restricts sends to one thread — see
+  /// DeliverySink).
   void send(std::uint32_t to, Message msg);
 
   /// Installs (or clears, with nullptr) the delivery interception hook.
-  /// While one is installed, send() keeps no TimeModel edge records: the
-  /// sink prices each transfer itself and never calls finish_round(), so
-  /// the records would only accumulate.
   void set_delivery_sink(DeliverySink* sink) noexcept { sink_ = sink; }
 
   /// Lands a message in `to`'s mailbox directly: no drop verdict, no
@@ -155,7 +132,8 @@ class Network {
   /// "Phase attribution").
   void advance_time(double delta, bool compute);
 
-  const TrafficMeter& traffic() const noexcept { return meter_; }
+  /// Traffic of every send so far, dropped messages included.
+  const NodeTraffic& traffic() const noexcept { return traffic_; }
   double simulated_seconds() const noexcept { return sim_seconds_; }
   /// Per-phase split of simulated_seconds() (compute + comm == total).
   double simulated_compute_seconds() const noexcept {
@@ -184,12 +162,12 @@ class Network {
 
   std::vector<std::vector<Message>> mailboxes_;
   std::vector<std::mutex> mailbox_locks_{kMailboxStripes};
-  TrafficMeter meter_;
+  std::mutex traffic_lock_;  ///< guards traffic_ and time_'s uplink records
+  NodeTraffic traffic_;
   TimeModel time_;
   double sim_seconds_ = 0.0;
   double sim_compute_seconds_ = 0.0;
   double sim_comm_seconds_ = 0.0;
-  std::mutex meter_lock_;
   BufferPool pool_;
   DeliverySink* sink_ = nullptr;
 };

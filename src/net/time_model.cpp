@@ -108,7 +108,7 @@ TimeModel::TimeModel(std::size_t n, LinkModel base, TimeModelConfig config,
       config_(std::move(config)),
       seed_(seed),
       hetero_time_(config_.heterogeneous_time()),
-      round_edges_(n) {
+      uplinks_(n) {
   if (config_.crash_nodes >= n && config_.crash_nodes > 0) {
     throw std::invalid_argument(
         "crash_nodes: must leave at least one node alive (crash_nodes < "
@@ -250,16 +250,17 @@ DropCause TimeModel::drop_cause(std::uint32_t sender, std::uint32_t receiver,
   return DropCause::kNone;
 }
 
-void TimeModel::record_send(std::uint32_t sender, std::uint32_t receiver,
-                            std::uint64_t wire_bytes) {
-  auto& edges = round_edges_.at(sender);
-  for (auto& [to, bytes] : edges) {
-    if (to == receiver) {
-      bytes += wire_bytes;
-      return;
-    }
-  }
-  edges.emplace_back(receiver, wire_bytes);
+double TimeModel::record_send(std::uint32_t sender, std::uint32_t receiver,
+                              std::uint32_t round, std::uint64_t wire_bytes) {
+  Uplink& up = uplinks_.at(sender);
+  if (up.round != round) up = Uplink{round};
+  up.bytes += wire_bytes;
+  up.queue +=
+      static_cast<double>(wire_bytes) / edge_bandwidth(sender, receiver);
+  const double offset = up.queue + edge_latency(sender, receiver);
+  up.done = std::max(up.done, offset);
+  any_send_ = true;
+  return offset;
 }
 
 void TimeModel::count_drop(DropCause cause) {
@@ -284,11 +285,7 @@ TimeModel::RoundTime TimeModel::finish_round(double compute_seconds) {
     // single comm_time() expression the flat LinkModel engine evaluated.
     rt.compute = compute_seconds;
     std::uint64_t max_bytes = 0;
-    for (const auto& edges : round_edges_) {
-      std::uint64_t total = 0;
-      for (const auto& [to, bytes] : edges) total += bytes;
-      max_bytes = std::max(max_bytes, total);
-    }
+    for (const Uplink& up : uplinks_) max_bytes = std::max(max_bytes, up.bytes);
     rt.comm = base_.comm_time(max_bytes);
   } else {
     // Compute phase: the slowest *alive* node gates the bulk-synchronous
@@ -299,25 +296,15 @@ TimeModel::RoundTime TimeModel::finish_round(double compute_seconds) {
       compute = std::max(compute, compute_seconds * compute_multiplier(i));
     }
     rt.compute = compute;
-    // Critical path over edges: each sender's messages serialize through its
-    // uplink in send order (one NIC per node), each transferring at its
-    // edge's bandwidth; an edge completes when its queued transfer finishes
-    // plus its own latency. The phase ends when the last edge completes.
-    double comm = 0.0;
-    bool any_edge = false;
-    for (std::uint32_t s = 0; s < n_; ++s) {
-      double queue = 0.0;
-      for (const auto& [to, bytes] : round_edges_[s]) {
-        queue += static_cast<double>(bytes) / edge_bandwidth(s, to);
-        comm = std::max(comm, queue + edge_latency(s, to));
-        any_edge = true;
-      }
-    }
-    // An idle round still pays the synchronization barrier, mirroring the
+    // Critical path: the phase ends when the last message is delivered. An
+    // idle round still pays the synchronization barrier, mirroring the
     // legacy formula's latency floor.
-    rt.comm = any_edge ? comm : base_.latency_sec;
+    double comm = 0.0;
+    for (const Uplink& up : uplinks_) comm = std::max(comm, up.done);
+    rt.comm = any_send_ ? comm : base_.latency_sec;
   }
-  for (auto& edges : round_edges_) edges.clear();
+  for (Uplink& up : uplinks_) up = Uplink{up.round};
+  any_send_ = false;
   return rt;
 }
 

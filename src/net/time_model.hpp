@@ -6,11 +6,14 @@
 // additionally supports per-edge bandwidth/latency drawn from seeded
 // distributions, per-node compute-speed multipliers (stragglers), and fault
 // injection — per-edge drop probabilities, node crash/rejoin schedules, and
-// correlated burst outages. Every random
-// attribute is a pure function of (experiment seed, entity coordinates) via
-// core::derive_seed, so results are bit-identical at any thread count and
-// the attributes survive topology churn (an edge's bandwidth depends only
-// on its endpoints, not on when the edge first appears).
+// correlated burst outages. Every message is priced on its sender's uplink
+// when it is sent (record_send), and both engines read that one record:
+// the synchronous round clock and the event engine's arrival times. Every
+// random attribute is a pure function of (experiment seed, entity
+// coordinates) via core::derive_seed, so results are bit-identical at any
+// thread count and the attributes survive topology churn (an edge's
+// bandwidth depends only on its endpoints, not on when the edge first
+// appears).
 //
 // With heterogeneity off the round clock reduces EXACTLY (same doubles, same
 // operation order) to the legacy flat formula
@@ -126,22 +129,25 @@ struct TimeModelConfig {
 /// burst/edge dice would also have dropped it.
 enum class DropCause { kNone, kCrash, kBurst, kEdge };
 
-/// The simulated clock and fault oracle for one Network. Owns the per-round
-/// byte accounting and converts it into simulated time:
+/// The simulated clock and fault oracle for one Network. Prices every
+/// message on its sender's uplink at send time and turns each round's
+/// records into simulated time:
 ///
+///  * uplink: a sender's messages of one round serialize through its NIC in
+///    send order, each transferring at its edge's bandwidth, then paying the
+///    edge's latency; record_send() returns that delivery offset, which the
+///    event engine uses as the message's arrival time after the share;
 ///  * legacy path (heterogeneous_time() == false): the flat LinkModel
-///    formula over the per-node send totals, bit-identical to the pre-
+///    formula over the per-sender byte totals, bit-identical to the pre-
 ///    TimeModel engine;
-///  * critical path (heterogeneous): each sender's messages serialize
-///    through its uplink in send order at the edge's bandwidth, every edge
-///    then pays its own latency; the communication phase is the max over
-///    edges of (queued transfer completion + latency(e)), and the compute
-///    phase is the max over alive nodes of compute_seconds * multiplier.
+///  * critical path (heterogeneous): the communication phase is the latest
+///    delivery offset of the round, and the compute phase is the max over
+///    alive nodes of compute_seconds * multiplier.
 ///
 /// Thread-safety contract (matching Network's locking): the attribute
 /// getters and drop_cause() are pure and callable concurrently;
 /// record_send()/count_drop() must be serialized by the caller (Network
-/// calls them under its meter lock); finish_round() runs between rounds,
+/// calls them under its traffic lock); finish_round() runs between rounds,
 /// single-threaded.
 class TimeModel {
  public:
@@ -175,16 +181,19 @@ class TimeModel {
   DropCause drop_cause(std::uint32_t sender, std::uint32_t receiver,
                        std::uint32_t round) const;
 
-  /// Accounts `wire_bytes` against the (sender -> receiver) edge for the
-  /// current round. Dropped messages are recorded too — the sender paid.
-  void record_send(std::uint32_t sender, std::uint32_t receiver,
-                   std::uint64_t wire_bytes);
+  /// Queues `wire_bytes` on `sender`'s uplink behind what it already sent
+  /// in `round` (a new round tag starts an empty uplink) and returns the
+  /// message's delivery offset from the send instant: queued transfer time
+  /// plus the edge's latency. Dropped messages are recorded too — the
+  /// sender paid.
+  double record_send(std::uint32_t sender, std::uint32_t receiver,
+                     std::uint32_t round, std::uint64_t wire_bytes);
   void count_drop(DropCause cause);
 
   /// One round of simulated time, split into phases (the Network adds
-  /// compute + comm to its clock; the report keeps the split). Resets the
-  /// per-round byte accounting and advances the internal round cursor used
-  /// for crash bookkeeping.
+  /// compute + comm to its clock; the report keeps the split). Clears the
+  /// uplink records and advances the internal round cursor used for crash
+  /// bookkeeping.
   struct RoundTime {
     double compute = 0.0;
     double comm = 0.0;
@@ -225,10 +234,16 @@ class TimeModel {
 
   std::vector<bool> crash_set_;  ///< seeded choice of crash_nodes victims
 
-  /// Per-sender (receiver, bytes) accumulators for the current round, in
-  /// send order (= the sender's deterministic neighbor iteration order).
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
-      round_edges_;
+  /// One sender's uplink in its latest round: bytes sent, seconds of
+  /// transfer queued, and the latest delivery offset.
+  struct Uplink {
+    std::uint32_t round = 0;
+    std::uint64_t bytes = 0;
+    double queue = 0.0;
+    double done = 0.0;
+  };
+  std::vector<Uplink> uplinks_;
+  bool any_send_ = false;  ///< some message was recorded this round
   std::size_t round_cursor_ = 0;
 
   std::uint64_t dropped_edge_ = 0;

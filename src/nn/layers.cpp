@@ -83,40 +83,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return gin;
 }
 
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  Tensor gin = grad_output;
-  for (std::size_t i = 0; i < gin.size(); ++i) {
-    const float y = cached_output_[i];
-    gin[i] *= 1.0f - y * y;
-  }
-  return gin;
-}
-
-Tensor Sigmoid::forward(const Tensor& input) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  }
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  Tensor gin = grad_output;
-  for (std::size_t i = 0; i < gin.size(); ++i) {
-    const float y = cached_output_[i];
-    gin[i] *= y * (1.0f - y);
-  }
-  return gin;
-}
-
 Tensor Flatten::forward(const Tensor& input) {
   if (input.rank() < 2) {
     throw std::invalid_argument("Flatten: input must have a batch axis");

@@ -1,4 +1,4 @@
-// Dense and elementwise layers: Linear, ReLU, Tanh, Sigmoid, Flatten.
+// Dense and elementwise layers: Linear, ReLU, Flatten.
 #pragma once
 
 #include <cstdint>
@@ -40,24 +40,6 @@ class ReLU final : public Module {
  private:
   tensor::Shape cached_shape_;
   std::vector<std::uint8_t> passes_;  // 1 where the input is not <= 0
-};
-
-class Tanh final : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  Tensor cached_output_;
-};
-
-class Sigmoid final : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  Tensor cached_output_;
 };
 
 /// Collapses every axis after the batch axis: [B, ...] -> [B, prod(...)].

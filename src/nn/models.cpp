@@ -22,6 +22,7 @@ MlpClassifier::MlpClassifier(std::size_t in_features,
                              std::vector<std::size_t> hidden,
                              std::size_t classes, std::uint32_t seed) {
   std::mt19937 rng(seed);
+  net_.emplace<Flatten>();
   std::size_t prev = in_features;
   for (std::size_t h : hidden) {
     net_.emplace<Linear>(prev, h, rng);

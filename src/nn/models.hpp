@@ -30,7 +30,9 @@ class SequentialClassifier : public SupervisedModel {
   Sequential net_;
 };
 
-/// Multi-layer perceptron classifier: [B, in] -> logits [B, classes].
+/// Multi-layer perceptron classifier: [B, ...] -> logits [B, classes]. A
+/// Flatten in front lets image batches ([B, C, H, W] with C*H*W = in) feed
+/// the Linear stack directly.
 class MlpClassifier final : public SequentialClassifier {
  public:
   MlpClassifier(std::size_t in_features, std::vector<std::size_t> hidden,

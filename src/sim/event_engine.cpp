@@ -65,36 +65,20 @@ Event EventQueue::pop() {
   return event;
 }
 
-// --- UplinkSerializer -------------------------------------------------------
-
-double UplinkSerializer::enqueue(const net::TimeModel& time,
-                                 std::uint32_t sender, std::uint32_t receiver,
-                                 std::uint64_t wire_bytes) {
-  // Identical per-message math to TimeModel::finish_round's critical path:
-  // the transfer queues behind everything the sender already put on its
-  // uplink this round, then the edge pays its own latency.
-  double& queued = queued_.at(sender);
-  queued +=
-      static_cast<double>(wire_bytes) / time.edge_bandwidth(sender, receiver);
-  return queued + time.edge_latency(sender, receiver);
-}
-
 // --- EventEngine ------------------------------------------------------------
 
-EventEngine::EventEngine(Experiment& experiment)
-    : exp_(experiment), uplink_(experiment.nodes_.size()) {
+EventEngine::EventEngine(Experiment& experiment) : exp_(experiment) {
   exp_.network_.set_delivery_sink(this);
 }
 
 EventEngine::~EventEngine() { exp_.network_.set_delivery_sink(nullptr); }
 
-void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
+void EventEngine::on_deliver(std::uint32_t to, net::Message msg,
+                             double offset) {
   // Called from inside Network::send while some node's share() runs: the
   // message survived failure injection, so schedule its arrival at the
-  // share instant + uplink serialization + edge latency.
-  const double arrival =
-      share_time_ + uplink_.enqueue(exp_.network_.time_model(), msg.sender, to,
-                                    msg.wire_size());
+  // share instant + its delivery offset on the sender's uplink.
+  const double arrival = share_time_ + offset;
   const std::uint32_t tag = msg.round;
   if (mode_ == AsyncMode::kBarrier) {
     std::int64_t& sent = sent_[to * exp_.nodes_.size() + msg.sender];
@@ -212,7 +196,6 @@ void EventEngine::process_train_done(const Event& event) {
   });
   trained_[i] = true;
   const RoundTopo& tp = topo(round_[i]);
-  uplink_.reset(i);
   share_time_ = event.time;
   Experiment::timed_phase(exp_.wall_.share_seconds, [&] {
     exp_.nodes_[i]->share(exp_.network_, tp.graph, tp.weights, round_[i],

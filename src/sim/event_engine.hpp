@@ -8,8 +8,9 @@
 //
 //   TrainDone(i)        node i finished its tau local SGD steps; it shares
 //                       this round's messages, whose arrival times are the
-//                       share instant + uplink serialization + edge latency
-//                       (the same per-edge TimeModel math finish_round uses);
+//                       share instant + the delivery offset
+//                       net::TimeModel::record_send prices on i's uplink
+//                       (the same records the sync clock reads);
 //   MessageArrival(j)   a message lands in node j's inbox at its simulated
 //                       arrival time;
 //   LocalStep(i)        node i aggregates its eligible inbox under the
@@ -88,31 +89,6 @@ class EventQueue {
   double last_pop_time_;
 };
 
-/// Per-sender uplink serialization: a node's messages of one round leave
-/// through its NIC in send order, each transferring at the destination
-/// edge's bandwidth; a message's delivery offset (relative to the share
-/// instant) is its queued-transfer completion plus the edge's own latency.
-/// This is precisely the per-edge critical-path math of
-/// net::TimeModel::finish_round, applied per message instead of per round.
-class UplinkSerializer {
- public:
-  explicit UplinkSerializer(std::size_t n) : queued_(n, 0.0) {}
-
-  /// Accounts one message and returns its delivery offset in seconds.
-  double enqueue(const net::TimeModel& time, std::uint32_t sender,
-                 std::uint32_t receiver, std::uint64_t wire_bytes);
-
-  /// Seconds of transfer already queued on `sender`'s uplink this round.
-  double queued(std::uint32_t sender) const { return queued_.at(sender); }
-
-  /// Starts a fresh round for `sender` (its uplink has drained by the time
-  /// it next trains).
-  void reset(std::uint32_t sender) { queued_.at(sender) = 0.0; }
-
- private:
-  std::vector<double> queued_;
-};
-
 /// The driver: owns the queue and the per-node asynchrony state, borrows
 /// everything else (nodes, network, evaluation) from the Experiment that
 /// constructed it. Single-threaded by design — determinism comes from the
@@ -131,7 +107,7 @@ class EventEngine : private net::DeliverySink {
  private:
   // net::DeliverySink: called inside Network::send for every message that
   // survives failure injection, while some node's share() is running.
-  void on_deliver(std::uint32_t to, net::Message msg) override;
+  void on_deliver(std::uint32_t to, net::Message msg, double offset) override;
 
   /// The event loop: the staleness-gated barrier mode and the gate-free
   /// free/weighted modes all run here.
@@ -169,11 +145,10 @@ class EventEngine : private net::DeliverySink {
 
   Experiment& exp_;
   EventQueue queue_;
-  UplinkSerializer uplink_;
   EventEngineStats stats_;
 
   /// Share-context: while a node's share() runs, its messages' arrival
-  /// times are share_time_ + uplink + latency.
+  /// times are share_time_ + their delivery offset.
   double share_time_ = 0.0;
   /// Aggregation discipline (config mirror): kBarrier gates on the
   /// staleness bound; kFree/kWeighted never gate and apply every arrival.

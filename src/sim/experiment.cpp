@@ -454,9 +454,11 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
   });
   point.test_accuracy = sums.accuracy / static_cast<double>(count);
   point.test_loss = sums.loss / static_cast<double>(count);
-  point.avg_bytes_per_node = network_.traffic().average_bytes_per_node();
+  const net::NodeTraffic& traffic = network_.traffic();
+  point.avg_bytes_per_node =
+      static_cast<double>(traffic.bytes_sent) / static_cast<double>(n_);
   point.avg_metadata_bytes_per_node =
-      static_cast<double>(network_.traffic().total().metadata_bytes_sent) /
+      static_cast<double>(traffic.metadata_bytes_sent) /
       static_cast<double>(n_);
   return point;
 }
@@ -606,7 +608,7 @@ void Experiment::collect_summary(ExperimentResult& result) {
   result.final_accuracy = last.test_accuracy;
   result.final_loss = last.test_loss;
   result.sim_seconds = network_.simulated_seconds();
-  result.total_traffic = network_.traffic().total();
+  result.total_traffic = network_.traffic();
   result.mean_alpha =
       alpha_samples_ == 0 ? 0.0 : alpha_sum_ / static_cast<double>(alpha_samples_);
   const net::TimeModel& tm = network_.time_model();

@@ -6,60 +6,30 @@
 
 namespace jwins::sim {
 
-namespace {
-
-/// Chunk granularity: ~1 MiB of floats per chunk keeps allocation count low
-/// at 1M nodes without over-reserving tiny runs.
-constexpr std::size_t kTargetChunkFloats = 256 * 1024;
-
-}  // namespace
-
 NodeStateStore::NodeStateStore(std::size_t nodes, std::span<const float> base)
-    : params_(base.size()),
-      slots_per_chunk_(std::max<std::size_t>(1, kTargetChunkFloats /
-                                                    std::max<std::size_t>(
-                                                        1, base.size()))),
-      base_(base.begin(), base.end()),
-      slot_of_(nodes, kShared) {
+    : params_(base.size()), base_(base.begin(), base.end()) {
   if (nodes == 0) throw std::invalid_argument("NodeStateStore: no nodes");
   if (params_ == 0) throw std::invalid_argument("NodeStateStore: no params");
-  // Reserve the chunk table to its maximum so push_back never reallocates
-  // while other lanes dereference earlier chunks.
-  chunks_.reserve(nodes / slots_per_chunk_ + 1);
+  // No zero-fill pass: the kernel backs a slot's pages only when slot()
+  // first writes them.
+  slots_ = std::make_unique_for_overwrite<float[]>(nodes * params_);
+  ready_.assign(nodes, 0);
+}
+
+std::size_t NodeStateStore::materialized_count() const noexcept {
+  return static_cast<std::size_t>(std::count(ready_.begin(), ready_.end(), 1));
 }
 
 std::span<float> NodeStateStore::slot(std::size_t node) {
-  std::uint32_t s = slot_of_[node];
-  if (s == kShared) {
-    {
-      std::lock_guard<std::mutex> lock(slab_lock_);
-      s = next_slot_++;
-      if (s / slots_per_chunk_ == chunks_.size()) {
-        chunks_.push_back(
-            std::make_unique<float[]>(slots_per_chunk_ * params_));
-      }
-    }
-    // Base copy + table publish happen outside the lock: this node's slot
-    // and table entry are exclusively ours inside the phase.
-    std::memcpy(slot_data(s), base_.data(), params_ * sizeof(float));
-    slot_of_[node] = s;
+  if (!ready_[node]) {
+    std::memcpy(slot_data(node), base_.data(), params_ * sizeof(float));
+    ready_[node] = 1;
   }
-  return {slot_data(s), params_};
-}
-
-void NodeStateStore::store(std::size_t node, std::span<const float> params) {
-  if (params.size() != params_) {
-    throw std::invalid_argument("NodeStateStore: size mismatch");
-  }
-  std::span<float> dst = slot(node);
-  std::memcpy(dst.data(), params.data(), params_ * sizeof(float));
+  return {slot_data(node), params_};
 }
 
 std::size_t NodeStateStore::memory_bytes() const noexcept {
-  return base_.capacity() * sizeof(float) +
-         slot_of_.capacity() * sizeof(std::uint32_t) +
-         chunks_.size() * slots_per_chunk_ * params_ * sizeof(float) +
-         chunks_.capacity() * sizeof(chunks_[0]);
+  return (base_.size() + size() * params_) * sizeof(float) + size();
 }
 
 }  // namespace jwins::sim

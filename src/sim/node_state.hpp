@@ -5,23 +5,21 @@
 // vector that may be a few dozen floats. At 100k–1M nodes that overhead (not
 // the parameters) is what exhausts memory. NodeStateStore inverts the
 // layout: ONE shared read-only base vector (the common initial model — every
-// node starts from the same x^(0,0), paper Algorithm 1) plus a per-node slot
-// that materializes lazily in an arena-style chunked slab the first time a
-// node's parameters diverge from the base. Steady-state per-node cost is
-// params * sizeof(float) + one 4-byte slot index — nothing else.
+// node starts from the same x^(0,0), paper Algorithm 1) plus one rank-indexed
+// array of nodes × params floats, where node i's slot is filled from the
+// base the first time its parameters diverge. The array is allocated without
+// zero-filling, so the pages of a slot that never materializes are never
+// touched. Per-node cost is params * sizeof(float) + a one-byte ready flag —
+// nothing else.
 //
 // Concurrency contract (matches the engine's static-chunked phases): a node
 // index is touched by exactly one execution lane inside a phase, and phases
-// are separated by thread-pool joins. Slot *assignment* (bumping the slab
-// cursor, allocating a chunk) is serialized by a mutex; slot *data* is
-// written lock-free because distinct nodes own distinct slots. chunks_ is
-// reserved to its maximum size up front so readers never race a vector
-// reallocation.
+// are separated by thread-pool joins. Distinct nodes own distinct slots and
+// distinct flag bytes, so no lock is needed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -29,51 +27,42 @@ namespace jwins::sim {
 
 class NodeStateStore {
  public:
-  /// `base` is copied once; every node reads it until its first store().
+  /// `base` is copied once; every node reads it until its first slot().
   NodeStateStore(std::size_t nodes, std::span<const float> base);
 
-  std::size_t size() const noexcept { return slot_of_.size(); }
+  std::size_t size() const noexcept { return ready_.size(); }
   std::size_t params() const noexcept { return params_; }
 
   /// True once `node` owns a private slot (its state diverged from base).
   bool materialized(std::size_t node) const noexcept {
-    return slot_of_[node] != kShared;
+    return ready_[node] != 0;
   }
-  std::size_t materialized_count() const noexcept { return next_slot_; }
+  /// Number of materialized slots (a scan over the ready flags).
+  std::size_t materialized_count() const noexcept;
 
   /// Current parameters of `node`: its slot, or the shared base.
   std::span<const float> view(std::size_t node) const noexcept {
-    const std::uint32_t slot = slot_of_[node];
-    return slot == kShared ? std::span<const float>(base_)
-                           : std::span<const float>(slot_data(slot), params_);
+    return materialized(node) ? std::span<const float>(slot_data(node), params_)
+                              : std::span<const float>(base_);
   }
 
   /// Writable slot for `node`, materialized (base-initialized) on first use.
   /// Thread-safe for distinct nodes.
   std::span<float> slot(std::size_t node);
 
-  /// Overwrites `node`'s state (materializing its slot if needed).
-  void store(std::size_t node, std::span<const float> params);
-
-  /// Bytes held by the store: base + slab chunks + the slot table. The
+  /// Bytes held by the store: base + the slot array + the ready flags. The
   /// memory-regression guard divides this by size() to pin per-node cost.
   std::size_t memory_bytes() const noexcept;
 
  private:
-  static constexpr std::uint32_t kShared = 0xFFFFFFFFu;
-
-  float* slot_data(std::uint32_t slot) const noexcept {
-    return chunks_[slot / slots_per_chunk_].get() +
-           static_cast<std::size_t>(slot % slots_per_chunk_) * params_;
+  float* slot_data(std::size_t node) const noexcept {
+    return slots_.get() + node * params_;
   }
 
   std::size_t params_;
-  std::size_t slots_per_chunk_;
   std::vector<float> base_;
-  std::vector<std::uint32_t> slot_of_;  ///< kShared until materialized
-  std::vector<std::unique_ptr<float[]>> chunks_;
-  std::uint32_t next_slot_ = 0;
-  std::mutex slab_lock_;  ///< guards next_slot_ / chunk allocation only
+  std::unique_ptr<float[]> slots_;    ///< nodes × params, filled on demand
+  std::vector<std::uint8_t> ready_;   ///< 1 once the node's slot is filled
 };
 
 }  // namespace jwins::sim

@@ -12,24 +12,11 @@ std::size_t scaled(std::size_t base, double scale) {
                                       static_cast<double>(base) * scale));
 }
 
-/// The scale workload's model: MlpClassifier's construction with a Flatten
-/// in front, so the rank-4 SyntheticImages batches feed the Linear stack
-/// directly. Kept local (not a nn/ model) — it exists only to give the
-/// 100k–1M-node runs a ~50-parameter SupervisedModel.
-class ScaleMlp final : public nn::SequentialClassifier {
- public:
-  explicit ScaleMlp(std::uint32_t seed) {
-    std::mt19937 rng(seed);
-    net_.emplace<nn::Flatten>();
-    net_.emplace<nn::Linear>(kFeatures, kHidden, rng);
-    net_.emplace<nn::ReLU>();
-    net_.emplace<nn::Linear>(kHidden, kClasses, rng);
-  }
-
-  static constexpr std::size_t kFeatures = 4;  ///< 1 channel x 2x2 images
-  static constexpr std::size_t kHidden = 8;
-  static constexpr std::size_t kClasses = 2;
-};
+/// The scale workload's model: a ~50-parameter MLP over 1-channel 2x2
+/// images, small enough for the 100k–1M-node runs.
+constexpr std::size_t kScaleFeatures = 4;
+constexpr std::size_t kScaleHidden = 8;
+constexpr std::size_t kScaleClasses = 2;
 
 }  // namespace
 
@@ -220,7 +207,7 @@ Workload make_femnist_like(std::size_t nodes, std::uint32_t seed, double scale) 
 
 Workload make_scale_like(std::size_t nodes, std::uint32_t seed, double scale) {
   data::SyntheticImages::Config train_cfg;
-  train_cfg.classes = ScaleMlp::kClasses;
+  train_cfg.classes = kScaleClasses;
   train_cfg.channels = 1;
   train_cfg.image_size = 2;
   // Fixed pool, NOT nodes-proportional: the whole point is that dataset
@@ -243,7 +230,11 @@ Workload make_scale_like(std::size_t nodes, std::uint32_t seed, double scale) {
   w.partition = data::cyclic_partition(train->size(), nodes, /*per_node=*/2);
   w.suggested_lr = 0.05f;
   w.suggested_local_steps = 1;
-  w.model_factory = [seed] { return std::make_unique<ScaleMlp>(seed); };
+  w.model_factory = [seed] {
+    return std::make_unique<nn::MlpClassifier>(
+        kScaleFeatures, std::vector<std::size_t>{kScaleHidden}, kScaleClasses,
+        seed);
+  };
   return w;
 }
 

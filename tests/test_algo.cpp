@@ -189,7 +189,7 @@ TEST(RandomSampling, MetadataIsOnlyTheSeed) {
         cluster.sampler(), no_train_config(), 0.5));
   }
   cluster.round(0, false);
-  const auto total = cluster.network.traffic().total();
+  const auto total = cluster.network.traffic();
   // 18 bytes of header+seed metadata per message.
   EXPECT_EQ(total.metadata_bytes_sent, total.messages_sent * 18u);
 }
@@ -274,8 +274,8 @@ TEST(Jwins, UsesFewerBytesThanFullSharing) {
     full_cluster.round(t, true);
     jwins_cluster.round(t, true);
   }
-  const auto full_bytes = full_cluster.network.traffic().total().bytes_sent;
-  const auto jwins_bytes = jwins_cluster.network.traffic().total().bytes_sent;
+  const auto full_bytes = full_cluster.network.traffic().bytes_sent;
+  const auto jwins_bytes = jwins_cluster.network.traffic().bytes_sent;
   EXPECT_LT(jwins_bytes, full_bytes);
 }
 
@@ -401,7 +401,7 @@ TEST(AllAlgorithms, TrafficSplitsAddUp) {
         cluster.sampler(), train_config(0.1f), jwins_options()));
   }
   for (std::uint32_t t = 0; t < 10; ++t) cluster.round(t, true);
-  const auto total = cluster.network.traffic().total();
+  const auto total = cluster.network.traffic();
   EXPECT_EQ(total.bytes_sent, total.payload_bytes_sent +
                                   total.metadata_bytes_sent +
                                   total.messages_sent * net::Message::kEnvelopeBytes);

@@ -1,8 +1,8 @@
 // Discrete-event asynchronous engine (sim/event_engine.hpp): queue
-// invariants on hand-computed schedules, uplink-serialization math against
-// the TimeModel's own numbers, B = 0 on loss-free links ending on the
-// synchronous reference's final models under every heterogeneity and crash
-// family and every algorithm, genuine
+// invariants on hand-computed schedules, the delivery offsets the TimeModel
+// prices on each sender's uplink (dropped messages included), B = 0 on
+// loss-free links ending on the synchronous reference's final models under
+// every heterogeneity and crash family and every algorithm, genuine
 // bounded-staleness behavior (histogram, stale drops, budget divergence,
 // message conservation), and the sub-round crash semantics both engines pin.
 #include "sim/event_engine.hpp"
@@ -162,48 +162,44 @@ TEST(EventQueue, InterleavedPushesStaySorted) {
   EXPECT_EQ(q.pop().time, 3.0);
 }
 
-// ------------------------------------------------------- UplinkSerializer
+// ---------------------------------------------------------- sender uplink
+// The delivery offsets net::TimeModel::record_send returns: the event
+// engine schedules each arrival at the share instant plus this offset.
 
 net::TimeModel flat_model(std::size_t n) {
   return net::TimeModel(n, net::LinkModel{}, net::TimeModelConfig{}, 1);
 }
 
 TEST(UplinkSerializer, SingleMessageIsTransferPlusLatency) {
-  const net::TimeModel tm = flat_model(4);
-  UplinkSerializer up(4);
-  const double off = up.enqueue(tm, 0, 1, 1000);
+  net::TimeModel tm = flat_model(4);
+  const double off = tm.record_send(0, 1, 0, 1000);
   EXPECT_DOUBLE_EQ(off, 1000.0 / tm.edge_bandwidth(0, 1) +
                             tm.edge_latency(0, 1));
 }
 
 TEST(UplinkSerializer, BackToBackMessagesSerialize) {
-  const net::TimeModel tm = flat_model(4);
-  UplinkSerializer up(4);
+  net::TimeModel tm = flat_model(4);
   const double t1 = 1000.0 / tm.edge_bandwidth(0, 1);
   const double t2 = 2000.0 / tm.edge_bandwidth(0, 2);
-  EXPECT_DOUBLE_EQ(up.enqueue(tm, 0, 1, 1000), t1 + tm.edge_latency(0, 1));
+  EXPECT_DOUBLE_EQ(tm.record_send(0, 1, 0, 1000), t1 + tm.edge_latency(0, 1));
   // The second transfer queues behind the first on node 0's uplink.
-  EXPECT_DOUBLE_EQ(up.enqueue(tm, 0, 2, 2000),
+  EXPECT_DOUBLE_EQ(tm.record_send(0, 2, 0, 2000),
                    t1 + t2 + tm.edge_latency(0, 2));
-  EXPECT_DOUBLE_EQ(up.queued(0), t1 + t2);
 }
 
 TEST(UplinkSerializer, SendersAreIndependent) {
-  const net::TimeModel tm = flat_model(4);
-  UplinkSerializer up(4);
-  (void)up.enqueue(tm, 0, 1, 8000);
-  const double off = up.enqueue(tm, 1, 2, 1000);
+  net::TimeModel tm = flat_model(4);
+  (void)tm.record_send(0, 1, 0, 8000);
+  const double off = tm.record_send(1, 2, 0, 1000);
   EXPECT_DOUBLE_EQ(off, 1000.0 / tm.edge_bandwidth(1, 2) +
                             tm.edge_latency(1, 2));
 }
 
 TEST(UplinkSerializer, ResetStartsAFreshRound) {
-  const net::TimeModel tm = flat_model(4);
-  UplinkSerializer up(4);
-  (void)up.enqueue(tm, 0, 1, 5000);
-  up.reset(0);
-  EXPECT_DOUBLE_EQ(up.queued(0), 0.0);
-  EXPECT_DOUBLE_EQ(up.enqueue(tm, 0, 1, 5000),
+  net::TimeModel tm = flat_model(4);
+  (void)tm.record_send(0, 1, 0, 5000);
+  // A new round tag starts node 0's uplink empty.
+  EXPECT_DOUBLE_EQ(tm.record_send(0, 1, 1, 5000),
                    5000.0 / tm.edge_bandwidth(0, 1) + tm.edge_latency(0, 1));
 }
 
@@ -212,10 +208,9 @@ TEST(UplinkSerializer, FlatModelOffsetsMatchLegacyFormula) {
   // offset of a sender's k-th message is sum(bytes)/bw + latency — the same
   // quantities the legacy comm_time(max_node_bytes) builds from.
   const net::LinkModel base;
-  const net::TimeModel tm = flat_model(3);
-  UplinkSerializer up(3);
-  const double off1 = up.enqueue(tm, 0, 1, 1234);
-  const double off2 = up.enqueue(tm, 0, 2, 1234);
+  net::TimeModel tm = flat_model(3);
+  const double off1 = tm.record_send(0, 1, 0, 1234);
+  const double off2 = tm.record_send(0, 2, 0, 1234);
   EXPECT_DOUBLE_EQ(off1, base.latency_sec +
                              1234.0 / base.bandwidth_bytes_per_sec);
   EXPECT_DOUBLE_EQ(off2, base.latency_sec +
@@ -226,12 +221,11 @@ TEST(UplinkSerializer, HeterogeneousEdgesUseTheirOwnParameters) {
   net::TimeModelConfig cfg;
   cfg.bandwidth_dist = {net::LinkDist::Kind::kUniform, 1e6, 10e6};
   cfg.latency_dist = {net::LinkDist::Kind::kUniform, 0.001, 0.050};
-  const net::TimeModel tm(4, net::LinkModel{}, cfg, 9);
-  UplinkSerializer up(4);
+  net::TimeModel tm(4, net::LinkModel{}, cfg, 9);
   const double t1 = 700.0 / tm.edge_bandwidth(2, 0);
   const double t2 = 900.0 / tm.edge_bandwidth(2, 3);
-  EXPECT_DOUBLE_EQ(up.enqueue(tm, 2, 0, 700), t1 + tm.edge_latency(2, 0));
-  EXPECT_DOUBLE_EQ(up.enqueue(tm, 2, 3, 900),
+  EXPECT_DOUBLE_EQ(tm.record_send(2, 0, 0, 700), t1 + tm.edge_latency(2, 0));
+  EXPECT_DOUBLE_EQ(tm.record_send(2, 3, 0, 900),
                    t1 + t2 + tm.edge_latency(2, 3));
 }
 
@@ -580,6 +574,48 @@ TEST(EventEngineBounded, ConservationWithDrops) {
   const ExperimentResult r = exp->run();
   EXPECT_GT(r.sim_time.dropped_total, 0u);
   EXPECT_EQ(testutil::check_report(r, cfg, 6), "");
+}
+
+TEST(EventEngineBounded, DroppedMessageStillDelaysItsSendersNextMessage) {
+  // Node 0 on the path 1 - 0 - 2 sends to 1, then to 2. Under a fixed edge
+  // drop, take a seed whose round-0 dice drop 0 -> 1 and keep 0 -> 2: the
+  // dropped transfer still occupied node 0's uplink, so 0 -> 2 lands one
+  // transfer time later than if 0 -> 1 had never been sent. That arrival
+  // is the run's last event.
+  ExperimentConfig cfg = bounded_config(1, 0);
+  cfg.link.bandwidth_bytes_per_sec = 1000.0;
+  cfg.time.edge_drop = {net::EdgeDropDist::Kind::kFixed, 0.5, 0.0};
+  bool found = false;
+  for (cfg.seed = 1; cfg.seed < 64 && !found; ++cfg.seed) {
+    const net::TimeModel tm(3, cfg.link, cfg.time, cfg.seed);
+    found = tm.drop_cause(0, 1, 0) == net::DropCause::kEdge &&
+            tm.drop_cause(0, 2, 0) == net::DropCause::kNone;
+  }
+  --cfg.seed;
+  ASSERT_TRUE(found);
+  graph::Graph path(3);
+  path.add_edge(0, 1);
+  path.add_edge(0, 2);
+  data::Partition partition(3, {0, 1, 2, 3});
+  auto counter = std::make_shared<std::size_t>(0);
+  nn::ModelFactory factory =
+      [counter]() -> std::unique_ptr<nn::SupervisedModel> {
+    const std::size_t r = (*counter)++;
+    return std::make_unique<QuadraticModel>(node_target(r), node_init(r));
+  };
+  Experiment exp(cfg, factory, dummy_dataset(), partition, dummy_dataset(),
+                 std::make_unique<graph::StaticTopology>(path));
+  const ExperimentResult r = exp.run();
+  EXPECT_EQ(testutil::check_report(r, cfg, 3), "");
+  ASSERT_EQ(r.total_traffic.messages_sent, 4u);
+  // Full sharing of one model size: every message has the same wire size.
+  const double transfer =
+      static_cast<double>(r.total_traffic.bytes_sent / 4) /
+      cfg.link.bandwidth_bytes_per_sec;
+  EXPECT_NEAR(r.sim_seconds,
+              cfg.compute_seconds_per_round + 2.0 * transfer +
+                  cfg.link.latency_sec,
+              1e-9);
 }
 
 TEST(EventEngineBounded, HistogramCountsAppliedMessages) {

@@ -276,7 +276,7 @@ TEST(NetworkDrop, DropsDeterministicFraction) {
   EXPECT_NEAR(drop_rate, 0.3, 0.06);
   EXPECT_EQ(a.time_model().dropped_total(), 800 - delivered_a);
   // Dropped messages still count as sent (the bytes left the sender).
-  EXPECT_EQ(a.traffic().total().messages_sent, 800u);
+  EXPECT_EQ(a.traffic().messages_sent, 800u);
 }
 
 TEST(NetworkDrop, InvalidProbabilityThrows) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct RelationRow {
   const char* with;     ///< spec lines holding the no-op setting
   const char* without;  ///< the same cell without it
 };
+
+// Without this gtest prints a row as its raw bytes: the addresses of its
+// string literals, which move whenever any test file linked before this one
+// changes, and which `gtest_discover_tests` copies into the ctest names.
+void PrintTo(const RelationRow& row, std::ostream* os) { *os << row.name; }
 
 // The 4-node JWINS cell of scenarios/smoke.scenario, run for 4 rounds.
 constexpr const char* kBaseCell =

@@ -66,33 +66,13 @@ TEST(Message, WireSizeAndSplit) {
   EXPECT_EQ(msg.payload_bytes(), 70u);
 }
 
-TEST(TrafficMeter, AccumulatesPerNode) {
-  TrafficMeter meter(3);
-  Message msg;
-  msg.sender = 1;
-  msg.body = SharedBytes::zeros(50);
-  msg.metadata_bytes = 10;
-  meter.record_send(1, msg);
-  meter.record_send(1, msg);
-  EXPECT_EQ(meter.node(1).messages_sent, 2u);
-  EXPECT_EQ(meter.node(1).bytes_sent, 2 * (50 + Message::kEnvelopeBytes));
-  EXPECT_EQ(meter.node(1).metadata_bytes_sent, 20u);
-  EXPECT_EQ(meter.node(1).payload_bytes_sent, 80u);
-  EXPECT_EQ(meter.node(0).messages_sent, 0u);
-  const NodeTraffic total = meter.total();
-  EXPECT_EQ(total.messages_sent, 2u);
-  EXPECT_NEAR(meter.average_bytes_per_node(),
-              2.0 * (50 + Message::kEnvelopeBytes) / 3.0, 1e-9);
-  meter.reset();
-  EXPECT_EQ(meter.total().messages_sent, 0u);
-}
-
 TEST(Network, SendAndDrain) {
   Network net(3);
   Message msg;
   msg.sender = 0;
   msg.round = 7;
   msg.body = {1, 2, 3};
+  msg.metadata_bytes = 1;
   net.send(1, msg);
   net.send(1, msg);
   net.send(2, msg);
@@ -104,7 +84,11 @@ TEST(Network, SendAndDrain) {
   EXPECT_TRUE(inbox.empty());  // drained
   net.drain_into(2, inbox);
   EXPECT_EQ(inbox.size(), 1u);
-  EXPECT_EQ(net.traffic().node(0).messages_sent, 3u);
+  const NodeTraffic& sent = net.traffic();
+  EXPECT_EQ(sent.messages_sent, 3u);
+  EXPECT_EQ(sent.bytes_sent, 3 * (3 + Message::kEnvelopeBytes));
+  EXPECT_EQ(sent.metadata_bytes_sent, 3u);
+  EXPECT_EQ(sent.payload_bytes_sent, 6u);
 }
 
 TEST(Network, BoundsChecked) {
@@ -150,7 +134,7 @@ TEST(Network, ConcurrentSendsAreSafe) {
       net.send(static_cast<std::uint32_t>((sender + 1) % 8), msg);
     }
   });
-  EXPECT_EQ(net.traffic().total().messages_sent, 400u);
+  EXPECT_EQ(net.traffic().messages_sent, 400u);
   std::size_t received = 0;
   std::vector<Message> inbox;
   for (std::uint32_t i = 0; i < 8; ++i) {

@@ -108,24 +108,6 @@ TEST(ReLU, SignedZeroAndNaNAtTheKink) {
   EXPECT_THROW(ReLU().backward(Tensor()), std::invalid_argument);
 }
 
-TEST(Tanh, GradCheck) {
-  Tanh layer;
-  const auto result = grad_check_module(layer, random_input({3, 4}, 7));
-  EXPECT_TRUE(result.ok()) << result.max_rel_error;
-}
-
-TEST(Sigmoid, GradCheckAndRange) {
-  Sigmoid layer;
-  const Tensor y = layer.forward(random_input({2, 8}, 8));
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_GT(y[i], 0.0f);
-    EXPECT_LT(y[i], 1.0f);
-  }
-  Sigmoid fresh;
-  const auto result = grad_check_module(fresh, random_input({2, 8}, 9));
-  EXPECT_TRUE(result.ok()) << result.max_rel_error;
-}
-
 TEST(Flatten, RoundTripShape) {
   Flatten layer;
   const Tensor x = random_input({2, 3, 4, 5}, 10);

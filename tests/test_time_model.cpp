@@ -234,8 +234,8 @@ TEST(TimeModelGolden, DegenerateHeterogeneityMatchesFlatOnSingleEdges) {
   config.bandwidth_dist = uniform_dist(1000.0, 1000.0);
   config.latency_dist = uniform_dist(0.5, 0.5);
   TimeModel tm(2, link, config, 1);
-  tm.record_send(0, 1, 2000);
-  tm.record_send(1, 0, 100);
+  tm.record_send(0, 1, 0, 2000);
+  tm.record_send(1, 0, 0, 100);
   const TimeModel::RoundTime rt = tm.finish_round(1.0);
   EXPECT_EQ(rt.compute, 1.0);
   EXPECT_DOUBLE_EQ(rt.comm, 0.5 + 2000.0 / 1000.0);
@@ -276,10 +276,10 @@ TEST(TimeModelCriticalPath, HandComputedThreeNodeCase) {
   config.latency_dist = uniform_dist(0.5, 0.5);
   TimeModel tm(3, {}, config, 1);
   // Node 0 queues two transfers through its uplink: 2000 B then 1000 B.
-  tm.record_send(0, 1, 2000);
-  tm.record_send(0, 2, 1000);
+  tm.record_send(0, 1, 0, 2000);
+  tm.record_send(0, 2, 0, 1000);
   // Node 1 sends a single small message.
-  tm.record_send(1, 0, 100);
+  tm.record_send(1, 0, 0, 100);
   const TimeModel::RoundTime rt = tm.finish_round(0.0);
   // Edge (0,1): 2.0 + 0.5 = 2.5; edge (0,2): 2.0 + 1.0 + 0.5 = 3.5;
   // edge (1,0): 0.1 + 0.5 = 0.6. Critical path: 3.5.
@@ -291,7 +291,7 @@ TEST(TimeModelCriticalPath, IsolatedNodeDoesNotGateTheRound) {
   config.bandwidth_dist = uniform_dist(1000.0, 1000.0);
   config.latency_dist = uniform_dist(0.25, 0.25);
   TimeModel tm(4, {}, config, 1);
-  tm.record_send(2, 3, 500);  // nodes 0 and 1 are silent (isolated)
+  tm.record_send(2, 3, 0, 500);  // nodes 0 and 1 are silent (isolated)
   const TimeModel::RoundTime rt = tm.finish_round(0.0);
   EXPECT_DOUBLE_EQ(rt.comm, 0.5 + 0.25);
 }
@@ -324,8 +324,8 @@ TEST(TimeModelCriticalPath, RepeatSendsToOneNeighborAccumulate) {
   config.bandwidth_dist = uniform_dist(100.0, 100.0);
   config.latency_dist = uniform_dist(0.0, 0.0);
   TimeModel tm(2, {}, config, 1);
-  tm.record_send(0, 1, 50);
-  tm.record_send(0, 1, 150);
+  tm.record_send(0, 1, 0, 50);
+  tm.record_send(0, 1, 0, 150);
   const TimeModel::RoundTime rt = tm.finish_round(0.0);
   EXPECT_DOUBLE_EQ(rt.comm, 200.0 / 100.0);
   // The accumulator resets between rounds.
@@ -508,7 +508,7 @@ TEST(TimeModelNetwork, DropCausesAreCounted) {
   network.drain_into(1, inbox);
   EXPECT_EQ(inbox.size(), 2u);
   // Dropped messages still count as sent bytes — the sender paid.
-  EXPECT_EQ(network.traffic().total().messages_sent, 4u);
+  EXPECT_EQ(network.traffic().messages_sent, 4u);
 }
 
 // --- scenario keys ----------------------------------------------------------
